@@ -33,7 +33,7 @@ import json
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
     DegeneracyError,
     DomainError,
     ParameterError,
+    ShapeError,
     StepSizeError,
 )
 from .grid import (
@@ -329,18 +330,17 @@ def _rebuild_halo(W, grid):
         return W
     hi = min(int(i0.max()) + 3, n)
     for i in range(max(lo, 1), hi):
-        m = i0 <= i
         if i >= 3:
-            ext = 3.0 * W[i - 1, m] - 3.0 * W[i - 2, m] + W[i - 3, m]
+            ext = 3.0 * W[i - 1] - 3.0 * W[i - 2] + W[i - 3]
         elif i == 2:
-            ext = 2.0 * W[i - 1, m] - W[i - 2, m]
+            ext = 2.0 * W[i - 1] - W[i - 2]
         else:
             # sub-cell endgame: continue as a round cap
-            ext = W[0, m] - grid.y[i] ** 2
+            ext = W[0] - grid.y[i] ** 2
         # the continuation of a convex body is nonpositive outside the
         # rim; clamping keeps ragged endgame columns from seeding fake
         # interior nodes
-        W[i, m] = np.minimum(ext, 0.0)
+        np.copyto(W[i], np.minimum(ext, 0.0), where=i0 <= i)
     return W
 
 
@@ -353,12 +353,12 @@ def _signed_w(field):
     return _rebuild_halo(W, field.grid)
 
 
-def _pole_w_rhs(W, grid, renormalized):
-    """Squared-profile RHS at the origin from first-ring Fourier data."""
+def _pole_w_rhs(W, grid, ring_spec, renormalized):
+    """Squared-profile RHS at the origin from first-ring Fourier data;
+    ring_spec is the rfft of W[1, :]."""
     W0 = W[0, 0]
-    ring = W[1, :]
     y1 = grid.y[1]
-    spec = np.fft.rfft(ring) / grid.n_phi
+    spec = ring_spec[:3] / grid.n_phi
     c0 = spec[0].real
     c1c, c1s = 2.0 * spec[1].real, -2.0 * spec[1].imag
     c2c, c2s = 2.0 * spec[2].real, -2.0 * spec[2].imag
@@ -388,9 +388,14 @@ def _w_rhs(W, grid, renormalized, mask=None):
     """
     interior = W > 0.0 if mask is None else mask
     Wy, Wyy = _radial_derivs(grid, W)
-    Wp = diff_phi_fft(W, order=1)
-    Wpp = diff_phi_fft(W, order=2)
-    Wyp = diff_phi_fft(Wy, order=1)
+    # one forward angular transform of (W, W_y) gives the spectral W_phi,
+    # W_phiphi and W_yphi, and the first-ring spectrum for the pole jet
+    n = grid.n_phi
+    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
+    spec = np.fft.rfft(np.stack([W, Wy]), axis=-1)
+    Wp, Wpp, Wyp = np.fft.irfft(
+        spec[[0, 0, 1]] * np.stack([ik, ik**2, ik])[:, None, :], n=n, axis=-1
+    )
     y = grid.y[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         lap = Wyy + Wy / y + Wpp / y**2
@@ -411,7 +416,7 @@ def _w_rhs(W, grid, renormalized, mask=None):
         out = lap - rat - 2.0
         if renormalized:
             out = out - 0.5 * y * Wy + W
-    out[0, :] = _pole_w_rhs(W, grid, renormalized)
+    out[0, :] = _pole_w_rhs(W, grid, spec[0, 1], renormalized)
     return np.where(interior, out, 0.0)
 
 
@@ -529,7 +534,7 @@ def _sync_patches(W, tip, grid, theta):
     return W, new_tip
 
 
-def step(state, dtau, v_floor=V_FLOOR):
+def step(state, dtau):
     """Advance one explicit midpoint step, then synchronize patches."""
     if dtau <= 0.0:
         raise ParameterError(f"time step must be positive, got {dtau}")
@@ -649,7 +654,11 @@ class FlowHistory:
         hist = cls(window=window)
         grid = None
         for entry in index:
-            f = load_field(os.path.join(path, entry["field"]), grid=grid)
+            field_path = os.path.join(path, entry["field"])
+            try:
+                f = load_field(field_path, grid=grid)
+            except ShapeError:
+                f = load_field(field_path)  # stored on a grid of its own
             grid = f.grid
             tip = None
             if "tip" in entry:
@@ -687,19 +696,19 @@ def _alive(field, v_floor):
     )
 
 
-def _step_retry(state, dtau, v_floor, tries=12):
+def _step_retry(state, dtau, tries=12):
     """Step, backing off along the rejection's suggested dt."""
     for _ in range(tries):
         try:
-            return step(state, dtau, v_floor=v_floor)
+            return step(state, dtau)
         except StepSizeError as err:
             dtau = err.suggested_dt
             if dtau is None or dtau < 1.0e-12:
                 raise
-    return step(state, dtau, v_floor=v_floor)
+    return step(state, dtau)
 
 
-def _march_step(state, dtau, v_floor):
+def _march_step(state, dtau):
     """One forward step for the extinction marches.
 
     Returns None when the step cannot be stabilized and the body is
@@ -708,7 +717,7 @@ def _march_step(state, dtau, v_floor):
     point the body is extinct as far as the grid can tell.
     """
     try:
-        return _step_retry(state, dtau, v_floor)
+        return _step_retry(state, dtau)
     except StepSizeError:
         g = state.v.grid
         if float(state.v.values.max()) < 6.0 * float(np.min(np.diff(g.y))):
@@ -737,7 +746,7 @@ def run(state, t_end, snapshot_every=0.05, cfl=0.2, v_floor=V_FLOOR, window=None
     cur = state
     while cur.time < t_end - 1.0e-12:
         dt = min(dt0, t_end - cur.time)
-        nxt = _march_step(cur, dt, v_floor)
+        nxt = _march_step(cur, dt)
         if nxt is None:
             if cur.time > hist.times[-1] + 1.0e-15:
                 hist.append(cur)
@@ -771,10 +780,11 @@ def find_extinction(initial, t_start, cfl=0.2, v_floor=V_FLOOR, rel_tol=1.0e-3):
     """Locate the collapse time of a compact convex body by bisection on
     the predicate "the body survives until t".
 
-    A forward march brackets the death step; memoized snapshots along
-    the way let the bisection re-run only short final segments.  The
-    bracket is narrowed until it is below rel_tol of the elapsed
-    lifetime (a CFL-step march usually starts below that already).
+    A forward march brackets the death step between the last alive
+    state and the first dead one.  Each bisection probe takes one partial
+    step from that last alive state, which is where a re-run of the march
+    would stand.  The bracket is narrowed until it is below rel_tol of the
+    elapsed lifetime (a CFL-step march usually starts below that already).
     """
     g = initial.grid
     if float(initial.values[-1, :].max()) > v_floor:
@@ -784,37 +794,22 @@ def find_extinction(initial, t_start, cfl=0.2, v_floor=V_FLOOR, rel_tol=1.0e-3):
 
     cur = FlowState(time=t_start, v=initial, tip=None, renormalized=False)
     dt = cfl_dt(g, cfl)
-    memo = [cur]
-    memo_every = 2000
     steps = 0
     while _alive(cur.v, v_floor):
         prev = cur
-        nxt = _march_step(cur, dt, v_floor)
+        nxt = _march_step(cur, dt)
         if nxt is None:
-            cur = FlowState(
-                time=cur.time + dt,
-                v=cur.v,
-                tip=cur.tip,
-                renormalized=cur.renormalized,
-                theta=cur.theta,
-                L=cur.L,
-            )
+            cur = replace(cur, time=cur.time + dt)
             break
         cur = nxt
         steps += 1
-        if steps % memo_every == 0 and _alive(cur.v, v_floor):
-            memo.append(cur)
         if steps > 5_000_000:
             raise BudgetError("extinction march exceeded the step budget")
     lo, hi = prev.time, cur.time
 
     def survives(t):
-        s = memo[bisect_left([m.time for m in memo], t) - 1] if t > memo[0].time else memo[0]
-        while s.time < t - 1.0e-12 and _alive(s.v, v_floor):
-            s = _march_step(s, min(dt, t - s.time), v_floor)
-            if s is None:
-                return False
-        return _alive(s.v, v_floor)
+        s = _march_step(prev, t - prev.time)
+        return s is not None and _alive(s.v, v_floor)
 
     tol = rel_tol * max(hi - t_start, 1.0e-6)
     while hi - lo > tol:

@@ -84,6 +84,9 @@ class PolarGrid:
         self.dphi = 2.0 * math.pi / n_phi
         self.phi = np.arange(n_phi) * self.dphi
         self.phi.setflags(write=False)
+        # column j of the reflected first ring holds f(y_1, phi_j + pi)
+        self._antipode = (np.arange(n_phi) + n_phi // 2) % n_phi
+        self._antipode.setflags(write=False)
 
         j0, j1 = _gaussian_antiderivatives(nodes)
         rw = _hat_weights(nodes, j0, j1)
@@ -135,7 +138,7 @@ class PolarGrid:
             + c[1:-1, 1:2] * values[1:-1]
             + c[1:-1, 2:3] * values[2:]
         )
-        reflected = np.roll(values[1], self.n_phi // 2)
+        reflected = values[1, self._antipode]
         out[0] = c[0, 0] * reflected + c[0, 1] * values[0] + c[0, 2] * values[1]
         if order == 2:
             e = self._edge_d2
@@ -325,8 +328,8 @@ def save_field(f, path):
 
 
 def load_field(path, grid=None):
-    """Read a field written by save_field. If `grid` is given the file must
-    match it; otherwise the grid is rebuilt from the stored nodes."""
+    """Read a field written by save_field. If `grid` is given the stored
+    nodes must equal its nodes; otherwise the grid is rebuilt from them."""
     meta = {}
     rows = []
     with open(path) as fh:
@@ -349,10 +352,9 @@ def load_field(path, grid=None):
     if data.shape[0] != (n_r + 1) * n_phi:
         raise ShapeError(f"{path}: expected {(n_r + 1) * n_phi} rows, got {data.shape[0]}")
     values = data[:, 4].reshape(n_r + 1, n_phi)
+    nodes = data[:: n_phi, 2]
     if grid is None:
-        nodes = data[:: n_phi, 2]
         grid = PolarGrid(nodes, n_phi)
-    else:
-        if grid.n_r != n_r or grid.n_phi != n_phi:
-            raise ShapeError(f"{path}: stored grid does not match the given one")
+    elif grid.n_phi != n_phi or not np.array_equal(grid.y, nodes):
+        raise ShapeError(f"{path}: stored grid does not match the given one")
     return ScalarField(grid, values)

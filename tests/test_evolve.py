@@ -15,7 +15,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ovalab import evolve
 from ovalab.errors import (
     CoverageError,
     DegeneracyError,
@@ -297,6 +299,49 @@ class TestStep:
         live = st.v.w_signed > 0
         assert np.abs(st.v.w_signed - exact)[live].max() < 1.0e-12
 
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        k=st.integers(0, 15),
+        renormalized=st.booleans(),
+        x0=st.floats(-0.3, 0.3),
+        y0=st.floats(-0.3, 0.3),
+        a=st.floats(0.8, 1.2),
+        eps=st.floats(0.0, 0.05),
+        phase=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_rotation_by_whole_cells_commutes_with_step(
+        self, k, renormalized, x0, y0, a, eps, phase
+    ):
+        """Off-center ellipse with an m = 3 wobble: turning the body by k
+        angle cells and stepping equals stepping and then turning, which
+        the angular spectra, the pole jet and the halo all have to
+        respect.  The radial stencils, pole reflection included, commute
+        exactly."""
+        g = build_grid(48, 16, 3.0)
+        yy, pp = g.y[:, None], g.phi[None, :]
+        w = (
+            1.5
+            - ((yy * np.cos(pp) - x0) / a) ** 2
+            - (yy * np.sin(pp) - y0) ** 2
+            + eps * yy**3 * np.cos(3.0 * (pp - phase))
+        )
+        for order in (1, 2):
+            assert np.array_equal(
+                g.radial_derivative(np.roll(w, k, axis=1), order),
+                np.roll(g.radial_derivative(w, order), k, axis=1),
+            )
+        dt = cfl_dt(g)
+
+        def stepped(w0):
+            state = FlowState(time=0.0, v=_signed_field(g, w0), tip=None,
+                              renormalized=renormalized)
+            return step(state, dt).v.w_signed
+
+        turned_after = np.roll(stepped(w), k, axis=1)
+        turned_before = stepped(np.roll(w, k, axis=1))
+        scale = np.abs(turned_after).max()
+        assert np.abs(turned_before - turned_after).max() <= 1.0e-12 * scale
+
     def test_two_patch_sphere_drift(self):
         g = build_grid(192, 48, 3.2)
         f = sphere_field(g)
@@ -456,6 +501,21 @@ class TestRunHistory:
             assert np.abs(a.v.values - b.v.values).max() < 1.0e-14
             assert np.abs(a.tip.values - b.tip.values).max() < 1.0e-14
 
+    def test_load_keeps_each_snapshot_grid(self, tmp_path):
+        """Snapshots on grids with equal node counts but different nodes
+        come back on their own grids."""
+        hist = FlowHistory()
+        for k, y_max in enumerate((3.0, 3.5)):
+            g = build_grid(48, 16, y_max)
+            hist.append(FlowState(time=0.1 * k, v=_signed_field(g, _sphere_w(g, 0.25)),
+                                  tip=None, renormalized=False))
+        out = os.path.join(tmp_path, "hist")
+        hist.save_dir(out)
+        back = FlowHistory.load_dir(out)
+        for a, b in zip(hist.states, back.states):
+            assert np.array_equal(b.v.grid.y, a.v.grid.y)
+            assert np.array_equal(b.v.values, a.v.values)
+
 
 # ---------------------------------------------------------------------------
 # extinction and gauge change
@@ -497,6 +557,34 @@ class TestExtinction:
         assert abs(res.t_extinct - res2.t_extinct) < 0.01 * lifetime
         # regression pin from this implementation's own runs
         assert res.t_extinct == pytest.approx(-3.2426, abs=0.02)
+
+    def test_bisection_costs_one_step_per_halving(self, monkeypatch):
+        """Each bisection probe is one partial step from the last alive
+        state (plus any rejections), not a re-run of the march."""
+        g = build_grid(48, 16, 3.0)
+        t0 = -1.0
+        f = _signed_field(g, 1.5 - g.y[:, None] ** 2 * np.ones((1, g.n_phi)))
+        calls = {"all": 0, "rejected": 0}
+        inner = evolve.step
+
+        def counting_step(*args, **kwargs):
+            calls["all"] += 1
+            try:
+                return inner(*args, **kwargs)
+            except StepSizeError:
+                calls["rejected"] += 1
+                raise
+
+        monkeypatch.setattr(evolve, "step", counting_step)
+        res = find_extinction(f, t0, rel_tol=1.0e-5)
+        dt = cfl_dt(g)
+        # the search takes its tolerance from the marched bracket, which
+        # ends at most one step after t_first_dead
+        tol = 1.0e-5 * (res.t_first_dead - t0)
+        halvings = math.ceil(math.log2(dt / tol))
+        assert calls["all"] <= res.steps + calls["rejected"] + halvings + 1
+        assert res.t_last_alive <= res.t_extinct <= res.t_first_dead
+        assert res.t_first_dead - res.t_last_alive <= tol + 1.0e-5 * dt
 
     def test_rejects_boundary_touching_body(self):
         g = build_grid(96, 16, 2.0)

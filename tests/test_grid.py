@@ -191,6 +191,15 @@ def test_csv_roundtrip(tmp_path):
     assert first.startswith("# y_nodes=12 phi_nodes=6 y_max=5")
 
 
+def test_load_field_checks_the_stored_nodes(tmp_path):
+    g = build_grid(12, 6, 5.0, stretching="tanh-clustered")
+    path = tmp_path / "field.csv"
+    save_field(ScalarField(g, np.ones(g.shape)), path)
+    assert load_field(path, grid=g).grid is g
+    with pytest.raises(ShapeError):
+        load_field(path, grid=build_grid(12, 6, 5.0))
+
+
 def test_parameter_errors():
     with pytest.raises(ParameterError):
         build_grid(192, 3, 18.0)
