@@ -110,35 +110,43 @@ class TipField:
         linearly and so keeps the interpolation uniformly second order;
         when the field carries the signed continuation the rim row lands
         at the true zero crossing instead of the last live node.
+
+        All angles are inverted at once: rows above each column's peak
+        are masked to +inf, so one running minimum down the table holds
+        every column's nonincreasing tail from its peak outwards, and the
+        count of tail entries above a level locates that level's bracket.
         """
         g = field.grid
         v_nodes = np.linspace(0.0, 2.0 * theta, n_nodes)
         w_levels = v_nodes**2
         w = field.values**2 if field.w_signed is None else field.w_signed
-        vals = np.empty((n_nodes, g.n_phi))
-        for j in range(g.n_phi):
-            col = w[:, j]
-            i_peak = int(np.argmax(col))
-            tail = np.minimum.accumulate(col[i_peak:])
-            if tail[0] <= w_levels[-1]:
+        n = w.shape[0]
+        rows = np.arange(n)[:, None]
+        i_peak = np.argmax(w, axis=0)
+        tail = np.minimum.accumulate(
+            np.where(rows < i_peak, np.inf, w), axis=0
+        )
+        peak = w.max(axis=0)
+        ceiling = peak <= w_levels[-1]
+        bad = ceiling | (tail[-1] > w_levels[0])
+        if np.any(bad):
+            j = int(np.argmax(bad))  # first failing angle, as a sweep finds it
+            if ceiling[j]:
                 raise DegeneracyError(
-                    f"profile max {math.sqrt(max(tail[0], 0)):.4g} at angle "
+                    f"profile max {math.sqrt(max(peak[j], 0)):.4g} at angle "
                     f"{j} does not reach the tip-patch ceiling {2 * theta:.4g}"
                 )
-            if tail[-1] > w_levels[0]:
-                raise DegeneracyError(f"rim not contained in grid at angle {j}")
-            # tail is nonincreasing; locate each level by linear interp
-            idx = np.searchsorted(-tail, -w_levels, side="left")
-            idx = np.clip(idx, 1, len(tail) - 1)
-            w_hi = tail[idx - 1]
-            w_lo = tail[idx]
-            gap = np.where(w_hi > w_lo, w_hi - w_lo, 1.0)
-            frac = np.where(w_hi > w_lo, (w_hi - w_levels) / gap, 0.0)
-            ys = g.y[i_peak + idx - 1] + frac * (
-                g.y[i_peak + idx] - g.y[i_peak + idx - 1]
-            )
-            vals[:, j] = ys
-        return cls(v_nodes, vals, theta)
+            raise DegeneracyError(f"rim not contained in grid at angle {j}")
+        # tail is nonincreasing below the peak and +inf above it, so the
+        # number of entries above a level is the row just past its crossing
+        idx = (tail[None, :, :] > w_levels[:, None, None]).sum(axis=1)
+        idx = np.clip(idx, i_peak + 1, n - 1)
+        cols = np.arange(w.shape[1])
+        w_hi, w_lo = tail[idx - 1, cols], tail[idx, cols]
+        gap = np.where(w_hi > w_lo, w_hi - w_lo, 1.0)
+        frac = np.where(w_hi > w_lo, (w_hi - w_levels[:, None]) / gap, 0.0)
+        ys = g.y[idx - 1] + frac * (g.y[idx] - g.y[idx - 1])
+        return cls(v_nodes, ys, theta)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -270,7 +278,20 @@ def rhs_unrescaled_V(field, method="fd", v_floor=V_FLOOR):
     return _graph_rhs(field, False, method, v_floor)
 
 
-def rhs_renormalized_Y(tip, tau=None):
+def _angular_derivs(F, Fr):
+    """Spectral F_phi, F_phiphi and Fr_phi of two (rows, n_phi) arrays
+    from one forward transform of the stacked pair; also returns that
+    spectrum.  Bitwise equal to three diff_phi_fft calls."""
+    n = F.shape[-1]
+    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
+    spec = np.fft.rfft(np.stack([F, Fr]), axis=-1)
+    derivs = np.fft.irfft(
+        spec[[0, 0, 1]] * np.stack([ik, ik**2, ik])[:, None, :], n=n, axis=-1
+    )
+    return derivs, spec
+
+
+def rhs_renormalized_Y(tip):
     """Right-hand side of the inverse-profile equation on the tip patch.
 
     The (1/v) Y_v factor is regular at the tip: by the even reflection
@@ -281,17 +302,20 @@ def rhs_renormalized_Y(tip, tau=None):
         raise DomainError("tip radius must stay positive")
     dv = tip.dv
     v = tip.v_nodes[:, None]
-    ext = np.vstack([Y[1:2, :], Y])  # even reflection across v = 0
-    Yv = (ext[2:, :] - ext[:-2, :]) / (2.0 * dv)
-    Yvv = (ext[2:, :] - 2.0 * ext[1:-1, :] + ext[:-2, :]) / dv**2
+    # centred differences with the even reflection Y(-v) = Y(v) at the
+    # tip row and one-sided four-point stencils at the outer row
+    Yv = np.empty_like(Y)
+    Yvv = np.empty_like(Y)
+    Yv[0] = 0.0
+    Yv[1:-1] = (Y[2:] - Y[:-2]) / (2.0 * dv)
+    Yvv[0] = (Y[1] - 2.0 * Y[0] + Y[1]) / dv**2
+    Yvv[1:-1] = (Y[2:] - 2.0 * Y[1:-1] + Y[:-2]) / dv**2
     last = Y[-4:, :]
     c1 = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / dv
     c2 = np.array([-1.0, 4.0, -5.0, 2.0]) / dv**2
-    Yv = np.vstack([Yv, c1 @ last])
-    Yvv = np.vstack([Yvv, c2 @ last])
-    Yp = diff_phi_fft(Y, order=1)
-    Ypp = diff_phi_fft(Y, order=2)
-    Yvp = diff_phi_fft(Yv, order=1)
+    Yv[-1] = c1 @ last
+    Yvv[-1] = c2 @ last
+    (Yp, Ypp, Yvp), _ = _angular_derivs(Y, Yv)
 
     den = Y**2 * (1.0 + Yv**2) + Yp**2
     num = (Y**2 + Yp**2) * Yvv - 2.0 * Yp * Yv * Yvp + (1.0 + Yv**2) * Ypp
@@ -388,14 +412,8 @@ def _w_rhs(W, grid, renormalized, mask=None):
     """
     interior = W > 0.0 if mask is None else mask
     Wy, Wyy = _radial_derivs(grid, W)
-    # one forward angular transform of (W, W_y) gives the spectral W_phi,
-    # W_phiphi and W_yphi, and the first-ring spectrum for the pole jet
-    n = grid.n_phi
-    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
-    spec = np.fft.rfft(np.stack([W, Wy]), axis=-1)
-    Wp, Wpp, Wyp = np.fft.irfft(
-        spec[[0, 0, 1]] * np.stack([ik, ik**2, ik])[:, None, :], n=n, axis=-1
-    )
+    # the spectrum of W also holds the first ring for the pole jet
+    (Wp, Wpp, Wyp), spec = _angular_derivs(W, Wy)
     y = grid.y[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         lap = Wyy + Wy / y + Wpp / y**2
@@ -485,8 +503,9 @@ class FlowState:
         return self.tip.tip_radius()
 
 
-def _substep_tip(tip, dtau, cfl=0.2):
-    n_sub = max(1, int(math.ceil(dtau / (cfl * tip.dv**2))))
+def _substep_tip(tip, dtau):
+    # explicit midpoint substeps under the parabolic bound 0.2 dv^2
+    n_sub = max(1, int(math.ceil(dtau / (0.2 * tip.dv**2))))
     h = dtau / n_sub
     Y = tip.values
     t = tip
@@ -499,31 +518,57 @@ def _substep_tip(tip, dtau, cfl=0.2):
     return t
 
 
+def _interp_columns(x, xp, fp):
+    """np.interp down every column at once.
+
+    x is (k, c); xp and fp are (m, c) or (m, 1), xp nondecreasing down
+    each column.  The node choice (the last xp <= x, also on flat runs),
+    the end values and the formula are np.interp's own, so column j is
+    bitwise equal to np.interp(x[:, j], xp[:, j], fp[:, j]).
+    """
+    m, c = xp.shape[0], x.shape[1]
+    xp = np.broadcast_to(xp, (m, c))
+    fp = np.broadcast_to(fp, (m, c))
+    j = np.clip((xp[None, :, :] <= x[:, None, :]).sum(axis=1) - 1, 0, m - 2)
+    cols = np.arange(c)
+    x0, f0 = xp[j, cols], fp[j, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (fp[j + 1, cols] - f0) / (xp[j + 1, cols] - x0)
+        out = slope * (x - x0) + f0
+    out = np.where(x == x0, f0, out)
+    out = np.where(x >= xp[-1], fp[-1], out)
+    return np.where(x < xp[0], fp[0], out)
+
+
 def _inject_from_tip(W, tip, grid, theta):
     """Dirichlet side of the patch coupling: graph nodes below the
     handover level take their values from the tip table, blended in
-    over v in [theta/2, theta] so no kink forms at the seam."""
-    half = 0.5 * theta
-    for j in range(tip.n_phi):
-        col = np.minimum.accumulate(tip.values[:, j])
-        y_top = float(np.interp(theta, tip.v_nodes, tip.values[:, j]))
-        y_rim = float(col[0])
-        i_lo = int(np.searchsorted(grid.y, y_top))
-        i_hi = int(np.searchsorted(grid.y, y_rim))
-        if i_lo >= i_hi:
-            continue
-        ys = grid.y[i_lo:i_hi]
-        v_t = np.interp(ys, col[::-1], tip.v_nodes[::-1])
-        lam = np.clip((theta - v_t) / half, 0.0, 1.0)
-        s = lam * lam * (3.0 - 2.0 * lam)
-        W[i_lo:i_hi, j] = (1.0 - s) * W[i_lo:i_hi, j] + s * v_t**2
+    over v in [theta/2, theta] so no kink forms at the seam.
+
+    All angles are handled at once.  Column j rewrites the rows between
+    its handover radius Y(theta) and its tip radius Y(0); those few
+    nodes are gathered from every column and inverted together.
+    """
+    v_nodes = tip.v_nodes
+    y_top = _interp_columns(np.full((1, tip.n_phi), theta), v_nodes[:, None],
+                            tip.values)[0]
+    col = np.minimum.accumulate(tip.values, axis=0)
+    i_lo = np.searchsorted(grid.y, y_top)
+    i_hi = np.searchsorted(grid.y, col[0])
+    rows = np.arange(len(grid.y))[:, None]
+    r, j = np.nonzero((rows >= i_lo) & (rows < i_hi))
+    v_t = _interp_columns(grid.y[r][None, :], col[::-1, j], v_nodes[::-1, None])[0]
+    lam = np.clip((theta - v_t) / (0.5 * theta), 0.0, 1.0)
+    s = lam * lam * (3.0 - 2.0 * lam)
+    W[r, j] = (1.0 - s) * W[r, j] + s * v_t**2
     return W
 
 
 def _sync_patches(W, tip, grid, theta):
     """Couple the patches: tip rows with v >= theta are rebuilt from the
     graph by monotone inversion, rows below keep the Y-step; the graph
-    in turn takes its rim-side boundary from the updated tip."""
+    in turn takes its rim-side boundary from the updated tip.  Both
+    directions work on whole tables, every angle at once."""
     field = ScalarField(grid, np.sqrt(np.maximum(W, 0.0)), w_signed=W, copy=True)
     inverted = TipField.from_profile(field, theta=theta, n_nodes=len(tip.v_nodes))
     merged = np.where(

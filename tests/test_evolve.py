@@ -261,6 +261,152 @@ class TestTipRHS:
 
 
 # ---------------------------------------------------------------------------
+# whole-table tip code against per-angle loops
+#
+# The stepper inverts, injects and differentiates the tip table for all
+# angles at once.  These oracles are the per-angle loops it replaced;
+# the vectorized code has to reproduce them bit for bit.
+
+
+def _from_profile_loop(field, theta=0.2, n_nodes=17):
+    g = field.grid
+    v_nodes = np.linspace(0.0, 2.0 * theta, n_nodes)
+    w_levels = v_nodes**2
+    w = field.values**2 if field.w_signed is None else field.w_signed
+    vals = np.empty((n_nodes, g.n_phi))
+    for j in range(g.n_phi):
+        col = w[:, j]
+        i_peak = int(np.argmax(col))
+        tail = np.minimum.accumulate(col[i_peak:])
+        if tail[0] <= w_levels[-1]:
+            raise DegeneracyError(
+                f"profile max {math.sqrt(max(tail[0], 0)):.4g} at angle "
+                f"{j} does not reach the tip-patch ceiling {2 * theta:.4g}"
+            )
+        if tail[-1] > w_levels[0]:
+            raise DegeneracyError(f"rim not contained in grid at angle {j}")
+        idx = np.searchsorted(-tail, -w_levels, side="left")
+        idx = np.clip(idx, 1, len(tail) - 1)
+        w_hi = tail[idx - 1]
+        w_lo = tail[idx]
+        gap = np.where(w_hi > w_lo, w_hi - w_lo, 1.0)
+        frac = np.where(w_hi > w_lo, (w_hi - w_levels) / gap, 0.0)
+        vals[:, j] = g.y[i_peak + idx - 1] + frac * (
+            g.y[i_peak + idx] - g.y[i_peak + idx - 1]
+        )
+    return vals
+
+
+def _inject_loop(W, tip, grid, theta):
+    half = 0.5 * theta
+    for j in range(tip.n_phi):
+        col = np.minimum.accumulate(tip.values[:, j])
+        y_top = float(np.interp(theta, tip.v_nodes, tip.values[:, j]))
+        y_rim = float(col[0])
+        i_lo = int(np.searchsorted(grid.y, y_top))
+        i_hi = int(np.searchsorted(grid.y, y_rim))
+        if i_lo >= i_hi:
+            continue
+        ys = grid.y[i_lo:i_hi]
+        v_t = np.interp(ys, col[::-1], tip.v_nodes[::-1])
+        lam = np.clip((theta - v_t) / half, 0.0, 1.0)
+        s = lam * lam * (3.0 - 2.0 * lam)
+        W[i_lo:i_hi, j] = (1.0 - s) * W[i_lo:i_hi, j] + s * v_t**2
+    return W
+
+
+def _rhs_Y_loop(tip):
+    Y = tip.values
+    dv = tip.dv
+    v = tip.v_nodes[:, None]
+    ext = np.vstack([Y[1:2, :], Y])
+    Yv = (ext[2:, :] - ext[:-2, :]) / (2.0 * dv)
+    Yvv = (ext[2:, :] - 2.0 * ext[1:-1, :] + ext[:-2, :]) / dv**2
+    last = Y[-4:, :]
+    c1 = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / dv
+    c2 = np.array([-1.0, 4.0, -5.0, 2.0]) / dv**2
+    Yv = np.vstack([Yv, c1 @ last])
+    Yvv = np.vstack([Yvv, c2 @ last])
+    Yp = diff_phi_fft(Y, order=1)
+    Ypp = diff_phi_fft(Y, order=2)
+    Yvp = diff_phi_fft(Yv, order=1)
+    den = Y**2 * (1.0 + Yv**2) + Yp**2
+    num = (Y**2 + Yp**2) * Yvv - 2.0 * Yp * Yv * Yvp + (1.0 + Yv**2) * Ypp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = (1.0 / v - 0.5 * v) * Yv
+    drift[0, :] = Yvv[0, :]
+    return num / den + drift - Yp**2 / (Y * den) + 0.5 * Y - 1.0 / Y
+
+
+class TestWholeTableTip:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        x0=st.floats(-0.4, 0.4),
+        y0=st.floats(-0.4, 0.4),
+        a=st.floats(0.7, 1.3),
+        eps=st.floats(0.0, 0.08),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        signed=st.booleans(),
+        theta=st.sampled_from([0.1, 0.2, 0.3]),
+        n_nodes=st.sampled_from([9, 17, 33]),
+        bump=st.floats(0.0, 0.02),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_per_angle_loops(
+        self, x0, y0, a, eps, phase, signed, theta, n_nodes, bump, seed
+    ):
+        """Off-centre ellipse with an m = 3 wobble, given with or without
+        its signed continuation.  The inverted table is then shaken so
+        its columns lose monotonicity (flat runs after the running
+        minimum) and some entries land exactly on grid nodes."""
+        g = build_grid(64, 16, 3.0)
+        yy, pp = g.y[:, None], g.phi[None, :]
+        w = (
+            2.0
+            - ((yy * np.cos(pp) - x0) / a) ** 2
+            - (yy * np.sin(pp) - y0) ** 2
+            + eps * yy**3 * np.cos(3.0 * (pp - phase))
+        )
+        f = _signed_field(g, w) if signed else ScalarField(g, np.sqrt(np.maximum(w, 0.0)))
+        tip = TipField.from_profile(f, theta=theta, n_nodes=n_nodes)
+        assert np.array_equal(tip.values, _from_profile_loop(f, theta, n_nodes))
+
+        rng = np.random.default_rng(seed)
+        shaken = tip.values * (1.0 + bump * rng.uniform(-1.0, 1.0, tip.values.shape))
+        on_node = rng.random(shaken.shape) < 0.2
+        nearest = np.abs(g.y[:, None, None] - shaken[None]).argmin(axis=0)
+        shaken = np.where(on_node, g.y[nearest], shaken)
+        for table in (tip, TipField(tip.v_nodes, shaken, theta)):
+            assert np.array_equal(rhs_renormalized_Y(table), _rhs_Y_loop(table))
+            got = evolve._inject_from_tip(w.copy(), table, g, theta)
+            assert np.array_equal(got, _inject_loop(w.copy(), table, g, theta))
+
+    @pytest.mark.parametrize("columns, expected", [
+        ({3: "rim", 9: "rim"}, "rim not contained in grid at angle 3"),
+        ({2: "low", 6: "rim"}, "at angle 2 does not reach"),
+        ({1: "rim", 5: "low"}, "rim not contained in grid at angle 1"),
+        ({4: "flat", 7: "rim"}, "at angle 4 does not reach"),
+    ])
+    def test_degeneracy_names_the_first_failing_angle(self, columns, expected):
+        """Rims escaping the grid and columns too low for the ceiling, at
+        several angles: the error names the first failing angle, and at
+        an angle that fails both ways the ceiling is reported."""
+        g = build_grid(96, 16, 3.2)
+        w = 6.0 - g.y[:, None] ** 2 * np.ones((1, 16))
+        recipes = {"rim": 6.0 - 0.1 * g.y**2, "low": 0.01 - g.y**2,
+                   "flat": np.full_like(g.y, 0.01)}
+        for j, kind in columns.items():
+            w[:, j] = recipes[kind]
+        f = _signed_field(g, w)
+        with pytest.raises(DegeneracyError) as want:
+            _from_profile_loop(f)
+        with pytest.raises(DegeneracyError) as got:
+            TipField.from_profile(f)
+        assert str(got.value) == str(want.value)
+        assert expected in str(got.value)
+
+
+# ---------------------------------------------------------------------------
 # stepping
 
 

@@ -162,6 +162,10 @@ def test_pole_reflection_exact_on_linear():
     assert np.allclose(d.values[0], np.cos(g.phi), atol=1e-13)
     d2 = diff(f, "y", 2)
     assert np.allclose(d2.values[0], 0.0, atol=1e-13)
+    # cos(pi - phi) = cos(phi + pi), so x1 cannot tell the antipode from
+    # the mirror image phi -> pi - phi; x2 = y sin(phi) can
+    x2 = g.y[:, None] * np.sin(g.phi)[None, :]
+    assert np.allclose(g.radial_derivative(x2, 1)[0], np.sin(g.phi), atol=1e-13)
 
 
 def test_smooth_pole_second_derivative():
