@@ -44,8 +44,12 @@ from .evolve import (
     _signed_w,
     zoomed_tip,
 )
-from .grid import ScalarField, diff_phi_fft
-from .shrinkers import solve_bowl
+from .grid import diff_phi_fft, polar_jet, pole_jet, sqrt_jet
+from .shrinkers import (  # noqa: F401  (normal_form_field is re-exported)
+    normal_form_field,
+    normal_form_profile,
+    solve_bowl,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,22 +85,6 @@ def region_bounds(tau, theta=0.2, L=10.0):
 
 # ---------------------------------------------------------------------------
 # closed-form reference states
-
-
-def normal_form_field(grid, tau):
-    """Inward-quadratic bulge sqrt(2) - (y^2-4)/(sqrt(8)|tau|) at tau < 0.
-
-    The expression is clipped at zero far out; the signed square keeps
-    the analytic continuation so derivative stencils stay clean.
-    """
-    if not tau < 0.0:
-        raise ParameterError("the quadratic normal form needs tau < 0")
-    y = grid.y[:, None]
-    v = (SQRT2 - (y**2 - 4.0) / (math.sqrt(8.0) * abs(tau))) * np.ones(
-        (1, grid.n_phi)
-    )
-    w = np.sign(v) * v**2
-    return ScalarField(grid, np.maximum(v, 0.0), w_signed=w)
 
 
 def normal_form_tip(tau, theta=0.2, n_phi=32, n_nodes=33):
@@ -160,7 +148,7 @@ def asymptotics_report(state, epsilon, bowl=None):
             f"{grid.y_max:g})"
         )
     rows = y <= cap
-    model = SQRT2 - (y[rows, None] ** 2 - 4.0) / (math.sqrt(8.0) * at)
+    model = normal_form_profile(y[rows, None], tau)
     parabolic = at * float(np.abs(v[rows, :] - model).max())
 
     reach = math.sqrt(at) * (SQRT2 - epsilon)
@@ -192,11 +180,7 @@ def _plane_derivatives(Q, grid):
     samples; the pole row comes from first-ring Fourier data, the rest
     from the polar chain rule."""
     y = grid.y[:, None]
-    Qy = grid.radial_derivative(Q, 1)
-    Qyy = grid.radial_derivative(Q, 2)
-    Qp = diff_phi_fft(Q, order=1)
-    Qpp = diff_phi_fft(Q, order=2)
-    Qyp = diff_phi_fft(Qy, order=1)
+    (Qy, Qyy, Qp, Qpp, Qyp), ring_spec = polar_jet(grid, Q)
     c = np.cos(grid.phi)[None, :]
     s = np.sin(grid.phi)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -224,18 +208,8 @@ def _plane_derivatives(Q, grid):
             - (c**2 - s**2) * Qp / y**2
         )
 
-    ring = Q[1, :]
-    y1 = grid.y[1]
-    spec = np.fft.rfft(ring) / grid.n_phi
-    c1c, c1s = 2.0 * spec[1].real, -2.0 * spec[1].imag
-    c2c, c2s = 2.0 * spec[2].real, -2.0 * spec[2].imag
-    tr = 4.0 * (spec[0].real - Q[0, 0]) / y1**2
-    d = 4.0 * c2c / y1**2
-    Q1[0, :] = c1c / y1
-    Q2[0, :] = c1s / y1
-    Q11[0, :] = 0.5 * (tr + d)
-    Q22[0, :] = 0.5 * (tr - d)
-    Q12[0, :] = 2.0 * c2s / y1**2
+    g1, g2, _, h11, h12, h22 = pole_jet(Q[0, 0], ring_spec, grid)
+    Q1[0], Q2[0], Q11[0], Q12[0], Q22[0] = g1, g2, h11, h12, h22
     return Q1, Q2, Q11, Q12, Q22
 
 
@@ -280,11 +254,7 @@ def concavity_margin(field, t, delta, v_floor=V_FLOOR, theta=0.2, L=10.0):
     safe = np.where(mask, V, 1.0)
 
     Q1, Q2, Q11, Q12, Q22 = _plane_derivatives(W, grid)
-    V1 = Q1 / (2.0 * safe)
-    V2 = Q2 / (2.0 * safe)
-    V11 = Q11 / (2.0 * safe) - Q1**2 / (4.0 * safe**3)
-    V12 = Q12 / (2.0 * safe) - Q1 * Q2 / (4.0 * safe**3)
-    V22 = Q22 / (2.0 * safe) - Q2**2 / (4.0 * safe**3)
+    V1, V2, V11, V12, V22 = sqrt_jet(Q1, Q2, Q11, Q12, Q22, safe)
 
     dv2 = V1**2 + V2**2
     slope = (V1 * Q1 + V2 * Q2) / (1.0 + dv2)
@@ -388,16 +358,8 @@ def cylindrical_estimate(field, tau, L=10.0, v_floor=V_FLOOR):
     grid = field.grid
     W = _signed_w(field)
     safe = np.where(region, v, 1.0)
-    wy = grid.radial_derivative(W, 1)
-    wyy = grid.radial_derivative(W, 2)
-    wp = diff_phi_fft(W, order=1)
-    wpp = diff_phi_fft(W, order=2)
-    wyp = diff_phi_fft(wy, order=1)
-    vy = wy / (2.0 * safe)
-    vyy = wyy / (2.0 * safe) - wy**2 / (4.0 * safe**3)
-    vp = wp / (2.0 * safe)
-    vpp = wpp / (2.0 * safe) - wp**2 / (4.0 * safe**3)
-    vyp = wyp / (2.0 * safe) - wy * wp / (4.0 * safe**3)
+    (wy, wyy, wp, wpp, wyp), _ = polar_jet(grid, W)
+    vy, vp, vyy, vyp, vpp = sqrt_jet(wy, wp, wyy, wyp, wpp, safe)
 
     best = 0.0
     radial = [np.abs(vy), np.abs(safe * vyy)]

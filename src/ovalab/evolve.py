@@ -46,14 +46,18 @@ from .errors import (
     ShapeError,
     StepSizeError,
 )
-from .grid import (
+from .grid import (  # noqa: F401  (perfbench's tracer wraps evolve.diff_phi_fft)
     PolarGrid,
     ScalarField,
+    angular_derivs,
     angular_lowpass,
     build_grid,
     diff_phi_fft,
     load_field,
+    polar_jet,
+    pole_jet,
     save_field,
+    sqrt_jet,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -185,33 +189,13 @@ class TipField:
 # right-hand sides of the profile equations (reference form, on v)
 
 
-def _radial_derivs(grid, values):
-    return grid.radial_derivative(values, 1), grid.radial_derivative(values, 2)
-
-
 def _pole_cartesian_rhs(values, grid, renormalized, active0):
-    """RHS at the origin via the Cartesian form of the equation.
-
-    Gradient and Hessian at the pole come from the first-ring Fourier
-    coefficients (m = 0, 1, 2), accurate to O(dy^2); the radial drift
-    vanishes at the origin.
-    """
+    """RHS at the origin via the Cartesian form of the equation, with the
+    pole jet of the first ring; the radial drift vanishes at the origin."""
     if not active0:
         return 0.0
     v0 = values[0, 0]
-    ring = values[1, :]
-    y1 = grid.y[1]
-    spec = np.fft.rfft(ring) / grid.n_phi
-    c0 = spec[0].real
-    c1c, c1s = 2.0 * spec[1].real, -2.0 * spec[1].imag
-    c2c, c2s = 2.0 * spec[2].real, -2.0 * spec[2].imag
-    gx = c1c / y1
-    gy = c1s / y1
-    tr_h = 4.0 * (c0 - v0) / y1**2
-    d_h = 4.0 * c2c / y1**2
-    f_xy = 2.0 * c2s / y1**2
-    h11 = 0.5 * (tr_h + d_h)
-    h22 = 0.5 * (tr_h - d_h)
+    gx, gy, tr_h, h11, f_xy, h22 = pole_jet(v0, np.fft.rfft(values[1]), grid)
     g2 = gx * gx + gy * gy
     quad = (h11 * gx * gx + 2.0 * f_xy * gx * gy + h22 * gy * gy) / (1.0 + g2)
     out = tr_h - quad - 1.0 / v0
@@ -234,19 +218,12 @@ def _graph_rhs(field, renormalized, method, v_floor):
             raise ParameterError(
                 "exact evaluation needs the signed squared profile"
             )
-        w = field.w_signed
-        wy, wyy = _radial_derivs(g, w)
-        wp = diff_phi_fft(w, order=1)
-        wpp = diff_phi_fft(w, order=2)
-        wyp = diff_phi_fft(wy, order=1)
-        safe = np.where(active, v, 1.0)
-        vy = wy / (2.0 * safe)
-        vyy = wyy / (2.0 * safe) - wy**2 / (4.0 * safe**3)
-        vp = wp / (2.0 * safe)
-        vpp = wpp / (2.0 * safe) - wp**2 / (4.0 * safe**3)
-        vyp = wyp / (2.0 * safe) - wy * wp / (4.0 * safe**3)
+        (wy, wyy, wp, wpp, wyp), _ = polar_jet(g, field.w_signed)
+        vy, vp, vyy, vyp, vpp = sqrt_jet(
+            wy, wp, wyy, wyp, wpp, np.where(active, v, 1.0)
+        )
     elif method == "fd":
-        vy, vyy = _radial_derivs(g, v)
+        vy, vyy = g.radial_derivative(v, 1), g.radial_derivative(v, 2)
         vp = g.angular_derivative(v, 1)
         vpp = g.angular_derivative(v, 2)
         vyp = g.angular_derivative(vy, 1)
@@ -278,19 +255,6 @@ def rhs_unrescaled_V(field, method="fd", v_floor=V_FLOOR):
     return _graph_rhs(field, False, method, v_floor)
 
 
-def _angular_derivs(F, Fr):
-    """Spectral F_phi, F_phiphi and Fr_phi of two (rows, n_phi) arrays
-    from one forward transform of the stacked pair; also returns that
-    spectrum.  Bitwise equal to three diff_phi_fft calls."""
-    n = F.shape[-1]
-    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
-    spec = np.fft.rfft(np.stack([F, Fr]), axis=-1)
-    derivs = np.fft.irfft(
-        spec[[0, 0, 1]] * np.stack([ik, ik**2, ik])[:, None, :], n=n, axis=-1
-    )
-    return derivs, spec
-
-
 def rhs_renormalized_Y(tip):
     """Right-hand side of the inverse-profile equation on the tip patch.
 
@@ -315,7 +279,7 @@ def rhs_renormalized_Y(tip):
     c2 = np.array([-1.0, 4.0, -5.0, 2.0]) / dv**2
     Yv[-1] = c1 @ last
     Yvv[-1] = c2 @ last
-    (Yp, Ypp, Yvp), _ = _angular_derivs(Y, Yv)
+    (Yp, Ypp, Yvp), _ = angular_derivs(Y, Yv)
 
     den = Y**2 * (1.0 + Yv**2) + Yp**2
     num = (Y**2 + Yp**2) * Yvv - 2.0 * Yp * Yv * Yvp + (1.0 + Yv**2) * Ypp
@@ -377,22 +341,10 @@ def _signed_w(field):
     return _rebuild_halo(W, field.grid)
 
 
-def _pole_w_rhs(W, grid, ring_spec, renormalized):
-    """Squared-profile RHS at the origin from first-ring Fourier data;
-    ring_spec is the rfft of W[1, :]."""
-    W0 = W[0, 0]
-    y1 = grid.y[1]
-    spec = ring_spec[:3] / grid.n_phi
-    c0 = spec[0].real
-    c1c, c1s = 2.0 * spec[1].real, -2.0 * spec[1].imag
-    c2c, c2s = 2.0 * spec[2].real, -2.0 * spec[2].imag
-    gx = c1c / y1
-    gy = c1s / y1
-    tr_h = 4.0 * (c0 - W0) / y1**2
-    d_h = 4.0 * c2c / y1**2
-    f_xy = 2.0 * c2s / y1**2
-    h11 = 0.5 * (tr_h + d_h)
-    h22 = 0.5 * (tr_h - d_h)
+def _pole_w_rhs(W0, grid, ring_spec, renormalized):
+    """Squared-profile RHS at the origin from the pole jet; ring_spec is
+    the rfft of W[1, :]."""
+    gx, gy, tr_h, h11, f_xy, h22 = pole_jet(W0, ring_spec, grid)
     g2 = gx * gx + gy * gy
     den = 4.0 * W0 + g2
     quad = h11 * gx * gx + 2.0 * f_xy * gx * gy + h22 * gy * gy + 2.0 * g2
@@ -409,32 +361,35 @@ def _w_rhs(W, grid, renormalized, mask=None):
     stays positive where the gradient is transversal), so a caller may
     pass the mask of an earlier stage: cells that dip below zero mid-step
     still get a genuine update instead of freezing at a positive remnant.
+    The polar formula runs on rows y > 0 only; the pole row comes from
+    the pole jet of the first ring.
     """
     interior = W > 0.0 if mask is None else mask
-    Wy, Wyy = _radial_derivs(grid, W)
-    # the spectrum of W also holds the first ring for the pole jet
-    (Wp, Wpp, Wyp), spec = _angular_derivs(W, Wy)
-    y = grid.y[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lap = Wyy + Wy / y + Wpp / y**2
-        g2 = Wy**2 + Wp**2 / y**2
-        hess = (
-            Wy**2 * Wyy
-            + 2.0 * Wy * Wp * Wyp / y**2
-            - 2.0 * Wy * Wp**2 / y**3
-            + Wp**2 * Wpp / y**4
-            + Wp**2 * Wy / y**3
-        )
-        # the quotient denominator vanishes only at rim cusps (W ~ 0 with
-        # flat gradient, e.g. the saddle between two dying lobes); there
-        # the graph quotient is pure noise, so freeze it rather than
-        # divide.  Healthy rim columns have |DW| = O(1) and never trip.
-        den = 4.0 * W + g2
-        rat = np.where(den > 1.0e-4, (hess + 2.0 * g2) / np.where(den > 1.0e-4, den, 1.0), 0.0)
-        out = lap - rat - 2.0
-        if renormalized:
-            out = out - 0.5 * y * Wy + W
-    out[0, :] = _pole_w_rhs(W, grid, spec[0, 1], renormalized)
+    jet, ring_spec = polar_jet(grid, W)
+    Wy, Wyy, Wp, Wpp, Wyp = (a[1:] for a in jet)
+    Wi = W[1:]
+    y = grid.y[1:, None]
+    lap = Wyy + Wy / y + Wpp / y**2
+    g2 = Wy**2 + Wp**2 / y**2
+    hess = (
+        Wy**2 * Wyy
+        + 2.0 * Wy * Wp * Wyp / y**2
+        - 2.0 * Wy * Wp**2 / y**3
+        + Wp**2 * Wpp / y**4
+        + Wp**2 * Wy / y**3
+    )
+    # the quotient denominator vanishes only at rim cusps (W ~ 0 with
+    # flat gradient, e.g. the saddle between two dying lobes); there
+    # the graph quotient is pure noise, so freeze it rather than
+    # divide.  Healthy rim columns have |DW| = O(1) and never trip.
+    den = 4.0 * Wi + g2
+    rat = np.where(den > 1.0e-4, (hess + 2.0 * g2) / np.where(den > 1.0e-4, den, 1.0), 0.0)
+    body = lap - rat - 2.0
+    if renormalized:
+        body = body - 0.5 * y * Wy + Wi
+    out = np.empty_like(W)
+    out[1:] = body
+    out[0, :] = _pole_w_rhs(W[0, 0], grid, ring_spec, renormalized)
     return np.where(interior, out, 0.0)
 
 

@@ -295,6 +295,57 @@ def diff_phi_fft(values, order=1):
     return np.fft.irfft(fh, n=n, axis=-1)
 
 
+def angular_derivs(F, Fr):
+    """Spectral F_phi, F_phiphi and Fr_phi of two (rows, n_phi) arrays
+    from one forward transform of the stacked pair; also returns that
+    spectrum.  Bitwise equal to three diff_phi_fft calls."""
+    n = F.shape[-1]
+    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
+    spec = np.fft.rfft(np.stack([F, Fr]), axis=-1)
+    derivs = np.fft.irfft(
+        spec[[0, 0, 1]] * np.stack([ik, ik**2, ik])[:, None, :], n=n, axis=-1
+    )
+    return derivs, spec
+
+
+def polar_jet(grid, F):
+    """Polar first and second derivatives (F_y, F_yy, F_phi, F_phiphi,
+    F_yphi) of a (n_r+1, n_phi) array, radial by the grid stencils and
+    angular spectrally; also returns the angular spectrum of the first
+    ring, F[1, :], which is what pole_jet reads."""
+    Fy = grid.radial_derivative(F, 1)
+    Fyy = grid.radial_derivative(F, 2)
+    (Fp, Fpp, Fyp), spec = angular_derivs(F, Fy)
+    return (Fy, Fyy, Fp, Fpp, Fyp), spec[0, 1]
+
+
+def pole_jet(F0, ring_spec, grid):
+    """Cartesian gradient and Hessian of a field at the origin.
+
+    F0 is the pole value and ring_spec the rfft of the first ring; the
+    Fourier coefficients m = 0, 1, 2 of the ring give gradient and
+    Hessian to O(dy^2).  Returns (F_1, F_2, Laplacian, F_11, F_12, F_22).
+    """
+    y1 = grid.y[1]
+    spec = ring_spec[:3] / grid.n_phi
+    c0 = spec[0].real
+    c1c, c1s = 2.0 * spec[1].real, -2.0 * spec[1].imag
+    c2c, c2s = 2.0 * spec[2].real, -2.0 * spec[2].imag
+    tr = 4.0 * (c0 - F0) / y1**2
+    d = 4.0 * c2c / y1**2
+    return (c1c / y1, c1s / y1, tr, 0.5 * (tr + d), 2.0 * c2s / y1**2,
+            0.5 * (tr - d))
+
+
+def sqrt_jet(W1, W2, W11, W12, W22, v):
+    """First and second derivatives of v from those of W = v^2 in two
+    coordinates: v_a = W_a / 2v and v_ab = W_ab / 2v - W_a W_b / 4v^3.
+    Returns (v_1, v_2, v_11, v_12, v_22)."""
+    h, c = 2.0 * v, 4.0 * v**3
+    return (W1 / h, W2 / h, W11 / h - W1**2 / c, W12 / h - W1 * W2 / c,
+            W22 / h - W2**2 / c)
+
+
 def angular_lowpass(values, m_max):
     """Drop angular Fourier content above m_max.
 

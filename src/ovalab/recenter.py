@@ -39,7 +39,8 @@ from .errors import (
     ParameterError,
 )
 from .grid import ScalarField
-from .spectral import cutoff_profile, get_basis
+from .shrinkers import normal_form_profile
+from .spectral import get_basis, pairings, quadratic_distance
 
 SQRT2 = math.sqrt(2.0)
 SQRT8 = math.sqrt(8.0)
@@ -148,7 +149,7 @@ def normal_form_history(grid, tau0, half_width=0.25):
         raise ParameterError(f"tau0 must be negative, got {tau0:g}")
 
     def fn(y, phi, tau):
-        return SQRT2 - (y**2 - 4.0) / (SQRT8 * abs(tau)) + 0.0 * phi
+        return normal_form_profile(y, tau) + 0.0 * phi
 
     span = (tau0 * (1.0 + half_width), tau0 * (1.0 - half_width))
     return SyntheticHistory(fn, grid, span)
@@ -249,14 +250,10 @@ def transform_full(history, a, b, Gamma, phi_rot, tau0):
 
 
 def _pairings(field, theta):
-    """Gaussian pairings of the truncated deviation with the six modes."""
+    """Gaussian pairings of the truncated deviation with the six modes,
+    and the basis they were taken against."""
     basis = get_basis(field.grid)
-    chi = cutoff_profile(field.values, theta)
-    u = chi * (field.values - SQRT2)
-    w = field.grid.weights
-    return np.array(
-        [float(np.sum(w * u * basis.functions[k])) for k in range(6)]
-    ), basis
+    return pairings(field, theta, basis), basis
 
 
 def psi2(history, tau0, b, Gamma, theta=0.2):
@@ -306,13 +303,7 @@ def measure_kappa(history, tau0, theta=0.2):
     from the inward-quadratic state; sets the search box size."""
     if tau0 >= 0.0:
         raise ParameterError(f"tau0 must be negative, got {tau0:g}")
-    f = history.at(tau0)
-    grid = f.grid
-    chi = cutoff_profile(f.values, theta)
-    target = SQRT2 - (grid.y[:, None] ** 2 - 4.0) / (SQRT8 * abs(tau0))
-    dev = chi * f.values - target
-    norm = math.sqrt(max(float(np.sum(grid.weights * dev * dev)), 0.0))
-    return abs(tau0) * norm
+    return abs(tau0) * quadratic_distance(history.at(tau0), tau0, theta)
 
 
 def _in_box(x, tau0, radius_sq):
@@ -322,31 +313,28 @@ def _in_box(x, tau0, radius_sq):
 def jacobian_det(history, tau0, b, Gamma, theta=0.2, step=1.0e-6):
     """Determinant of the central finite-difference Jacobian of psi2
     in the (b, Gamma) plane."""
-    J = np.empty((2, 2))
-    for k, h in enumerate((step, step)):
-        lo = [b, Gamma]
-        hi = [b, Gamma]
-        lo[k] -= h
-        hi[k] += h
-        J[:, k] = (
-            psi2(history, tau0, hi[0], hi[1], theta=theta)
-            - psi2(history, tau0, lo[0], lo[1], theta=theta)
-        ) / (2.0 * h)
-    return float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+
+    def F(x):
+        return psi2(history, tau0, x[0], x[1], theta=theta)
+
+    J = _fd_jacobian(F, np.array([b, Gamma], dtype=float), (step, step))
+    return float(_det2(J))
+
+
+def _det2(J):
+    return J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
 
 
 def _fd_jacobian(F, x, steps):
-    n = x.size
-    r0 = F(x)
-    J = np.empty((r0.size, n))
-    for k in range(n):
-        h = steps[k]
+    """Central-difference Jacobian of F at x: two calls of F per column."""
+    cols = []
+    for k, h in enumerate(steps):
         xp = x.copy()
         xm = x.copy()
         xp[k] += h
         xm[k] -= h
-        J[:, k] = (F(xp) - F(xm)) / (2.0 * h)
-    return J
+        cols.append((F(xp) - F(xm)) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 def solve_psi(history, tau0, mode=TWO_PARAM, start=None, theta=0.2,
@@ -395,11 +383,7 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, theta=0.2,
         if float(np.linalg.norm(res)) < tol:
             break
         J = _fd_jacobian(F, x, steps)
-        det2 = (
-            J[0, -2] * J[-1, -1] - J[0, -1] * J[-1, -2]
-            if dim == 2
-            else float(np.linalg.det(J))
-        )
+        det2 = _det2(J) if dim == 2 else float(np.linalg.det(J))
         if dim == 2 and det2 <= 0.0:
             raise DegeneracyError(
                 f"psi2 Jacobian determinant {det2:g} <= 0 inside the box"

@@ -65,18 +65,24 @@ def neck_field(grid, radius_sq=4.0):
     return ScalarField(grid, vals, w_signed=w)
 
 
+def normal_form_profile(y, tau):
+    """Inward-quadratic bulge sqrt(2) - (y^2 - 4) / (sqrt(8) |tau|)."""
+    return SQRT2 - (y**2 - 4.0) / (math.sqrt(8.0) * abs(tau))
+
+
 def normal_form_field(grid, tau):
     """Leading-order ancient-oval shape at renormalized time tau < 0.
 
-    v = sqrt(2) - (y^2 - 4) / sqrt(32 |tau|), clamped at zero.  This is
+    v = normal_form_profile(y, tau), clamped at zero far out.  This is
     the state the recentring and spectral layers treat as their origin;
     it is not an exact solution, so only the inner region is meaningful.
+    The signed square keeps the analytic continuation past the zero
+    crossing, so derivative stencils and the stepper see no cliff there.
     """
-    if tau >= 0.0:
-        raise ParameterError(f"tau must be negative, got {tau}")
-    vals = SQRT2 - (grid.y[:, None] ** 2 - 4.0) / (math.sqrt(8.0) * abs(tau))
-    vals = np.maximum(vals, 0.0) + 0.0 * grid.phi[None, :]
-    return ScalarField(grid, vals, w_signed=vals**2)
+    if not tau < 0.0:
+        raise ParameterError(f"the quadratic normal form needs tau < 0, got {tau}")
+    v = normal_form_profile(grid.y[:, None], tau) * np.ones((1, grid.n_phi))
+    return ScalarField(grid, np.maximum(v, 0.0), w_signed=np.sign(v) * v**2)
 
 
 @dataclass(frozen=True)

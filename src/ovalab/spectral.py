@@ -19,10 +19,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CoverageError, DegeneracyError, ParameterError, ShapeError
-from .grid import ScalarField, diff, diff_phi_fft, inner_product_H, norm_H
+from .grid import ScalarField, diff, diff_phi_fft, norm_H
+from .shrinkers import normal_form_profile
 
 SQRT2 = math.sqrt(2.0)
-SQRT8 = math.sqrt(8.0)
 
 MODE_NAMES = ("const", "y_cos", "y_sin", "y2m4", "y2_cos2", "y2_sin2")
 EIGENVALUES = (1.0, 0.5, 0.5, 0.0, 0.0, 0.0)
@@ -94,39 +94,46 @@ class EigenBasis:
         return (flat * w.reshape(1, -1)) @ flat.T
 
 
-_BASIS_CACHE = {}
-
-
 def get_basis(grid):
-    key = (id(grid), grid.n_phi, grid.y_max)
-    basis = _BASIS_CACHE.get(key)
-    if basis is None or basis.grid is not grid:
-        basis = EigenBasis(grid)
-        _BASIS_CACHE[key] = basis
+    """The grid's EigenBasis, built on first use and kept on the grid, so
+    it lives exactly as long as the grid does."""
+    basis = grid.__dict__.get("_eigenbasis")
+    if basis is None:
+        basis = grid._eigenbasis = EigenBasis(grid)
     return basis
 
 
-def project(field, theta=0.2, basis=None):
-    """Six mode coefficients of the truncated deviation from sqrt(2).
+def truncated_deviation(field, theta=0.2):
+    """u = chi(v) (v - sqrt(2)): the same cutoff scales both the profile
+    and the constant, so the static bubble sheet maps to exactly zero and
+    the cap region (where the graph turns vertical) drops out instead of
+    polluting the Gaussian pairings."""
+    return cutoff_profile(field.values, theta) * (field.values - SQRT2)
 
-    The deviation is u = chi(v) (v - sqrt(2)): the same cutoff scales
-    both the profile and the constant, so the static bubble sheet maps
-    to exactly zero and the cap region (where the graph turns vertical)
-    drops out instead of polluting the Gaussian pairings.
-    """
+
+def pairings(field, theta, basis):
+    """Gaussian pairings <u, e_k> of the truncated deviation with the six
+    modes of basis."""
+    u = truncated_deviation(field, theta)
+    w = field.grid.weights
+    return np.array([float(np.sum(w * u * f)) for f in basis.functions])
+
+
+def quadratic_distance(field, tau, theta=0.2):
+    """Gaussian norm of chi(v) v minus the inward-quadratic normal form
+    at time tau."""
+    g = field.grid
+    dev = truncate(field, theta).values - normal_form_profile(g.y[:, None], tau)
+    return math.sqrt(max(float(np.sum(g.weights * dev * dev)), 0.0))
+
+
+def project(field, theta=0.2, basis=None):
+    """Six mode coefficients of the truncated deviation from sqrt(2)."""
     if basis is None:
         basis = get_basis(field.grid)
     elif basis.grid != field.grid:
         raise ShapeError("basis grid does not match field grid")
-    chi = cutoff_profile(field.values, theta)
-    u = chi * (field.values - SQRT2)
-    w = field.grid.weights
-    return np.array(
-        [
-            float(np.sum(w * u * basis.functions[k])) / basis.normsq[k]
-            for k in range(6)
-        ]
-    )
+    return pairings(field, theta, basis) / np.array(basis.normsq)
 
 
 def alpha_from_coeffs(coeffs):
@@ -202,10 +209,10 @@ def spectral_report(field, tau, theta=0.2, basis=None):
     D = float(a[0] * a[1] - a[2] ** 2)
     xi = (SQRT2 * tau * S - 1.0, 8.0 * tau**2 * D - 1.0)
     Q = bubble_sheet_Q(a, tau)
-    chi = cutoff_profile(field.values, theta)
-    u = chi * (field.values - SQRT2)
     recon = np.tensordot(c, basis.functions, axes=(0, 0))
-    resid = ScalarField(field.grid, u - recon, copy=False)
+    resid = ScalarField(
+        field.grid, truncated_deviation(field, theta) - recon, copy=False
+    )
     return SpectralReport(
         tau=float(tau),
         theta=float(theta),
@@ -401,12 +408,8 @@ def kappa_quadratic(history, tau0, kappa, theta=0.2, centering_tol=1.0e-6):
     span = np.unique(np.concatenate([span, [2.0 * tau0, tau0]]))
 
     snap = history.at(tau0)
-    g = snap.grid
-    basis = get_basis(g)
-    v_c = truncate(snap, theta)
-    target = SQRT2 - (g.y[:, None] ** 2 - 4.0) / (SQRT8 * abs(tau0))
-    dev = ScalarField(g, v_c.values - target, copy=False)
-    lhs = norm_H(dev)
+    basis = get_basis(snap.grid)
+    lhs = quadratic_distance(snap, tau0, theta)
     kappa_measured = lhs * abs(tau0)
     quadratic_ok = lhs <= kappa / abs(tau0)
 

@@ -27,6 +27,7 @@ from ovalab.recenter import (
     SQRT8,
     SyntheticHistory,
     TransformParams,
+    _fd_jacobian,
     jacobian_det,
     measure_kappa,
     normal_form_history,
@@ -377,3 +378,18 @@ def test_synthetic_history_span(grid):
     H = normal_form_history(grid, TAU0)
     with pytest.raises(CoverageError):
         H.at(-200.0)
+
+
+def test_fd_jacobian_makes_two_calls_per_parameter():
+    calls = []
+
+    def F(x):
+        calls.append(x.copy())
+        return np.array([x[0] * x[1], x[1] ** 2 + x[2], math.sin(x[0])])
+
+    x = np.array([0.3, -1.2, 2.0])
+    J = _fd_jacobian(F, x, np.array([1.0e-6, 1.0e-6, 1.0e-7]))
+    assert len(calls) == 2 * x.size
+    exact = np.array([[x[1], x[0], 0.0], [0.0, 2.0 * x[1], 1.0],
+                      [math.cos(x[0]), 0.0, 0.0]])
+    np.testing.assert_allclose(J, exact, atol=1.0e-8)

@@ -160,6 +160,20 @@ def test_normal_form_anchor_and_sign():
         normal_form_field(g, 1.0)
 
 
+def test_normal_form_carries_the_signed_continuation():
+    g = build_grid(128, 8, 16.0)
+    tau = -20.0
+    f = normal_form_field(g, tau)
+    v = SQRT2 - (g.y**2 - 4.0) / (math.sqrt(8.0) * abs(tau))
+    outside = v < 0.0
+    assert outside.any()
+    assert np.all(f.values[outside, :] == 0.0)
+    assert np.all(f.w_signed[outside, :] < 0.0)
+    np.testing.assert_allclose(
+        f.w_signed[:, 0], np.sign(v) * v**2, rtol=1.0e-14, atol=0.0
+    )
+
+
 def test_ellipsoid_round_case():
     g = build_grid(96, 8, 3.0)
     spec = EllipsoidSpec(a=0.5, ell=1.0, radius=1.0, t_start=-1.0)

@@ -8,10 +8,13 @@ moments m_k = 2 4^k k!):
     <y^2 cos 2phi, y^2 cos^2 phi - 2> = 32 pi
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovalab.errors import CoverageError, DegeneracyError, ParameterError
 from ovalab.grid import ScalarField, build_grid, inner_product_H
@@ -302,3 +305,47 @@ def test_get_basis_caches(fine_grid):
     b1 = get_basis(fine_grid)
     b2 = get_basis(fine_grid)
     assert b1 is b2
+
+
+def test_get_basis_does_not_keep_the_grid_alive():
+    g = build_grid(32, 8, 10.0)
+    get_basis(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    k=st.integers(0, 31),
+    shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    squeeze=st.floats(-0.3, 0.3),
+    twist=st.floats(0.0, math.pi),
+)
+def test_project_commutes_with_rotation_by_whole_cells(k, shift, squeeze, twist):
+    """Rolling a field by k angle cells turns the plane by k dphi: c0 and
+    c3 stay, (c1, c2) turn by k dphi and (c4, c5) by 2 k dphi."""
+    g = build_grid(96, 32, 10.0)
+    x1 = g.y[:, None] * np.cos(g.phi)[None, :] - shift[0]
+    x2 = g.y[:, None] * np.sin(g.phi)[None, :] - shift[1]
+    c, s = math.cos(twist), math.sin(twist)
+    r2 = (1.0 + squeeze) * (c * x1 + s * x2) ** 2 + (1.0 - squeeze) * (
+        c * x2 - s * x1
+    ) ** 2
+    w = 2.0 - (r2 - 4.0) / 20.0
+    f = ScalarField(g, np.sqrt(np.maximum(w, 0.0)))
+    rolled = f.with_values(np.roll(f.values, k, axis=1))
+    before = project(f)
+    after = project(rolled)
+
+    def turn(pair, angle):
+        ca, sa = math.cos(angle), math.sin(angle)
+        return np.array([ca * pair[0] - sa * pair[1], sa * pair[0] + ca * pair[1]])
+
+    expect = np.concatenate([
+        before[:1], turn(before[1:3], k * g.dphi),
+        before[3:4], turn(before[4:6], 2 * k * g.dphi),
+    ])
+    np.testing.assert_allclose(after, expect, rtol=0.0,
+                               atol=1.0e-12 * np.abs(before).max())
