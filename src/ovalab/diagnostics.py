@@ -38,7 +38,6 @@ from .errors import CoverageError, DomainError, ParameterError
 from .evolve import (
     V_FLOOR,
     FlowHistory,
-    FlowState,
     TipField,
     _rim_index,
     _signed_w,
@@ -229,7 +228,7 @@ class ConcavityReport:
         return REGION_NAMES[int(code)]
 
 
-def concavity_margin(field, t, delta, v_floor=V_FLOOR, theta=0.2, L=10.0):
+def concavity_margin(field, t, delta, theta=0.2, L=10.0):
     """Worst eigenvalue of Hess(V^2) - (gamma+delta) g on plane directions.
 
     Works on an unrescaled profile V at time t <= -e.  The Hessian is
@@ -250,7 +249,7 @@ def concavity_margin(field, t, delta, v_floor=V_FLOOR, theta=0.2, L=10.0):
     grid = field.grid
     W = _signed_w(field)
     V = field.values
-    mask = V > v_floor
+    mask = V > V_FLOOR
     safe = np.where(mask, V, 1.0)
 
     Q1, Q2, Q11, Q12, Q22 = _plane_derivatives(W, grid)
@@ -337,7 +336,7 @@ def collar_deviation(field, tau, theta=0.2, L=10.0):
     )
 
 
-def cylindrical_estimate(field, tau, L=10.0, v_floor=V_FLOOR):
+def cylindrical_estimate(field, tau, L=10.0):
     """Largest |v^(k+l-1) y^(-k) d_phi^k d_y^l v| for 1 <= k+l <= 2
     over the region v >= L/sqrt(|tau|).
 
@@ -350,7 +349,7 @@ def cylindrical_estimate(field, tau, L=10.0, v_floor=V_FLOOR):
         raise ParameterError("the cylindrical region needs a nonzero time")
     s = math.sqrt(abs(tau))
     v = field.values
-    region = v >= max(L / s, 2.0 * v_floor)
+    region = v >= max(L / s, 2.0 * V_FLOOR)
     if not region.any():
         raise CoverageError(
             f"cylindrical region v >= {L / s:.3g} is empty"

@@ -3,16 +3,16 @@
 Two coordinate patches mirror the geometry: the profile v(y, phi) as a
 graph over the symmetry plane wherever v is not too small, and the
 per-angle inverse profile Y(v, phi) on a tip patch v in [0, 2 theta]
-where the v-graph degenerates.  The renormalized system is
+where the v-graph degenerates.  The renormalized graph equation is
 
     v_tau = quasilinear(v) - (1/2) y v_y + v/2 - 1/v,
 
-with the quasilinear part written in polar form including all angular
-cross terms; dropping the two rescaling terms gives the unrescaled
-equation d/dt V = ... - 1/V used for extinction hunting.  Both appear
-verbatim in rhs_renormalized_v / rhs_unrescaled_V.
+with the quasilinear part the polar mean-curvature operator including
+all angular cross terms; dropping the two rescaling terms gives the
+unrescaled equation d/dt V = ... - 1/V used for extinction hunting.
 
-Stepping works on the squared profile W = v^2, which obeys the same
+The graph patch is never stepped in v.  Its one right-hand side,
+_w_rhs, works on the squared profile W = v^2, which obeys the same
 equation rewritten as
 
     W_t = Lap W - [Hess_W(DW, DW) + 2|DW|^2] / (4W + |DW|^2) - 2
@@ -24,9 +24,10 @@ discrete operators, and the -1/v sink becomes the harmless constant -2.
 Nodes outside the body hold a smooth continuation of W rebuilt from the
 interior after every stage, so stencils near the rim never see a cliff.
 
-Time integration is explicit midpoint under a parabolic CFL bound from
-the radial spacing; a per-ring angular low-pass keeps the polar axis
-from tightening that bound.
+The tip patch steps Y(v, phi) by the inverse-profile equation of
+rhs_renormalized_Y.  Time integration is explicit midpoint under a
+parabolic CFL bound from the radial spacing; a per-ring angular
+low-pass keeps the polar axis from tightening that bound.
 """
 
 import json
@@ -46,22 +47,23 @@ from .errors import (
     ShapeError,
     StepSizeError,
 )
-from .grid import (  # noqa: F401  (perfbench's tracer wraps evolve.diff_phi_fft)
-    PolarGrid,
+from .grid import (
     ScalarField,
+    _read_table,
+    _write_table,
     angular_derivs,
     angular_lowpass,
     build_grid,
-    diff_phi_fft,
     load_field,
     polar_jet,
     pole_jet,
     save_field,
-    sqrt_jet,
 )
+from .grid import diff_phi_fft  # noqa: F401  (perfbench's tracer wraps evolve.diff_phi_fft)
 
-SQRT2 = math.sqrt(2.0)
 V_FLOOR = 1.0e-6
+# parabolic step bound dt <= CFL h^2 of the graph and the tip patch
+CFL = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -153,106 +155,21 @@ class TipField:
         return cls(v_nodes, ys, theta)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(
-                f"# v_nodes={len(self.v_nodes)} phi_nodes={self.n_phi} "
-                f"theta={self.theta:.17g}\n"
-            )
-            for k, vk in enumerate(self.v_nodes):
-                for j in range(self.n_phi):
-                    fh.write(
-                        f"{k}, {j}, {vk:.17g}, "
-                        f"{2.0 * math.pi * j / self.n_phi:.17g}, "
-                        f"{self.values[k, j]:.17g}\n"
-                    )
+        _write_table(
+            path,
+            f"v_nodes={len(self.v_nodes)} phi_nodes={self.n_phi} "
+            f"theta={self.theta:.17g}",
+            self.v_nodes,
+            2.0 * math.pi * np.arange(self.n_phi) / self.n_phi,
+            self.values,
+        )
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("#"):
-                raise ParameterError(f"{path}: missing tip-table header")
-            meta = dict(tok.split("=") for tok in header[1:].split())
-            n_v = int(meta["v_nodes"])
-            n_phi = int(meta["phi_nodes"])
-            theta = float(meta["theta"])
-            vals = np.empty((n_v, n_phi))
-            v_nodes = np.empty(n_v)
-            for line in fh:
-                k_s, j_s, v_s, _phi, y_s = line.split(",")
-                v_nodes[int(k_s)] = float(v_s)
-                vals[int(k_s), int(j_s)] = float(y_s)
-        return cls(v_nodes, vals, theta)
-
-
-# ---------------------------------------------------------------------------
-# right-hand sides of the profile equations (reference form, on v)
-
-
-def _pole_cartesian_rhs(values, grid, renormalized, active0):
-    """RHS at the origin via the Cartesian form of the equation, with the
-    pole jet of the first ring; the radial drift vanishes at the origin."""
-    if not active0:
-        return 0.0
-    v0 = values[0, 0]
-    gx, gy, tr_h, h11, f_xy, h22 = pole_jet(v0, np.fft.rfft(values[1]), grid)
-    g2 = gx * gx + gy * gy
-    quad = (h11 * gx * gx + 2.0 * f_xy * gx * gy + h22 * gy * gy) / (1.0 + g2)
-    out = tr_h - quad - 1.0 / v0
-    if renormalized:
-        out += 0.5 * v0
-    return out
-
-
-def _graph_rhs(field, renormalized, method, v_floor):
-    g = field.grid
-    v = field.values
-    active = v > v_floor
-    idx = np.arange(v.shape[0])[:, None]
-    last_active = np.max(np.where(active, idx, -1), axis=0)
-    if np.any((~active) & (idx < last_active[None, :])):
-        raise DomainError("profile vanishes strictly inside the body")
-
-    if method == "exact":
-        if field.w_signed is None:
-            raise ParameterError(
-                "exact evaluation needs the signed squared profile"
-            )
-        (wy, wyy, wp, wpp, wyp), _ = polar_jet(g, field.w_signed)
-        vy, vp, vyy, vyp, vpp = sqrt_jet(
-            wy, wp, wyy, wyp, wpp, np.where(active, v, 1.0)
+        meta, v_nodes, values = _read_table(
+            path, "tip-table", lambda m: int(m["v_nodes"])
         )
-    elif method == "fd":
-        vy, vyy = g.radial_derivative(v, 1), g.radial_derivative(v, 2)
-        vp = g.angular_derivative(v, 1)
-        vpp = g.angular_derivative(v, 2)
-        vyp = g.angular_derivative(vy, 1)
-    else:
-        raise ParameterError(f"unknown rhs method {method!r}")
-
-    y = g.y[:, None]
-    out = np.zeros_like(v)
-    den = y**2 * (1.0 + vy**2) + vp**2
-    num = (y**2 + vp**2) * vyy - 2.0 * vy * vp * vyp + (1.0 + vy**2) * vpp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = (2.0 / y**2 - (1.0 + vy**2) / den) * y * vy
-        body = num / den + first - 1.0 / np.where(active, v, 1.0)
-    if renormalized:
-        body = body - 0.5 * y * vy + 0.5 * v
-    out[1:, :] = np.where(active[1:, :], body[1:, :], 0.0)
-    out[0, :] = _pole_cartesian_rhs(v, g, renormalized, bool(active[0, 0]))
-    return field.with_values(out, copy=False)
-
-
-def rhs_renormalized_v(field, method="fd", v_floor=V_FLOOR):
-    """Full polar right-hand side of the renormalized graph equation."""
-    return _graph_rhs(field, True, method, v_floor)
-
-
-def rhs_unrescaled_V(field, method="fd", v_floor=V_FLOOR):
-    """Unrescaled graph equation: the renormalized form without the
-    drift and dilation terms."""
-    return _graph_rhs(field, False, method, v_floor)
+        return cls(v_nodes, values, float(meta["theta"]))
 
 
 def rhs_renormalized_Y(tip):
@@ -459,8 +376,8 @@ class FlowState:
 
 
 def _substep_tip(tip, dtau):
-    # explicit midpoint substeps under the parabolic bound 0.2 dv^2
-    n_sub = max(1, int(math.ceil(dtau / (0.2 * tip.dv**2))))
+    # explicit midpoint substeps under the parabolic bound CFL dv^2
+    n_sub = max(1, int(math.ceil(dtau / (CFL * tip.dv**2))))
     h = dtau / n_sub
     Y = tip.values
     t = tip
@@ -676,23 +593,23 @@ class FlowHistory:
         return hist
 
 
-def cfl_dt(grid, cfl=0.2):
-    """Parabolic step bound c * h^2 from the finest effective spacing.
+def cfl_dt(grid):
+    """Parabolic step bound CFL * h^2 from the finest effective spacing.
 
     With the per-ring angular filter the effective angular spacing never
     drops below the radial one, so the radial spacing governs.
     """
     dy_min = float(np.min(np.diff(grid.y)))
-    return cfl * dy_min**2
+    return CFL * dy_min**2
 
 
-def _alive(field, v_floor):
+def _alive(field):
     """A centered convex body dies at the origin last, so life requires
     the innermost rings positive, not just a scattered node count."""
     vals = field.values
     return (
-        int(np.count_nonzero(vals > 2.0 * v_floor)) >= 4
-        and float(vals[0:2, :].max()) > 2.0 * v_floor
+        int(np.count_nonzero(vals > 2.0 * V_FLOOR)) >= 4
+        and float(vals[0:2, :].max()) > 2.0 * V_FLOOR
     )
 
 
@@ -725,13 +642,11 @@ def _march_step(state, dtau):
         raise
 
 
-def run(state, t_end, snapshot_every=0.05, cfl=0.2, v_floor=V_FLOOR, window=None,
-        stop_when=None):
+def run(state, t_end, snapshot_every=0.05, window=None):
     """March to t_end, recording snapshots every snapshot_every.
 
     Returns the history; the final recorded state is at the last time
-    reached (t_end, or earlier if stop_when fired or the body became
-    extinct).
+    reached (t_end, or earlier if the body became extinct).
     """
     if t_end < state.time:
         raise ParameterError(
@@ -741,7 +656,7 @@ def run(state, t_end, snapshot_every=0.05, cfl=0.2, v_floor=V_FLOOR, window=None
     hist.append(state)
     if t_end == state.time:
         return hist
-    dt0 = cfl_dt(state.v.grid, cfl)
+    dt0 = cfl_dt(state.v.grid)
     next_snap = state.time + snapshot_every
     cur = state
     while cur.time < t_end - 1.0e-12:
@@ -752,9 +667,7 @@ def run(state, t_end, snapshot_every=0.05, cfl=0.2, v_floor=V_FLOOR, window=None
                 hist.append(cur)
             break
         cur = nxt
-        done = stop_when is not None and stop_when(cur)
-        dead = not _alive(cur.v, v_floor)
-        if done or dead:
+        if not _alive(cur.v):
             hist.append(cur)
             break
         if cur.time >= next_snap - 1.0e-12 or cur.time >= t_end - 1.0e-12:
@@ -776,7 +689,7 @@ class ExtinctionResult:
     steps: int
 
 
-def find_extinction(initial, t_start, cfl=0.2, v_floor=V_FLOOR, rel_tol=1.0e-3):
+def find_extinction(initial, t_start, rel_tol=1.0e-3):
     """Locate the collapse time of a compact convex body by bisection on
     the predicate "the body survives until t".
 
@@ -787,15 +700,15 @@ def find_extinction(initial, t_start, cfl=0.2, v_floor=V_FLOOR, rel_tol=1.0e-3):
     elapsed lifetime (a CFL-step march usually starts below that already).
     """
     g = initial.grid
-    if float(initial.values[-1, :].max()) > v_floor:
+    if float(initial.values[-1, :].max()) > V_FLOOR:
         raise DomainError("initial body touches the grid boundary; not compact")
-    if not _alive(initial, v_floor):
+    if not _alive(initial):
         raise DomainError("initial body is already extinct")
 
     cur = FlowState(time=t_start, v=initial, tip=None, renormalized=False)
-    dt = cfl_dt(g, cfl)
+    dt = cfl_dt(g)
     steps = 0
-    while _alive(cur.v, v_floor):
+    while _alive(cur.v):
         prev = cur
         nxt = _march_step(cur, dt)
         if nxt is None:
@@ -809,7 +722,7 @@ def find_extinction(initial, t_start, cfl=0.2, v_floor=V_FLOOR, rel_tol=1.0e-3):
 
     def survives(t):
         s = _march_step(prev, t - prev.time)
-        return s is not None and _alive(s.v, v_floor)
+        return s is not None and _alive(s.v)
 
     tol = rel_tol * max(hi - t_start, 1.0e-6)
     while hi - lo > tol:
@@ -826,12 +739,13 @@ def find_extinction(initial, t_start, cfl=0.2, v_floor=V_FLOOR, rel_tol=1.0e-3):
     )
 
 
-def renormalize(field, t, t_e, grid_out=None, margin=1.15):
+def renormalize(field, t, t_e, grid_out=None):
     """Rescale an unrescaled snapshot to the renormalized gauge.
 
     v = V / sqrt(t_e - t) resampled radially (linearly in the squared
     profile, which is the smooth variable through the rim), with
-    tau = -log(t_e - t).
+    tau = -log(t_e - t).  Without grid_out the new grid has the input's
+    node counts and reaches 15 % past the rescaled rim (at least to 1).
     """
     if t >= t_e:
         raise DomainError(f"time {t} is at or past extinction {t_e}")
@@ -841,7 +755,7 @@ def renormalize(field, t, t_e, grid_out=None, margin=1.15):
     if grid_out is None:
         live = np.any(field.values > 0.0, axis=1)
         y_rim = g_in.y[np.max(np.nonzero(live))] if np.any(live) else g_in.y_max
-        grid_out = build_grid(g_in.n_r, g_in.n_phi, max(scale * y_rim * margin, 1.0))
+        grid_out = build_grid(g_in.n_r, g_in.n_phi, max(scale * y_rim * 1.15, 1.0))
     w_in = field.values**2 if field.w_signed is None else field.w_signed
     y_src = grid_out.y / scale
     w_out = np.empty(grid_out.shape)
@@ -853,11 +767,10 @@ def renormalize(field, t, t_e, grid_out=None, margin=1.15):
     return out, tau
 
 
-def renormalized_state(field, t, t_e, theta=0.2, L=10.0, grid_out=None,
-                       tip_nodes=17):
+def renormalized_state(field, t, t_e, theta=0.2, L=10.0, grid_out=None):
     """Renormalize and attach a freshly inverted tip patch."""
     v, tau = renormalize(field, t, t_e, grid_out=grid_out)
-    tip = TipField.from_profile(v, theta=theta, n_nodes=tip_nodes)
+    tip = TipField.from_profile(v, theta=theta)
     return FlowState(time=tau, v=v, tip=tip, renormalized=True, theta=theta, L=L)
 
 

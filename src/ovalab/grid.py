@@ -363,24 +363,21 @@ def angular_lowpass(values, m_max):
     return np.fft.irfft(fh, n=n, axis=-1)
 
 
-def save_field(f, path):
-    """Write a field as CSV: a comment header with the grid metadata, then
-    one row `i, j, y_i, phi_j, value` per node in row-major order."""
-    g = f.grid
+def _write_table(path, header, nodes, phi, values):
+    """Write a node table as CSV: the comment line `# header`, then one
+    row `k, j, nodes[k], phi[j], values[k, j]` per entry in row-major
+    order."""
     with open(path, "w") as fh:
-        fh.write(f"# y_nodes={g.n_r} phi_nodes={g.n_phi} y_max={g.y_max:.17g}\n")
-        for i in range(g.n_r + 1):
-            yi = g.y[i]
-            for j in range(g.n_phi):
-                fh.write(
-                    f"{i}, {j}, {yi:.17g}, {g.phi[j]:.17g}, "
-                    f"{f.values[i, j]:.17g}\n"
-                )
+        fh.write(f"# {header}\n")
+        for k, node in enumerate(nodes):
+            for j, pj in enumerate(phi):
+                fh.write(f"{k}, {j}, {node:.17g}, {pj:.17g}, {values[k, j]:.17g}\n")
 
 
-def load_field(path, grid=None):
-    """Read a field written by save_field. If `grid` is given the stored
-    nodes must equal its nodes; otherwise the grid is rebuilt from them."""
+def _read_table(path, what, n_nodes):
+    """Read a _write_table file into (meta, nodes, values).  The header
+    promises n_nodes(meta) * phi_nodes rows; any other count raises
+    ShapeError."""
     meta = {}
     rows = []
     with open(path) as fh:
@@ -395,15 +392,30 @@ def load_field(path, grid=None):
                         meta[k] = v
                 continue
             rows.append([float(tok) for tok in line.split(",")])
-    if not meta or "y_nodes" not in meta or "phi_nodes" not in meta:
-        raise ParameterError(f"{path}: missing grid header")
-    n_r = int(meta["y_nodes"])
-    n_phi = int(meta["phi_nodes"])
+    try:
+        n, n_phi = n_nodes(meta), int(meta["phi_nodes"])
+    except KeyError:
+        raise ParameterError(f"{path}: missing {what} header") from None
     data = np.asarray(rows)
-    if data.shape[0] != (n_r + 1) * n_phi:
-        raise ShapeError(f"{path}: expected {(n_r + 1) * n_phi} rows, got {data.shape[0]}")
-    values = data[:, 4].reshape(n_r + 1, n_phi)
-    nodes = data[:: n_phi, 2]
+    if data.shape[0] != n * n_phi:
+        raise ShapeError(f"{path}: expected {n * n_phi} rows, got {data.shape[0]}")
+    data = data.reshape(n, n_phi, -1)
+    return meta, data[:, 0, 2], np.ascontiguousarray(data[:, :, 4])
+
+
+def save_field(f, path):
+    """Write a field as CSV: a comment header with the grid metadata, then
+    one row `i, j, y_i, phi_j, value` per node in row-major order."""
+    g = f.grid
+    _write_table(path, f"y_nodes={g.n_r} phi_nodes={g.n_phi} y_max={g.y_max:.17g}",
+                 g.y, g.phi, f.values)
+
+
+def load_field(path, grid=None):
+    """Read a field written by save_field. If `grid` is given the stored
+    nodes must equal its nodes; otherwise the grid is rebuilt from them."""
+    _, nodes, values = _read_table(path, "grid", lambda m: int(m["y_nodes"]) + 1)
+    n_phi = values.shape[1]
     if grid is None:
         grid = PolarGrid(nodes, n_phi)
     elif grid.n_phi != n_phi or not np.array_equal(grid.y, nodes):

@@ -160,12 +160,13 @@ class Trajectory:
         )
 
 
-def integrate(system, init, span, dt, noise=None, blowup_threshold=1.0e6):
+def integrate(system, init, span, dt, noise=None):
     """March one of the model systems across span = (t0, t1).
 
     dt is a magnitude; integration direction follows the span (the
     ancient direction t1 < t0 is how Riccati blow-up for wrong-sign
-    data shows up).  On blow-up the trajectory is truncated and flagged.
+    data shows up).  On blow-up (a non-finite state or a component
+    above 1e6) the trajectory is truncated and flagged.
     """
     if system not in _SYSTEMS:
         raise ParameterError(
@@ -204,7 +205,7 @@ def integrate(system, init, span, dt, noise=None, blowup_threshold=1.0e6):
         k4 = f(t + h, x + h * k3)
         x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > blowup_threshold:
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1.0e6:
             blew_up = True
             blowup_time = t
             if np.all(np.isfinite(x)):

@@ -143,15 +143,16 @@ class SyntheticHistory:
         return ScalarField(self.grid, vals, copy=False)
 
 
-def normal_form_history(grid, tau0, half_width=0.25):
-    """Synthetic history of the inward-quadratic profile around tau0."""
+def normal_form_history(grid, tau0):
+    """Synthetic history of the inward-quadratic profile on
+    [1.25 tau0, 0.75 tau0]."""
     if tau0 >= 0.0:
         raise ParameterError(f"tau0 must be negative, got {tau0:g}")
 
     def fn(y, phi, tau):
         return normal_form_profile(y, tau) + 0.0 * phi
 
-    span = (tau0 * (1.0 + half_width), tau0 * (1.0 - half_width))
+    span = (tau0 * 1.25, tau0 * 0.75)
     return SyntheticHistory(fn, grid, span)
 
 

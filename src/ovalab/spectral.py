@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CoverageError, DegeneracyError, ParameterError, ShapeError
-from .grid import ScalarField, diff, diff_phi_fft, norm_H
+from .grid import ScalarField, diff, diff_phi_fft, norm_H, polar_jet, pole_jet
 from .shrinkers import normal_form_profile
 
 SQRT2 = math.sqrt(2.0)
@@ -111,12 +111,15 @@ def truncated_deviation(field, theta=0.2):
     return cutoff_profile(field.values, theta) * (field.values - SQRT2)
 
 
+def _pair(u, w, basis):
+    """Pairings sum(w u e_k) of an array with the six modes of basis."""
+    return np.array([float(np.sum(w * u * f)) for f in basis.functions])
+
+
 def pairings(field, theta, basis):
     """Gaussian pairings <u, e_k> of the truncated deviation with the six
     modes of basis."""
-    u = truncated_deviation(field, theta)
-    w = field.grid.weights
-    return np.array([float(np.sum(w * u * f)) for f in basis.functions])
+    return _pair(truncated_deviation(field, theta), field.grid.weights, basis)
 
 
 def quadratic_distance(field, tau, theta=0.2):
@@ -127,12 +130,18 @@ def quadratic_distance(field, tau, theta=0.2):
     return math.sqrt(max(float(np.sum(g.weights * dev * dev)), 0.0))
 
 
+def _basis_for(field, basis):
+    """The given basis checked against the field's grid, else the grid's."""
+    if basis is None:
+        return get_basis(field.grid)
+    if basis.grid != field.grid:
+        raise ShapeError("basis grid does not match field grid")
+    return basis
+
+
 def project(field, theta=0.2, basis=None):
     """Six mode coefficients of the truncated deviation from sqrt(2)."""
-    if basis is None:
-        basis = get_basis(field.grid)
-    elif basis.grid != field.grid:
-        raise ShapeError("basis grid does not match field grid")
+    basis = _basis_for(field, basis)
     return pairings(field, theta, basis) / np.array(basis.normsq)
 
 
@@ -201,18 +210,16 @@ def spectral_report(field, tau, theta=0.2, basis=None):
     """
     if tau >= 0.0:
         raise ParameterError(f"renormalized time must be negative, got {tau}")
-    if basis is None:
-        basis = get_basis(field.grid)
-    c = project(field, theta=theta, basis=basis)
+    basis = _basis_for(field, basis)
+    u = truncated_deviation(field, theta)
+    c = _pair(u, field.grid.weights, basis) / np.array(basis.normsq)
     a = alpha_from_coeffs(c)
     S = float(a[0] + a[1])
     D = float(a[0] * a[1] - a[2] ** 2)
     xi = (SQRT2 * tau * S - 1.0, 8.0 * tau**2 * D - 1.0)
     Q = bubble_sheet_Q(a, tau)
     recon = np.tensordot(c, basis.functions, axes=(0, 0))
-    resid = ScalarField(
-        field.grid, truncated_deviation(field, theta) - recon, copy=False
-    )
+    resid = ScalarField(field.grid, u - recon, copy=False)
     return SpectralReport(
         tau=float(tau),
         theta=float(theta),
@@ -229,8 +236,7 @@ def spectral_report(field, tau, theta=0.2, basis=None):
 
 def projection_unstable(field, theta=0.2, basis=None):
     """Unstable-space part of the truncated deviation, as a field."""
-    if basis is None:
-        basis = get_basis(field.grid)
+    basis = _basis_for(field, basis)
     c = project(field, theta=theta, basis=basis)
     vals = np.tensordot(c[:3], basis.functions[:3], axes=(0, 0))
     return ScalarField(field.grid, vals, copy=False)
@@ -238,8 +244,7 @@ def projection_unstable(field, theta=0.2, basis=None):
 
 def projection_neutral(field, theta=0.2, basis=None):
     """Neutral-space part of the truncated deviation, as a field."""
-    if basis is None:
-        basis = get_basis(field.grid)
+    basis = _basis_for(field, basis)
     c = project(field, theta=theta, basis=basis)
     vals = np.tensordot(c[3:], basis.functions[3:], axes=(0, 0))
     return ScalarField(field.grid, vals, copy=False)
@@ -285,13 +290,11 @@ def apply_ou(field):
 
     The pole row is evaluated through the Cartesian form of the
     operator: at the origin the drift vanishes and the Laplacian is the
-    mean second difference over the first ring.
+    one of the pole jet.
     """
     g = field.grid
     v = field.values
-    f_y = diff(field, "y", 1).values
-    f_yy = diff(field, "y", 2).values
-    f_pp = diff_phi_fft(v, order=2)
+    (f_y, f_yy, _, f_pp, _), ring_spec = polar_jet(g, v)
     y = g.y[:, None]
     out = np.empty_like(v)
     out[1:, :] = (
@@ -301,17 +304,17 @@ def apply_ou(field):
         - 0.5 * y[1:, :] * f_y[1:, :]
         + v[1:, :]
     )
-    lap0 = 4.0 * (np.mean(v[1, :]) - v[0, 0]) / g.y[1] ** 2
-    out[0, :] = lap0 + v[0, 0]
+    out[0, :] = pole_jet(v[0, 0], ring_spec, g)[2] + v[0, 0]
     return field.with_values(out)
 
 
-def c4_norm_proxy(field, radius, skip_rings=2):
+def c4_norm_proxy(field, radius):
     """Finite-difference stand-in for the C^4 norm on a centered ball.
 
     Mixed Cartesian derivatives are approximated by radial stencils
-    combined with angular derivatives scaled by 1/y; the innermost
-    rings are excluded because the angular scaling degenerates there.
+    combined with angular derivatives scaled by 1/y; the pole and the
+    two innermost rings are excluded because the angular scaling
+    degenerates there.
     """
     g = field.grid
     if radius > g.y_max:
@@ -319,7 +322,7 @@ def c4_norm_proxy(field, radius, skip_rings=2):
             f"ball radius {radius:.3g} exceeds grid extent {g.y_max:.3g}"
         )
     sel = g.y <= radius
-    sel[: skip_rings + 1] = False
+    sel[:3] = False
     if not np.any(sel):
         raise CoverageError("ball too small for the finite-difference proxy")
     y = g.y[:, None]
@@ -385,14 +388,14 @@ class KappaVerdict:
         return d
 
 
-def kappa_quadratic(history, tau0, kappa, theta=0.2, centering_tol=1.0e-6):
+def kappa_quadratic(history, tau0, kappa, theta=0.2):
     """Test inward-quadratic precision kappa at time tau0.
 
     Three sub-verdicts: the Gaussian distance of the truncated profile
     from the inward-quadratic state is at most kappa/|tau0|; the
-    unstable-mode content at tau0 vanishes (within centering_tol); and
-    the scaled C^4 bound on the slowly growing central ball holds over
-    [2 tau0, tau0].
+    unstable-mode content at tau0 vanishes (Gaussian norm within 1e-6);
+    and the scaled C^4 bound on the slowly growing central ball holds
+    over [2 tau0, tau0].
     """
     if tau0 >= 0.0:
         raise ParameterError(f"tau0 must be negative, got {tau0}")
@@ -417,7 +420,7 @@ def kappa_quadratic(history, tau0, kappa, theta=0.2, centering_tol=1.0e-6):
     centering_norm = float(
         math.sqrt(sum(c[k] ** 2 * basis.normsq[k] for k in range(3)))
     )
-    centering_ok = centering_norm <= centering_tol
+    centering_ok = centering_norm <= 1.0e-6
 
     radius_sup = 0.0
     for t in span:

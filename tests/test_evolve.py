@@ -23,6 +23,7 @@ from ovalab.errors import (
     DegeneracyError,
     DomainError,
     ParameterError,
+    ShapeError,
     StepSizeError,
 )
 from ovalab.evolve import (
@@ -35,13 +36,11 @@ from ovalab.evolve import (
     renormalize,
     renormalized_state,
     rhs_renormalized_Y,
-    rhs_renormalized_v,
-    rhs_unrescaled_V,
     run,
     step,
     zoomed_tip,
 )
-from ovalab.grid import ScalarField, build_grid, diff_phi_fft, norm_H
+from ovalab.grid import PolarGrid, ScalarField, build_grid, diff_phi_fft, norm_H
 from ovalab.shrinkers import (
     EllipsoidSpec,
     bubble_sheet_field,
@@ -98,6 +97,18 @@ class TestTipField:
         assert np.abs(back.values - tip.values).max() < 1.0e-14
         assert back.theta == tip.theta
 
+    def test_truncated_table_rejected(self, tmp_path):
+        g = build_grid(160, 32, 3.2)
+        tip = TipField.from_profile(_wobble_sphere(g), theta=0.2, n_nodes=17)
+        path = os.path.join(tmp_path, "tip.csv")
+        tip.save(path)
+        with open(path) as fh:
+            lines = fh.readlines()
+        with open(path, "w") as fh:
+            fh.writelines(lines[:-1])
+        with pytest.raises(ShapeError):
+            TipField.load(path)
+
     def test_rim_must_be_contained(self):
         g = build_grid(96, 32, 3.0)
         with pytest.raises(DegeneracyError):
@@ -121,77 +132,39 @@ class TestTipField:
 # right-hand sides
 
 
-class TestGraphRHS:
-    def test_bubble_sheet_stationary(self):
-        # one-sided boundary stencils leave ~1e-13 roundoff on the fd path
-        g = build_grid(128, 32, 6.0)
-        r = rhs_renormalized_v(bubble_sheet_field(g), method="fd")
-        assert np.abs(r.values).max() < 1.0e-10
-        r = rhs_renormalized_v(bubble_sheet_field(g), method="exact")
-        assert np.abs(r.values).max() < 1.0e-12
-
-    def test_models_stationary_exact_path(self):
-        g = build_grid(192, 48, 4.0)
-        for field in (sphere_field(g), neck_field(g)):
-            r = rhs_renormalized_v(field, method="exact")
-            band = field.values >= 0.3
-            assert np.abs(r.values[band]).max() < 5.0e-5
-
-    def test_exact_path_residual_refines(self):
-        errs = {}
-        for n in (96, 192):
-            g = build_grid(n, 48, 4.0)
-            f = sphere_field(g)
-            r = rhs_renormalized_v(f, method="exact")
-            errs[n] = np.abs(r.values[f.values >= 0.3]).max()
-        assert errs[96] / errs[192] >= 3.5
-
-    def test_fd_path_refines_away_from_rim(self):
-        errs = {}
-        for n in (128, 256):
-            g = build_grid(n, 48, 4.0)
-            f = sphere_field(g)
-            r = rhs_renormalized_v(f, method="fd")
-            errs[n] = np.abs(r.values[f.values >= 1.2]).max()
-        assert errs[128] / errs[256] >= 3.5
-        assert errs[256] < 3.0e-4
+class TestWRHS:
+    """The squared-profile right-hand side _w_rhs, the one graph equation
+    the stepper runs; quadric stationarity is checked through step."""
 
     def test_polar_reduces_to_radial_formula(self):
+        """On a radial W the angular spectra vanish and rows y > 0 are the
+        radial W equation with the grid's own stencils."""
         g = build_grid(160, 32, 6.0)
         yy = g.y[:, None]
-        v = SQRT2 + 0.1 * np.exp(-(yy**2) / 2.0) * np.ones((1, 32))
-        f = ScalarField(g, v)
-        r = rhs_renormalized_v(f, method="fd").values
-        vy = g.radial_derivative(v, 1)
-        vyy = g.radial_derivative(v, 2)
+        W = (2.0 + 0.3 * np.exp(-(yy**2) / 4.0)) * np.ones((1, 32))
+        r = evolve._w_rhs(W, g, True)
+        Wy = g.radial_derivative(W, 1)
+        Wyy = g.radial_derivative(W, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             radial = (
-                vyy / (1.0 + vy**2)
-                + vy / yy
-                - 0.5 * yy * vy
-                + 0.5 * v
-                - 1.0 / v
+                Wyy
+                + Wy / yy
+                - (Wy**2 * Wyy + 2.0 * Wy**2) / (4.0 * W + Wy**2)
+                - 2.0
+                - 0.5 * yy * Wy
+                + W
             )
         assert np.abs(r[1:, :] - radial[1:, :]).max() < 1.0e-12
 
     def test_unrescaled_drops_gauge_terms(self):
         g = build_grid(128, 32, 4.0)
-        f = _wobble_sphere(g)
-        a = rhs_renormalized_v(f, method="fd").values
-        b = rhs_unrescaled_V(f, method="fd").values
-        vy = g.radial_derivative(f.values, 1)
-        gauge = -0.5 * g.y[:, None] * vy + 0.5 * f.values
-        live = f.values > 1.0e-6
-        diff = np.abs(a - b - gauge)[live & (np.arange(len(g.y)) > 0)[:, None]]
-        assert diff.max() < 1.0e-12
-
-    def test_interior_void_rejected(self):
-        g = build_grid(96, 32, 4.0)
-        w = _sphere_w(g)
-        w[40:43, :] = -1.0  # hole strictly inside the body
-        f = _signed_field(g, w)
-        with pytest.raises(DomainError):
-            rhs_renormalized_v(f, method="fd")
+        W = np.array(_wobble_sphere(g).w_signed)
+        a = evolve._w_rhs(W, g, True)
+        b = evolve._w_rhs(W, g, False)
+        gauge = -0.5 * g.y[:, None] * g.radial_derivative(W, 1) + W
+        live = W > 0.0
+        live[0, :] = False
+        assert np.abs(a - b - gauge)[live].max() < 1.0e-12
 
 
 class TestTipRHS:
@@ -775,6 +748,37 @@ class TestRenormalize:
                                -0.25 * lam**2, 0.0, grid_out=g_out)
         assert np.abs(v2.values - v1.values).max() < 2.0e-3
         assert tau2 - tau1 == pytest.approx(-2.0 * math.log(lam))
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        lam=st.floats(0.5, 2.0),
+        t=st.floats(-1.0, -0.2),
+        x0=st.floats(-0.3, 0.3),
+        a=st.floats(0.8, 1.2),
+        eps=st.floats(0.0, 0.05),
+        phase=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_parabolic_dilation_property(self, lam, t, x0, a, eps, phase):
+        """V_lam(y) = lam V(y / lam) on the lam-scaled grid, renormalized
+        at lam^2 t against lam^2 t_e onto the same grid, is the same field
+        to roundoff, and its tau is shifted by -2 log lam."""
+        t_e = 0.1
+        g = build_grid(48, 16, 3.0)
+        g_lam = PolarGrid(lam * g.y, g.n_phi)
+        g_out = build_grid(48, 16, 4.0)
+        yy, pp = g.y[:, None], g.phi[None, :]
+        w = (
+            1.5
+            - ((yy * np.cos(pp) - x0) / a) ** 2
+            - (yy * np.sin(pp)) ** 2
+            + eps * yy**3 * np.cos(3.0 * (pp - phase))
+        )
+        v1, tau1 = renormalize(_signed_field(g, w), t, t_e, grid_out=g_out)
+        v2, tau2 = renormalize(_signed_field(g_lam, lam**2 * w),
+                               lam**2 * t, lam**2 * t_e, grid_out=g_out)
+        scale = np.abs(v1.w_signed).max()
+        assert np.abs(v2.w_signed - v1.w_signed).max() <= 1.0e-12 * scale
+        assert tau2 - tau1 == pytest.approx(-2.0 * math.log(lam), abs=1.0e-12)
 
     def test_rejects_time_past_extinction(self):
         g = build_grid(96, 16, 4.0)
