@@ -49,6 +49,7 @@ from .shrinkers import (  # noqa: F401  (normal_form_field is re-exported)
     normal_form_profile,
     solve_bowl,
 )
+from .spectral import smoothstep_quintic
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,29 +58,9 @@ SQRT2 = math.sqrt(2.0)
 DENSITY_SHEET = math.sqrt(2.0 * math.pi / math.e)
 DENSITY_NECK = 4.0 / math.e
 
-REGION_NAMES = ("exterior", "soliton", "collar", "cylindrical")
-
-
 @lru_cache(maxsize=1)
 def _reference_bowl():
     return solve_bowl()
-
-
-def region_bounds(tau, theta=0.2, L=10.0):
-    """Profile-value boundaries of the standard regions at time tau.
-
-    Returned as a dict of (low, high) bands in v; the tip band overlaps
-    the cylindrical one by construction.
-    """
-    if tau == 0.0:
-        raise ParameterError("region boundaries need a nonzero time")
-    s = math.sqrt(abs(tau))
-    return {
-        "soliton": (0.0, L / s),
-        "collar": (L / s, 2.0 * theta),
-        "tip": (0.0, 2.0 * theta),
-        "cylindrical": (theta, math.inf),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +203,9 @@ class ConcavityReport:
     worst_y: float
     worst_phi: float
     delta: float
-    labels: np.ndarray
-
-    def region_name(self, code):
-        return REGION_NAMES[int(code)]
 
 
-def concavity_margin(field, t, delta, theta=0.2, L=10.0):
+def concavity_margin(field, t, delta):
     """Worst eigenvalue of Hess(V^2) - (gamma+delta) g on plane directions.
 
     Works on an unrescaled profile V at time t <= -e.  The Hessian is
@@ -237,7 +214,8 @@ def concavity_margin(field, t, delta, theta=0.2, L=10.0):
     block diagonal, so no angular components enter), with Christoffel
     correction Gamma^k_ij = V_k V_ij / (1+|DV|^2) and weight
     gamma = ((-t)/log(-t))^(3/2) V^(-3).  A nonpositive margin
-    everywhere is the almost-concavity property.
+    everywhere is the almost-concavity property.  The report holds
+    one margin per node of the body V > V_FLOOR, NaN elsewhere.
     """
     if not t <= -math.e:
         raise DomainError(
@@ -276,20 +254,12 @@ def concavity_margin(field, t, delta, theta=0.2, L=10.0):
 
     flat = np.nanargmax(np.where(mask, lam, -np.inf))
     i, j = np.unravel_index(flat, lam.shape)
-
-    v_ren = V / math.sqrt(-t)
-    cut = L / math.sqrt(math.log(-t))
-    labels = np.zeros(V.shape, dtype=np.int8)
-    labels[mask] = 1
-    labels[mask & (v_ren >= cut)] = 2
-    labels[mask & (v_ren >= 2.0 * theta)] = 3
     return ConcavityReport(
         margins=margins,
         worst=float(lam[i, j]),
         worst_y=float(grid.y[i]),
         worst_phi=float(grid.phi[j]),
         delta=float(delta),
-        labels=labels,
     )
 
 
@@ -447,45 +417,14 @@ def huisken_density(field, r, tail=None):
     return (4.0 * math.pi * r**2) ** -1.5 * total * dphi
 
 
-def huisken_profile(history, t_extinct=0.0, times=None):
-    """Densities of an unrescaled history at scales r = sqrt(t_e - t).
-
-    Returns (radii, densities) in increasing r.  The monotone quantity
-    should be nondecreasing in r along any flow.
-    """
-    states = history.states
-    if not states:
-        raise CoverageError("empty history")
-    if times is None:
-        times = [s.time for s in states]
-    radii = []
-    dens = []
-    for t in times:
-        if t >= t_extinct:
-            raise CoverageError(
-                f"slice at t = {t:g} is at or past extinction"
-            )
-        state = history.state_at(t)
-        if state.renormalized:
-            raise ParameterError(
-                "density profiles are defined on unrescaled histories"
-            )
-        r = math.sqrt(t_extinct - t)
-        radii.append(r)
-        dens.append(huisken_density(state.v, r))
-    order = np.argsort(radii)
-    return np.asarray(radii)[order], np.asarray(dens)[order]
-
-
 # ---------------------------------------------------------------------------
 # tip weight and weighted Poincare ratio
 
 
 def _zeta(v, theta):
     """C^2 quintic ramp: 0 below theta/8, 1 above theta/4."""
-    x = np.clip((np.asarray(v, dtype=float) - theta / 8.0) / (theta / 8.0),
-                0.0, 1.0)
-    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
+    return smoothstep_quintic((np.asarray(v, dtype=float) - theta / 8.0)
+                              / (theta / 8.0))
 
 
 @dataclass(frozen=True)

@@ -166,10 +166,10 @@ class TipField:
 
     @classmethod
     def load(cls, path):
-        meta, v_nodes, values = _read_table(
-            path, "tip-table", lambda m: int(m["v_nodes"])
+        theta, v_nodes, values = _read_table(
+            path, "tip-table", lambda m: (int(m["v_nodes"]), float(m["theta"]))
         )
-        return cls(v_nodes, values, float(meta["theta"]))
+        return cls(v_nodes, values, theta)
 
 
 def rhs_renormalized_Y(tip):
@@ -365,10 +365,6 @@ class FlowState:
             raise ParameterError("state is in unrescaled time")
         return self.time
 
-    @property
-    def t_unrescaled(self):
-        return -math.exp(-self.time) if self.renormalized else self.time
-
     def tip_radius(self):
         if self.tip is None:
             raise ParameterError("state has no tip patch")
@@ -476,16 +472,11 @@ def step(state, dtau):
 
 
 class FlowHistory:
-    """Snapshots ordered in time with linear interpolation between them.
+    """Snapshots ordered in time with linear interpolation between them."""
 
-    An optional window keeps only the trailing span (ring buffer), which
-    is all the recentring layer needs.
-    """
-
-    def __init__(self, window=None):
+    def __init__(self):
         self._times = []
         self._states = []
-        self.window = window
 
     @property
     def times(self):
@@ -500,11 +491,6 @@ class FlowHistory:
             raise ParameterError("history times must increase")
         self._times.append(state.time)
         self._states.append(state)
-        if self.window is not None:
-            t_last = self._times[-1]
-            while self._times and self._times[0] < t_last - self.window - 1.0e-12:
-                self._times.pop(0)
-                self._states.pop(0)
 
     def state_at(self, t):
         t = float(t)
@@ -565,10 +551,10 @@ class FlowHistory:
             json.dump(index, fh, indent=1)
 
     @classmethod
-    def load_dir(cls, path, window=None):
+    def load_dir(cls, path):
         with open(os.path.join(path, "history.json")) as fh:
             index = json.load(fh)
-        hist = cls(window=window)
+        hist = cls()
         grid = None
         for entry in index:
             field_path = os.path.join(path, entry["field"])
@@ -613,9 +599,9 @@ def _alive(field):
     )
 
 
-def _step_retry(state, dtau, tries=12):
-    """Step, backing off along the rejection's suggested dt."""
-    for _ in range(tries):
+def _step_retry(state, dtau):
+    """Step, backing off along the rejection's suggested dt (12 tries)."""
+    for _ in range(12):
         try:
             return step(state, dtau)
         except StepSizeError as err:
@@ -642,7 +628,7 @@ def _march_step(state, dtau):
         raise
 
 
-def run(state, t_end, snapshot_every=0.05, window=None):
+def run(state, t_end, snapshot_every=0.05):
     """March to t_end, recording snapshots every snapshot_every.
 
     Returns the history; the final recorded state is at the last time
@@ -652,7 +638,7 @@ def run(state, t_end, snapshot_every=0.05, window=None):
         raise ParameterError(
             f"t_end={t_end:.6g} precedes state time {state.time:.6g}"
         )
-    hist = FlowHistory(window=window)
+    hist = FlowHistory()
     hist.append(state)
     if t_end == state.time:
         return hist

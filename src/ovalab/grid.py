@@ -154,15 +154,6 @@ class PolarGrid:
             )
         return out
 
-    def angular_derivative(self, values, order):
-        if order == 1:
-            return (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (
-                2.0 * self.dphi
-            )
-        return (
-            np.roll(values, -1, axis=1) - 2.0 * values + np.roll(values, 1, axis=1)
-        ) / self.dphi**2
-
     def __eq__(self, other):
         return (
             isinstance(other, PolarGrid)
@@ -212,14 +203,12 @@ class ScalarField:
         return ScalarField(self.grid, values, w_signed=w_signed, copy=copy)
 
 
-def build_grid(n_r, n_phi, y_max, stretching="uniform", focus=None, strength=3.0):
-    """Construct a polar grid.
+def build_grid(n_r, n_phi, y_max):
+    """Construct a uniform polar grid.
 
-    n_r is the number of radial cells (n_r + 1 nodes including the
-    origin), n_phi the number of uniformly spaced angles. stretching is
-    'uniform' or 'tanh-clustered'; the latter concentrates nodes around
-    `focus` (default y_max/3, about where a moving tip radius tends to
-    sit at desk scale) with dimensionless strength `strength`.
+    n_r is the number of radial cells (n_r + 1 equally spaced nodes
+    including the origin), n_phi the number of uniformly spaced angles.
+    A non-uniform radial grid is built by passing its nodes to PolarGrid.
     """
     if n_r < 8:
         raise ParameterError("n_r must be at least 8")
@@ -227,28 +216,7 @@ def build_grid(n_r, n_phi, y_max, stretching="uniform", focus=None, strength=3.0
         raise ParameterError("n_phi must be even and at least 4")
     if not y_max > 0.0:
         raise ParameterError("y_max must be positive")
-
-    u = np.linspace(0.0, 1.0, n_r + 1)
-    if stretching == "uniform":
-        nodes = y_max * u
-    elif stretching == "tanh-clustered":
-        yc = y_max / 3.0 if focus is None else float(focus)
-        if not 0.0 < yc < y_max:
-            raise ParameterError("focus must lie strictly inside (0, y_max)")
-        s = float(strength)
-        if not s > 0.0:
-            raise ParameterError("strength must be positive")
-        ratio = yc / y_max
-        u0 = (0.5 / s) * math.log(
-            (1.0 + (math.exp(s) - 1.0) * ratio)
-            / (1.0 + (math.exp(-s) - 1.0) * ratio)
-        )
-        nodes = yc * (1.0 + np.sinh(s * (u - u0)) / math.sinh(s * u0))
-        nodes[0] = 0.0
-        nodes[-1] = y_max
-    else:
-        raise ParameterError(f"unknown stretching {stretching!r}")
-    return PolarGrid(nodes, n_phi)
+    return PolarGrid(y_max * np.linspace(0.0, 1.0, n_r + 1), n_phi)
 
 
 def inner_product_H(f, g):
@@ -263,27 +231,18 @@ def norm_H(f):
 
 
 def diff(f, direction, order=1):
-    """Finite-difference derivative of a field.
+    """Finite-difference radial derivative of a field.
 
-    Radial stencils are centered 3-point (2nd order on smooth node
-    distributions), one-sided at the outer edge, and use the reflection
-    f(-y, phi) = f(y, phi+pi) at the pole. Angular differences wrap
-    periodically.
+    direction must be "y"; angular derivatives are spectral (see
+    diff_phi_fft).  Radial stencils are centered 3-point (2nd order on
+    smooth node distributions), one-sided at the outer edge, and use the
+    reflection f(-y, phi) = f(y, phi+pi) at the pole.
     """
     if order not in (1, 2):
         raise ParameterError("order must be 1 or 2")
-    g = f.grid
-    if direction == "y":
-        if g.n_r + 1 < 4:
-            raise ParameterError("need at least 4 radial nodes")
-        out = g.radial_derivative(f.values, order)
-    elif direction == "phi":
-        if g.n_phi < 4:
-            raise ParameterError("need at least 4 angular nodes")
-        out = g.angular_derivative(f.values, order)
-    else:
+    if direction != "y":
         raise ParameterError(f"unknown direction {direction!r}")
-    return ScalarField(g, out, copy=False)
+    return ScalarField(f.grid, f.grid.radial_derivative(f.values, order), copy=False)
 
 
 def diff_phi_fft(values, order=1):
@@ -374,33 +333,43 @@ def _write_table(path, header, nodes, phi, values):
                 fh.write(f"{k}, {j}, {node:.17g}, {pj:.17g}, {values[k, j]:.17g}\n")
 
 
-def _read_table(path, what, n_nodes):
-    """Read a _write_table file into (meta, nodes, values).  The header
-    promises n_nodes(meta) * phi_nodes rows; any other count raises
-    ShapeError."""
+def _read_table(path, what, header):
+    """Read a _write_table file into (info, nodes, values).
+
+    header(meta) parses the comment-line key=value pairs into (number of
+    nodes, info).  The header also promises phi_nodes; a table of any
+    other row count raises ShapeError, and a missing or non-numeric
+    header entry, a non-numeric value or a row without five fields
+    raises ParameterError.
+    """
     meta = {}
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if "=" in part:
-                        k, v = part.split("=", 1)
-                        meta[k] = v
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
     try:
-        n, n_phi = n_nodes(meta), int(meta["phi_nodes"])
-    except KeyError:
-        raise ParameterError(f"{path}: missing {what} header") from None
-    data = np.asarray(rows)
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    for part in line[1:].split():
+                        if "=" in part:
+                            k, v = part.split("=", 1)
+                            meta[k] = v
+                    continue
+                rows.append([float(tok) for tok in line.split(",")])
+        data = np.asarray(rows)
+    except ValueError as err:
+        raise ParameterError(f"{path}: malformed {what} row ({err})") from None
+    try:
+        (n, info), n_phi = header(meta), int(meta["phi_nodes"])
+    except (KeyError, ValueError) as err:
+        raise ParameterError(f"{path}: bad {what} header ({err})") from None
     if data.shape[0] != n * n_phi:
         raise ShapeError(f"{path}: expected {n * n_phi} rows, got {data.shape[0]}")
+    if data.shape[1:] != (5,):
+        raise ParameterError(f"{path}: {what} rows need 5 fields")
     data = data.reshape(n, n_phi, -1)
-    return meta, data[:, 0, 2], np.ascontiguousarray(data[:, :, 4])
+    return info, data[:, 0, 2], np.ascontiguousarray(data[:, :, 4])
 
 
 def save_field(f, path):
@@ -414,7 +383,8 @@ def save_field(f, path):
 def load_field(path, grid=None):
     """Read a field written by save_field. If `grid` is given the stored
     nodes must equal its nodes; otherwise the grid is rebuilt from them."""
-    _, nodes, values = _read_table(path, "grid", lambda m: int(m["y_nodes"]) + 1)
+    _, nodes, values = _read_table(path, "grid",
+                                   lambda m: (int(m["y_nodes"]) + 1, None))
     n_phi = values.shape[1]
     if grid is None:
         grid = PolarGrid(nodes, n_phi)

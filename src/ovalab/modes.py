@@ -75,11 +75,6 @@ _SYSTEMS = {
 }
 
 
-def attractor_alpha(tau):
-    """The inward-quadratic attractor alpha_j = 1/(sqrt(8) tau)."""
-    return np.array([1.0 / (SQRT8 * tau), 1.0 / (SQRT8 * tau), 0.0])
-
-
 def sd_to_xi(tau, S, D):
     return np.array([SQRT2 * tau * S - 1.0, 8.0 * tau * tau * D - 1.0])
 
@@ -220,15 +215,6 @@ def integrate(system, init, span, dt, noise=None):
     return Trajectory(system, ts, xs, ds, blew_up=blew_up, blowup_time=blowup_time)
 
 
-def riccati_closed_form(alpha0, tau0, tau):
-    """Exact Riccati solution M(tau) = M0 (I + sqrt(8) M0 (tau-tau0))^-1."""
-    m0 = np.array(
-        [[alpha0[0], alpha0[2]], [alpha0[2], alpha0[1]]], dtype=float
-    )
-    m = m0 @ np.linalg.inv(np.eye(2) + SQRT8 * m0 * (tau - tau0))
-    return np.array([m[0, 0], m[1, 1], m[0, 1]])
-
-
 @dataclass(frozen=True)
 class DeviationReport:
     """Distance of extracted bending rates from the attractor."""
@@ -255,12 +241,12 @@ def compare_with_flow(history, window, theta=0.2):
     the report quantifies how tightly the simulated flow follows the
     model attractor.
     """
-    from .spectral import alpha_from_coeffs, get_basis, project
+    from .spectral import _snapshot_times, alpha_from_coeffs, get_basis, project
 
     lo, hi = float(window[0]), float(window[1])
     if lo >= hi:
         raise ParameterError(f"empty window ({lo}, {hi})")
-    times = np.asarray(history.times)
+    times = _snapshot_times(history, "the window sweep")
     sel = times[(times >= lo - 1.0e-9) & (times <= hi + 1.0e-9)]
     if len(sel) == 0:
         raise CoverageError(f"history has no samples in [{lo:.4g}, {hi:.4g}]")

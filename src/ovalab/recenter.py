@@ -311,14 +311,14 @@ def _in_box(x, tau0, radius_sq):
     return tau0**2 * x[-2] ** 2 + x[-1] ** 2 <= radius_sq
 
 
-def jacobian_det(history, tau0, b, Gamma, theta=0.2, step=1.0e-6):
+def jacobian_det(history, tau0, b, Gamma, theta=0.2):
     """Determinant of the central finite-difference Jacobian of psi2
-    in the (b, Gamma) plane."""
+    in the (b, Gamma) plane, with step 1e-6 in both."""
 
     def F(x):
         return psi2(history, tau0, x[0], x[1], theta=theta)
 
-    J = _fd_jacobian(F, np.array([b, Gamma], dtype=float), (step, step))
+    J = _fd_jacobian(F, np.array([b, Gamma], dtype=float), (1.0e-6, 1.0e-6))
     return float(_det2(J))
 
 

@@ -234,22 +234,6 @@ def spectral_report(field, tau, theta=0.2, basis=None):
     )
 
 
-def projection_unstable(field, theta=0.2, basis=None):
-    """Unstable-space part of the truncated deviation, as a field."""
-    basis = _basis_for(field, basis)
-    c = project(field, theta=theta, basis=basis)
-    vals = np.tensordot(c[:3], basis.functions[:3], axes=(0, 0))
-    return ScalarField(field.grid, vals, copy=False)
-
-
-def projection_neutral(field, theta=0.2, basis=None):
-    """Neutral-space part of the truncated deviation, as a field."""
-    basis = _basis_for(field, basis)
-    c = project(field, theta=theta, basis=basis)
-    vals = np.tensordot(c[3:], basis.functions[3:], axes=(0, 0))
-    return ScalarField(field.grid, vals, copy=False)
-
-
 def width_ratio(field, theta=0.2):
     """Ratio of the two principal Gaussian width pairings.
 
@@ -268,21 +252,6 @@ def width_ratio(field, theta=0.2):
             f"width pairing denominator {den:.3e} too close to zero"
         )
     return num / den
-
-
-def width_matrix(field, theta=0.2):
-    """Symmetric matrix of pairings <v_C, y_i y_j - 2 delta_ij>."""
-    g = field.grid
-    v_c = truncate(field, theta).values
-    y = g.y[:, None]
-    phi = g.phi[None, :]
-    y1 = y * np.cos(phi)
-    y2 = y * np.sin(phi)
-    w = g.weights
-    m11 = float(np.sum(w * v_c * (y1 * y1 - 2.0)))
-    m22 = float(np.sum(w * v_c * (y2 * y2 - 2.0)))
-    m12 = float(np.sum(w * v_c * y1 * y2))
-    return np.array([[m11, m12], [m12, m22]])
 
 
 def apply_ou(field):
@@ -357,6 +326,17 @@ def c4_norm_proxy(field, radius):
     return sup
 
 
+def _snapshot_times(history, what):
+    """The snapshot times of a recorded history, which a sweep over its
+    stored states visits; a closed-form family records none."""
+    if not hasattr(history, "times"):
+        raise ParameterError(
+            f"{what} visits a recorded history's snapshot times; "
+            f"{type(history).__name__} has none"
+        )
+    return np.asarray(history.times)
+
+
 @dataclass(frozen=True)
 class KappaVerdict:
     """Outcome of the inward-quadratic precision test at time tau0."""
@@ -401,7 +381,7 @@ def kappa_quadratic(history, tau0, kappa, theta=0.2):
         raise ParameterError(f"tau0 must be negative, got {tau0}")
     if kappa <= 0.0:
         raise ParameterError(f"kappa must be positive, got {kappa}")
-    times = np.asarray(history.times)
+    times = _snapshot_times(history, "the C^4 sweep over [2 tau0, tau0]")
     if times[0] > 2.0 * tau0 + 1.0e-9 or times[-1] < tau0 - 1.0e-9:
         raise CoverageError(
             f"history [{times[0]:.4g}, {times[-1]:.4g}] does not cover "

@@ -21,15 +21,13 @@ from ovalab.diagnostics import (
     concavity_margin,
     cylindrical_estimate,
     huisken_density,
-    huisken_profile,
     normal_form_field,
     normal_form_tip,
     poincare_check,
-    region_bounds,
     tip_weight,
 )
 from ovalab.errors import CoverageError, DomainError, ParameterError
-from ovalab.evolve import FlowHistory, FlowState, TipField, run
+from ovalab.evolve import V_FLOOR, FlowHistory, FlowState, TipField, run
 from ovalab.grid import ScalarField, build_grid
 from ovalab.shrinkers import (
     bubble_sheet_field,
@@ -62,17 +60,6 @@ def plain_state(field, tau):
 
 # ---------------------------------------------------------------------------
 # regions and reference states
-
-
-def test_region_bounds_layout():
-    b = region_bounds(-2500.0)
-    assert b["soliton"] == (0.0, 0.2)
-    assert b["collar"] == (0.2, 0.4)
-    assert b["tip"] == (0.0, 0.4)
-    assert b["cylindrical"][0] == THETA
-    assert math.isinf(b["cylindrical"][1])
-    with pytest.raises(ParameterError):
-        region_bounds(0.0)
 
 
 def test_normal_form_field_rejects_forward_time():
@@ -226,11 +213,10 @@ def test_concavity_labels_and_guards():
     w = 6.0 * -t - g.y[:, None] ** 2 * np.ones((1, 8))
     f = ScalarField(g, np.sqrt(np.maximum(w, 0.0)), w_signed=w)
     rep = concavity_margin(f, t, 0.0)
-    # at log(-t) = 2 the collar band is inverted, so codes jump from
-    # the soliton straight to the cylindrical region
-    assert set(rep.labels.ravel().tolist()) == {0, 1, 3}
-    assert rep.region_name(3) == "cylindrical"
-    assert np.isnan(rep.margins[rep.labels == 0]).all()
+    # margins are NaN exactly off the body, where the slice has no graph
+    outside = f.values <= V_FLOOR
+    assert outside.any()
+    assert np.array_equal(np.isnan(rep.margins), outside)
     with pytest.raises(DomainError):
         concavity_margin(f, -1.0, 0.01)
     with pytest.raises(ParameterError):
@@ -369,35 +355,13 @@ def test_density_profile_along_a_sphere_flow():
         L=10.0,
     )
     hist = run(st, -0.9, snapshot_every=0.025)
-    radii, dens = huisken_profile(hist, t_extinct=0.0)
-    assert radii.shape == dens.shape
-    assert np.all(np.diff(radii) > 0.0)
+    dens = np.array([huisken_density(s.v, math.sqrt(-s.time))
+                     for s in hist.states[::-1]])
+    assert len(dens) == len(hist.states) > 2
     assert np.abs(dens - DENSITY_SPHERE).max() < 5.0e-4
+    # states in reverse time order have increasing scales r = sqrt(-t)
     backslide = np.maximum(0.0, dens[:-1] - dens[1:]).max()
     assert backslide < 1.0e-4
-
-
-def test_density_profile_guards():
-    g = build_grid(64, 8, 3.2)
-    st = plain_state(sphere_field(g), -1.0)
-    hist = FlowHistory()
-    hist.append(st)
-    with pytest.raises(ParameterError):
-        huisken_profile(hist, t_extinct=0.0)  # renormalized state
-    with pytest.raises(CoverageError):
-        huisken_profile(FlowHistory(), t_extinct=0.0)
-    unresc = FlowState(
-        time=-1.0,
-        v=sphere_field(g),
-        tip=None,
-        renormalized=False,
-        theta=THETA,
-        L=10.0,
-    )
-    h2 = FlowHistory()
-    h2.append(unresc)
-    with pytest.raises(CoverageError):
-        huisken_profile(h2, t_extinct=-2.0)  # slice past extinction
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,33 @@ from ovalab.modes import (
     DeviationReport,
     ModeState,
     alpha_rhs,
-    attractor_alpha,
     compare_with_flow,
     integrate,
-    riccati_closed_form,
     sd_rhs,
     sd_to_xi,
     xi_adapted_norm,
     xi_rhs,
     xi_to_sd,
 )
+from ovalab.recenter import normal_form_history
 from ovalab.shrinkers import normal_form_field
 
 SQRT2 = math.sqrt(2.0)
 SQRT8 = math.sqrt(8.0)
+
+
+def attractor_alpha(tau):
+    """The inward-quadratic attractor alpha_j = 1/(sqrt(8) tau)."""
+    return np.array([1.0 / (SQRT8 * tau), 1.0 / (SQRT8 * tau), 0.0])
+
+
+def riccati_closed_form(alpha0, tau0, tau):
+    """Exact Riccati solution M(tau) = M0 (I + sqrt(8) M0 (tau-tau0))^-1."""
+    m0 = np.array(
+        [[alpha0[0], alpha0[2]], [alpha0[2], alpha0[1]]], dtype=float
+    )
+    m = m0 @ np.linalg.inv(np.eye(2) + SQRT8 * m0 * (tau - tau0))
+    return np.array([m[0, 0], m[1, 1], m[0, 1]])
 
 
 def test_alpha_attractor_is_exact_solution():
@@ -286,3 +299,10 @@ def test_compare_with_flow_errors(proj_grid):
         compare_with_flow(hist, (-90.0, -110.0))
     with pytest.raises(CoverageError):
         compare_with_flow(hist, (-50.0, -40.0))
+
+
+def test_compare_with_flow_needs_snapshot_times():
+    # a closed-form family samples any time but records none
+    hist = normal_form_history(build_grid(64, 8, 10.0), -100.0)
+    with pytest.raises(ParameterError, match="snapshot times"):
+        compare_with_flow(hist, (-110.0, -90.0))

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from ovalab.errors import CoverageError, DegeneracyError, ParameterError
 from ovalab.grid import ScalarField, build_grid, inner_product_H
+from ovalab.recenter import normal_form_history
 from ovalab.shrinkers import bubble_sheet_field, normal_form_field
 from ovalab.spectral import (
     EigenBasis,
@@ -31,12 +32,9 @@ from ovalab.spectral import (
     get_basis,
     kappa_quadratic,
     project,
-    projection_neutral,
-    projection_unstable,
     spectral_report,
     sym2_eigenvalues,
     truncate,
-    width_matrix,
     width_ratio,
 )
 
@@ -148,10 +146,8 @@ def test_completeness_on_span(fine_grid, fine_basis):
     coeffs = 1.0e-3 * rng.standard_normal(6)
     vals = SQRT2 + np.tensordot(coeffs, fine_basis.functions, axes=(0, 0))
     f = ScalarField(fine_grid, vals)
-    recon = (
-        projection_unstable(f, basis=fine_basis).values
-        + projection_neutral(f, basis=fine_basis).values
-    )
+    c = project(f, basis=fine_basis)
+    recon = np.tensordot(c, fine_basis.functions, axes=(0, 0))
     dev = recon - (vals - SQRT2)
     assert np.max(np.abs(dev)) < 1.0e-8
 
@@ -218,23 +214,6 @@ def test_width_ratio_degeneracy():
         width_ratio(f)
 
 
-def test_width_matrix_structure(fine_grid):
-    tau = -100.0
-    base = normal_form_field(fine_grid, tau)
-    m = width_matrix(base)
-    assert abs(m[0, 1]) < 1.0e-10
-    assert abs(m[0, 0] - m[1, 1]) < 1.0e-10
-    # rotating by pi/2 swaps the diagonal entries
-    eps = 1.0e-3
-    y2cos2 = fine_grid.y[:, None] ** 2 * np.cos(2.0 * fine_grid.phi[None, :])
-    bent = base.with_values(base.values + eps * y2cos2)
-    mb = width_matrix(bent)
-    rolled = bent.with_values(np.roll(bent.values, fine_grid.n_phi // 4, axis=1))
-    mr = width_matrix(rolled)
-    assert abs(mb[0, 0] - mr[1, 1]) < 1.0e-10
-    assert abs(mb[1, 1] - mr[0, 0]) < 1.0e-10
-
-
 def _normal_form_maker(grid, tau):
     return normal_form_field(grid, tau)
 
@@ -289,6 +268,14 @@ def test_kappa_quadratic_coverage_error(fine_grid):
     )
     with pytest.raises(CoverageError):
         kappa_quadratic(hist, tau0, kappa=1.0)
+
+
+def test_kappa_quadratic_needs_snapshot_times():
+    # a closed-form family samples any time but records none, so the
+    # C^4 sweep has nothing to visit
+    hist = normal_form_history(build_grid(64, 8, 10.0), -50.0)
+    with pytest.raises(ParameterError, match="snapshot times"):
+        kappa_quadratic(hist, -50.0, kappa=1.0)
 
 
 def test_c4_proxy_on_smooth_field():
