@@ -21,11 +21,11 @@ report over the grid:
   the inverse profile and the bowl, and the weighted Poincare ratio it
   is designed to make uniform.
 
-Everything is a pure function of immutable snapshots.  Fields are
-expected to carry the signed squared profile (every constructor and the
-stepper in this package provide it); derivatives are always taken on
-that smooth continuation, never on the square-rooted values whose rim
-kink would pollute the stencils.
+Everything is a pure function of immutable snapshots.  Derivatives are
+always taken on the signed squared profile read by ``grid.signed_square``
+(stored by every constructor and the stepper, rebuilt for a field read
+from disk), never on the square-rooted values whose rim kink would
+pollute the stencils.
 """
 
 import math
@@ -35,15 +35,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CoverageError, DomainError, ParameterError
-from .evolve import (
-    V_FLOOR,
-    FlowHistory,
-    TipField,
-    _rim_index,
-    _signed_w,
-    zoomed_tip,
+from .evolve import V_FLOOR, FlowHistory, TipField, zoomed_tip
+from .grid import (
+    THETA,
+    diff_phi_fft,
+    polar_jet,
+    pole_jet,
+    rim_index,
+    signed_square,
+    sqrt_jet,
 )
-from .grid import diff_phi_fft, polar_jet, pole_jet, sqrt_jet
 from .shrinkers import (  # noqa: F401  (normal_form_field is re-exported)
     normal_form_field,
     normal_form_profile,
@@ -67,18 +68,18 @@ def _reference_bowl():
 # closed-form reference states
 
 
-def normal_form_tip(tau, theta=0.2, n_phi=32, n_nodes=33):
+def normal_form_tip(tau, n_phi=32, n_nodes=33):
     """Round tip table of the square-root intermediate profile.
 
     Inverts v = sqrt(2 - y^2/|tau|) (with the +4 plane offset of the
-    quadratic bulge) on [0, 2 theta]; a convenient synthetic geometry
+    quadratic bulge) on [0, 2 THETA]; a convenient synthetic geometry
     for exercising the weight and Poincare machinery at large |tau|.
     """
     if not tau < 0.0:
         raise ParameterError("the model tip needs tau < 0")
-    v = np.linspace(0.0, 2.0 * theta, n_nodes)
+    v = np.linspace(0.0, 2.0 * THETA, n_nodes)
     Y = np.sqrt(abs(tau) * (2.0 - v**2) + 4.0)
-    return TipField(v, Y[:, None] * np.ones((1, n_phi)), theta)
+    return TipField(v, Y[:, None] * np.ones((1, n_phi)), THETA)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def concavity_margin(field, t, delta):
     if delta < 0.0:
         raise ParameterError("delta must be nonnegative")
     grid = field.grid
-    W = _signed_w(field)
+    W = signed_square(field)
     V = field.values
     mask = V > V_FLOOR
     safe = np.where(mask, V, 1.0)
@@ -277,8 +278,8 @@ class CollarReport:
     nodes: int
 
 
-def collar_deviation(field, tau, theta=0.2, L=10.0):
-    """Sup of |y (v^2)_y + 4| over the band L/sqrt(|tau|) <= v <= 2 theta.
+def collar_deviation(field, tau, L=10.0):
+    """Sup of |y (v^2)_y + 4| over the band L/sqrt(|tau|) <= v <= 2 THETA.
 
     Near-Gaussian collars make the combination vanish; spheres fail it
     loudly, which makes this a useful discriminator.
@@ -287,12 +288,12 @@ def collar_deviation(field, tau, theta=0.2, L=10.0):
         raise ParameterError("the collar band needs a nonzero time")
     s = math.sqrt(abs(tau))
     v = field.values
-    band = (v >= L / s) & (v <= 2.0 * theta)
+    band = (v >= L / s) & (v <= 2.0 * THETA)
     if not band.any():
         raise CoverageError(
-            f"collar band {L / s:.3g} <= v <= {2.0 * theta:.3g} is empty"
+            f"collar band {L / s:.3g} <= v <= {2.0 * THETA:.3g} is empty"
         )
-    W = field.w_signed if field.w_signed is not None else v**2
+    W = signed_square(field)
     wy = field.grid.radial_derivative(W, 1)
     dev = np.abs(field.grid.y[:, None] * wy + 4.0)
     dev = np.where(band, dev, -np.inf)
@@ -325,7 +326,7 @@ def cylindrical_estimate(field, tau, L=10.0):
             f"cylindrical region v >= {L / s:.3g} is empty"
         )
     grid = field.grid
-    W = _signed_w(field)
+    W = signed_square(field)
     safe = np.where(region, v, 1.0)
     (wy, wyy, wp, wpp, wyp), _ = polar_jet(grid, W)
     vy, vp, vyy, vyp, vpp = sqrt_jet(wy, wp, wyy, wyp, wpp, safe)
@@ -369,7 +370,7 @@ def huisken_density(field, r, tail=None):
     if tail not in (None, "flat"):
         raise ParameterError(f"unknown tail treatment {tail!r}")
     grid = field.grid
-    W = _signed_w(field)
+    W = signed_square(field)
     y = grid.y
     wy = grid.radial_derivative(W, 1)
     wp = diff_phi_fft(W, order=1)
@@ -388,7 +389,7 @@ def huisken_density(field, r, tail=None):
         0.0,
     )
 
-    i0 = _rim_index(W)
+    i0 = rim_index(W)
     n = W.shape[0]
     total = 0.0
     for j in range(grid.n_phi):

@@ -48,6 +48,7 @@ from .errors import (
     StepSizeError,
 )
 from .grid import (
+    THETA,
     ScalarField,
     _read_table,
     _write_table,
@@ -57,7 +58,9 @@ from .grid import (
     load_field,
     polar_jet,
     pole_jet,
+    rebuild_halo,
     save_field,
+    signed_square,
 )
 from .grid import diff_phi_fft  # noqa: F401  (perfbench's tracer wraps evolve.diff_phi_fft)
 
@@ -68,6 +71,18 @@ CFL = 0.2
 
 # ---------------------------------------------------------------------------
 # tip patch
+
+
+def _check_tip_nodes(v_nodes, where):
+    """The tip stencils need at least 4 nodes, uniformly spaced upwards
+    from the tip at v = 0; a table that breaks this raises ParameterError."""
+    h = np.diff(v_nodes)
+    if (len(v_nodes) < 4 or v_nodes[0] != 0.0 or not h[0] > 0.0
+            or np.ptp(h) > 1.0e-9 * h[0]):
+        raise ParameterError(
+            f"{where}: tip nodes must be at least 4, start at 0 and be "
+            f"uniformly increasing; got {np.array2string(v_nodes, threshold=6)}"
+        )
 
 
 class TipField:
@@ -109,13 +124,14 @@ class TipField:
                          left=self.v_nodes[-1], right=0.0)
 
     @classmethod
-    def from_profile(cls, field, theta=0.2, n_nodes=17):
+    def from_profile(cls, field, theta=THETA, n_nodes=17):
         """Build the table by monotone inversion of v near the rim.
 
         Levels are located in the squared profile, which crosses the rim
         linearly and so keeps the interpolation uniformly second order;
-        when the field carries the signed continuation the rim row lands
-        at the true zero crossing instead of the last live node.
+        the rim row lands at the zero crossing of the continuation read by
+        signed_square, not at the last live node.  Fewer than 4 nodes or
+        theta <= 0 raise ParameterError.
 
         All angles are inverted at once: rows above each column's peak
         are masked to +inf, so one running minimum down the table holds
@@ -124,8 +140,9 @@ class TipField:
         """
         g = field.grid
         v_nodes = np.linspace(0.0, 2.0 * theta, n_nodes)
+        _check_tip_nodes(v_nodes, "from_profile")
         w_levels = v_nodes**2
-        w = field.values**2 if field.w_signed is None else field.w_signed
+        w = signed_square(field)
         n = w.shape[0]
         rows = np.arange(n)[:, None]
         i_peak = np.argmax(w, axis=0)
@@ -169,6 +186,7 @@ class TipField:
         theta, v_nodes, values = _read_table(
             path, "tip-table", lambda m: (int(m["v_nodes"]), float(m["theta"]))
         )
+        _check_tip_nodes(v_nodes, path)
         return cls(v_nodes, values, theta)
 
 
@@ -208,54 +226,6 @@ def rhs_renormalized_Y(tip):
 
 # ---------------------------------------------------------------------------
 # squared-profile stepping core
-
-
-def _rim_index(W):
-    """Per-column first row past the last strictly positive node."""
-    pos = W > 0.0
-    n = W.shape[0]
-    last = n - 1 - np.argmax(pos[::-1, :], axis=0)
-    last = np.where(pos.any(axis=0), last, -1)
-    return last + 1
-
-
-def _rebuild_halo(W, grid):
-    """Overwrite nodes outside the body with the interior continuation.
-
-    Three-term recursion along each column extends the last interior
-    values exactly for parabolic profiles.  Rows are rebuilt out to two
-    past the outermost rim, which is as far as any stencil or ring
-    transform containing interior nodes can reach; beyond that the
-    array keeps whatever it held (never read).
-    """
-    n = W.shape[0]
-    i0 = _rim_index(W)
-    lo = int(i0.min())
-    if lo >= n:
-        return W
-    hi = min(int(i0.max()) + 3, n)
-    for i in range(max(lo, 1), hi):
-        if i >= 3:
-            ext = 3.0 * W[i - 1] - 3.0 * W[i - 2] + W[i - 3]
-        elif i == 2:
-            ext = 2.0 * W[i - 1] - W[i - 2]
-        else:
-            # sub-cell endgame: continue as a round cap
-            ext = W[0] - grid.y[i] ** 2
-        # the continuation of a convex body is nonpositive outside the
-        # rim; clamping keeps ragged endgame columns from seeding fake
-        # interior nodes
-        np.copyto(W[i], np.minimum(ext, 0.0), where=i0 <= i)
-    return W
-
-
-def _signed_w(field):
-    """Writable signed squared profile for a state, building the outside
-    continuation when the field only carries clamped values."""
-    if field.w_signed is not None:
-        return np.array(field.w_signed)
-    W = field.values**2
-    return _rebuild_halo(W, field.grid)
 
 
 def _pole_w_rhs(W0, grid, ring_spec, renormalized):
@@ -324,7 +294,7 @@ def _filter_w(W, grid):
 def _midpoint_w(W, grid, dtau, renormalized):
     mask = W > 0.0
     k1 = _w_rhs(W, grid, renormalized, mask=mask)
-    W1 = _rebuild_halo(W + 0.5 * dtau * k1, grid)
+    W1 = rebuild_halo(W + 0.5 * dtau * k1, grid)
     k2 = _w_rhs(W1, grid, renormalized, mask=mask)
     Wn = W + dtau * k2
 
@@ -341,7 +311,7 @@ def _midpoint_w(W, grid, dtau, renormalized):
             f"maximum principle violation at dt={dtau:.3e}",
             suggested_dt=0.5 * dtau,
         )
-    return _filter_w(_rebuild_halo(Wn, grid), grid)
+    return _filter_w(rebuild_halo(Wn, grid), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +326,7 @@ class FlowState:
     v: ScalarField
     tip: TipField | None = None
     renormalized: bool = True
-    theta: float = 0.2
+    theta: float = THETA
     L: float = 10.0
 
     @property
@@ -443,7 +413,7 @@ def _sync_patches(W, tip, grid, theta):
         tip.v_nodes[:, None] >= theta - 1.0e-12, inverted.values, tip.values
     )
     new_tip = TipField(tip.v_nodes, merged, tip.theta)
-    W = _rebuild_halo(_inject_from_tip(W, new_tip, grid, theta), grid)
+    W = rebuild_halo(_inject_from_tip(W, new_tip, grid, theta), grid)
     return W, new_tip
 
 
@@ -452,7 +422,7 @@ def step(state, dtau):
     if dtau <= 0.0:
         raise ParameterError(f"time step must be positive, got {dtau}")
     g = state.v.grid
-    W = _midpoint_w(_signed_w(state.v), g, dtau, state.renormalized)
+    W = _midpoint_w(signed_square(state.v), g, dtau, state.renormalized)
     if state.tip is not None:
         if not state.renormalized:
             raise ParameterError("tip patch requires the renormalized gauge")
@@ -742,22 +712,22 @@ def renormalize(field, t, t_e, grid_out=None):
         live = np.any(field.values > 0.0, axis=1)
         y_rim = g_in.y[np.max(np.nonzero(live))] if np.any(live) else g_in.y_max
         grid_out = build_grid(g_in.n_r, g_in.n_phi, max(scale * y_rim * 1.15, 1.0))
-    w_in = field.values**2 if field.w_signed is None else field.w_signed
+    w_in = signed_square(field)
     y_src = grid_out.y / scale
     w_out = np.empty(grid_out.shape)
     for j in range(grid_out.n_phi):
         w_out[:, j] = scale**2 * np.interp(y_src, g_in.y, w_in[:, j])
-    _rebuild_halo(w_out, grid_out)
+    rebuild_halo(w_out, grid_out)
     v_out = np.sqrt(np.maximum(w_out, 0.0))
     out = ScalarField(grid_out, v_out, w_signed=w_out, copy=False)
     return out, tau
 
 
-def renormalized_state(field, t, t_e, theta=0.2, L=10.0, grid_out=None):
-    """Renormalize and attach a freshly inverted tip patch."""
+def renormalized_state(field, t, t_e, L=10.0, grid_out=None):
+    """Renormalize and attach a freshly inverted tip patch at THETA."""
     v, tau = renormalize(field, t, t_e, grid_out=grid_out)
-    tip = TipField.from_profile(v, theta=theta)
-    return FlowState(time=tau, v=v, tip=tip, renormalized=True, theta=theta, L=L)
+    return FlowState(time=tau, v=v, tip=TipField.from_profile(v),
+                     renormalized=True, L=L)
 
 
 def zoomed_tip(state, j=None):

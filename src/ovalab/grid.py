@@ -13,6 +13,10 @@ rank-1 correction is applied so that the discrete pairing of 1 with
 y^2 - 4 vanishes to machine precision; those two functions are
 orthogonal in the continuum and a lot of the mode bookkeeping assumes
 the discrete version agrees.
+
+The module also owns the two conventions every layer shares: the cutoff
+scale THETA, and the reading of a field's squared profile W = v^2 with
+its continuation outside the body (signed_square).
 """
 
 import math
@@ -22,6 +26,10 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 
 _erf = np.vectorize(math.erf, otypes=[float])
+
+# cutoff scale theta: the truncated deviation ramps in on [5/8, 7/8] theta,
+# the collar band is v <= 2 theta and the tip patch covers v in [0, 2 theta]
+THETA = 0.2
 
 
 def _gaussian_antiderivatives(y):
@@ -201,6 +209,55 @@ class ScalarField:
 
     def with_values(self, values, w_signed=None, copy=True):
         return ScalarField(self.grid, values, w_signed=w_signed, copy=copy)
+
+
+def rim_index(W):
+    """Per-column first row past the last strictly positive node."""
+    pos = W > 0.0
+    n = W.shape[0]
+    last = n - 1 - np.argmax(pos[::-1, :], axis=0)
+    last = np.where(pos.any(axis=0), last, -1)
+    return last + 1
+
+
+def rebuild_halo(W, grid):
+    """Overwrite nodes outside the body with the interior continuation.
+
+    Three-term recursion along each column extends the last interior
+    values exactly for parabolic profiles.  Rows are rebuilt out to two
+    past the outermost rim, which is as far as any stencil or ring
+    transform containing interior nodes can reach; beyond that the
+    array keeps whatever it held (never read).
+    """
+    n = W.shape[0]
+    i0 = rim_index(W)
+    lo = int(i0.min())
+    if lo >= n:
+        return W
+    hi = min(int(i0.max()) + 3, n)
+    for i in range(max(lo, 1), hi):
+        if i >= 3:
+            ext = 3.0 * W[i - 1] - 3.0 * W[i - 2] + W[i - 3]
+        elif i == 2:
+            ext = 2.0 * W[i - 1] - W[i - 2]
+        else:
+            # sub-cell endgame: continue as a round cap
+            ext = W[0] - grid.y[i] ** 2
+        # the continuation of a convex body is nonpositive outside the
+        # rim; clamping keeps ragged endgame columns from seeding fake
+        # interior nodes
+        np.copyto(W[i], np.minimum(ext, 0.0), where=i0 <= i)
+    return W
+
+
+def signed_square(field):
+    """Writable signed squared profile W of a field: its stored
+    w_signed, or else the clamped values squared with the outside
+    continuation rebuilt, so a field read back from disk gives the same
+    W as the one that was written."""
+    if field.w_signed is not None:
+        return np.array(field.w_signed)
+    return rebuild_halo(field.values**2, field.grid)
 
 
 def build_grid(n_r, n_phi, y_max):

@@ -234,14 +234,14 @@ class DeviationReport:
         }
 
 
-def compare_with_flow(history, window, theta=0.2):
+def compare_with_flow(history, window):
     """Sup over the window of | |tau| alpha_j + 1/sqrt(8) | and |tau a3|.
 
     alpha is extracted from each stored snapshot by Gaussian projection;
     the report quantifies how tightly the simulated flow follows the
     model attractor.
     """
-    from .spectral import _snapshot_times, alpha_from_coeffs, get_basis, project
+    from .spectral import _snapshot_times, alpha_from_coeffs, project
 
     lo, hi = float(window[0]), float(window[1])
     if lo >= hi:
@@ -255,9 +255,7 @@ def compare_with_flow(history, window, theta=0.2):
     sup_off = 0.0
     scaled = []
     for tau in sel:
-        snap = history.at(float(tau))
-        basis = get_basis(snap.grid)
-        a = alpha_from_coeffs(project(snap, theta=theta, basis=basis))
+        a = alpha_from_coeffs(project(history.at(float(tau))))
         scaled.append((abs(tau) * a[0], abs(tau) * a[1], abs(tau) * a[2]))
         sup_diag = max(
             sup_diag,

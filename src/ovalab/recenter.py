@@ -45,6 +45,9 @@ from .spectral import get_basis, pairings, quadratic_distance
 SQRT2 = math.sqrt(2.0)
 SQRT8 = math.sqrt(8.0)
 
+# residual norm at which the Newton search of solve_psi stops
+PSI_TOL = 1.0e-10
+
 TWO_PARAM = "two-param"
 FOUR_PARAM = "four-param+rotation"
 
@@ -250,44 +253,44 @@ def transform_full(history, a, b, Gamma, phi_rot, tau0):
 # pairing maps
 
 
-def _pairings(field, theta):
+def _pairings(field):
     """Gaussian pairings of the truncated deviation with the six modes,
     and the basis they were taken against."""
     basis = get_basis(field.grid)
-    return pairings(field, theta, basis), basis
+    return pairings(field, basis), basis
 
 
-def psi2(history, tau0, b, Gamma, theta=0.2):
+def psi2(history, tau0, b, Gamma):
     """Two centering conditions: the constant pairing of the deviation
     and the quadratic pairing measured against the locked inward slope
     -1/(sqrt(8)|tau0|)."""
     if tau0 >= 0.0:
         raise ParameterError(f"tau0 must be negative, got {tau0:g}")
     f = transform_profile(history, b, Gamma, tau0)
-    p, basis = _pairings(f, theta)
+    p, basis = _pairings(f)
     lock = basis.normsq[3] / (SQRT8 * abs(tau0))
     return np.array([p[0], p[3] + lock])
 
 
-def psi4(history, tau0, a, b, Gamma, theta=0.2):
+def psi4(history, tau0, a, b, Gamma):
     """Four centering conditions: the two of psi2 plus the translation
     pairings against y cos phi and y sin phi, all at phi_rot = 0."""
     if tau0 >= 0.0:
         raise ParameterError(f"tau0 must be negative, got {tau0:g}")
     f = transform_full(history, a, b, Gamma, 0.0, tau0)
-    p, basis = _pairings(f, theta)
+    p, basis = _pairings(f)
     lock = basis.normsq[3] / (SQRT8 * abs(tau0))
     return np.array([p[0], p[1], p[2], p[3] + lock])
 
 
-def rotation_angle(field, theta=0.2):
+def rotation_angle(field):
     """Rotation parameter that zeroes the y^2 sin 2phi pairing.
 
     Of the two half-angle candidates the one leaving the y^2 cos 2phi
     pairing nonnegative is returned, in [0, 2 pi).  A field without
     quadrupole content returns 0.
     """
-    p, basis = _pairings(field, theta)
+    p, basis = _pairings(field)
     c_pair, s_pair = p[4], p[5]
     scale = max(basis.normsq[4], basis.normsq[5])
     if math.hypot(c_pair, s_pair) < 1.0e-14 * scale:
@@ -299,24 +302,24 @@ def rotation_angle(field, theta=0.2):
 # the solver
 
 
-def measure_kappa(history, tau0, theta=0.2):
+def measure_kappa(history, tau0):
     """Gaussian distance (scaled by |tau0|) of the truncated profile
     from the inward-quadratic state; sets the search box size."""
     if tau0 >= 0.0:
         raise ParameterError(f"tau0 must be negative, got {tau0:g}")
-    return abs(tau0) * quadratic_distance(history.at(tau0), tau0, theta)
+    return abs(tau0) * quadratic_distance(history.at(tau0), tau0)
 
 
 def _in_box(x, tau0, radius_sq):
     return tau0**2 * x[-2] ** 2 + x[-1] ** 2 <= radius_sq
 
 
-def jacobian_det(history, tau0, b, Gamma, theta=0.2):
+def jacobian_det(history, tau0, b, Gamma):
     """Determinant of the central finite-difference Jacobian of psi2
     in the (b, Gamma) plane, with step 1e-6 in both."""
 
     def F(x):
-        return psi2(history, tau0, x[0], x[1], theta=theta)
+        return psi2(history, tau0, x[0], x[1])
 
     J = _fd_jacobian(F, np.array([b, Gamma], dtype=float), (1.0e-6, 1.0e-6))
     return float(_det2(J))
@@ -338,13 +341,13 @@ def _fd_jacobian(F, x, steps):
     return np.column_stack(cols)
 
 
-def solve_psi(history, tau0, mode=TWO_PARAM, start=None, theta=0.2,
-              tol=1.0e-10, max_iter=50):
+def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
     """Damped Newton search for the canonical zero of the pairing map.
 
     Two-param mode solves psi2 over (b, Gamma); four-param mode solves
     psi4 over (a1, a2, b, Gamma) and then fixes the rotation by the
-    closed-form half-angle.  Iterates are confined to the box
+    closed-form half-angle.  Newton stops once |psi| < PSI_TOL.
+    Iterates are confined to the box
     |tau0|^2 b^2 + Gamma^2 <= 100 kappa^2 with kappa measured from the
     history.  A nonpositive psi2 Jacobian determinant inside the box is
     a degeneracy; running past max_iter exhausts the budget.
@@ -355,21 +358,21 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, theta=0.2,
         raise ParameterError(
             f"mode must be {TWO_PARAM!r} or {FOUR_PARAM!r}, got {mode!r}"
         )
-    kappa = max(measure_kappa(history, tau0, theta=theta), 1.0e-8)
+    kappa = max(measure_kappa(history, tau0), 1.0e-8)
     radius_sq = 100.0 * kappa**2
 
     if mode == TWO_PARAM:
         dim = 2
 
         def F(x):
-            return psi2(history, tau0, x[0], x[1], theta=theta)
+            return psi2(history, tau0, x[0], x[1])
 
         steps = np.array([1.0e-7, 1.0e-6])
     else:
         dim = 4
 
         def F(x):
-            return psi4(history, tau0, x[:2], x[2], x[3], theta=theta)
+            return psi4(history, tau0, x[:2], x[2], x[3])
 
         steps = np.array([1.0e-6, 1.0e-6, 1.0e-7, 1.0e-6])
 
@@ -381,7 +384,7 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, theta=0.2,
 
     res = F(x)
     for _ in range(max_iter):
-        if float(np.linalg.norm(res)) < tol:
+        if float(np.linalg.norm(res)) < PSI_TOL:
             break
         J = _fd_jacobian(F, x, steps)
         det2 = _det2(J) if dim == 2 else float(np.linalg.det(J))
@@ -416,7 +419,7 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, theta=0.2,
             raise BudgetError("damping failed to reduce the residual")
         x = x + lam * d
         res = trial
-    if float(np.linalg.norm(res)) >= tol:
+    if float(np.linalg.norm(res)) >= PSI_TOL:
         raise BudgetError(
             f"no convergence in {max_iter} Newton iterations "
             f"(|psi| = {float(np.linalg.norm(res)):.3g})"
@@ -427,7 +430,7 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, theta=0.2,
             tau0, a=(0.0, 0.0), b=x[0], Gamma=x[1]
         )
     field = transform_full(history, x[:2], x[2], x[3], 0.0, tau0)
-    phi = rotation_angle(field, theta=theta)
+    phi = rotation_angle(field)
     return TransformParams.from_renormalized(
         tau0, a=x[:2], b=x[2], Gamma=x[3], phi_rot=phi
     )

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import CoverageError, DegeneracyError, ParameterError, ShapeError
-from .grid import ScalarField, diff, diff_phi_fft, norm_H, polar_jet, pole_jet
+from .errors import CoverageError, DegeneracyError, ParameterError
+from .grid import THETA, ScalarField, diff, diff_phi_fft, norm_H, polar_jet, pole_jet
 from .shrinkers import normal_form_profile
 
 SQRT2 = math.sqrt(2.0)
@@ -43,17 +43,14 @@ def smoothstep_quintic(x):
     return x * x * x * (x * (6.0 * x - 15.0) + 10.0)
 
 
-def cutoff_profile(values, theta):
-    """Cutoff factor: 0 below (5/8) theta, 1 above (7/8) theta."""
-    if theta <= 0.0:
-        raise ParameterError(f"cutoff scale theta must be positive, got {theta}")
-    return smoothstep_quintic((np.asarray(values) / theta - 0.625) * 4.0)
+def cutoff_profile(values):
+    """Cutoff factor: 0 below (5/8) THETA, 1 above (7/8) THETA."""
+    return smoothstep_quintic((np.asarray(values) / THETA - 0.625) * 4.0)
 
 
-def truncate(field, theta=0.2):
+def truncate(field):
     """Suppress the cap region: v -> v * cutoff(v)."""
-    chi = cutoff_profile(field.values, theta)
-    return field.with_values(field.values * chi)
+    return field.with_values(field.values * cutoff_profile(field.values))
 
 
 class EigenBasis:
@@ -103,12 +100,12 @@ def get_basis(grid):
     return basis
 
 
-def truncated_deviation(field, theta=0.2):
+def truncated_deviation(field):
     """u = chi(v) (v - sqrt(2)): the same cutoff scales both the profile
     and the constant, so the static bubble sheet maps to exactly zero and
     the cap region (where the graph turns vertical) drops out instead of
     polluting the Gaussian pairings."""
-    return cutoff_profile(field.values, theta) * (field.values - SQRT2)
+    return cutoff_profile(field.values) * (field.values - SQRT2)
 
 
 def _pair(u, w, basis):
@@ -116,33 +113,25 @@ def _pair(u, w, basis):
     return np.array([float(np.sum(w * u * f)) for f in basis.functions])
 
 
-def pairings(field, theta, basis):
+def pairings(field, basis):
     """Gaussian pairings <u, e_k> of the truncated deviation with the six
     modes of basis."""
-    return _pair(truncated_deviation(field, theta), field.grid.weights, basis)
+    return _pair(truncated_deviation(field), field.grid.weights, basis)
 
 
-def quadratic_distance(field, tau, theta=0.2):
+def quadratic_distance(field, tau):
     """Gaussian norm of chi(v) v minus the inward-quadratic normal form
     at time tau."""
     g = field.grid
-    dev = truncate(field, theta).values - normal_form_profile(g.y[:, None], tau)
+    dev = truncate(field).values - normal_form_profile(g.y[:, None], tau)
     return math.sqrt(max(float(np.sum(g.weights * dev * dev)), 0.0))
 
 
-def _basis_for(field, basis):
-    """The given basis checked against the field's grid, else the grid's."""
-    if basis is None:
-        return get_basis(field.grid)
-    if basis.grid != field.grid:
-        raise ShapeError("basis grid does not match field grid")
-    return basis
-
-
-def project(field, theta=0.2, basis=None):
-    """Six mode coefficients of the truncated deviation from sqrt(2)."""
-    basis = _basis_for(field, basis)
-    return pairings(field, theta, basis) / np.array(basis.normsq)
+def project(field):
+    """Six mode coefficients of the truncated deviation from sqrt(2) in
+    the grid's basis."""
+    basis = get_basis(field.grid)
+    return pairings(field, basis) / np.array(basis.normsq)
 
 
 def alpha_from_coeffs(coeffs):
@@ -201,7 +190,7 @@ class SpectralReport:
         }
 
 
-def spectral_report(field, tau, theta=0.2, basis=None):
+def spectral_report(field, tau):
     """Project a profile and package the derived spectral quantities.
 
     xi is the attractor-relative coordinate pair (sqrt(2) tau S - 1,
@@ -210,8 +199,8 @@ def spectral_report(field, tau, theta=0.2, basis=None):
     """
     if tau >= 0.0:
         raise ParameterError(f"renormalized time must be negative, got {tau}")
-    basis = _basis_for(field, basis)
-    u = truncated_deviation(field, theta)
+    basis = get_basis(field.grid)
+    u = truncated_deviation(field)
     c = _pair(u, field.grid.weights, basis) / np.array(basis.normsq)
     a = alpha_from_coeffs(c)
     S = float(a[0] + a[1])
@@ -222,7 +211,7 @@ def spectral_report(field, tau, theta=0.2, basis=None):
     resid = ScalarField(field.grid, u - recon, copy=False)
     return SpectralReport(
         tau=float(tau),
-        theta=float(theta),
+        theta=THETA,
         coeffs=tuple(float(x) for x in c),
         alpha=tuple(float(x) for x in a),
         S=S,
@@ -234,14 +223,14 @@ def spectral_report(field, tau, theta=0.2, basis=None):
     )
 
 
-def width_ratio(field, theta=0.2):
+def width_ratio(field):
     """Ratio of the two principal Gaussian width pairings.
 
     R = <v_C, y^2 cos^2 phi - 2> / <v_C, y^2 sin^2 phi - 2>; swapping
     the plane axes inverts it, so R = 1 detects the round case.
     """
     g = field.grid
-    v_c = truncate(field, theta).values
+    v_c = truncate(field).values
     y2 = g.y[:, None] ** 2
     cos_pair = y2 * np.cos(g.phi[None, :]) ** 2 - 2.0
     sin_pair = y2 * np.sin(g.phi[None, :]) ** 2 - 2.0
@@ -368,7 +357,7 @@ class KappaVerdict:
         return d
 
 
-def kappa_quadratic(history, tau0, kappa, theta=0.2):
+def kappa_quadratic(history, tau0, kappa):
     """Test inward-quadratic precision kappa at time tau0.
 
     Three sub-verdicts: the Gaussian distance of the truncated profile
@@ -392,11 +381,11 @@ def kappa_quadratic(history, tau0, kappa, theta=0.2):
 
     snap = history.at(tau0)
     basis = get_basis(snap.grid)
-    lhs = quadratic_distance(snap, tau0, theta)
+    lhs = quadratic_distance(snap, tau0)
     kappa_measured = lhs * abs(tau0)
     quadratic_ok = lhs <= kappa / abs(tau0)
 
-    c = project(snap, theta=theta, basis=basis)
+    c = project(snap)
     centering_norm = float(
         math.sqrt(sum(c[k] ** 2 * basis.normsq[k] for k in range(3)))
     )

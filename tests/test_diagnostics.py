@@ -8,6 +8,7 @@ module existed; see the individual docstrings for the derivations.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ovalab.diagnostics import (
 )
 from ovalab.errors import CoverageError, DomainError, ParameterError
 from ovalab.evolve import V_FLOOR, FlowHistory, FlowState, TipField, run
-from ovalab.grid import ScalarField, build_grid
+from ovalab.grid import THETA, ScalarField, build_grid, load_field, save_field
 from ovalab.shrinkers import (
     bubble_sheet_field,
     neck_field,
@@ -36,7 +37,6 @@ from ovalab.shrinkers import (
     sphere_field,
 )
 
-THETA = 0.2
 
 # Gaussian density of the round shrinking 3-sphere (radius sqrt(6|t|)):
 # area 2 pi^2 (6)^(3/2) against (4 pi)^(-3/2) e^(-6/4), which collapses
@@ -242,12 +242,19 @@ def test_collar_deviation_on_the_quadratic_profile():
     assert rep.nodes == int(band.sum()) * g.n_phi
 
 
-def test_collar_deviation_flags_the_sphere():
+def test_collar_deviation_flags_the_sphere(tmp_path):
     # |4 - 2y^2| is about 8 near the sphere rim where the collar band
     # sits, a loud failure compared with the quadratic profile
     g = build_grid(256, 16, 3.2)
-    rep = collar_deviation(sphere_field(g), -3000.0)
+    f = sphere_field(g)
+    rep = collar_deviation(f, -3000.0)
     assert rep.deviation > 7.0
+    # the band reaches the rim row, so a field read back from disk has
+    # to see the same continuation of W there
+    path = os.path.join(tmp_path, "sphere.csv")
+    save_field(f, path)
+    back = collar_deviation(load_field(path), -3000.0)
+    assert abs(back.deviation - rep.deviation) < 1.0e-12
 
 
 def test_collar_guards():

@@ -40,7 +40,15 @@ from ovalab.evolve import (
     step,
     zoomed_tip,
 )
-from ovalab.grid import PolarGrid, ScalarField, build_grid, diff_phi_fft, norm_H
+from ovalab.grid import (
+    THETA,
+    PolarGrid,
+    ScalarField,
+    build_grid,
+    diff_phi_fft,
+    norm_H,
+    signed_square,
+)
 from ovalab.shrinkers import (
     EllipsoidSpec,
     bubble_sheet_field,
@@ -65,6 +73,12 @@ def _wobble_sphere(grid, eps=0.12):
     yy, pp = grid.y[:, None], grid.phi[None, :]
     w = 6.0 - yy**2 * (1.0 + eps * np.cos(2.0 * pp))
     return _signed_field(grid, w)
+
+
+def _saved_nodes(path, v_nodes):
+    """Write a positive table on the given nodes and read it back."""
+    TipField(v_nodes, np.ones((len(v_nodes), 8)), 0.2).save(path)
+    return TipField.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +144,19 @@ class TestTipField:
         with pytest.raises(ParameterError) as exc:
             TipField.load(path)
         assert path in str(exc.value)
+
+    @pytest.mark.parametrize("make", [
+        lambda path: _saved_nodes(path, np.linspace(0.05, 0.45, 17)),
+        lambda path: _saved_nodes(path, -np.linspace(0.0, 0.4, 17)),
+        lambda path: _saved_nodes(path, 0.4 * np.linspace(0.0, 1.0, 17) ** 2),
+        lambda path: _saved_nodes(path, np.linspace(0.0, 0.4, 3)),
+        lambda path: TipField.from_profile(sphere_field(build_grid(64, 8, 3.2)),
+                                           n_nodes=3),
+    ], ids=["offset", "decreasing", "stretched", "three-stored", "three-inverted"])
+    def test_bad_nodes_are_a_parameter_error(self, tmp_path, make):
+        """The tip stencils need 4 or more uniform nodes up from v = 0."""
+        with pytest.raises(ParameterError, match="tip nodes"):
+            make(os.path.join(tmp_path, "tip.csv"))
 
     def test_rim_must_be_contained(self):
         g = build_grid(96, 32, 3.0)
@@ -263,11 +290,11 @@ class TestTipRHS:
 # the vectorized code has to reproduce them bit for bit.
 
 
-def _from_profile_loop(field, theta=0.2, n_nodes=17):
+def _from_profile_loop(field, theta=THETA, n_nodes=17):
     g = field.grid
     v_nodes = np.linspace(0.0, 2.0 * theta, n_nodes)
     w_levels = v_nodes**2
-    w = field.values**2 if field.w_signed is None else field.w_signed
+    w = signed_square(field)
     vals = np.empty((n_nodes, g.n_phi))
     for j in range(g.n_phi):
         col = w[:, j]
@@ -680,6 +707,34 @@ class TestRunHistory:
         for a, b in zip(hist.states, back.states):
             assert np.array_equal(b.v.grid.y, a.v.grid.y)
             assert np.array_equal(b.v.values, a.v.values)
+
+    def test_loaded_fields_read_the_written_squared_profile(self, tmp_path):
+        """A field read back from disk has no stored continuation; the tip
+        inversion of a stepped oval snapshot and the gauge change of the
+        reference ellipsoid must still see the W that was written."""
+        e, tau0 = 0.3, -20.0
+        rim = math.sqrt((2.0 * abs(tau0) + 4.0) / (1.0 - e))
+        g = build_grid(64, 16, 1.15 * rim)
+        y2 = g.y[:, None] ** 2 * (1.0 + e * np.cos(2.0 * g.phi[None, :]))
+        f = _signed_field(g, 2.0 - (y2 - 4.0) / abs(tau0))
+        oval = run(FlowState(time=tau0, v=f, tip=TipField.from_profile(f)),
+                   tau0 + 0.01, snapshot_every=0.01)
+        spec = EllipsoidSpec(a=0.5, ell=2.0, radius=2.0, t_start=-5.0)
+        ell = FlowHistory()
+        ell.append(FlowState(time=spec.t_start, renormalized=False,
+                             v=ellipsoid_initial(build_grid(64, 16, 10.0), spec)))
+        loaded = []
+        for name, hist in (("oval", oval), ("ellipsoid", ell)):
+            out = os.path.join(tmp_path, name)
+            hist.save_dir(out)
+            loaded.append(FlowHistory.load_dir(out).states[-1].v)
+        snap, back = oval.states[-1].v, loaded[0]
+        assert snap.w_signed is not None and back.w_signed is None
+        want, got = TipField.from_profile(snap), TipField.from_profile(back)
+        assert np.abs(got.values - want.values).max() < 1.0e-12
+        want, _ = renormalize(ell.states[0].v, spec.t_start, -3.2426)
+        got, _ = renormalize(loaded[1], spec.t_start, -3.2426)
+        assert np.abs(got.values - want.values).max() < 1.0e-12
 
 
 # ---------------------------------------------------------------------------

@@ -243,23 +243,13 @@ def test_noise_hook_stays_near_attractor():
         assert np.max(np.abs(scaled[:2] + 1.0 / SQRT8)) < 0.05
 
 
-class SyntheticHistory:
-    def __init__(self, grid, times, maker):
-        self.grid = grid
-        self.times = np.asarray(times, dtype=float)
-        self._maker = maker
-
-    def at(self, tau):
-        return self._maker(self.grid, tau)
-
-
 @pytest.fixture(scope="module")
 def proj_grid():
     return build_grid(512, 32, 18.0)
 
 
-def test_compare_with_flow_normal_form(proj_grid):
-    hist = SyntheticHistory(
+def test_compare_with_flow_normal_form(proj_grid, recorded_history):
+    hist = recorded_history(
         proj_grid, np.linspace(-120.0, -80.0, 9), lambda g, t: normal_form_field(g, t)
     )
     rep = compare_with_flow(hist, (-110.0, -90.0))
@@ -269,7 +259,7 @@ def test_compare_with_flow_normal_form(proj_grid):
     assert rep.as_dict()["window"] == [-110.0, -90.0]
 
 
-def test_compare_with_flow_stable_noise_immunity(proj_grid):
+def test_compare_with_flow_stable_noise_immunity(proj_grid, recorded_history):
     from ovalab.spectral import get_basis
 
     basis = get_basis(proj_grid)
@@ -286,13 +276,13 @@ def test_compare_with_flow_stable_noise_immunity(proj_grid):
         base = normal_form_field(g, t)
         return base.with_values(base.values + raw)
 
-    hist = SyntheticHistory(proj_grid, np.linspace(-120.0, -80.0, 9), maker)
+    hist = recorded_history(proj_grid, np.linspace(-120.0, -80.0, 9), maker)
     rep = compare_with_flow(hist, (-110.0, -90.0))
     assert rep.sup_diagonal < 1.0e-2
 
 
-def test_compare_with_flow_errors(proj_grid):
-    hist = SyntheticHistory(
+def test_compare_with_flow_errors(proj_grid, recorded_history):
+    hist = recorded_history(
         proj_grid, np.linspace(-120.0, -80.0, 9), lambda g, t: normal_form_field(g, t)
     )
     with pytest.raises(ParameterError):

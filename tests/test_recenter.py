@@ -264,7 +264,7 @@ def test_rotation_angle_zeroes_the_sin_pairing(grid):
     assert ang == pytest.approx((-phi0) % (2.0 * math.pi), abs=1.0e-12)
     rot = transform_full(H, (0.0, 0.0), 0.0, 0.0, ang, TAU0)
     basis = get_basis(grid)
-    u = cutoff_profile(rot.values, 0.2) * (rot.values - SQRT2)
+    u = cutoff_profile(rot.values) * (rot.values - SQRT2)
     s_pair = float(np.sum(grid.weights * u * basis.functions[5]))
     c_pair = float(np.sum(grid.weights * u * basis.functions[4]))
     assert abs(s_pair) < 1.0e-14

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovalab.errors import CoverageError, DegeneracyError, ParameterError
-from ovalab.grid import ScalarField, build_grid, inner_product_H
+from ovalab.grid import THETA, ScalarField, build_grid, inner_product_H
 from ovalab.recenter import normal_form_history
 from ovalab.shrinkers import bubble_sheet_field, normal_form_field
 from ovalab.spectral import (
@@ -50,18 +50,6 @@ def fine_grid():
 @pytest.fixture(scope="module")
 def fine_basis(fine_grid):
     return EigenBasis(fine_grid)
-
-
-class SyntheticHistory:
-    """Minimal history: a field maker sampled at fixed times."""
-
-    def __init__(self, grid, times, maker):
-        self.grid = grid
-        self.times = np.asarray(times, dtype=float)
-        self._maker = maker
-
-    def at(self, tau):
-        return self._maker(self.grid, tau)
 
 
 def test_gram_diagonals_and_offdiagonals(fine_basis):
@@ -99,29 +87,26 @@ def test_ou_discrete_self_adjointness():
 
 def test_truncate_plateaus_and_monotonicity():
     g = build_grid(64, 8, 10.0)
-    theta = 0.2
     f = bubble_sheet_field(g)
-    assert np.array_equal(truncate(f, theta).values, f.values)
-    low = f.with_values(np.full(g.shape, 0.1 * theta))
-    assert np.all(truncate(low, theta).values == 0.0)
+    assert np.array_equal(truncate(f).values, f.values)
+    low = f.with_values(np.full(g.shape, 0.1 * THETA))
+    assert np.all(truncate(low).values == 0.0)
     ramp = np.linspace(0.0, 1.0, 201)
-    chi = cutoff_profile(ramp, theta)
+    chi = cutoff_profile(ramp)
     assert np.all(np.diff(chi) >= 0.0)
     assert chi.min() == 0.0 and chi.max() == 1.0
-    assert np.all(chi[ramp <= 0.625 * theta] == 0.0)
-    assert np.all(chi[ramp >= 0.875 * theta] == 1.0)
-    with pytest.raises(ParameterError):
-        cutoff_profile(ramp, 0.0)
+    assert np.all(chi[ramp <= 0.625 * THETA] == 0.0)
+    assert np.all(chi[ramp >= 0.875 * THETA] == 1.0)
 
 
-def test_project_bubble_sheet_is_zero(fine_grid, fine_basis):
-    c = project(bubble_sheet_field(fine_grid), basis=fine_basis)
+def test_project_bubble_sheet_is_zero(fine_grid):
+    c = project(bubble_sheet_field(fine_grid))
     assert np.max(np.abs(c)) < 1.0e-12
 
 
-def test_project_normal_form(fine_grid, fine_basis):
+def test_project_normal_form(fine_grid):
     tau = -100.0
-    c = project(normal_form_field(fine_grid, tau), basis=fine_basis)
+    c = project(normal_form_field(fine_grid, tau))
     target = -1.0 / (SQRT8 * 100.0)
     assert abs(c[3] - target) < 1.0e-6 * abs(target)
     a = alpha_from_coeffs(c)
@@ -131,11 +116,11 @@ def test_project_normal_form(fine_grid, fine_basis):
     assert abs(a[2]) < 1.0e-8
 
 
-def test_project_unstable_mode(fine_grid, fine_basis):
+def test_project_unstable_mode(fine_grid):
     y = fine_grid.y[:, None]
     phi = fine_grid.phi[None, :]
     vals = SQRT2 + 0.01 * y * np.cos(phi)
-    c = project(ScalarField(fine_grid, vals), basis=fine_basis)
+    c = project(ScalarField(fine_grid, vals))
     assert abs(c[1] - 0.01) < 1.0e-8
     others = np.delete(c, 1)
     assert np.max(np.abs(others)) < 1.0e-8
@@ -146,15 +131,15 @@ def test_completeness_on_span(fine_grid, fine_basis):
     coeffs = 1.0e-3 * rng.standard_normal(6)
     vals = SQRT2 + np.tensordot(coeffs, fine_basis.functions, axes=(0, 0))
     f = ScalarField(fine_grid, vals)
-    c = project(f, basis=fine_basis)
+    c = project(f)
     recon = np.tensordot(c, fine_basis.functions, axes=(0, 0))
     dev = recon - (vals - SQRT2)
     assert np.max(np.abs(dev)) < 1.0e-8
 
 
-def test_spectral_report_consistency(fine_grid, fine_basis):
+def test_spectral_report_consistency(fine_grid):
     tau = -100.0
-    rep = spectral_report(normal_form_field(fine_grid, tau), tau, basis=fine_basis)
+    rep = spectral_report(normal_form_field(fine_grid, tau), tau)
     a1, a2, a3 = rep.alpha
     assert abs(rep.S - (a1 + a2)) < 1.0e-15
     assert abs(rep.D - (a1 * a2 - a3**2)) < 1.0e-15
@@ -218,9 +203,9 @@ def _normal_form_maker(grid, tau):
     return normal_form_field(grid, tau)
 
 
-def test_kappa_quadratic_exact_state(fine_grid):
+def test_kappa_quadratic_exact_state(fine_grid, recorded_history):
     tau0 = -100.0
-    hist = SyntheticHistory(
+    hist = recorded_history(
         fine_grid, np.linspace(2.0 * tau0, tau0, 9), _normal_form_maker
     )
     verdict = kappa_quadratic(hist, tau0, kappa=0.1)
@@ -232,7 +217,8 @@ def test_kappa_quadratic_exact_state(fine_grid):
     assert verdict.as_dict()["passed"] is True
 
 
-def test_kappa_quadratic_measures_added_bump(fine_grid, fine_basis):
+def test_kappa_quadratic_measures_added_bump(fine_grid, fine_basis,
+                                             recorded_history):
     tau0 = -100.0
     norm_y2m4 = math.sqrt(fine_basis.normsq[3])
 
@@ -241,13 +227,13 @@ def test_kappa_quadratic_measures_added_bump(fine_grid, fine_basis):
         bump = 0.5 / abs(tau0) * (grid.y[:, None] ** 2 - 4.0) / norm_y2m4
         return base.with_values(base.values + bump)
 
-    hist = SyntheticHistory(fine_grid, np.linspace(2 * tau0, tau0, 9), maker)
+    hist = recorded_history(fine_grid, np.linspace(2 * tau0, tau0, 9), maker)
     verdict = kappa_quadratic(hist, tau0, kappa=1.0)
     assert abs(verdict.kappa_measured - 0.5) < 1.0e-3
     assert verdict.passed
 
 
-def test_kappa_quadratic_centering_failure(fine_grid):
+def test_kappa_quadratic_centering_failure(fine_grid, recorded_history):
     tau0 = -100.0
 
     def maker(grid, tau):
@@ -255,15 +241,15 @@ def test_kappa_quadratic_centering_failure(fine_grid):
         phi = grid.phi[None, :]
         return ScalarField(grid, SQRT2 + 0.1 * y * np.cos(phi) + 0.0 * y)
 
-    hist = SyntheticHistory(fine_grid, np.linspace(2 * tau0, tau0, 9), maker)
+    hist = recorded_history(fine_grid, np.linspace(2 * tau0, tau0, 9), maker)
     verdict = kappa_quadratic(hist, tau0, kappa=1.0)
     assert not verdict.centering_ok
     assert not verdict.passed
 
 
-def test_kappa_quadratic_coverage_error(fine_grid):
+def test_kappa_quadratic_coverage_error(fine_grid, recorded_history):
     tau0 = -100.0
-    hist = SyntheticHistory(
+    hist = recorded_history(
         fine_grid, np.linspace(1.5 * tau0, tau0, 5), _normal_form_maker
     )
     with pytest.raises(CoverageError):
