@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CoverageError, DomainError, ParameterError
-from .evolve import V_FLOOR, FlowHistory, TipField, zoomed_tip
+from .evolve import V_FLOOR, TipField, zoomed_tip
 from .grid import (
     THETA,
     diff_phi_fft,
@@ -106,12 +106,10 @@ def asymptotics_report(state, epsilon, bowl=None):
     (ii) sup_{z <= sqrt(2)-eps} |v(sqrt(|tau|) z) - sqrt(2 - z^2)|,
     (iii) sup_{rho <= 1/eps} |Z - Z_bowl| for the zoomed tip.
 
-    Accepts a FlowState or a FlowHistory (its final snapshot is used).
+    Takes a FlowState only and never asks what kind of object it was
+    given; to measure a history, pass the snapshot wanted, e.g. its
+    final state history.states[-1].
     """
-    if isinstance(state, FlowHistory):
-        if not state.states:
-            raise CoverageError("empty history")
-        state = state.states[-1]
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must lie in (0, 1)")
     tau = state.tau

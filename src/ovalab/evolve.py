@@ -33,6 +33,7 @@ low-pass keeps the polar axis from tightening that bound.
 import json
 import math
 import os
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
@@ -442,7 +443,12 @@ def step(state, dtau):
 
 
 class FlowHistory:
-    """Snapshots ordered in time with linear interpolation between them."""
+    """Snapshots ordered in time with linear interpolation between them.
+
+    A recorded history answers the calls a closed-form SyntheticHistory
+    does: grid, at(tau) and sample(r, phi, tau), and in addition the
+    snapshot times a sweep over its stored states visits.
+    """
 
     def __init__(self):
         self._times = []
@@ -456,6 +462,13 @@ class FlowHistory:
     def states(self):
         return list(self._states)
 
+    @property
+    def grid(self):
+        """Grid of the first snapshot; later ones may have their own."""
+        if not self._states:
+            raise CoverageError("empty history")
+        return self._states[0].v.grid
+
     def append(self, state):
         if self._times and state.time <= self._times[-1] + 1.0e-15:
             raise ParameterError("history times must increase")
@@ -463,6 +476,8 @@ class FlowHistory:
         self._states.append(state)
 
     def state_at(self, t):
+        """State at time t: a stored snapshot at its own time, else the
+        linear blend of the two around t, which must share a grid."""
         t = float(t)
         ts = self._times
         if not ts:
@@ -477,6 +492,13 @@ class FlowHistory:
         s0, s1 = self._states[k], self._states[k + 1]
         lam = (t - ts[k]) / (ts[k + 1] - ts[k])
         lam = min(max(lam, 0.0), 1.0)
+        if lam in (0.0, 1.0):
+            return replace(s1 if lam else s0, time=t)
+        if s0.v.grid != s1.v.grid:
+            raise ShapeError(
+                f"snapshots at t={ts[k]:.6g} and t={ts[k + 1]:.6g} lie on "
+                f"different grids; time {t:.6g} cannot blend them"
+            )
         vals = (1.0 - lam) * s0.v.values + lam * s1.v.values
         w = None
         if s0.v.w_signed is not None and s1.v.w_signed is not None:
@@ -500,6 +522,40 @@ class FlowHistory:
     def at(self, t):
         return self.state_at(t).v
 
+    def sample(self, r, phi, tau):
+        """Profile at time tau read at the polar points (r, phi), which
+        broadcast together.
+
+        Bilinear in (y, phi) on the grid of the field at tau.  Points
+        beyond its radius are clamped to the boundary ring; those past it
+        by more than roundoff are reported through a warning.
+        """
+        src = self.at(tau)
+        g = src.grid
+        r, ang = np.broadcast_arrays(r, phi)
+        clipped = int(np.count_nonzero(r > g.y_max * (1.0 + 1.0e-12)))
+        if clipped:
+            warnings.warn(
+                f"{clipped} pullback points beyond y_max={g.y_max:g} "
+                "clamped to the boundary ring",
+                stacklevel=3,
+            )
+        r = np.minimum(r, g.y_max)
+        j0 = np.floor(ang / g.dphi).astype(int) % g.n_phi
+        j1 = (j0 + 1) % g.n_phi
+        tphi = ang / g.dphi - np.floor(ang / g.dphi)
+        i1 = np.clip(np.searchsorted(g.y, r), 1, g.y.size - 1)
+        i0 = i1 - 1
+        ty = (r - g.y[i0]) / (g.y[i1] - g.y[i0])
+        flat = src.values.ravel()
+        row0, row1 = i0 * g.n_phi, i1 * g.n_phi
+        return (
+            flat[row0 + j0] * (1.0 - ty) * (1.0 - tphi)
+            + flat[row1 + j0] * ty * (1.0 - tphi)
+            + flat[row0 + j1] * (1.0 - ty) * tphi
+            + flat[row1 + j1] * ty * tphi
+        )
+
     def save_dir(self, path):
         os.makedirs(path, exist_ok=True)
         index = []
@@ -522,30 +578,39 @@ class FlowHistory:
 
     @classmethod
     def load_dir(cls, path):
-        with open(os.path.join(path, "history.json")) as fh:
+        """Read a history written by save_dir.  An index that is not a
+        list of entries, or an entry without its field name, with a
+        missing or non-boolean renormalized flag or with a missing or
+        non-numeric time, theta or L, raises ParameterError naming the
+        index file."""
+        where = os.path.join(path, "history.json")
+        with open(where) as fh:
             index = json.load(fh)
+        if not isinstance(index, list):
+            raise ParameterError(f"{where}: index must be a list of snapshots")
+        try:
+            entries = [(float(e["time"]), e["field"], e.get("tip"),
+                        e["renormalized"], float(e["theta"]), float(e["L"]))
+                       for e in index]
+        except (KeyError, TypeError, ValueError) as err:
+            raise ParameterError(
+                f"{where}: bad snapshot entry ({type(err).__name__}: {err})"
+            ) from None
+        if not all(isinstance(e[3], bool) for e in entries):
+            raise ParameterError(f"{where}: renormalized must be true or false")
         hist = cls()
         grid = None
-        for entry in index:
-            field_path = os.path.join(path, entry["field"])
+        for time, field, tip, renormalized, theta, L in entries:
+            field_path = os.path.join(path, field)
             try:
                 f = load_field(field_path, grid=grid)
             except ShapeError:
                 f = load_field(field_path)  # stored on a grid of its own
             grid = f.grid
-            tip = None
-            if "tip" in entry:
-                tip = TipField.load(os.path.join(path, entry["tip"]))
-            hist.append(
-                FlowState(
-                    time=entry["time"],
-                    v=f,
-                    tip=tip,
-                    renormalized=entry["renormalized"],
-                    theta=entry["theta"],
-                    L=entry["L"],
-                )
-            )
+            if tip is not None:
+                tip = TipField.load(os.path.join(path, tip))
+            hist.append(FlowState(time=time, v=f, tip=tip, renormalized=renormalized,
+                                  theta=theta, L=L))
         return hist
 
 

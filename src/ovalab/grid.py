@@ -66,11 +66,10 @@ class PolarGrid:
     """Immutable tensor grid: radial nodes starting at the origin times a
     uniform periodic angle grid.
 
-    Carries two sets of quadrature weights (Gaussian-weighted for the
-    spectral pairing, plain area for geometric integrals) and
-    precomputed 3-point differentiation stencils. The pole row uses
-    values reflected through the origin, f(-y, phi) = f(y, phi + pi),
-    which is why n_phi must be even.
+    Carries the Gaussian-weighted quadrature weights of the spectral
+    pairing and precomputed 3-point differentiation stencils. The pole
+    row uses values reflected through the origin, f(-y, phi) =
+    f(y, phi + pi), which is why n_phi must be even.
     """
 
     def __init__(self, nodes, n_phi):
@@ -102,17 +101,8 @@ class PolarGrid:
         t = nodes * nodes - 4.0
         for _ in range(2):
             rw = rw * (1.0 - (rw @ t) / (rw @ (t * t)) * t)
-        self.radial_weights = rw
         self.weights = np.outer(rw, np.full(n_phi, self.dphi))
-        self.radial_area_weights = _hat_weights(
-            nodes, 0.5 * nodes**2, nodes**3 / 3.0
-        )
-        self.area_weights = np.outer(
-            self.radial_area_weights, np.full(n_phi, self.dphi)
-        )
-        for a in (self.radial_weights, self.weights,
-                  self.radial_area_weights, self.area_weights):
-            a.setflags(write=False)
+        self.weights.setflags(write=False)
 
         self._build_stencils()
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import spectral  # read as spectral.project so a wrapper installed there is seen
 from .errors import CoverageError, ParameterError
 
 SQRT2 = math.sqrt(2.0)
@@ -241,12 +242,10 @@ def compare_with_flow(history, window):
     the report quantifies how tightly the simulated flow follows the
     model attractor.
     """
-    from .spectral import _snapshot_times, alpha_from_coeffs, project
-
     lo, hi = float(window[0]), float(window[1])
     if lo >= hi:
         raise ParameterError(f"empty window ({lo}, {hi})")
-    times = _snapshot_times(history, "the window sweep")
+    times = history.times
     sel = times[(times >= lo - 1.0e-9) & (times <= hi + 1.0e-9)]
     if len(sel) == 0:
         raise CoverageError(f"history has no samples in [{lo:.4g}, {hi:.4g}]")
@@ -255,7 +254,7 @@ def compare_with_flow(history, window):
     sup_off = 0.0
     scaled = []
     for tau in sel:
-        a = alpha_from_coeffs(project(history.at(float(tau))))
+        a = spectral.alpha_from_coeffs(spectral.project(history.at(float(tau))))
         scaled.append((abs(tau) * a[0], abs(tau) * a[1], abs(tau) * a[2]))
         sup_diag = max(
             sup_diag,

@@ -18,16 +18,16 @@ and the profile transforms as
 
     v'(y, tau) = (1+b) v((R_(-phi) y - a)/(1+b), (1+Gamma) tau).
 
-Histories come in two flavors: recorded FlowHistory objects, resampled
-by linear interpolation in tau and bilinear interpolation in space, and
-SyntheticHistory generators that evaluate a closed-form profile family
-exactly.  The synthetic flavor is what makes solver validation sharp:
-round trips through known parameters are then limited only by the
-Newton tolerance, not by resampling error.
+Everything here reads a history through one interface: its grid, the
+field at(tau) and sample(r, phi, tau) at arbitrary polar points.  A
+recorded FlowHistory answers by linear interpolation in tau and bilinear
+interpolation in space; a SyntheticHistory evaluates a closed-form
+profile family exactly.  The closed form is what makes solver validation
+sharp: round trips through known parameters are then limited only by
+the Newton tolerance, not by resampling error.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +113,13 @@ class TransformParams:
 
 
 class SyntheticHistory:
-    """Closed-form profile family posing as a recorded history.
+    """Closed-form profile family answering the calls of a recorded
+    FlowHistory.
 
     fn(y, phi, tau) must broadcast over array arguments.  Sampling is
     exact at any point and any time inside the span, which removes
-    every resampling error from solver round trips.
+    every resampling error from solver round trips.  There are no
+    snapshots, so asking for their times raises ParameterError.
     """
 
     def __init__(self, fn, grid, span):
@@ -127,6 +129,13 @@ class SyntheticHistory:
         self.fn = fn
         self.grid = grid
         self.span = (lo, hi)
+
+    @property
+    def times(self):
+        raise ParameterError(
+            "a closed-form history records no snapshot times for a sweep "
+            "over stored states to visit"
+        )
 
     def _check(self, tau):
         lo, hi = self.span
@@ -159,12 +168,6 @@ def normal_form_history(grid, tau0):
     return SyntheticHistory(fn, grid, span)
 
 
-def _history_grid(history):
-    if hasattr(history, "grid"):
-        return history.grid
-    return history.states[0].v.grid
-
-
 # ---------------------------------------------------------------------------
 # the transformation
 
@@ -174,43 +177,22 @@ def transform_profile(history, b, Gamma, tau0):
     resampled onto the history's own grid."""
     if b <= -1.0:
         raise ParameterError(f"need 1 + b > 0, got b = {b:g}")
-    grid = _history_grid(history)
-    tau_src = (1.0 + Gamma) * tau0
+    grid = history.grid
     radii = grid.y / (1.0 + b)
-    if isinstance(history, SyntheticHistory):
-        vals = history.sample(radii[:, None], grid.phi[None, :], tau_src)
-        vals = vals * np.ones(grid.shape)
-    else:
-        src = history.at(tau_src)
-        clipped = int(np.count_nonzero(radii > grid.y_max))
-        if clipped:
-            warnings.warn(
-                f"{clipped} radii beyond y_max={grid.y_max:g} clamped to "
-                "the boundary ring",
-                stacklevel=2,
-            )
-        vals = np.empty(grid.shape)
-        for j in range(grid.n_phi):
-            vals[:, j] = np.interp(radii, grid.y, src.values[:, j])
-    return ScalarField(grid, (1.0 + b) * vals, copy=False)
+    vals = history.sample(radii[:, None], grid.phi[None, :], (1.0 + Gamma) * tau0)
+    return ScalarField(grid, (1.0 + b) * (vals * np.ones(grid.shape)), copy=False)
 
 
 def transform_full(history, a, b, Gamma, phi_rot, tau0):
     """Full action with plane translation a and rotation phi_rot:
-    (1+b) v((R_(-phi) y - a)/(1+b), (1+Gamma) tau0).
-
-    Recorded histories are resampled bilinearly in (y, phi); pullback
-    points beyond the grid radius are clamped to the boundary ring and
-    reported through a warning.
-    """
+    (1+b) v((R_(-phi) y - a)/(1+b), (1+Gamma) tau0), resampled onto the
+    history's own grid."""
     if b <= -1.0:
         raise ParameterError(f"need 1 + b > 0, got b = {b:g}")
     a = np.asarray(a, dtype=float)
     if a.shape != (2,):
         raise ParameterError("translation a must be a plane vector")
-    grid = _history_grid(history)
-    tau_src = (1.0 + Gamma) * tau0
-
+    grid = history.grid
     y = grid.y[:, None]
     phi = grid.phi[None, :]
     c, s = np.cos(phi - phi_rot), np.sin(phi - phi_rot)
@@ -218,34 +200,7 @@ def transform_full(history, a, b, Gamma, phi_rot, tau0):
     qy = y * s - a[1]
     r = np.hypot(qx, qy) / (1.0 + b)
     ang = np.mod(np.arctan2(qy, qx), 2.0 * math.pi)
-
-    if isinstance(history, SyntheticHistory):
-        vals = history.sample(r, ang, tau_src)
-        return ScalarField(grid, (1.0 + b) * vals, copy=False)
-
-    src = history.at(tau_src).values
-    clipped = int(np.count_nonzero(r > grid.y_max))
-    if clipped:
-        warnings.warn(
-            f"{clipped} pullback points beyond y_max={grid.y_max:g} "
-            "clamped to the boundary ring",
-            stacklevel=2,
-        )
-    r = np.minimum(r, grid.y_max)
-
-    dphi = 2.0 * math.pi / grid.n_phi
-    j0 = np.floor(ang / dphi).astype(int) % grid.n_phi
-    j1 = (j0 + 1) % grid.n_phi
-    tphi = ang / dphi - np.floor(ang / dphi)
-    i1 = np.clip(np.searchsorted(grid.y, r), 1, grid.y.size - 1)
-    i0 = i1 - 1
-    ty = (r - grid.y[i0]) / (grid.y[i1] - grid.y[i0])
-    vals = (
-        src[i0, j0] * (1.0 - ty) * (1.0 - tphi)
-        + src[i1, j0] * ty * (1.0 - tphi)
-        + src[i0, j1] * (1.0 - ty) * tphi
-        + src[i1, j1] * ty * tphi
-    )
+    vals = history.sample(r, ang, (1.0 + Gamma) * tau0)
     return ScalarField(grid, (1.0 + b) * vals, copy=False)
 
 

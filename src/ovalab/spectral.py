@@ -315,17 +315,6 @@ def c4_norm_proxy(field, radius):
     return sup
 
 
-def _snapshot_times(history, what):
-    """The snapshot times of a recorded history, which a sweep over its
-    stored states visits; a closed-form family records none."""
-    if not hasattr(history, "times"):
-        raise ParameterError(
-            f"{what} visits a recorded history's snapshot times; "
-            f"{type(history).__name__} has none"
-        )
-    return np.asarray(history.times)
-
-
 @dataclass(frozen=True)
 class KappaVerdict:
     """Outcome of the inward-quadratic precision test at time tau0."""
@@ -370,7 +359,7 @@ def kappa_quadratic(history, tau0, kappa):
         raise ParameterError(f"tau0 must be negative, got {tau0}")
     if kappa <= 0.0:
         raise ParameterError(f"kappa must be positive, got {kappa}")
-    times = _snapshot_times(history, "the C^4 sweep over [2 tau0, tau0]")
+    times = history.times
     if times[0] > 2.0 * tau0 + 1.0e-9 or times[-1] < tau0 - 1.0e-9:
         raise CoverageError(
             f"history [{times[0]:.4g}, {times[-1]:.4g}] does not cover "

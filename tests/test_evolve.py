@@ -10,6 +10,7 @@ marching the two time gauges against each other around a measured
 extinction time.
 """
 
+import json
 import math
 import os
 
@@ -677,6 +678,8 @@ class TestRunHistory:
             hist.state_at(0.11)
         with pytest.raises(CoverageError):
             hist.at(-0.01)
+        with pytest.raises(CoverageError):
+            FlowHistory().grid
 
     def test_save_load_roundtrip(self, tmp_path):
         g = build_grid(128, 32, 3.2)
@@ -707,6 +710,50 @@ class TestRunHistory:
         for a, b in zip(hist.states, back.states):
             assert np.array_equal(b.v.grid.y, a.v.grid.y)
             assert np.array_equal(b.v.values, a.v.values)
+
+    def test_blend_across_grids_is_a_shape_error(self):
+        """A snapshot time reads that snapshot on its own grid; a time
+        between two snapshots on different grids cannot blend them,
+        whether their node counts agree or not."""
+        hist = FlowHistory()
+        for t, n_r, y_max in ((-10.0, 48, 3.0), (-9.0, 48, 3.5), (-8.0, 64, 3.5)):
+            g = build_grid(n_r, 16, y_max)
+            w = (4.0 - g.y[:, None] ** 2) * np.ones((1, 16))
+            hist.append(FlowState(time=t, v=_signed_field(g, w), renormalized=False))
+        snap = hist.states[1].v
+        got = hist.at(-9.0)
+        assert got.grid == snap.grid and np.array_equal(got.values, snap.values)
+        for t, between in ((-9.5, "t=-10 and t=-9"), (-8.5, "t=-9 and t=-8")):
+            with pytest.raises(ShapeError, match=between):
+                hist.at(t)
+
+    @pytest.mark.parametrize("case", ["no-theta", "no-time", "not-a-list", "time-soon",
+                                      "renormalized-no"])
+    def test_bad_index_is_a_parameter_error(self, tmp_path, case):
+        g = build_grid(8, 4, 3.0)
+        hist = FlowHistory()
+        for t in (0.0, 0.1):
+            hist.append(FlowState(time=t, v=_signed_field(g, _sphere_w(g)),
+                                  renormalized=False))
+        out = os.path.join(tmp_path, "hist")
+        hist.save_dir(out)
+        where = os.path.join(out, "history.json")
+        with open(where) as fh:
+            index = json.load(fh)
+        if case == "no-theta":
+            del index[1]["theta"]
+        elif case == "no-time":
+            del index[0]["time"]
+        elif case == "not-a-list":
+            index = {"snapshots": index}
+        elif case == "time-soon":
+            index[0]["time"] = "soon"
+        else:
+            index[1]["renormalized"] = "no"
+        with open(where, "w") as fh:
+            json.dump(index, fh)
+        with pytest.raises(ParameterError, match="history.json"):
+            FlowHistory.load_dir(out)
 
     def test_loaded_fields_read_the_written_squared_profile(self, tmp_path):
         """A field read back from disk has no stored continuation; the tip

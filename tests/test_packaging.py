@@ -99,7 +99,11 @@ def _references(path):
 
 def _class_members(cls):
     """Public methods, class-level fields and self attributes of cls as
-    (name, first line, last line) of their defining statement."""
+    (name, line, first, last): the line that defines the member and the
+    span whose own references do not count.  For methods and fields that
+    span is the defining statement; for a self attribute it is the whole
+    class body, so an attribute that only its own class reads (setflags
+    in __init__ included) counts as unused."""
     members = []
     for node in cls.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -108,15 +112,17 @@ def _class_members(cls):
             members.append((node.target.id, node))
         elif isinstance(node, ast.Assign):
             members += [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+    members = [(name, node.lineno, node.lineno, node.end_lineno)
+               for name, node in members]
     for fn in cls.body:
         if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
             for node in ast.walk(fn):
                 if isinstance(node, ast.Assign):
-                    members += [(t.attr, node) for t in node.targets
+                    members += [(t.attr, node.lineno, cls.lineno, cls.end_lineno)
+                                for t in node.targets
                                 if isinstance(t, ast.Attribute)
                                 and isinstance(t.value, ast.Name) and t.value.id == "self"]
-    return [(name, node.lineno, node.end_lineno) for name, node in members
-            if not name.startswith("_")]
+    return [m for m in members if not m[0].startswith("_")]
 
 
 def test_no_dead_public_names():
@@ -141,7 +147,7 @@ def test_no_dead_public_names():
             if not referenced(node.name, path, node.lineno, node.end_lineno):
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
             if isinstance(node, ast.ClassDef):
-                dead += [f"{path.name}:{first} {node.name}.{name}"
-                         for name, first, last in _class_members(node)
+                dead += [f"{path.name}:{line} {node.name}.{name}"
+                         for name, line, first, last in _class_members(node)
                          if not referenced(name, path, first, last)]
     assert not dead, dead

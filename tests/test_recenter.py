@@ -141,13 +141,16 @@ def test_group_action_at_the_parameter_level(base, grid):
     assert np.abs(two_step.values - one_step.values).max() < 1.0e-13
 
 
-def test_full_transform_reduces_and_rotates(base, grid):
-    f1 = transform_profile(base, 2.0e-3, 1.0e-2, TAU0)
-    f2 = transform_full(base, (0.0, 0.0), 2.0e-3, 1.0e-2, 0.0, TAU0)
+@pytest.mark.parametrize("kind", ["closed-form", "recorded"])
+def test_full_transform_reduces_and_rotates(kind, base, grid, recorded_history):
+    hist = base if kind == "closed-form" else recorded_history(
+        grid, np.arange(-102.0, -97.9, 0.5), normal_form_field)
+    f1 = transform_profile(hist, 2.0e-3, 1.0e-2, TAU0)
+    f2 = transform_full(hist, (0.0, 0.0), 2.0e-3, 1.0e-2, 0.0, TAU0)
     assert np.abs(f1.values - f2.values).max() < 1.0e-14
     # rotating a radially symmetric profile does nothing
-    f3 = transform_full(base, (0.0, 0.0), 0.0, 0.0, 1.234, TAU0)
-    assert np.abs(f3.values - base.at(TAU0).values).max() < 1.0e-14
+    f3 = transform_full(hist, (0.0, 0.0), 0.0, 0.0, 1.234, TAU0)
+    assert np.abs(f3.values - hist.at(TAU0).values).max() < 1.0e-14
 
 
 def test_translation_shifts_the_constant_mode(grid):
