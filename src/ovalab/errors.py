@@ -51,8 +51,4 @@ class AccuracyError(OvalabError, RuntimeError):
 
 
 class StepSizeError(AccuracyError):
-    """Explicit step rejected; carries a workable suggestion."""
-
-    def __init__(self, message, suggested_dt=None):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
+    """Explicit step rejected; a smaller step may be accepted."""

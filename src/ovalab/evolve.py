@@ -27,7 +27,9 @@ interior after every stage, so stencils near the rim never see a cliff.
 The tip patch steps Y(v, phi) by the inverse-profile equation of
 rhs_renormalized_Y.  Time integration is explicit midpoint under a
 parabolic CFL bound from the radial spacing; a per-ring angular
-low-pass keeps the polar axis from tightening that bound.
+low-pass keeps the polar axis from tightening that bound.  Both run and
+find_extinction march through _march, which retries a rejected step at
+half the step and stops at t_end, at death or at the resolution floor.
 """
 
 import json
@@ -302,16 +304,11 @@ def _midpoint_w(W, grid, dtau, renormalized):
     w_max = float(W.max())
     core = W > 0.5 * w_max
     if np.any(Wn[core] < 0.0) and float(Wn.max()) > 0.5 * w_max:
-        raise StepSizeError(
-            f"interior sign change at dt={dtau:.3e}", suggested_dt=0.5 * dtau
-        )
+        raise StepSizeError(f"interior sign change at dt={dtau:.3e}")
     # the squared profile obeys a maximum principle (growth at most e^dt
     # in the renormalized gauge), so any faster inflation is a blown step
     if float(Wn.max()) > w_max * (1.0 + 4.0 * dtau) + 1.0e-14:
-        raise StepSizeError(
-            f"maximum principle violation at dt={dtau:.3e}",
-            suggested_dt=0.5 * dtau,
-        )
+        raise StepSizeError(f"maximum principle violation at dt={dtau:.3e}")
     return _filter_w(rebuild_halo(Wn, grid), grid)
 
 
@@ -329,6 +326,11 @@ class FlowState:
     renormalized: bool = True
     theta: float = THETA
     L: float = 10.0
+
+    def __post_init__(self):
+        if self.tip is not None and self.tip.theta != self.theta:
+            raise ParameterError(
+                f"state theta={self.theta:g} is not its tip's theta={self.tip.theta:g}")
 
     @property
     def tau(self):
@@ -403,18 +405,18 @@ def _inject_from_tip(W, tip, grid, theta):
     return W
 
 
-def _sync_patches(W, tip, grid, theta):
-    """Couple the patches: tip rows with v >= theta are rebuilt from the
-    graph by monotone inversion, rows below keep the Y-step; the graph
-    in turn takes its rim-side boundary from the updated tip.  Both
+def _sync_patches(W, tip, grid):
+    """Couple the patches: tip rows with v >= tip.theta are rebuilt from
+    the graph by monotone inversion, rows below keep the Y-step; the
+    graph in turn takes its rim-side boundary from the updated tip.  Both
     directions work on whole tables, every angle at once."""
     field = ScalarField(grid, np.sqrt(np.maximum(W, 0.0)), w_signed=W, copy=True)
-    inverted = TipField.from_profile(field, theta=theta, n_nodes=len(tip.v_nodes))
+    inverted = TipField.from_profile(field, theta=tip.theta, n_nodes=len(tip.v_nodes))
     merged = np.where(
-        tip.v_nodes[:, None] >= theta - 1.0e-12, inverted.values, tip.values
+        tip.v_nodes[:, None] >= tip.theta - 1.0e-12, inverted.values, tip.values
     )
     new_tip = TipField(tip.v_nodes, merged, tip.theta)
-    W = rebuild_halo(_inject_from_tip(W, new_tip, grid, theta), grid)
+    W = rebuild_halo(_inject_from_tip(W, new_tip, grid, tip.theta), grid)
     return W, new_tip
 
 
@@ -428,7 +430,7 @@ def step(state, dtau):
         if not state.renormalized:
             raise ParameterError("tip patch requires the renormalized gauge")
         new_tip = _substep_tip(state.tip, dtau)
-        W, new_tip = _sync_patches(W, new_tip, g, state.theta)
+        W, new_tip = _sync_patches(W, new_tip, g)
     else:
         new_tip = None
     field = ScalarField(g, np.sqrt(np.maximum(W, 0.0)), w_signed=W, copy=False)
@@ -634,67 +636,70 @@ def _alive(field):
     )
 
 
-def _step_retry(state, dtau):
-    """Step, backing off along the rejection's suggested dt (12 tries)."""
-    for _ in range(12):
-        try:
-            return step(state, dtau)
-        except StepSizeError as err:
-            dtau = err.suggested_dt
-            if dtau is None or dtau < 1.0e-12:
-                raise
-    return step(state, dtau)
-
-
 def _march_step(state, dtau):
-    """One forward step for the extinction marches.
+    """One forward step, retried at half the step after each rejection
+    (13 tries at most, none below 1e-12).
 
     Returns None when the step cannot be stabilized and the body is
     already at the resolution floor: an anisotropic endgame can become
     unsteppable a few cells before the node count drops, and at that
     point the body is extinct as far as the grid can tell.
     """
-    try:
-        return _step_retry(state, dtau)
-    except StepSizeError:
-        g = state.v.grid
-        if float(state.v.values.max()) < 6.0 * float(np.min(np.diff(g.y))):
-            return None
-        raise
+    for _ in range(13):
+        try:
+            return step(state, dtau)
+        except StepSizeError as err:
+            rejection = err
+            dtau *= 0.5
+            if dtau < 1.0e-12:
+                break
+    if float(state.v.values.max()) < 6.0 * float(np.min(np.diff(state.v.grid.y))):
+        return None
+    raise rejection
+
+
+def _march(state, t_end):
+    """Step state at cfl_dt, the last step cut to end at t_end, and yield
+    each new state.  Stops at t_end, after yielding the first dead state,
+    or without yielding when _march_step gives up at the floor."""
+    dt = cfl_dt(state.v.grid)
+    steps = 0
+    while state.time < t_end - 1.0e-12:
+        if steps == 5_000_000:
+            raise BudgetError(f"5e6-step budget spent at t={state.time:.6g}")
+        state = _march_step(state, min(dt, t_end - state.time))
+        if state is None:
+            return
+        steps += 1
+        yield state
+        if not _alive(state.v):
+            return
 
 
 def run(state, t_end, snapshot_every=0.05):
     """March to t_end, recording snapshots every snapshot_every.
 
     Returns the history; the final recorded state is at the last time
-    reached (t_end, or earlier if the body became extinct).
+    reached (t_end, or earlier if the body became extinct or the march
+    stopped at the resolution floor).
     """
     if t_end < state.time:
         raise ParameterError(
             f"t_end={t_end:.6g} precedes state time {state.time:.6g}"
         )
+    if not snapshot_every > 0.0:
+        raise ParameterError(f"snapshot_every must be positive, got {snapshot_every}")
     hist = FlowHistory()
     hist.append(state)
-    if t_end == state.time:
-        return hist
-    dt0 = cfl_dt(state.v.grid)
     next_snap = state.time + snapshot_every
     cur = state
-    while cur.time < t_end - 1.0e-12:
-        dt = min(dt0, t_end - cur.time)
-        nxt = _march_step(cur, dt)
-        if nxt is None:
-            if cur.time > hist.times[-1] + 1.0e-15:
-                hist.append(cur)
-            break
-        cur = nxt
-        if not _alive(cur.v):
-            hist.append(cur)
-            break
-        if cur.time >= next_snap - 1.0e-12 or cur.time >= t_end - 1.0e-12:
+    for cur in _march(state, t_end):
+        if cur.time >= next_snap - 1.0e-12:
             hist.append(cur)
             while next_snap <= cur.time + 1.0e-12:
                 next_snap += snapshot_every
+    if cur.time > hist.times[-1]:  # the last state, unless a snapshot took it
+        hist.append(cur)
     return hist
 
 
@@ -720,25 +725,20 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
     would stand.  The bracket is narrowed until it is below rel_tol of the
     elapsed lifetime (a CFL-step march usually starts below that already).
     """
-    g = initial.grid
+    if not rel_tol > 0.0:
+        raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
     if float(initial.values[-1, :].max()) > V_FLOOR:
         raise DomainError("initial body touches the grid boundary; not compact")
     if not _alive(initial):
         raise DomainError("initial body is already extinct")
 
-    cur = FlowState(time=t_start, v=initial, tip=None, renormalized=False)
-    dt = cfl_dt(g)
+    prev = cur = FlowState(time=t_start, v=initial, tip=None, renormalized=False)
     steps = 0
-    while _alive(cur.v):
-        prev = cur
-        nxt = _march_step(cur, dt)
-        if nxt is None:
-            cur = replace(cur, time=cur.time + dt)
-            break
-        cur = nxt
+    for nxt in _march(cur, math.inf):
+        prev, cur = cur, nxt
         steps += 1
-        if steps > 5_000_000:
-            raise BudgetError("extinction march exceeded the step budget")
+    if _alive(cur.v):  # stopped at the floor: one more step counts as death
+        prev, cur = cur, replace(cur, time=cur.time + cfl_dt(initial.grid))
     lo, hi = prev.time, cur.time
 
     def survives(t):

@@ -360,6 +360,8 @@ def kappa_quadratic(history, tau0, kappa):
     if kappa <= 0.0:
         raise ParameterError(f"kappa must be positive, got {kappa}")
     times = history.times
+    if times.size == 0:
+        raise CoverageError("empty history")
     if times[0] > 2.0 * tau0 + 1.0e-9 or times[-1] < tau0 - 1.0e-9:
         raise CoverageError(
             f"history [{times[0]:.4g}, {times[-1]:.4g}] does not cover "

@@ -625,14 +625,34 @@ class TestStep:
         with pytest.raises(ParameterError):
             step(st, 1.0e-4)
 
-    def test_step_size_error_suggests_half(self):
+    def test_step_size_error_suggests_half(self, monkeypatch):
+        """A rejected step is retried at half the step until one is
+        accepted."""
         g = build_grid(128, 32, 4.0)
         w = 2.0 + 8.0 * np.exp(-(((g.y[:, None] - 2.0) / 0.03) ** 2))
         w = w * np.ones((1, 32))
         st = FlowState(time=0.0, v=_signed_field(g, w), tip=None)
-        with pytest.raises(StepSizeError) as exc:
+        with pytest.raises(StepSizeError):
             step(st, 0.05)
-        assert exc.value.suggested_dt == pytest.approx(0.025)
+        tried = []
+        inner = evolve.step
+
+        def recording_step(state, dtau):
+            tried.append(dtau)
+            return inner(state, dtau)
+
+        monkeypatch.setattr(evolve, "step", recording_step)
+        out = evolve._march_step(st, 0.05)
+        assert len(tried) > 2
+        assert tried == [0.05 * 0.5**k for k in range(len(tried))]
+        assert out.time == tried[-1]
+
+    def test_tip_theta_must_match_state(self):
+        """The tip table owns the handover level; a state that names
+        another one is rejected rather than stepped."""
+        f = sphere_field(build_grid(128, 32, 3.2))
+        with pytest.raises(ParameterError, match="theta"):
+            FlowState(time=0.0, v=f, tip=TipField.from_profile(f), theta=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +678,16 @@ class TestRunHistory:
         # one snapshot per cadence interval, none skipped
         assert len(times) == 5
 
-    def test_backwards_target_rejected(self):
+    @pytest.mark.parametrize(
+        "t_end, every",
+        [(0.5, 0.05), (1.1, 0.0), (1.1, -0.1), (1.1, math.nan)],
+        ids=["backwards", "zero-cadence", "negative-cadence", "nan-cadence"],
+    )
+    def test_bad_target_or_cadence_rejected(self, t_end, every):
         g = build_grid(64, 16, 6.0)
         st = FlowState(time=1.0, v=bubble_sheet_field(g), tip=None)
         with pytest.raises(ParameterError):
-            run(st, 0.5)
+            run(st, t_end, snapshot_every=every)
 
     def test_interpolation_and_coverage(self):
         g = build_grid(96, 16, 6.0)
@@ -852,6 +877,42 @@ class TestExtinction:
         assert calls["all"] <= res.steps + calls["rejected"] + halvings + 1
         assert res.t_last_alive <= res.t_extinct <= res.t_first_dead
         assert res.t_first_dead - res.t_last_alive <= tol + 1.0e-5 * dt
+
+    def test_floor_stop_ends_the_probe(self, monkeypatch):
+        """A thin ellipsoid on a coarse grid rejects steps near collapse,
+        and a probe that cannot be stepped at the resolution floor counts
+        as a death."""
+        spec = EllipsoidSpec(a=0.2, ell=2.0, radius=2.0, t_start=-5.0)
+        g = build_grid(48, 32, 1.05 * max(spec.plane_semi_axes()))
+        calls = {"rejected": 0, "floor": 0}
+        inner, inner_march = evolve.step, evolve._march_step
+
+        def counting_step(*args, **kwargs):
+            try:
+                return inner(*args, **kwargs)
+            except StepSizeError:
+                calls["rejected"] += 1
+                raise
+
+        def counting_march_step(*args):
+            out = inner_march(*args)
+            calls["floor"] += out is None
+            return out
+
+        monkeypatch.setattr(evolve, "step", counting_step)
+        monkeypatch.setattr(evolve, "_march_step", counting_march_step)
+        res = find_extinction(ellipsoid_initial(g, spec), spec.t_start)
+        assert calls["rejected"] >= 1
+        assert calls["floor"] >= 1
+        assert res.t_last_alive <= res.t_extinct <= res.t_first_dead
+        # regression pin from this implementation's own runs
+        assert res.t_extinct == pytest.approx(-3.3605, abs=0.02)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0e-3, math.nan])
+    def test_bad_tolerance_rejected(self, rel_tol):
+        g = build_grid(96, 16, 4.0)
+        with pytest.raises(ParameterError):
+            find_extinction(_signed_field(g, _sphere_w(g)), -1.0, rel_tol=rel_tol)
 
     def test_rejects_boundary_touching_body(self):
         g = build_grid(96, 16, 2.0)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovalab.errors import CoverageError, DegeneracyError, ParameterError
+from ovalab.evolve import FlowHistory
 from ovalab.grid import THETA, ScalarField, build_grid, inner_product_H
 from ovalab.recenter import normal_form_history
 from ovalab.shrinkers import bubble_sheet_field, normal_form_field
@@ -249,11 +250,12 @@ def test_kappa_quadratic_centering_failure(fine_grid, recorded_history):
 
 def test_kappa_quadratic_coverage_error(fine_grid, recorded_history):
     tau0 = -100.0
-    hist = recorded_history(
+    short = recorded_history(
         fine_grid, np.linspace(1.5 * tau0, tau0, 5), _normal_form_maker
     )
-    with pytest.raises(CoverageError):
-        kappa_quadratic(hist, tau0, kappa=1.0)
+    for hist in (short, FlowHistory()):
+        with pytest.raises(CoverageError):
+            kappa_quadratic(hist, tau0, kappa=1.0)
 
 
 def test_kappa_quadratic_needs_snapshot_times():
