@@ -45,11 +45,7 @@ from .grid import (
     signed_square,
     sqrt_jet,
 )
-from .shrinkers import (  # noqa: F401  (normal_form_field is re-exported)
-    normal_form_field,
-    normal_form_profile,
-    solve_bowl,
-)
+from .shrinkers import normal_form_profile, solve_bowl
 from .spectral import smoothstep_quintic
 
 SQRT2 = math.sqrt(2.0)
@@ -214,7 +210,8 @@ def concavity_margin(field, t, delta):
     correction Gamma^k_ij = V_k V_ij / (1+|DV|^2) and weight
     gamma = ((-t)/log(-t))^(3/2) V^(-3).  A nonpositive margin
     everywhere is the almost-concavity property.  The report holds
-    one margin per node of the body V > V_FLOOR, NaN elsewhere.
+    one margin per node of the body V > V_FLOOR, NaN elsewhere; a
+    field without such a node raises CoverageError.
     """
     if not t <= -math.e:
         raise DomainError(
@@ -227,6 +224,8 @@ def concavity_margin(field, t, delta):
     W = signed_square(field)
     V = field.values
     mask = V > V_FLOOR
+    if not mask.any():
+        raise CoverageError(f"no node of the body V > {V_FLOOR:g}")
     safe = np.where(mask, V, 1.0)
 
     Q1, Q2, Q11, Q12, Q22 = _plane_derivatives(W, grid)

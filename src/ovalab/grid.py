@@ -197,8 +197,8 @@ class ScalarField:
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
 
-    def with_values(self, values, w_signed=None, copy=True):
-        return ScalarField(self.grid, values, w_signed=w_signed, copy=copy)
+    def with_values(self, values, w_signed=None):
+        return ScalarField(self.grid, values, w_signed=w_signed)
 
 
 def rim_index(W):

@@ -16,7 +16,7 @@ raised.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,7 +224,6 @@ class DeviationReport:
     sup_diagonal: float
     sup_off_diagonal: float
     taus: tuple
-    scaled_alpha: tuple = dc_field(repr=False, default=())
 
     def as_dict(self):
         return {
@@ -252,10 +251,8 @@ def compare_with_flow(history, window):
 
     sup_diag = 0.0
     sup_off = 0.0
-    scaled = []
     for tau in sel:
         a = spectral.alpha_from_coeffs(spectral.project(history.at(float(tau))))
-        scaled.append((abs(tau) * a[0], abs(tau) * a[1], abs(tau) * a[2]))
         sup_diag = max(
             sup_diag,
             abs(abs(tau) * a[0] + 1.0 / SQRT8),
@@ -267,5 +264,4 @@ def compare_with_flow(history, window):
         sup_diagonal=float(sup_diag),
         sup_off_diagonal=float(sup_off),
         taus=tuple(float(t) for t in sel),
-        scaled_alpha=tuple(scaled),
     )

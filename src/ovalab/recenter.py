@@ -18,6 +18,12 @@ and the profile transforms as
 
     v'(y, tau) = (1+b) v((R_(-phi) y - a)/(1+b), (1+Gamma) tau).
 
+psi2 over (b, Gamma) and psi4 over (a, b, Gamma) are rows of one
+locked pairing vector, and solve_psi runs one Newton loop for both.
+The mode picks the map with its finite-difference steps, the paper's
+determinant-sign test (two-param only) and the closing rotation
+(four-param only).
+
 Everything here reads a history through one interface: its grid, the
 field at(tau) and sample(r, phi, tau) at arbitrary polar points.  A
 recorded FlowHistory answers by linear interpolation in tau and bilinear
@@ -116,10 +122,11 @@ class SyntheticHistory:
     """Closed-form profile family answering the calls of a recorded
     FlowHistory.
 
-    fn(y, phi, tau) must broadcast over array arguments.  Sampling is
-    exact at any point and any time inside the span, which removes
-    every resampling error from solver round trips.  There are no
-    snapshots, so asking for their times raises ParameterError.
+    fn(y, phi, tau) must accept array arguments; sample broadcasts its
+    result to the shape of (y, phi), so fn may ignore an argument.
+    Sampling is exact at any point and any time inside the span, which
+    removes every resampling error from solver round trips.  There are
+    no snapshots, so asking for their times raises ParameterError.
     """
 
     def __init__(self, fn, grid, span):
@@ -146,13 +153,12 @@ class SyntheticHistory:
 
     def sample(self, y, phi, tau):
         self._check(tau)
-        return np.asarray(self.fn(y, phi, tau), dtype=float)
+        shape = np.broadcast_shapes(np.shape(y), np.shape(phi))
+        return np.broadcast_to(np.asarray(self.fn(y, phi, tau), dtype=float), shape)
 
     def at(self, tau):
-        vals = self.sample(
-            self.grid.y[:, None], self.grid.phi[None, :], tau
-        ) * np.ones(self.grid.shape)
-        return ScalarField(self.grid, vals, copy=False)
+        vals = self.sample(self.grid.y[:, None], self.grid.phi[None, :], tau)
+        return ScalarField(self.grid, vals)
 
 
 def normal_form_history(grid, tau0):
@@ -162,7 +168,7 @@ def normal_form_history(grid, tau0):
         raise ParameterError(f"tau0 must be negative, got {tau0:g}")
 
     def fn(y, phi, tau):
-        return normal_form_profile(y, tau) + 0.0 * phi
+        return normal_form_profile(y, tau)
 
     span = (tau0 * 1.25, tau0 * 0.75)
     return SyntheticHistory(fn, grid, span)
@@ -172,36 +178,37 @@ def normal_form_history(grid, tau0):
 # the transformation
 
 
+def _pullback(history, q, ang, b, Gamma, tau0):
+    """(1+b) v(q/(1+b), ang, (1+Gamma) tau0) as a field on the history's
+    grid, where (q, ang) is the polar point each node moves to before
+    the 1/(1+b) scaling."""
+    if b <= -1.0:
+        raise ParameterError(f"need 1 + b > 0, got b = {b:g}")
+    vals = history.sample(q / (1.0 + b), ang, (1.0 + Gamma) * tau0)
+    return ScalarField(history.grid, (1.0 + b) * vals, copy=False)
+
+
 def transform_profile(history, b, Gamma, tau0):
     """Scaled and time-dilated profile (1+b) v(y/(1+b), (1+Gamma) tau0)
     resampled onto the history's own grid."""
-    if b <= -1.0:
-        raise ParameterError(f"need 1 + b > 0, got b = {b:g}")
     grid = history.grid
-    radii = grid.y / (1.0 + b)
-    vals = history.sample(radii[:, None], grid.phi[None, :], (1.0 + Gamma) * tau0)
-    return ScalarField(grid, (1.0 + b) * (vals * np.ones(grid.shape)), copy=False)
+    return _pullback(history, grid.y[:, None], grid.phi[None, :], b, Gamma, tau0)
 
 
 def transform_full(history, a, b, Gamma, phi_rot, tau0):
     """Full action with plane translation a and rotation phi_rot:
     (1+b) v((R_(-phi) y - a)/(1+b), (1+Gamma) tau0), resampled onto the
     history's own grid."""
-    if b <= -1.0:
-        raise ParameterError(f"need 1 + b > 0, got b = {b:g}")
     a = np.asarray(a, dtype=float)
     if a.shape != (2,):
         raise ParameterError("translation a must be a plane vector")
-    grid = history.grid
-    y = grid.y[:, None]
-    phi = grid.phi[None, :]
+    y = history.grid.y[:, None]
+    phi = history.grid.phi[None, :]
     c, s = np.cos(phi - phi_rot), np.sin(phi - phi_rot)
     qx = y * c - a[0]
     qy = y * s - a[1]
-    r = np.hypot(qx, qy) / (1.0 + b)
     ang = np.mod(np.arctan2(qy, qx), 2.0 * math.pi)
-    vals = history.sample(r, ang, (1.0 + Gamma) * tau0)
-    return ScalarField(grid, (1.0 + b) * vals, copy=False)
+    return _pullback(history, np.hypot(qx, qy), ang, b, Gamma, tau0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,27 +222,28 @@ def _pairings(field):
     return pairings(field, basis), basis
 
 
-def psi2(history, tau0, b, Gamma):
-    """Two centering conditions: the constant pairing of the deviation
-    and the quadratic pairing measured against the locked inward slope
+def _locked_pairings(history, tau0, rows, transform, *args):
+    """Rows of the pairings of transform(history, *args, tau0), with the
+    y^2 - 4 row (row 3) measured against the locked inward slope
     -1/(sqrt(8)|tau0|)."""
     if tau0 >= 0.0:
         raise ParameterError(f"tau0 must be negative, got {tau0:g}")
-    f = transform_profile(history, b, Gamma, tau0)
-    p, basis = _pairings(f)
-    lock = basis.normsq[3] / (SQRT8 * abs(tau0))
-    return np.array([p[0], p[3] + lock])
+    p, basis = _pairings(transform(history, *args, tau0))
+    p[3] += basis.normsq[3] / (SQRT8 * abs(tau0))
+    return p[rows]
+
+
+def psi2(history, tau0, b, Gamma):
+    """Two centering conditions: the constant pairing of the deviation
+    and the locked quadratic pairing."""
+    return _locked_pairings(history, tau0, [0, 3], transform_profile, b, Gamma)
 
 
 def psi4(history, tau0, a, b, Gamma):
     """Four centering conditions: the two of psi2 plus the translation
     pairings against y cos phi and y sin phi, all at phi_rot = 0."""
-    if tau0 >= 0.0:
-        raise ParameterError(f"tau0 must be negative, got {tau0:g}")
-    f = transform_full(history, a, b, Gamma, 0.0, tau0)
-    p, basis = _pairings(f)
-    lock = basis.normsq[3] / (SQRT8 * abs(tau0))
-    return np.array([p[0], p[1], p[2], p[3] + lock])
+    return _locked_pairings(history, tau0, [0, 1, 2, 3], transform_full,
+                            a, b, Gamma, 0.0)
 
 
 def rotation_angle(field):
@@ -269,13 +277,24 @@ def _in_box(x, tau0, radius_sq):
     return tau0**2 * x[-2] ** 2 + x[-1] ** 2 <= radius_sq
 
 
+def _pairing_map(history, tau0, mode):
+    """The pairing map of mode as a function of the Newton vector,
+    x = (b, Gamma) for psi2 or (a1, a2, b, Gamma) for psi4, and the
+    finite-difference step of each component."""
+    if mode == TWO_PARAM:
+        return (lambda x: psi2(history, tau0, x[0], x[1])), (1.0e-7, 1.0e-6)
+    if mode == FOUR_PARAM:
+        return ((lambda x: psi4(history, tau0, x[:2], x[2], x[3])),
+                (1.0e-6, 1.0e-6, 1.0e-7, 1.0e-6))
+    raise ParameterError(
+        f"mode must be {TWO_PARAM!r} or {FOUR_PARAM!r}, got {mode!r}"
+    )
+
+
 def jacobian_det(history, tau0, b, Gamma):
     """Determinant of the central finite-difference Jacobian of psi2
     in the (b, Gamma) plane, with step 1e-6 in both."""
-
-    def F(x):
-        return psi2(history, tau0, x[0], x[1])
-
+    F, _ = _pairing_map(history, tau0, TWO_PARAM)
     J = _fd_jacobian(F, np.array([b, Gamma], dtype=float), (1.0e-6, 1.0e-6))
     return float(_det2(J))
 
@@ -304,33 +323,15 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
     closed-form half-angle.  Newton stops once |psi| < PSI_TOL.
     Iterates are confined to the box
     |tau0|^2 b^2 + Gamma^2 <= 100 kappa^2 with kappa measured from the
-    history.  A nonpositive psi2 Jacobian determinant inside the box is
-    a degeneracy; running past max_iter exhausts the budget.
+    history.  A nonpositive psi2 Jacobian determinant inside the box,
+    or a singular Jacobian in either mode, is a degeneracy; running
+    past max_iter exhausts the budget.
     """
-    if tau0 >= 0.0:
-        raise ParameterError(f"tau0 must be negative, got {tau0:g}")
-    if mode not in (TWO_PARAM, FOUR_PARAM):
-        raise ParameterError(
-            f"mode must be {TWO_PARAM!r} or {FOUR_PARAM!r}, got {mode!r}"
-        )
+    F, steps = _pairing_map(history, tau0, mode)
     kappa = max(measure_kappa(history, tau0), 1.0e-8)
     radius_sq = 100.0 * kappa**2
 
-    if mode == TWO_PARAM:
-        dim = 2
-
-        def F(x):
-            return psi2(history, tau0, x[0], x[1])
-
-        steps = np.array([1.0e-7, 1.0e-6])
-    else:
-        dim = 4
-
-        def F(x):
-            return psi4(history, tau0, x[:2], x[2], x[3])
-
-        steps = np.array([1.0e-6, 1.0e-6, 1.0e-7, 1.0e-6])
-
+    dim = len(steps)
     x = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
     if x.shape != (dim,):
         raise ParameterError(f"start must have {dim} components")
@@ -342,13 +343,10 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
         if float(np.linalg.norm(res)) < PSI_TOL:
             break
         J = _fd_jacobian(F, x, steps)
-        det2 = _det2(J) if dim == 2 else float(np.linalg.det(J))
-        if dim == 2 and det2 <= 0.0:
+        if mode == TWO_PARAM and (det := _det2(J)) <= 0.0:
             raise DegeneracyError(
-                f"psi2 Jacobian determinant {det2:g} <= 0 inside the box"
+                f"psi2 Jacobian determinant {det:g} <= 0 inside the box"
             )
-        if dim == 4 and det2 == 0.0:
-            raise DegeneracyError("psi4 Jacobian is singular")
         try:
             d = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError as err:
@@ -381,11 +379,8 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
         )
 
     if mode == TWO_PARAM:
-        return TransformParams.from_renormalized(
-            tau0, a=(0.0, 0.0), b=x[0], Gamma=x[1]
-        )
+        return TransformParams.from_renormalized(tau0, b=x[0], Gamma=x[1])
     field = transform_full(history, x[:2], x[2], x[3], 0.0, tau0)
-    phi = rotation_angle(field)
     return TransformParams.from_renormalized(
-        tau0, a=x[:2], b=x[2], Gamma=x[3], phi_rot=phi
+        tau0, a=x[:2], b=x[2], Gamma=x[3], phi_rot=rotation_angle(field)
     )

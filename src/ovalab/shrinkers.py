@@ -32,35 +32,31 @@ def bubble_sheet_field(grid):
     return ScalarField(grid, vals, w_signed=np.full(grid.shape, 2.0))
 
 
-def sphere_field(grid, radius_sq=6.0):
-    """Round sphere slice v = sqrt(radius_sq - y^2), clamped outside.
+def sphere_field(grid):
+    """Round sphere slice v = sqrt(6 - y^2), clamped outside.
 
-    radius_sq = 6 is the self-shrinking radius at t = -1 in R^4.  The
-    grid must contain the whole body so the rim is resolved.
+    6 is the squared self-shrinking radius at t = -1 in R^4.  The grid
+    must contain the whole body so the rim is resolved.
     """
-    if radius_sq <= 0.0:
-        raise ParameterError(f"radius_sq must be positive, got {radius_sq}")
-    if grid.y_max**2 <= radius_sq:
+    if grid.y_max**2 <= 6.0:
         raise ParameterError(
             f"grid y_max={grid.y_max} does not contain a sphere of "
-            f"squared radius {radius_sq}"
+            "squared radius 6"
         )
-    w = radius_sq - grid.y[:, None] ** 2 + 0.0 * grid.phi[None, :]
+    w = 6.0 - grid.y[:, None] ** 2 + 0.0 * grid.phi[None, :]
     vals = np.sqrt(np.maximum(w, 0.0))
     return ScalarField(grid, vals, w_signed=w)
 
 
-def neck_field(grid, radius_sq=4.0):
-    """Shrinking-neck slice v = sqrt(radius_sq - (y sin phi)^2).
+def neck_field(grid):
+    """Shrinking-neck slice v = sqrt(4 - (y sin phi)^2).
 
     The neck R^2 x S^1(sqrt(2 k)) at t = -1 has k = 2 here; its axis
     lies in the symmetry plane, so the slice is a strip of half-width
     2 around the phi = 0 axis, not a compact body.
     """
-    if radius_sq <= 0.0:
-        raise ParameterError(f"radius_sq must be positive, got {radius_sq}")
     y2 = grid.y[:, None] ** 2
-    w = radius_sq - y2 * np.sin(grid.phi[None, :]) ** 2
+    w = 4.0 - y2 * np.sin(grid.phi[None, :]) ** 2
     vals = np.sqrt(np.maximum(w, 0.0))
     return ScalarField(grid, vals, w_signed=w)
 

@@ -22,7 +22,6 @@ from ovalab.diagnostics import (
     concavity_margin,
     cylindrical_estimate,
     huisken_density,
-    normal_form_field,
     normal_form_tip,
     poincare_check,
     tip_weight,
@@ -33,6 +32,7 @@ from ovalab.grid import THETA, ScalarField, build_grid, load_field, save_field
 from ovalab.shrinkers import (
     bubble_sheet_field,
     neck_field,
+    normal_form_field,
     solve_bowl,
     sphere_field,
 )
@@ -221,6 +221,13 @@ def test_concavity_labels_and_guards():
         concavity_margin(f, t, -0.5)
 
 
+def test_concavity_margin_needs_a_body():
+    # no node above V_FLOOR: there is no margin to report
+    g = build_grid(32, 8, 3.0)
+    with pytest.raises(CoverageError):
+        concavity_margin(ScalarField(g, np.zeros(g.shape)), -10.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # collar and cylindrical estimates
 
@@ -318,7 +325,7 @@ def test_density_flat_tail_restores_the_truncated_disk():
 
 def test_density_of_the_neck_strip():
     g = build_grid(768, 128, 12.0)
-    f = neck_field(g, radius_sq=4.0)
+    f = neck_field(g)
     assert huisken_density(f, 1.0, tail="flat") == pytest.approx(
         DENSITY_NECK, abs=5.0e-4
     )
@@ -326,7 +333,7 @@ def test_density_of_the_neck_strip():
 
 def test_density_of_the_round_sphere():
     g = build_grid(512, 16, 3.2)
-    f = sphere_field(g, radius_sq=6.0)
+    f = sphere_field(g)
     assert huisken_density(f, 1.0) == pytest.approx(
         DENSITY_SPHERE, abs=2.0e-6
     )

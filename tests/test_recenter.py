@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-from ovalab.diagnostics import normal_form_field
 from ovalab.errors import (
     BudgetError,
     CoverageError,
@@ -20,11 +19,13 @@ from ovalab.errors import (
     ParameterError,
 )
 from ovalab.evolve import FlowHistory, FlowState
+from ovalab import recenter
 from ovalab.grid import build_grid
 from ovalab.recenter import (
     FOUR_PARAM,
     SQRT2,
     SQRT8,
+    TWO_PARAM,
     SyntheticHistory,
     TransformParams,
     _fd_jacobian,
@@ -38,6 +39,7 @@ from ovalab.recenter import (
     transform_full,
     transform_profile,
 )
+from ovalab.shrinkers import normal_form_field
 from ovalab.spectral import cutoff_profile, get_basis
 
 TAU0 = -100.0
@@ -361,6 +363,33 @@ def test_solver_degeneracy_detection(grid):
     H = SyntheticHistory(fn, grid, (TAU0 * 1.25, TAU0 * 0.75))
     with pytest.raises(DegeneracyError):
         solve_psi(H, TAU0)
+    # a constant profile ignores translation and time dilation, so three
+    # columns of the psi4 Jacobian vanish and the Newton solve is singular
+    flat = SyntheticHistory(lambda y, phi, tau: SQRT2 + 0.0 * y + 0.0 * phi,
+                            grid, (TAU0 * 1.25, TAU0 * 0.75))
+    with pytest.raises(DegeneracyError):
+        solve_psi(flat, TAU0, mode=FOUR_PARAM)
+
+
+@pytest.mark.parametrize("mode, name", [(TWO_PARAM, "psi2"), (FOUR_PARAM, "psi4")])
+def test_solver_evaluates_the_module_maps(mode, name, grid, monkeypatch):
+    """Every evaluation of the solver goes through the module-level psi2
+    or psi4 of its mode, looked up when called."""
+    calls = {"psi2": 0, "psi4": 0}
+
+    def counting(key, inner):
+        def wrapper(*args):
+            calls[key] += 1
+            return inner(*args)
+        return wrapper
+
+    for key in calls:
+        monkeypatch.setattr(recenter, key, counting(key, getattr(recenter, key)))
+    dim = 2 if mode == TWO_PARAM else 4
+    solve_psi(shifted_history(grid, 8.0e-4, 3.0e-2), TAU0, mode=mode)
+    # the start residual, one Jacobian and one damped trial at least
+    assert calls[name] >= 2 + 2 * dim
+    assert calls[({"psi2", "psi4"} - {name}).pop()] == 0
 
 
 def test_solver_budget_and_guards(grid, base):
