@@ -39,8 +39,8 @@ from .evolve import V_FLOOR, TipField, zoomed_tip
 from .grid import (
     THETA,
     diff_phi_fft,
+    frame_jet,
     polar_jet,
-    pole_jet,
     rim_index,
     signed_square,
     sqrt_jet,
@@ -150,44 +150,6 @@ def asymptotics_report(state, epsilon, bowl=None):
 # almost concavity of the squared radius
 
 
-def _plane_derivatives(Q, grid):
-    """Cartesian gradient and Hessian of a plane field given in polar
-    samples; the pole row comes from first-ring Fourier data, the rest
-    from the polar chain rule."""
-    y = grid.y[:, None]
-    (Qy, Qyy, Qp, Qpp, Qyp), ring_spec = polar_jet(grid, Q)
-    c = np.cos(grid.phi)[None, :]
-    s = np.sin(grid.phi)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Q1 = c * Qy - s * Qp / y
-        Q2 = s * Qy + c * Qp / y
-        Q11 = (
-            c**2 * Qyy
-            - 2.0 * s * c * Qyp / y
-            + s**2 * Qpp / y**2
-            + s**2 * Qy / y
-            + 2.0 * s * c * Qp / y**2
-        )
-        Q22 = (
-            s**2 * Qyy
-            + 2.0 * s * c * Qyp / y
-            + c**2 * Qpp / y**2
-            + c**2 * Qy / y
-            - 2.0 * s * c * Qp / y**2
-        )
-        Q12 = (
-            s * c * Qyy
-            + (c**2 - s**2) * Qyp / y
-            - s * c * Qpp / y**2
-            - s * c * Qy / y
-            - (c**2 - s**2) * Qp / y**2
-        )
-
-    g1, g2, _, h11, h12, h22 = pole_jet(Q[0, 0], ring_spec, grid)
-    Q1[0], Q2[0], Q11[0], Q12[0], Q22[0] = g1, g2, h11, h12, h22
-    return Q1, Q2, Q11, Q12, Q22
-
-
 @dataclass(frozen=True)
 class ConcavityReport:
     """Largest generalized eigenvalue of the corrected Hessian pencil
@@ -208,10 +170,12 @@ def concavity_margin(field, t, delta):
     restricted to directions orthogonal to the rotation (the metric is
     block diagonal, so no angular components enter), with Christoffel
     correction Gamma^k_ij = V_k V_ij / (1+|DV|^2) and weight
-    gamma = ((-t)/log(-t))^(3/2) V^(-3).  A nonpositive margin
-    everywhere is the almost-concavity property.  The report holds
-    one margin per node of the body V > V_FLOOR, NaN elsewhere; a
-    field without such a node raises CoverageError.
+    gamma = ((-t)/log(-t))^(3/2) V^(-3).  Derivatives are taken in
+    the orthonormal frames of grid.frame_jet; the pencil's eigenvalues
+    do not depend on the frame.  A nonpositive margin everywhere is the
+    almost-concavity property.  The report holds one margin per node of
+    the body V > V_FLOOR, NaN elsewhere; a field without such a node
+    raises CoverageError.
     """
     if not t <= -math.e:
         raise DomainError(
@@ -228,7 +192,7 @@ def concavity_margin(field, t, delta):
         raise CoverageError(f"no node of the body V > {V_FLOOR:g}")
     safe = np.where(mask, V, 1.0)
 
-    Q1, Q2, Q11, Q12, Q22 = _plane_derivatives(W, grid)
+    Q1, Q2, Q11, Q12, Q22 = frame_jet(grid, W)
     V1, V2, V11, V12, V22 = sqrt_jet(Q1, Q2, Q11, Q12, Q22, safe)
 
     dv2 = V1**2 + V2**2

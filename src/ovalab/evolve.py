@@ -17,12 +17,14 @@ equation rewritten as
 
     W_t = Lap W - [Hess_W(DW, DW) + 2|DW|^2] / (4W + |DW|^2) - 2
 
-(plus -(1/2) y W_y + W in the renormalized gauge).  W is the smooth
-variable: it crosses the free boundary linearly where v has a square
-root, every quadric model body is an exact polynomial state of the
-discrete operators, and the -1/v sink becomes the harmless constant -2.
-Nodes outside the body hold a smooth continuation of W rebuilt from the
-interior after every stage, so stencils near the rim never see a cliff.
+(plus -(1/2) y W_y + W in the renormalized gauge).  Every term is
+frame-invariant, so _w_rhs is one expression over grid.frame_jet on all
+rows, the pole included.  W is the smooth variable: it crosses the free
+boundary linearly where v has a square root, every quadric model body
+is an exact polynomial state of the discrete operators, and the -1/v
+sink becomes the harmless constant -2.  Nodes outside the body hold a
+smooth continuation of W rebuilt from the interior after every stage,
+so stencils near the rim never see a cliff.
 
 The tip patch steps Y(v, phi) by the inverse-profile equation of
 rhs_renormalized_Y.  Time integration is explicit midpoint under a
@@ -58,9 +60,8 @@ from .grid import (
     angular_derivs,
     angular_lowpass,
     build_grid,
+    frame_jet,
     load_field,
-    polar_jet,
-    pole_jet,
     rebuild_halo,
     save_field,
     signed_square,
@@ -231,56 +232,29 @@ def rhs_renormalized_Y(tip):
 # squared-profile stepping core
 
 
-def _pole_w_rhs(W0, grid, ring_spec, renormalized):
-    """Squared-profile RHS at the origin from the pole jet; ring_spec is
-    the rfft of W[1, :]."""
-    gx, gy, tr_h, h11, f_xy, h22 = pole_jet(W0, ring_spec, grid)
-    g2 = gx * gx + gy * gy
-    den = 4.0 * W0 + g2
-    quad = h11 * gx * gx + 2.0 * f_xy * gx * gy + h22 * gy * gy + 2.0 * g2
-    out = tr_h - (quad / den if den > 1.0e-4 else 0.0) - 2.0
-    if renormalized:
-        out += W0  # radial drift vanishes at the origin
-    return out
-
-
-def _w_rhs(W, grid, renormalized, mask=None):
-    """RHS of the squared-profile equation, zero outside the body.
+def _w_rhs(W, grid, renormalized, mask):
+    """RHS of the squared-profile equation, zero off mask.
 
     The equation is regular through the rim (the denominator 4W + |DW|^2
     stays positive where the gradient is transversal), so a caller may
     pass the mask of an earlier stage: cells that dip below zero mid-step
     still get a genuine update instead of freezing at a positive remnant.
-    The polar formula runs on rows y > 0 only; the pole row comes from
-    the pole jet of the first ring.
+    Every term is frame-invariant, so one expression over the frame jet
+    covers all rows; at the pole the radial drift vanishes with y.
     """
-    interior = W > 0.0 if mask is None else mask
-    jet, ring_spec = polar_jet(grid, W)
-    Wy, Wyy, Wp, Wpp, Wyp = (a[1:] for a in jet)
-    Wi = W[1:]
-    y = grid.y[1:, None]
-    lap = Wyy + Wy / y + Wpp / y**2
-    g2 = Wy**2 + Wp**2 / y**2
-    hess = (
-        Wy**2 * Wyy
-        + 2.0 * Wy * Wp * Wyp / y**2
-        - 2.0 * Wy * Wp**2 / y**3
-        + Wp**2 * Wpp / y**4
-        + Wp**2 * Wy / y**3
-    )
+    W1, W2, W11, W12, W22 = frame_jet(grid, W)
+    g2 = W1**2 + W2**2
+    hess = W11 * W1**2 + 2.0 * W12 * W1 * W2 + W22 * W2**2
     # the quotient denominator vanishes only at rim cusps (W ~ 0 with
     # flat gradient, e.g. the saddle between two dying lobes); there
     # the graph quotient is pure noise, so freeze it rather than
     # divide.  Healthy rim columns have |DW| = O(1) and never trip.
-    den = 4.0 * Wi + g2
+    den = 4.0 * W + g2
     rat = np.where(den > 1.0e-4, (hess + 2.0 * g2) / np.where(den > 1.0e-4, den, 1.0), 0.0)
-    body = lap - rat - 2.0
+    out = W11 + W22 - rat - 2.0
     if renormalized:
-        body = body - 0.5 * y * Wy + Wi
-    out = np.empty_like(W)
-    out[1:] = body
-    out[0, :] = _pole_w_rhs(W[0, 0], grid, ring_spec, renormalized)
-    return np.where(interior, out, 0.0)
+        out += -0.5 * grid.y[:, None] * W1 + W
+    return np.where(mask, out, 0.0)
 
 
 def _filter_w(W, grid):
@@ -683,7 +657,7 @@ def run(state, t_end, snapshot_every=0.05):
     reached (t_end, or earlier if the body became extinct or the march
     stopped at the resolution floor).
     """
-    if t_end < state.time:
+    if not t_end >= state.time:
         raise ParameterError(
             f"t_end={t_end:.6g} precedes state time {state.time:.6g}"
         )
@@ -727,6 +701,8 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
     """
     if not rel_tol > 0.0:
         raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
+    if not abs(t_start) < math.inf:
+        raise ParameterError(f"t_start must be finite, got {t_start}")
     if float(initial.values[-1, :].max()) > V_FLOOR:
         raise DomainError("initial body touches the grid boundary; not compact")
     if not _alive(initial):
@@ -768,8 +744,8 @@ def renormalize(field, t, t_e, grid_out=None):
     tau = -log(t_e - t).  Without grid_out the new grid has the input's
     node counts and reaches 15 % past the rescaled rim (at least to 1).
     """
-    if t >= t_e:
-        raise DomainError(f"time {t} is at or past extinction {t_e}")
+    if not t < t_e:
+        raise DomainError(f"time {t} is not before extinction {t_e}")
     scale = 1.0 / math.sqrt(t_e - t)
     tau = -math.log(t_e - t)
     g_in = field.grid

@@ -14,6 +14,10 @@ y^2 - 4 vanishes to machine precision; those two functions are
 orthogonal in the continuum and a lot of the mode bookkeeping assumes
 the discrete version agrees.
 
+polar_jet gives a field's derivatives in (y, phi); frame_jet, the one
+owner of the pole row, turns them into gradient and Hessian in an
+orthonormal frame at every node, so no plane operator has a pole case.
+
 The module also owns the two conventions every layer shares: the cutoff
 scale THETA, and the reading of a field's squared profile W = v^2 with
 its continuation outside the body (signed_square).
@@ -330,7 +334,7 @@ def pole_jet(F0, ring_spec, grid):
 
     F0 is the pole value and ring_spec the rfft of the first ring; the
     Fourier coefficients m = 0, 1, 2 of the ring give gradient and
-    Hessian to O(dy^2).  Returns (F_1, F_2, Laplacian, F_11, F_12, F_22).
+    Hessian to O(dy^2).  Returns (F_1, F_2, F_11, F_12, F_22).
     """
     y1 = grid.y[1]
     spec = ring_spec[:3] / grid.n_phi
@@ -339,8 +343,27 @@ def pole_jet(F0, ring_spec, grid):
     c2c, c2s = 2.0 * spec[2].real, -2.0 * spec[2].imag
     tr = 4.0 * (c0 - F0) / y1**2
     d = 4.0 * c2c / y1**2
-    return (c1c / y1, c1s / y1, tr, 0.5 * (tr + d), 2.0 * c2s / y1**2,
+    return (c1c / y1, c1s / y1, 0.5 * (tr + d), 2.0 * c2s / y1**2,
             0.5 * (tr - d))
+
+
+def frame_jet(grid, F):
+    """Gradient and Hessian (F_1, F_2, F_11, F_12, F_22) of a
+    (n_r+1, n_phi) array in an orthonormal frame at every node: on rows
+    y > 0 the polar one, F_2 = F_phi/y, F_12 = (F_yphi - F_2)/y and
+    F_22 = F_phiphi/y^2 + F_y/y; on the pole row the Cartesian jet of
+    pole_jet.  A frame-invariant combination (F_11 + F_22, |DF|^2,
+    Hess(DF, DF)) is thus one expression over all rows."""
+    (F1, F11, Fp, Fpp, Fyp), ring_spec = polar_jet(grid, F)
+    y = grid.y[1:, None]
+    F2, F12, F22 = np.empty_like(F1), np.empty_like(F1), np.empty_like(F1)
+    F2[1:] = Fp[1:] / y
+    F12[1:] = (Fyp[1:] - F2[1:]) / y
+    F22[1:] = Fpp[1:] / y**2 + F1[1:] / y
+    jet = (F1, F2, F11, F12, F22)
+    for a, pole in zip(jet, pole_jet(F[0, 0], ring_spec, grid)):
+        a[0] = pole
+    return jet
 
 
 def sqrt_jet(W1, W2, W11, W12, W22, v):

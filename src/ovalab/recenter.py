@@ -325,7 +325,9 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
     |tau0|^2 b^2 + Gamma^2 <= 100 kappa^2 with kappa measured from the
     history.  A nonpositive psi2 Jacobian determinant inside the box,
     or a singular Jacobian in either mode, is a degeneracy; running
-    past max_iter exhausts the budget.
+    past max_iter exhausts the budget.  A trial point whose time
+    (1 + Gamma) tau0 the history does not hold raises the history's
+    CoverageError, which names the time asked for and the span held.
     """
     F, steps = _pairing_map(history, tau0, mode)
     kappa = max(measure_kappa(history, tau0), 1.0e-8)
@@ -360,11 +362,7 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
                 )
         base = float(np.linalg.norm(res))
         for _ in range(30):
-            try:
-                trial = F(x + lam * d)
-            except CoverageError:
-                lam *= 0.5
-                continue
+            trial = F(x + lam * d)
             if float(np.linalg.norm(trial)) < base or lam < 1.0e-10:
                 break
             lam *= 0.5

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CoverageError, DegeneracyError, ParameterError
-from .grid import THETA, ScalarField, diff, diff_phi_fft, norm_H, polar_jet, pole_jet
+from .grid import THETA, ScalarField, diff, diff_phi_fft, frame_jet, norm_H
 from .shrinkers import normal_form_profile
 
 SQRT2 = math.sqrt(2.0)
@@ -244,26 +244,12 @@ def width_ratio(field):
 
 
 def apply_ou(field):
-    """Discrete drift Laplacian L with spectral angular derivatives.
-
-    The pole row is evaluated through the Cartesian form of the
-    operator: at the origin the drift vanishes and the Laplacian is the
-    one of the pole jet.
-    """
+    """Discrete drift Laplacian L f = f_11 + f_22 - (y/2) f_1 + f over
+    the frame jet: radial stencils, spectral angular derivatives and, on
+    the pole row, the Cartesian jet, where the drift vanishes."""
     g = field.grid
-    v = field.values
-    (f_y, f_yy, _, f_pp, _), ring_spec = polar_jet(g, v)
-    y = g.y[:, None]
-    out = np.empty_like(v)
-    out[1:, :] = (
-        f_yy[1:, :]
-        + f_y[1:, :] / y[1:, :]
-        + f_pp[1:, :] / y[1:, :] ** 2
-        - 0.5 * y[1:, :] * f_y[1:, :]
-        + v[1:, :]
-    )
-    out[0, :] = pole_jet(v[0, 0], ring_spec, g)[2] + v[0, 0]
-    return field.with_values(out)
+    f1, _, f11, _, f22 = frame_jet(g, field.values)
+    return field.with_values(f11 + f22 - 0.5 * g.y[:, None] * f1 + field.values)
 
 
 def c4_norm_proxy(field, radius):

@@ -192,7 +192,7 @@ class TestWRHS:
         g = build_grid(160, 32, 6.0)
         yy = g.y[:, None]
         W = (2.0 + 0.3 * np.exp(-(yy**2) / 4.0)) * np.ones((1, 32))
-        r = evolve._w_rhs(W, g, True)
+        r = evolve._w_rhs(W, g, True, W > 0.0)
         Wy = g.radial_derivative(W, 1)
         Wyy = g.radial_derivative(W, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -209,11 +209,10 @@ class TestWRHS:
     def test_unrescaled_drops_gauge_terms(self):
         g = build_grid(128, 32, 4.0)
         W = np.array(_wobble_sphere(g).w_signed)
-        a = evolve._w_rhs(W, g, True)
-        b = evolve._w_rhs(W, g, False)
-        gauge = -0.5 * g.y[:, None] * g.radial_derivative(W, 1) + W
         live = W > 0.0
-        live[0, :] = False
+        a = evolve._w_rhs(W, g, True, live)
+        b = evolve._w_rhs(W, g, False, live)
+        gauge = -0.5 * g.y[:, None] * g.radial_derivative(W, 1) + W
         assert np.abs(a - b - gauge)[live].max() < 1.0e-12
 
 
@@ -994,6 +993,18 @@ class TestRenormalize:
         f = _signed_field(g, _sphere_w(g))
         with pytest.raises(DomainError):
             renormalize(f, 0.0, 0.0)
+
+    def test_nan_times_refused(self):
+        """A NaN time fails every ordering test, so each guard is written
+        as the negation of the order it needs."""
+        g = build_grid(96, 16, 4.0)
+        f = _signed_field(g, _sphere_w(g))
+        with pytest.raises(ParameterError, match="t_end"):
+            run(FlowState(time=0.0, v=f, tip=None, renormalized=False), math.nan)
+        with pytest.raises(ParameterError, match="t_start"):
+            find_extinction(f, math.nan)
+        with pytest.raises(DomainError, match="extinction"):
+            renormalize(f, math.nan, 0.0)
 
     def test_gauges_commute_around_extinction(self, ellipsoid_lifecycle):
         """Renormalize-then-march equals march-then-renormalize to the

@@ -20,6 +20,7 @@ from ovalab.grid import (
     build_grid,
     diff,
     diff_phi_fft,
+    frame_jet,
     inner_product_H,
     load_field,
     save_field,
@@ -174,6 +175,26 @@ def test_pole_reflection_exact_on_linear():
     # the mirror image phi -> pi - phi; x2 = y sin(phi) can
     x2 = g.y[:, None] * np.sin(g.phi)[None, :]
     assert np.allclose(g.radial_derivative(x2, 1)[0], np.sin(g.phi), atol=1e-13)
+
+
+def test_frame_jet_invariants_exact_on_quadratic():
+    """On a quadratic every stencil and the first-ring Fourier data are
+    exact, so the frame-invariant combinations of frame_jet match the
+    Cartesian closed forms on every row, the pole included."""
+    g = build_grid(32, 16, 2.0)
+    x1 = g.y[:, None] * np.cos(g.phi)[None, :]
+    x2 = g.y[:, None] * np.sin(g.phi)[None, :]
+    F = 1.0 + x1 - 2.0 * x2 + x1**2 + 3.0 * x1 * x2 - 2.0 * x2**2
+    F1, F2, F11, F12, F22 = frame_jet(g, F)
+    d1, d2 = 1.0 + 2.0 * x1 + 3.0 * x2, -2.0 + 3.0 * x1 - 4.0 * x2
+    pairs = [
+        (F11 + F22, np.full(g.shape, -2.0)),
+        (F1**2 + F2**2, d1**2 + d2**2),
+        (F11 * F1**2 + 2.0 * F12 * F1 * F2 + F22 * F2**2,
+         2.0 * d1**2 + 6.0 * d1 * d2 - 4.0 * d2**2),
+    ]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1.0e-10 * np.abs(want).max()
 
 
 def test_smooth_pole_second_derivative():

@@ -151,3 +151,16 @@ def test_no_dead_public_names():
                          for name, line, first, last in _class_members(node)
                          if not referenced(name, path, first, last)]
     assert not dead, dead
+
+
+def test_pole_row_has_one_owner():
+    """Only grid.py reads pole_jet; every other module takes the pole
+    row through frame_jet, so the pole case is written once."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        if "pole_jet" in imported or any(n == "pole_jet" for n, _ in _references(path)):
+            readers.append(path.name)
+    assert readers == ["grid.py"]

@@ -404,6 +404,30 @@ def test_solver_budget_and_guards(grid, base):
         solve_psi(base, TAU0, start=np.array([10.0, 10.0]))
 
 
+@pytest.mark.filterwarnings("ignore:.*clamped to the boundary ring")
+def test_solver_reports_the_time_its_first_step_leaves(grid, monkeypatch):
+    """A Newton trial outside a recorded history raises that history's
+    CoverageError at once, naming the span it holds; it is not halved
+    back inside and reported as a spent budget."""
+    H = shifted_history(grid, 0.0, -3.0e-2)
+    hist = FlowHistory()
+    for tau in (TAU0 - 0.5, TAU0, TAU0 + 0.5):
+        hist.append(FlowState(time=tau, v=H.at(tau), renormalized=True))
+    calls = []
+    inner = recenter.psi2
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(recenter, "psi2", counting)
+    # the step toward Gamma = 0.03 asks for tau near 1.03 TAU0
+    with pytest.raises(CoverageError, match=r"outside history \[-100\.5, -99\.5\]"):
+        solve_psi(hist, TAU0)
+    # the start residual, two calls per Jacobian column and one trial
+    assert len(calls) == 6
+
+
 def test_synthetic_history_span(grid):
     with pytest.raises(ParameterError):
         SyntheticHistory(lambda y, p, t: y, grid, (-90.0, -110.0))
