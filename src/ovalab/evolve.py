@@ -29,9 +29,12 @@ so stencils near the rim never see a cliff.
 The tip patch steps Y(v, phi) by the inverse-profile equation of
 rhs_renormalized_Y.  Time integration is explicit midpoint under a
 parabolic CFL bound from the radial spacing; a per-ring angular
-low-pass keeps the polar axis from tightening that bound.  Both run and
-find_extinction march through _march, which retries a rejected step at
-half the step and stops at t_end, at death or at the resolution floor.
+low-pass keeps the polar axis from tightening that bound.  Angular
+derivatives and the low-pass are products with ring matrices that grid
+caches per n_phi, so the tip table, which has no PolarGrid, shares them
+with the graph.  Both run and find_extinction march through _march,
+which retries a rejected step at half the step and stops at t_end, at
+death or at the resolution floor.
 """
 
 import json
@@ -218,7 +221,7 @@ def rhs_renormalized_Y(tip):
     c2 = np.array([-1.0, 4.0, -5.0, 2.0]) / dv**2
     Yv[-1] = c1 @ last
     Yvv[-1] = c2 @ last
-    (Yp, Ypp, Yvp), _ = angular_derivs(Y, Yv)
+    Yp, Ypp, Yvp = angular_derivs(Y, Yv)
 
     den = Y**2 * (1.0 + Yv**2) + Yp**2
     num = (Y**2 + Yp**2) * Yvv - 2.0 * Yp * Yv * Yvp + (1.0 + Yv**2) * Ypp

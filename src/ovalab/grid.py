@@ -18,11 +18,22 @@ polar_jet gives a field's derivatives in (y, phi); frame_jet, the one
 owner of the pole row, turns them into gradient and Hessian in an
 orthonormal frame at every node, so no plane operator has a pole case.
 
+Angular operators act on rings, the last axis of an array, and are
+products with real circulant matrices cached per ring size: the Fourier
+spectral differentiation matrices (Trefethen, Spectral Methods in
+MATLAB, ch. 3) and one high-pass projection per low-pass cap.  On rings
+of a few dozen angles one such product costs a fraction of an
+rfft/irfft pair, whose time there is call overhead.  The matrices are
+applied to each ring's deviation from its first sample, so constant
+rings stay exactly constant.  This module is the only one that calls
+np.fft.
+
 The module also owns the two conventions every layer shares: the cutoff
 scale THETA, and the reading of a field's squared profile W = v^2 with
 its continuation outside the body (signed_square).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -296,26 +307,59 @@ def diff(f, direction, order=1):
     return ScalarField(f.grid, f.grid.radial_derivative(f.values, order), copy=False)
 
 
+def _circulant(symbol, n):
+    """Real (n, n) matrix R with F @ R = irfft(symbol * rfft(F)) on rings
+    of n samples, symbol given on the rfft bins m = 0..n/2.  Row i of R
+    is the response to a unit impulse at sample i, so R is exactly
+    circulant."""
+    c = np.fft.irfft(symbol, n=n)
+    k = np.arange(n)
+    R = c[(k[None, :] - k[:, None]) % n]
+    R.setflags(write=False)
+    return R
+
+
+@functools.cache
+def _diff_matrix(n, order):
+    """Spectral differentiation matrix of the given order on n angles.
+    irfft drops the imaginary Nyquist bin, so the first derivative
+    loses the m = n/2 mode and the second keeps it with -(n/2)^2."""
+    return _circulant((1j * np.arange(n // 2 + 1)) ** order, n)
+
+
+@functools.cache
+def _highpass_stack(n):
+    """Projections onto the angular modes m > cap on n angles, one
+    matrix per cap = 0..n/2-1 (larger caps cut nothing)."""
+    m = np.arange(n // 2 + 1)
+    stack = np.stack([_circulant((m > cap).astype(float), n) for cap in range(n // 2)])
+    stack.setflags(write=False)
+    return stack
+
+
+def _ring_deviation(values):
+    """Each ring minus its first sample.  The ring operators annihilate
+    constants, and applying them to the deviation keeps that exact: a
+    constant ring gets exactly zero, not a row-sum roundoff."""
+    return values - values[..., :1]
+
+
 def diff_phi_fft(values, order=1):
-    """Spectral angular derivative of a (..., n_phi) array of ring samples."""
-    n = values.shape[-1]
-    m = np.fft.rfftfreq(n, d=1.0 / n)
-    fh = np.fft.rfft(values, axis=-1)
-    fh *= (1j * m) ** order
-    return np.fft.irfft(fh, n=n, axis=-1)
+    """Spectral (Fourier) angular derivative of a (..., n_phi) array of
+    ring samples, one product with the cached differentiation matrix;
+    order is 1 or 2."""
+    if order not in (1, 2):
+        raise ParameterError("order must be 1 or 2")
+    return _ring_deviation(values) @ _diff_matrix(values.shape[-1], order)
 
 
 def angular_derivs(F, Fr):
-    """Spectral F_phi, F_phiphi and Fr_phi of two (rows, n_phi) arrays
-    from one forward transform of the stacked pair; also returns that
-    spectrum.  Bitwise equal to three diff_phi_fft calls."""
+    """Spectral F_phi, F_phiphi and Fr_phi of two (..., n_phi) arrays, the
+    same products diff_phi_fft makes."""
     n = F.shape[-1]
-    ik = 1j * np.fft.rfftfreq(n, d=1.0 / n)
-    spec = np.fft.rfft(np.stack([F, Fr]), axis=-1)
-    derivs = np.fft.irfft(
-        spec[[0, 0, 1]] * np.stack([ik, ik**2, ik])[:, None, :], n=n, axis=-1
-    )
-    return derivs, spec
+    d1 = _diff_matrix(n, 1)
+    dF = _ring_deviation(F)
+    return dF @ d1, dF @ _diff_matrix(n, 2), _ring_deviation(Fr) @ d1
 
 
 def polar_jet(grid, F):
@@ -325,8 +369,8 @@ def polar_jet(grid, F):
     ring, F[1, :], which is what pole_jet reads."""
     Fy = grid.radial_derivative(F, 1)
     Fyy = grid.radial_derivative(F, 2)
-    (Fp, Fpp, Fyp), spec = angular_derivs(F, Fy)
-    return (Fy, Fyy, Fp, Fpp, Fyp), spec[0, 1]
+    Fp, Fpp, Fyp = angular_derivs(F, Fy)
+    return (Fy, Fyy, Fp, Fpp, Fyp), np.fft.rfft(F[1])
 
 
 def pole_jet(F0, ring_spec, grid):
@@ -376,20 +420,23 @@ def sqrt_jet(W1, W2, W11, W12, W22, v):
 
 
 def angular_lowpass(values, m_max):
-    """Drop angular Fourier content above m_max.
+    """Drop angular Fourier content above m_max from a (..., n_phi) array.
 
-    m_max may be a scalar or a per-ring integer array; rings with
-    m_max >= n_phi/2 pass through untouched.
+    m_max is a nonnegative integer, or one per ring.  Each ring it cuts
+    subtracts the product of its deviation from its first sample with
+    the cached high-pass matrix of its cap; rings with m_max >= n_phi/2
+    come back unchanged.  The result is a new array.
     """
     n = values.shape[-1]
-    m = np.fft.rfftfreq(n, d=1.0 / n)
-    fh = np.fft.rfft(values, axis=-1)
-    cap = np.asarray(m_max)
-    if cap.ndim == 0:
-        fh[..., m > cap] = 0.0
-    else:
-        fh[m[None, :] > cap[:, None]] = 0.0
-    return np.fft.irfft(fh, n=n, axis=-1)
+    caps = np.broadcast_to(m_max, values.shape[:-1]).ravel()
+    if np.any(caps < 0):
+        raise ParameterError("m_max must be nonnegative")
+    out = np.array(values, dtype=float)
+    rings = out.reshape(-1, n)
+    cut = np.flatnonzero(caps < n // 2)
+    high = _highpass_stack(n)[caps[cut].astype(int)]
+    rings[cut] -= np.matmul(_ring_deviation(rings[cut])[:, None, :], high)[:, 0]
+    return out
 
 
 def _write_table(path, header, nodes, phi, values):

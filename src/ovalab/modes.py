@@ -123,7 +123,7 @@ class Trajectory:
         self.system = system
         self.t = np.asarray(t)
         self.states = np.asarray(states)
-        self.derivs = np.asarray(derivs)
+        self._derivs = np.asarray(derivs)
         self.blew_up = blew_up
         self.blowup_time = blowup_time
 
@@ -150,9 +150,9 @@ class Trajectory:
         h11 = s * s * (s - 1.0)
         return (
             h00 * self.states[k]
-            + h10 * h * self.derivs[k]
+            + h10 * h * self._derivs[k]
             + h01 * self.states[k + 1]
-            + h11 * h * self.derivs[k + 1]
+            + h11 * h * self._derivs[k + 1]
         )
 
 

@@ -16,6 +16,7 @@ from ovalab.errors import ParameterError, ShapeError
 from ovalab.grid import (
     PolarGrid,
     ScalarField,
+    angular_derivs,
     angular_lowpass,
     build_grid,
     diff,
@@ -285,3 +286,83 @@ def test_angular_lowpass():
     out2 = angular_lowpass(f, caps)
     assert np.allclose(out2[0], np.cos(2 * g.phi), atol=1e-12)
     assert np.allclose(out2[-1], f[-1], atol=1e-12)
+
+
+RING_SIZES = (4, 6, 8, 16, 24, 32)
+
+
+def _fft_oracle(values, symbol):
+    """Ring operator with the given symbol on the rfft bins, by FFT."""
+    n = values.shape[-1]
+    return np.fft.irfft(np.fft.rfft(values, axis=-1) * symbol, n=n, axis=-1)
+
+
+def _close_by_row(got, want, rtol=1.0e-13):
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    return bool(np.all(np.abs(got - want) <= rtol * scale))
+
+
+@pytest.mark.parametrize("n", RING_SIZES)
+def test_angular_derivatives_match_fft_oracle(n):
+    """The differentiation matrices reproduce the rfft convention: the
+    first derivative drops the Nyquist mode, the second keeps it with
+    -(n/2)^2; angular_derivs makes the same products."""
+    rng = np.random.default_rng(n)
+    F = 3.0 + rng.standard_normal((20, n))
+    Fr = rng.standard_normal((20, n))
+    ik = 1j * np.arange(n // 2 + 1)
+    for order in (1, 2):
+        assert _close_by_row(diff_phi_fft(F, order), _fft_oracle(F, ik**order))
+    Fp, Fpp, Frp = angular_derivs(F, Fr)
+    assert np.array_equal(Fp, diff_phi_fft(F, 1))
+    assert np.array_equal(Fpp, diff_phi_fft(F, 2))
+    assert np.array_equal(Frp, diff_phi_fft(Fr, 1))
+    nyquist = np.cos(0.5 * n * 2.0 * math.pi * np.arange(n) / n)
+    assert np.abs(diff_phi_fft(nyquist, 1)).max() <= 1.0e-13 * n
+    assert _close_by_row(diff_phi_fft(nyquist, 2), -(n / 2) ** 2 * nyquist)
+
+
+@pytest.mark.parametrize("n", RING_SIZES)
+def test_constant_rings_stay_exact(n):
+    F = np.outer(np.linspace(-7.0, 11.0, 9), np.ones(n))
+    for order in (1, 2):
+        assert np.array_equal(diff_phi_fft(F, order), np.zeros_like(F))
+    assert all(np.array_equal(d, np.zeros_like(F)) for d in angular_derivs(F, F))
+    assert np.array_equal(angular_lowpass(F, np.arange(9) % (n // 2)), F)
+
+
+@pytest.mark.parametrize("n", RING_SIZES)
+def test_angular_lowpass_matches_fft_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    caps = np.arange(n // 2 + 3)
+    F = 2.0 + rng.standard_normal((len(caps), n))
+    m = np.arange(n // 2 + 1)
+    want = _fft_oracle(F, (m[None, :] <= caps[:, None]).astype(float))
+    got = angular_lowpass(F, caps)
+    assert _close_by_row(got, want)
+    kept = caps >= n // 2
+    assert np.array_equal(got[kept], F[kept])
+    for cap in (0, n // 4, n // 2):
+        assert _close_by_row(angular_lowpass(F, cap), _fft_oracle(F, (m <= cap) * 1.0))
+
+
+@pytest.mark.parametrize("n", RING_SIZES)
+def test_ring_operators_commute_with_rolls(n):
+    rng = np.random.default_rng(200 + n)
+    F = 1.0 + rng.standard_normal((n // 2 + 1, n))
+    caps = np.arange(n // 2 + 1)
+    ops = [lambda a: diff_phi_fft(a, 1), lambda a: diff_phi_fft(a, 2),
+           lambda a: angular_lowpass(a, caps)]
+    for k in range(1, n):
+        for op in ops:
+            after = np.roll(op(F), k, axis=1)
+            assert _close_by_row(op(np.roll(F, k, axis=1)), after)
+
+
+def test_ring_operators_reject_bad_orders_and_caps():
+    f = np.ones((3, 8))
+    for order in (0, 1.5, -1, 3):
+        with pytest.raises(ParameterError):
+            diff_phi_fft(f, order=order)
+    with pytest.raises(ParameterError):
+        angular_lowpass(f, -1)

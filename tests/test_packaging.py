@@ -164,3 +164,21 @@ def test_pole_row_has_one_owner():
         if "pole_jet" in imported or any(n == "pole_jet" for n, _ in _references(path)):
             readers.append(path.name)
     assert readers == ["grid.py"]
+
+
+def test_angular_transforms_have_one_owner():
+    """Only grid.py reaches an FFT (np.fft, or an import of a module or
+    name called fft); every other module takes angular derivatives and
+    filters from grid's cached ring matrices."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for name in [getattr(node, "module", None) or "",
+                                 *(alias.name for alias in node.names)]}
+        if any("fft" in name.split(".") for name in imported) or any(
+                isinstance(node, ast.Attribute) and node.attr == "fft"
+                for node in ast.walk(tree)):
+            readers.append(path.name)
+    assert readers == ["grid.py"]
