@@ -32,9 +32,11 @@ parabolic CFL bound from the radial spacing; a per-ring angular
 low-pass keeps the polar axis from tightening that bound.  Angular
 derivatives and the low-pass are products with ring matrices that grid
 caches per n_phi, so the tip table, which has no PolarGrid, shares them
-with the graph.  Both run and find_extinction march through _march,
-which retries a rejected step at half the step and stops at t_end, at
-death or at the resolution floor.
+with the graph.  Both patches take radial derivatives from
+grid.radial_stencil, the tip with the even reflection through v = 0 in
+place of the pole reflection.  Both run and find_extinction march
+through _march, which retries a rejected step at half the step and
+stops at t_end, at death or at the resolution floor.
 """
 
 import json
@@ -59,12 +61,14 @@ from .grid import (
     THETA,
     ScalarField,
     _read_table,
+    _uniform_step,
     _write_table,
     angular_derivs,
     angular_lowpass,
     build_grid,
     frame_jet,
     load_field,
+    radial_stencil,
     rebuild_halo,
     save_field,
     signed_square,
@@ -78,18 +82,6 @@ CFL = 0.2
 
 # ---------------------------------------------------------------------------
 # tip patch
-
-
-def _check_tip_nodes(v_nodes, where):
-    """The tip stencils need at least 4 nodes, uniformly spaced upwards
-    from the tip at v = 0; a table that breaks this raises ParameterError."""
-    h = np.diff(v_nodes)
-    if (len(v_nodes) < 4 or v_nodes[0] != 0.0 or not h[0] > 0.0
-            or np.ptp(h) > 1.0e-9 * h[0]):
-        raise ParameterError(
-            f"{where}: tip nodes must be at least 4, start at 0 and be "
-            f"uniformly increasing; got {np.array2string(v_nodes, threshold=6)}"
-        )
 
 
 class TipField:
@@ -147,7 +139,7 @@ class TipField:
         """
         g = field.grid
         v_nodes = np.linspace(0.0, 2.0 * theta, n_nodes)
-        _check_tip_nodes(v_nodes, "from_profile")
+        _uniform_step(v_nodes, "from_profile: tip")
         w_levels = v_nodes**2
         w = signed_square(field)
         n = w.shape[0]
@@ -193,34 +185,23 @@ class TipField:
         theta, v_nodes, values = _read_table(
             path, "tip-table", lambda m: (int(m["v_nodes"]), float(m["theta"]))
         )
-        _check_tip_nodes(v_nodes, path)
+        _uniform_step(v_nodes, f"{path}: tip")
         return cls(v_nodes, values, theta)
 
 
 def rhs_renormalized_Y(tip):
     """Right-hand side of the inverse-profile equation on the tip patch.
 
-    The (1/v) Y_v factor is regular at the tip: by the even reflection
-    Y_v / v -> Y_vv at v = 0.
+    Y_v and Y_vv are grid.radial_stencil's, with the even reflection
+    Y(-v) = Y(v) as the row below the tip.  The (1/v) Y_v factor is
+    regular at the tip: by that reflection Y_v / v -> Y_vv at v = 0.
     """
     Y = tip.values
     if np.any(Y <= 0.0):
         raise DomainError("tip radius must stay positive")
-    dv = tip.dv
     v = tip.v_nodes[:, None]
-    # centred differences with the even reflection Y(-v) = Y(v) at the
-    # tip row and one-sided four-point stencils at the outer row
-    Yv = np.empty_like(Y)
-    Yvv = np.empty_like(Y)
-    Yv[0] = 0.0
-    Yv[1:-1] = (Y[2:] - Y[:-2]) / (2.0 * dv)
-    Yvv[0] = (Y[1] - 2.0 * Y[0] + Y[1]) / dv**2
-    Yvv[1:-1] = (Y[2:] - 2.0 * Y[1:-1] + Y[:-2]) / dv**2
-    last = Y[-4:, :]
-    c1 = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / dv
-    c2 = np.array([-1.0, 4.0, -5.0, 2.0]) / dv**2
-    Yv[-1] = c1 @ last
-    Yvv[-1] = c2 @ last
+    Yv = radial_stencil(Y, tip.dv, Y[1], 1)
+    Yvv = radial_stencil(Y, tip.dv, Y[1], 2)
     Yp, Ypp, Yvp = angular_derivs(Y, Yv)
 
     den = Y**2 * (1.0 + Yv**2) + Yp**2
@@ -456,7 +437,9 @@ class FlowHistory:
 
     def state_at(self, t):
         """State at time t: a stored snapshot at its own time, else the
-        linear blend of the two around t, which must share a grid."""
+        linear blend of the two around t, which must share a grid.  When
+        both carry the signed squared profile, that is what is blended
+        and the profile is its clamped square root."""
         t = float(t)
         ts = self._times
         if not ts:
@@ -478,10 +461,12 @@ class FlowHistory:
                 f"snapshots at t={ts[k]:.6g} and t={ts[k + 1]:.6g} lie on "
                 f"different grids; time {t:.6g} cannot blend them"
             )
-        vals = (1.0 - lam) * s0.v.values + lam * s1.v.values
         w = None
         if s0.v.w_signed is not None and s1.v.w_signed is not None:
             w = (1.0 - lam) * s0.v.w_signed + lam * s1.v.w_signed
+            vals = np.sqrt(np.maximum(w, 0.0))
+        else:
+            vals = (1.0 - lam) * s0.v.values + lam * s1.v.values
         tip = None
         if s0.tip is not None and s1.tip is not None:
             tip = TipField(
@@ -594,13 +579,12 @@ class FlowHistory:
 
 
 def cfl_dt(grid):
-    """Parabolic step bound CFL * h^2 from the finest effective spacing.
+    """Parabolic step bound CFL * dy^2 from the radial node spacing.
 
     With the per-ring angular filter the effective angular spacing never
     drops below the radial one, so the radial spacing governs.
     """
-    dy_min = float(np.min(np.diff(grid.y)))
-    return CFL * dy_min**2
+    return CFL * grid.dy**2
 
 
 def _alive(field):
@@ -630,7 +614,7 @@ def _march_step(state, dtau):
             dtau *= 0.5
             if dtau < 1.0e-12:
                 break
-    if float(state.v.values.max()) < 6.0 * float(np.min(np.diff(state.v.grid.y))):
+    if float(state.v.values.max()) < 6.0 * state.v.grid.dy:
         return None
     raise rejection
 

@@ -14,6 +14,12 @@ y^2 - 4 vanishes to machine precision; those two functions are
 orthogonal in the continuum and a lot of the mode bookkeeping assumes
 the discrete version agrees.
 
+Radial nodes are uniform, and radial_stencil is the one radial
+finite-difference stencil: centred three-point differences with a
+caller's mirror row at -h, and one-sided four-point ones at the outer
+row.  The graph mirrors through the pole, f(-y, phi) = f(y, phi + pi);
+the tip patch of evolve mirrors evenly through its tip.
+
 polar_jet gives a field's derivatives in (y, phi); frame_jet, the one
 owner of the pole row, turns them into gradient and Hessian in an
 orthonormal frame at every node, so no plane operator has a pole case.
@@ -67,34 +73,62 @@ def _hat_weights(nodes, j0, j1):
     return w
 
 
-def _fd_coeffs(x, target, order):
-    """Differentiation weights at `target` from values at abscissae x."""
-    x = np.asarray(x, dtype=float)
-    k = len(x)
-    a = np.vander(x - target, k, increasing=True).T
-    b = np.zeros(k)
-    b[order] = math.factorial(order)
-    return np.linalg.solve(a, b)
+def _uniform_step(nodes, what):
+    """Spacing of nodes that must be at least 4, start at 0 and increase
+    uniformly (spread of the steps within 1e-9 of the first), as the
+    radial stencil needs; the smallest step is returned.  Nodes that
+    break this raise ParameterError naming `what`."""
+    ok = nodes.ndim == 1 and len(nodes) >= 4 and nodes[0] == 0.0
+    if ok:
+        h = np.diff(nodes)
+        ok = h[0] > 0.0 and np.ptp(h) <= 1.0e-9 * h[0]
+    if not ok:
+        raise ParameterError(
+            f"{what} nodes must be at least 4, start at 0 and be uniformly "
+            f"increasing; got {np.array2string(nodes, threshold=6)}"
+        )
+    return float(h.min())
+
+
+# one-sided four-point weights at the outer row, exact on cubics
+_EDGE = {1: np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]),
+         2: np.array([-1.0, 4.0, -5.0, 2.0])}
+
+
+def radial_stencil(values, h, mirror, order):
+    """Radial derivative of the given order (1 or 2) of values, rows h
+    apart down the first axis.
+
+    Every row but the last takes the centred three-point difference,
+    with mirror standing for the row at -h; the outer row takes the
+    one-sided four-point stencil.  Both are second order, and the outer
+    row is exact on cubics.
+    """
+    if order not in _EDGE:
+        raise ParameterError("order must be 1 or 2")
+    ext = np.concatenate((mirror[None], values))
+    out = np.empty_like(values)
+    if order == 1:
+        out[:-1] = (ext[2:] - ext[:-2]) / (2.0 * h)
+    else:
+        out[:-1] = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / h**2
+    out[-1] = (_EDGE[order] / h**order) @ values[-4:]
+    return out
 
 
 class PolarGrid:
-    """Immutable tensor grid: radial nodes starting at the origin times a
-    uniform periodic angle grid.
+    """Immutable tensor grid: uniform radial nodes starting at the origin,
+    dy apart, times a uniform periodic angle grid.
 
     Carries the Gaussian-weighted quadrature weights of the spectral
-    pairing and precomputed 3-point differentiation stencils. The pole
-    row uses values reflected through the origin, f(-y, phi) =
+    pairing.  Radial derivatives take radial_stencil, whose pole row
+    uses values reflected through the origin, f(-y, phi) =
     f(y, phi + pi), which is why n_phi must be even.
     """
 
     def __init__(self, nodes, n_phi):
         nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim != 1 or len(nodes) < 4:
-            raise ParameterError("need at least 4 radial nodes")
-        if nodes[0] != 0.0:
-            raise ParameterError("first radial node must sit at the origin")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ParameterError("radial nodes must be strictly increasing")
+        self.dy = _uniform_step(nodes, "radial")
         if n_phi < 4 or n_phi % 2 != 0:
             raise ParameterError("n_phi must be even and at least 4")
 
@@ -119,53 +153,14 @@ class PolarGrid:
         self.weights = np.outer(rw, np.full(n_phi, self.dphi))
         self.weights.setflags(write=False)
 
-        self._build_stencils()
-
     @property
     def shape(self):
         return (self.n_r + 1, self.n_phi)
 
-    def _build_stencils(self):
-        n = self.n_r + 1
-        y = self.y
-        coeff = {1: np.zeros((n, 3)), 2: np.zeros((n, 3))}
-        for order in (1, 2):
-            c = coeff[order]
-            c[0] = _fd_coeffs([-y[1], 0.0, y[1]], 0.0, order)
-            for i in range(1, n - 1):
-                c[i] = _fd_coeffs(y[i - 1:i + 2], y[i], order)
-            c[n - 1] = _fd_coeffs(y[n - 3:n], y[n - 1], order)
-            c.setflags(write=False)
-        # a 3-point one-sided 2nd derivative is only 1st order accurate,
-        # so the outer edge uses 4 points for order 2
-        self._edge_d2 = _fd_coeffs(y[n - 4:n], y[n - 1], 2)
-        self._edge_d2.setflags(write=False)
-        self._radial_coeffs = coeff
-
     def radial_derivative(self, values, order):
-        """Apply the precomputed radial stencils to a (n_r+1, n_phi) array."""
-        c = self._radial_coeffs[order]
-        out = np.empty_like(values)
-        out[1:-1] = (
-            c[1:-1, 0:1] * values[:-2]
-            + c[1:-1, 1:2] * values[1:-1]
-            + c[1:-1, 2:3] * values[2:]
-        )
-        reflected = values[1, self._antipode]
-        out[0] = c[0, 0] * reflected + c[0, 1] * values[0] + c[0, 2] * values[1]
-        if order == 2:
-            e = self._edge_d2
-            out[-1] = (
-                e[0] * values[-4] + e[1] * values[-3]
-                + e[2] * values[-2] + e[3] * values[-1]
-            )
-        else:
-            out[-1] = (
-                c[-1, 0] * values[-3]
-                + c[-1, 1] * values[-2]
-                + c[-1, 2] * values[-1]
-            )
-        return out
+        """radial_stencil of a (n_r+1, n_phi) array, the first ring
+        reflected through the pole standing for the row at -dy."""
+        return radial_stencil(values, self.dy, values[1, self._antipode], order)
 
     def __eq__(self, other):
         return (
@@ -270,7 +265,6 @@ def build_grid(n_r, n_phi, y_max):
 
     n_r is the number of radial cells (n_r + 1 equally spaced nodes
     including the origin), n_phi the number of uniformly spaced angles.
-    A non-uniform radial grid is built by passing its nodes to PolarGrid.
     """
     if n_r < 8:
         raise ParameterError("n_r must be at least 8")
@@ -292,18 +286,12 @@ def norm_H(f):
     return math.sqrt(max(inner_product_H(f, f), 0.0))
 
 
-def diff(f, direction, order=1):
-    """Finite-difference radial derivative of a field.
-
-    direction must be "y"; angular derivatives are spectral (see
-    diff_phi_fft).  Radial stencils are centered 3-point (2nd order on
-    smooth node distributions), one-sided at the outer edge, and use the
-    reflection f(-y, phi) = f(y, phi+pi) at the pole.
+def diff(f, order=1):
+    """Radial derivative of a field by radial_stencil: centred 3-point
+    and second order, one-sided 4-point at the outer edge, and through
+    the reflection f(-y, phi) = f(y, phi+pi) at the pole.  Angular
+    derivatives are spectral (see diff_phi_fft).
     """
-    if order not in (1, 2):
-        raise ParameterError("order must be 1 or 2")
-    if direction != "y":
-        raise ParameterError(f"unknown direction {direction!r}")
     return ScalarField(f.grid, f.grid.radial_derivative(f.values, order), copy=False)
 
 
@@ -364,7 +352,7 @@ def angular_derivs(F, Fr):
 
 def polar_jet(grid, F):
     """Polar first and second derivatives (F_y, F_yy, F_phi, F_phiphi,
-    F_yphi) of a (n_r+1, n_phi) array, radial by the grid stencils and
+    F_yphi) of a (n_r+1, n_phi) array, radial by radial_derivative and
     angular spectrally; also returns the angular spectrum of the first
     ring, F[1, :], which is what pole_jet reads."""
     Fy = grid.radial_derivative(F, 1)

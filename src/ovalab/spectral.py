@@ -283,7 +283,7 @@ def c4_norm_proxy(field, radius):
         out = fld
         while n > 0:
             k = 2 if n >= 2 else 1
-            out = diff(out, "y", k)
+            out = diff(out, k)
             n -= k
         return out
 

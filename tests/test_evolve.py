@@ -231,6 +231,29 @@ class TestTipRHS:
         with pytest.raises(DomainError):
             rhs_renormalized_Y(tip)
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        n_nodes=st.integers(4, 40),
+        n_phi=st.sampled_from([4, 8, 16, 48]),
+        top=st.floats(0.05, 1.0),
+        base=st.floats(0.3, 3.0),
+        slope=st.floats(0.0, 2.0),
+        wobble=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stencil_bitwise_equal_to_hand_written(
+        self, n_nodes, n_phi, top, base, slope, wobble, seed
+    ):
+        """The tip takes its radial derivatives from grid.radial_stencil;
+        on random positive tables the right-hand side is bit for bit the
+        one of the hand-written tip stencil it replaced (_rhs_Y_loop)."""
+        v_nodes = np.linspace(0.0, top, n_nodes)
+        rng = np.random.default_rng(seed)
+        Y = (base - slope * v_nodes[:, None] ** 2) * np.ones((1, n_phi))
+        Y = np.abs(Y) * (1.0 + wobble * rng.uniform(-1.0, 1.0, Y.shape)) + 0.01
+        tip = TipField(v_nodes, Y, 0.2)
+        assert np.array_equal(rhs_renormalized_Y(tip), _rhs_Y_loop(tip))
+
     def test_inverse_identities_second_order(self):
         """Graph and tip describe one surface: the inverse-function
         identities between (v, v_y, v_phi) and (Y, Y_v, Y_phi) hold to
@@ -704,6 +727,20 @@ class TestRunHistory:
             hist.at(-0.01)
         with pytest.raises(CoverageError):
             FlowHistory().grid
+
+    def test_blend_reads_the_profile_off_the_blended_square(self):
+        """Between two snapshots with signed squared profiles W = c - y^2,
+        c = 1 and 4, the midpoint blends W to 2.5 - y^2 and the profile
+        is its clamped square root (sqrt(2.5) = 1.58 at the pole, not
+        the blended 1.5)."""
+        g = build_grid(16, 8, 3.0)
+        hist = FlowHistory()
+        for t, c in ((0.0, 1.0), (1.0, 4.0)):
+            hist.append(FlowState(time=t, v=_signed_field(g, _sphere_w(g, c / 6.0))))
+        mid = hist.state_at(0.5).v
+        w = (2.5 - g.y[:, None] ** 2) * np.ones((1, g.n_phi))
+        assert np.abs(mid.w_signed - w).max() <= 1.0e-15
+        assert np.array_equal(mid.values, np.sqrt(np.maximum(mid.w_signed, 0.0)))
 
     def test_save_load_roundtrip(self, tmp_path):
         g = build_grid(128, 32, 3.2)

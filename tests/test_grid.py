@@ -24,6 +24,7 @@ from ovalab.grid import (
     frame_jet,
     inner_product_H,
     load_field,
+    radial_stencil,
     save_field,
 )
 
@@ -114,21 +115,6 @@ def _smooth_field(g):
     return f * np.ones(g.shape)
 
 
-def _stretched_nodes(n_r, y_max):
-    """Radial nodes clustered around y_max / 3 by a sinh map (strength 3)
-    of a uniform parameter, with the first node at 0 and the last at
-    y_max."""
-    u = np.linspace(0.0, 1.0, n_r + 1)
-    focus, s = y_max / 3.0, 3.0
-    u0 = (0.5 / s) * math.log(
-        (1.0 + (math.exp(s) - 1.0) / 3.0) / (1.0 + (math.exp(-s) - 1.0) / 3.0)
-    )
-    nodes = focus * (1.0 + np.sinh(s * (u - u0)) / math.sinh(s * u0))
-    nodes[0] = 0.0
-    nodes[-1] = y_max
-    return nodes
-
-
 def _fd_error(g, order):
     y = g.y[:, None]
     p = g.phi[None, :]
@@ -145,22 +131,71 @@ def _fd_error(g, order):
             - 2.0 * y * y / 3.0 * np.cos(2 * p)
             + np.cos(2 * p)
         )
-    got = diff(ScalarField(g, f * np.ones(g.shape)), "y", order)
+    got = diff(ScalarField(g, f * np.ones(g.shape)), order)
     return np.max(np.abs(got.values - exact * np.ones(g.shape)))
 
 
-@pytest.mark.parametrize("direction,order", [("y", 1), ("y", 2)])
-def test_fd_observed_order(direction, order):
+@pytest.mark.parametrize("order", [1, 2], ids=["y-1", "y-2"])
+def test_fd_observed_order(order):
     e1 = _fd_error(build_grid(48, 24, 8.0), order)
     e2 = _fd_error(build_grid(96, 48, 8.0), order)
     observed = math.log2(e1 / e2)
-    assert observed >= 1.9, (direction, order, observed)
+    assert observed >= 1.9, (order, observed)
 
 
-def test_fd_order_on_stretched_grid():
-    e1 = _fd_error(PolarGrid(_stretched_nodes(64, 8.0), 16), 2)
-    e2 = _fd_error(PolarGrid(_stretched_nodes(128, 8.0), 16), 2)
-    assert math.log2(e1 / e2) >= 1.9
+@pytest.mark.parametrize("order", [1, 2])
+def test_outer_row_exact_on_cubics(order):
+    """The outer row takes one-sided four-point stencils, exact on cubics
+    for both orders.  A three-point first derivative there is off by
+    dy^2 f'''/3, which is 0.125 on y^3 at 16 cells over 4."""
+    g = build_grid(16, 8, 4.0)
+    y = g.y[:, None] * np.ones(g.shape)
+    f = ScalarField(g, 1.0 - 2.0 * y + 0.5 * y**2 + y**3)
+    exact = -2.0 + y + 3.0 * y**2 if order == 1 else 1.0 + 6.0 * y
+    got = diff(f, order).values
+    assert np.abs(got[-1] - exact[-1]).max() <= 1.0e-12 * np.abs(exact[-1]).max()
+
+
+@pytest.mark.parametrize("order", [0, 3, -1, 1.5])
+def test_radial_derivative_rejects_other_orders(order):
+    g = build_grid(16, 8, 4.0)
+    with pytest.raises(ParameterError, match="order must be 1 or 2"):
+        g.radial_derivative(np.ones(g.shape), order)
+
+
+def test_radial_derivative_is_the_shared_stencil():
+    """The graph's radial derivative is radial_stencil on the grid
+    spacing, with the first ring reflected through the pole as the row
+    at -dy."""
+    g = build_grid(24, 8, 3.0)
+    F = np.random.default_rng(3).standard_normal(g.shape)
+    mirror = np.roll(F[1], -(g.n_phi // 2))
+    for order in (1, 2):
+        assert np.array_equal(g.radial_derivative(F, order),
+                              radial_stencil(F, g.dy, mirror, order))
+
+
+def _stretched_nodes(n_r, y_max):
+    """Radial nodes from 0 to y_max, clustered towards the origin."""
+    return y_max * np.linspace(0.0, 1.0, n_r + 1) ** 2
+
+
+@pytest.mark.parametrize("nodes", [
+    _stretched_nodes(12, 5.0),
+    np.linspace(0.5, 5.0, 13),
+    np.linspace(0.0, 5.0, 3),
+    -np.linspace(0.0, 5.0, 13),
+    np.append(np.linspace(0.0, 5.0, 12), 5.0 + 1.0e-6),
+], ids=["stretched", "offset", "three", "decreasing", "last-step-off"])
+def test_polar_grid_rejects_nonuniform_nodes(nodes):
+    with pytest.raises(ParameterError, match="radial nodes must be at least 4"):
+        PolarGrid(nodes, 6)
+
+
+def test_grid_spacing_is_the_smallest_step():
+    """dy is the smallest node step, which cfl_dt reads."""
+    for nodes in (np.linspace(0.0, 10.0, 97), 1.5 * np.linspace(0.0, 7.0, 33)):
+        assert PolarGrid(nodes, 8).dy == float(np.min(np.diff(nodes)))
 
 
 def test_pole_reflection_exact_on_linear():
@@ -168,9 +203,9 @@ def test_pole_reflection_exact_on_linear():
     # pole must come out as cos(phi) exactly
     g = build_grid(16, 8, 4.0)
     f = ScalarField(g, g.y[:, None] * np.cos(g.phi)[None, :] * np.ones(g.shape))
-    d = diff(f, "y", 1)
+    d = diff(f, 1)
     assert np.allclose(d.values[0], np.cos(g.phi), atol=1e-13)
-    d2 = diff(f, "y", 2)
+    d2 = diff(f, 2)
     assert np.allclose(d2.values[0], 0.0, atol=1e-13)
     # cos(pi - phi) = cos(phi + pi), so x1 cannot tell the antipode from
     # the mirror image phi -> pi - phi; x2 = y sin(phi) can
@@ -203,16 +238,16 @@ def test_smooth_pole_second_derivative():
     for n_r in (64, 128):
         g = build_grid(n_r, 32, 8.0)
         f = ScalarField(g, _smooth_field(g))
-        d2 = diff(f, "y", 2)
+        d2 = diff(f, 2)
         # reference from a much finer radial grid at the same angles
         gref = build_grid(1024, 32, 8.0)
-        ref = diff(ScalarField(gref, _smooth_field(gref)), "y", 2)
+        ref = diff(ScalarField(gref, _smooth_field(gref)), 2)
         errs.append(np.max(np.abs(d2.values[0] - ref.values[0])))
     assert errs[1] < errs[0]
 
 
 def test_csv_roundtrip(tmp_path):
-    g = PolarGrid(_stretched_nodes(12, 5.0), 6)
+    g = build_grid(12, 6, 5.0)
     rng = np.random.default_rng(7)
     f = ScalarField(g, rng.normal(size=g.shape))
     path = tmp_path / "field.csv"
@@ -226,12 +261,28 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_load_field_checks_the_stored_nodes(tmp_path):
-    g = PolarGrid(_stretched_nodes(12, 5.0), 6)
+    g = build_grid(12, 6, 5.0)
     path = tmp_path / "field.csv"
     save_field(ScalarField(g, np.ones(g.shape)), path)
     assert load_field(path, grid=g).grid is g
     with pytest.raises(ShapeError):
-        load_field(path, grid=build_grid(12, 6, 5.0))
+        load_field(path, grid=build_grid(12, 6, 5.5))
+
+
+def test_load_field_rejects_stretched_nodes(tmp_path):
+    """A table whose stored nodes are not uniform from the origin does
+    not read back as a grid."""
+    g = build_grid(12, 6, 5.0)
+    path = tmp_path / "field.csv"
+    save_field(ScalarField(g, np.ones(g.shape)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    stretched = _stretched_nodes(12, 5.0)
+    for k, line in enumerate(lines[1:], start=1):
+        i, j, _, phi, value = line.split(", ")
+        lines[k] = f"{i}, {j}, {stretched[int(i)]:.17g}, {phi}, {value}"
+    path.write_text("".join(lines))
+    with pytest.raises(ParameterError, match="radial nodes"):
+        load_field(path)
 
 
 def test_parameter_errors():
@@ -245,7 +296,7 @@ def test_parameter_errors():
         build_grid(192, 48, 0.0)
     f = ScalarField(build_grid(16, 8, 5.0), np.ones((17, 8)))
     with pytest.raises(ParameterError):
-        diff(f, "phi")
+        diff(f, 3)
 
 
 def test_grid_mismatch_is_shape_error():

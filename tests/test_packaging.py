@@ -182,3 +182,49 @@ def test_angular_transforms_have_one_owner():
                 for node in ast.walk(tree)):
             readers.append(path.name)
     assert readers == ["grid.py"]
+
+
+def _radial_differences(path):
+    """Lines of the module at path that take a radial difference of
+    their own: an expression holding X[2:] and X[:-2] of one array X (a
+    centred difference), or an np.diff of a node array (.y or v_nodes)."""
+    def first_slice(node):
+        index = node.slice.elts[0] if isinstance(node.slice, ast.Tuple) else node.slice
+        if not isinstance(index, ast.Slice) or index.step is not None:
+            return None
+        bounds = tuple(None if b is None else ast.unparse(b)
+                       for b in (index.lower, index.upper))
+        return {("2", None): "2:", (None, "-2"): ":-2"}.get(bounds)
+
+    def terms(node):
+        if isinstance(node, ast.BinOp):
+            return terms(node.left) + terms(node.right)
+        if isinstance(node, ast.UnaryOp):
+            return terms(node.operand)
+        return [node]
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.BinOp):
+            cuts = {}
+            for t in terms(node):
+                kind = first_slice(t) if isinstance(t, ast.Subscript) else None
+                if kind:
+                    cuts.setdefault(ast.unparse(t.value), set()).add(kind)
+            if any(kinds == {"2:", ":-2"} for kinds in cuts.values()):
+                found.append(f"{path.name}:{node.lineno} centred difference")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "np.diff" \
+                and node.args:
+            arg = node.args[0]
+            name = arg.attr if isinstance(arg, ast.Attribute) else getattr(arg, "id", None)
+            if name in ("y", "v_nodes"):
+                found.append(f"{path.name}:{node.lineno} np.diff of nodes")
+    return sorted(set(found))
+
+
+def test_radial_stencil_has_one_owner():
+    """Only grid.py differences along the radial nodes; every other
+    module takes radial derivatives from grid.radial_stencil and the
+    node spacing from the grid, so the stencil is written once."""
+    found = {path.name: _radial_differences(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"grid.py"}, found
