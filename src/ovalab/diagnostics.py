@@ -44,6 +44,7 @@ from .grid import (
     rim_index,
     signed_square,
     sqrt_jet,
+    tip_nodes,
 )
 from .shrinkers import normal_form_profile, solve_bowl
 from .spectral import smoothstep_quintic
@@ -73,9 +74,9 @@ def normal_form_tip(tau, n_phi=32, n_nodes=33):
     """
     if not tau < 0.0:
         raise ParameterError("the model tip needs tau < 0")
-    v = np.linspace(0.0, 2.0 * THETA, n_nodes)
+    v = tip_nodes(n_nodes, THETA)
     Y = np.sqrt(abs(tau) * (2.0 - v**2) + 4.0)
-    return TipField(v, Y[:, None] * np.ones((1, n_phi)), THETA)
+    return TipField(Y[:, None] * np.ones((1, n_phi)), THETA)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +376,7 @@ def huisken_density(field, r, tail=None):
         ys = np.append(y[:k], y_rim)
         fs = np.append(dens[:k, j], f_rim)
         total += float(np.trapezoid(fs * ys, ys))
-    dphi = grid.phi[1] - grid.phi[0]
-    return (4.0 * math.pi * r**2) ** -1.5 * total * dphi
+    return (4.0 * math.pi * r**2) ** -1.5 * total * grid.dphi
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +430,6 @@ def tip_weight(tip, tau, bowl=None):
         )
     mid = (n - 1) // 2
     theta = tip.theta
-    if abs(nodes[mid] - theta) > 1.0e-12:
-        raise ParameterError("tip nodes must place theta at the midpoint")
     dv = tip.dv
     bowl = bowl if bowl is not None else _reference_bowl()
     slope = bowl.tip_slope(nodes, tau)
@@ -453,7 +451,7 @@ def tip_weight(tip, tau, bowl=None):
     mu[1:, :] = -q[mid, :][None, :] + (cum[mid - 1, :][None, :] - cum)
     mu[0, :] = -np.inf
     return WeightField(
-        v_nodes=nodes.copy(),
+        v_nodes=nodes,
         mu=mu,
         zeta=zeta,
         bowl_height=height,

@@ -27,9 +27,11 @@ smooth continuation of W rebuilt from the interior after every stage,
 so stencils near the rim never see a cliff.
 
 The tip patch steps Y(v, phi) by the inverse-profile equation of
-rhs_renormalized_Y.  Time integration is explicit midpoint under a
-parabolic CFL bound from the radial spacing; a per-ring angular
-low-pass keeps the polar axis from tightening that bound.  Angular
+rhs_renormalized_Y.  A tip table is (values, theta) and takes its nodes
+from grid.tip_nodes, as a PolarGrid is (n_r, n_phi, y_max), so neither
+patch is ever handed a node array.  Time integration is explicit
+midpoint under a parabolic CFL bound from the radial spacing; a
+per-ring angular low-pass keeps the polar axis from tightening it.  Angular
 derivatives and the low-pass are products with ring matrices that grid
 caches per n_phi, so the tip table, which has no PolarGrid, shares them
 with the graph.  Both patches take radial derivatives from
@@ -61,7 +63,6 @@ from .grid import (
     THETA,
     ScalarField,
     _read_table,
-    _uniform_step,
     _write_table,
     angular_derivs,
     angular_lowpass,
@@ -72,6 +73,7 @@ from .grid import (
     rebuild_halo,
     save_field,
     signed_square,
+    tip_nodes,
 )
 from .grid import diff_phi_fft  # noqa: F401  (perfbench's tracer wraps evolve.diff_phi_fft)
 
@@ -85,19 +87,20 @@ CFL = 0.2
 
 
 class TipField:
-    """Per-angle inverse profile Y(v, phi) on uniform nodes in [0, 2 theta].
+    """Per-angle inverse profile Y(v, phi), a 2-d table of values whose n
+    rows sit at v_nodes = grid.tip_nodes(n, theta) in [0, 2 theta].
 
     The smooth-tip boundary condition Y_v(0, phi) = 0 is built into the
     reflection stencils rather than stored.  Y decreasing in v holds for
     convex bodies and is monitored, not enforced.
     """
 
-    def __init__(self, v_nodes, values, theta):
-        self.v_nodes = np.asarray(v_nodes, dtype=float)
+    def __init__(self, values, theta):
         self.values = np.asarray(values, dtype=float)
         self.theta = float(theta)
-        if self.values.ndim != 2 or self.values.shape[0] != len(self.v_nodes):
-            raise ParameterError("tip value table shape mismatch")
+        if self.values.ndim != 2:
+            raise ParameterError("tip value table must be 2-d")
+        self.v_nodes = tip_nodes(self.values.shape[0], self.theta)
         if np.any(self.values <= 0.0):
             raise DomainError("tip radius table must be positive")
 
@@ -129,8 +132,8 @@ class TipField:
         Levels are located in the squared profile, which crosses the rim
         linearly and so keeps the interpolation uniformly second order;
         the rim row lands at the zero crossing of the continuation read by
-        signed_square, not at the last live node.  Fewer than 4 nodes or
-        theta <= 0 raise ParameterError.
+        signed_square, not at the last live node.  grid.tip_nodes
+        raises ParameterError for n_nodes or theta it cannot lay out.
 
         All angles are inverted at once: rows above each column's peak
         are masked to +inf, so one running minimum down the table holds
@@ -138,9 +141,7 @@ class TipField:
         count of tail entries above a level locates that level's bracket.
         """
         g = field.grid
-        v_nodes = np.linspace(0.0, 2.0 * theta, n_nodes)
-        _uniform_step(v_nodes, "from_profile: tip")
-        w_levels = v_nodes**2
+        w_levels = tip_nodes(n_nodes, theta) ** 2
         w = signed_square(field)
         n = w.shape[0]
         rows = np.arange(n)[:, None]
@@ -168,7 +169,7 @@ class TipField:
         gap = np.where(w_hi > w_lo, w_hi - w_lo, 1.0)
         frac = np.where(w_hi > w_lo, (w_hi - w_levels[:, None]) / gap, 0.0)
         ys = g.y[idx - 1] + frac * (g.y[idx] - g.y[idx - 1])
-        return cls(v_nodes, ys, theta)
+        return cls(ys, theta)
 
     def save(self, path):
         _write_table(
@@ -182,11 +183,11 @@ class TipField:
 
     @classmethod
     def load(cls, path):
-        theta, v_nodes, values = _read_table(
-            path, "tip-table", lambda m: (int(m["v_nodes"]), float(m["theta"]))
-        )
-        _uniform_step(v_nodes, f"{path}: tip")
-        return cls(v_nodes, values, theta)
+        """Read a table written by save; stored nodes that are not the
+        header's tip_nodes(v_nodes, theta) raise ParameterError."""
+        theta, values = _read_table(path, "tip", lambda m: (
+            tip_nodes(int(m["v_nodes"]), float(m["theta"])), float(m["theta"])))
+        return cls(values, theta)
 
 
 def rhs_renormalized_Y(tip):
@@ -310,10 +311,10 @@ def _substep_tip(tip, dtau):
     t = tip
     for _ in range(n_sub):
         k1 = rhs_renormalized_Y(t)
-        mid = TipField(tip.v_nodes, Y + 0.5 * h * k1, tip.theta)
+        mid = TipField(Y + 0.5 * h * k1, tip.theta)
         k2 = rhs_renormalized_Y(mid)
         Y = Y + h * k2
-        t = TipField(tip.v_nodes, Y, tip.theta)
+        t = TipField(Y, tip.theta)
     return t
 
 
@@ -339,7 +340,7 @@ def _interp_columns(x, xp, fp):
     return np.where(x < xp[0], fp[0], out)
 
 
-def _inject_from_tip(W, tip, grid, theta):
+def _inject_from_tip(W, tip, grid):
     """Dirichlet side of the patch coupling: graph nodes below the
     handover level take their values from the tip table, blended in
     over v in [theta/2, theta] so no kink forms at the seam.
@@ -348,7 +349,7 @@ def _inject_from_tip(W, tip, grid, theta):
     its handover radius Y(theta) and its tip radius Y(0); those few
     nodes are gathered from every column and inverted together.
     """
-    v_nodes = tip.v_nodes
+    v_nodes, theta = tip.v_nodes, tip.theta
     y_top = _interp_columns(np.full((1, tip.n_phi), theta), v_nodes[:, None],
                             tip.values)[0]
     col = np.minimum.accumulate(tip.values, axis=0)
@@ -373,8 +374,8 @@ def _sync_patches(W, tip, grid):
     merged = np.where(
         tip.v_nodes[:, None] >= tip.theta - 1.0e-12, inverted.values, tip.values
     )
-    new_tip = TipField(tip.v_nodes, merged, tip.theta)
-    W = rebuild_halo(_inject_from_tip(W, new_tip, grid, tip.theta), grid)
+    new_tip = TipField(merged, tip.theta)
+    W = rebuild_halo(_inject_from_tip(W, new_tip, grid), grid)
     return W, new_tip
 
 
@@ -469,11 +470,8 @@ class FlowHistory:
             vals = (1.0 - lam) * s0.v.values + lam * s1.v.values
         tip = None
         if s0.tip is not None and s1.tip is not None:
-            tip = TipField(
-                s0.tip.v_nodes,
-                (1.0 - lam) * s0.tip.values + lam * s1.tip.values,
-                s0.tip.theta,
-            )
+            tip = TipField((1.0 - lam) * s0.tip.values + lam * s1.tip.values,
+                           s0.tip.theta)
         return FlowState(
             time=t,
             v=ScalarField(s0.v.grid, vals, w_signed=w, copy=False),
@@ -543,10 +541,10 @@ class FlowHistory:
     @classmethod
     def load_dir(cls, path):
         """Read a history written by save_dir.  An index that is not a
-        list of entries, or an entry without its field name, with a
-        missing or non-boolean renormalized flag or with a missing or
-        non-numeric time, theta or L, raises ParameterError naming the
-        index file."""
+        list of entries, or an entry without its field name, with a field
+        or tip name that is not a string, with a missing or non-boolean
+        renormalized flag or with a missing or non-numeric time, theta or
+        L, raises ParameterError naming the index file."""
         where = os.path.join(path, "history.json")
         with open(where) as fh:
             index = json.load(fh)
@@ -562,6 +560,9 @@ class FlowHistory:
             ) from None
         if not all(isinstance(e[3], bool) for e in entries):
             raise ParameterError(f"{where}: renormalized must be true or false")
+        if not all(isinstance(e[1], str) and isinstance(e[2], (str, type(None)))
+                   for e in entries):
+            raise ParameterError(f"{where}: field and tip must be file names")
         hist = cls()
         grid = None
         for time, field, tip, renormalized, theta, L in entries:

@@ -14,11 +14,12 @@ y^2 - 4 vanishes to machine precision; those two functions are
 orthogonal in the continuum and a lot of the mode bookkeeping assumes
 the discrete version agrees.
 
-Radial nodes are uniform, and radial_stencil is the one radial
-finite-difference stencil: centred three-point differences with a
-caller's mirror row at -h, and one-sided four-point ones at the outer
-row.  The graph mirrors through the pole, f(-y, phi) = f(y, phi + pi);
-the tip patch of evolve mirrors evenly through its tip.
+Nodes are laid out here alone, uniform from 0: a PolarGrid from
+(n_r, n_phi, y_max), a tip table of evolve by tip_nodes(n, theta).
+radial_stencil is the one radial finite-difference stencil: centred
+three-point differences with a caller's mirror row at -h, and one-sided
+four-point ones at the outer row.  The graph mirrors through the pole,
+f(-y, phi) = f(y, phi + pi); the tip patch mirrors evenly through its tip.
 
 polar_jet gives a field's derivatives in (y, phi); frame_jet, the one
 owner of the pole row, turns them into gradient and Hessian in an
@@ -41,6 +42,7 @@ its continuation outside the body (signed_square).
 
 import functools
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -73,21 +75,17 @@ def _hat_weights(nodes, j0, j1):
     return w
 
 
-def _uniform_step(nodes, what):
-    """Spacing of nodes that must be at least 4, start at 0 and increase
-    uniformly (spread of the steps within 1e-9 of the first), as the
-    radial stencil needs; the smallest step is returned.  Nodes that
-    break this raise ParameterError naming `what`."""
-    ok = nodes.ndim == 1 and len(nodes) >= 4 and nodes[0] == 0.0
-    if ok:
-        h = np.diff(nodes)
-        ok = h[0] > 0.0 and np.ptp(h) <= 1.0e-9 * h[0]
-    if not ok:
-        raise ParameterError(
-            f"{what} nodes must be at least 4, start at 0 and be uniformly "
-            f"increasing; got {np.array2string(nodes, threshold=6)}"
-        )
-    return float(h.min())
+@functools.lru_cache(maxsize=None, typed=True)
+def tip_nodes(n, theta):
+    """The read-only nodes linspace(0, 2 theta, n) of a tip table.  A
+    count that is not an integer of at least 4, or theta outside
+    (0, inf), raises ParameterError."""
+    if not (isinstance(n, Integral) and n >= 4 and 0.0 < theta < math.inf):
+        raise ParameterError(f"tip nodes need an integer count >= 4 and "
+                             f"0 < theta < inf, got {n!r} and {theta!r}")
+    nodes = np.linspace(0.0, 2.0 * theta, n)
+    nodes.setflags(write=False)
+    return nodes
 
 
 # one-sided four-point weights at the outer row, exact on cubics
@@ -117,8 +115,11 @@ def radial_stencil(values, h, mirror, order):
 
 
 class PolarGrid:
-    """Immutable tensor grid: uniform radial nodes starting at the origin,
-    dy apart, times a uniform periodic angle grid.
+    """Immutable tensor grid: the n_r + 1 radial nodes
+    y = y_max linspace(0, 1, n_r + 1), dy apart, times n_phi uniform
+    periodic angles; grids are equal when (n_r, n_phi, y_max) are.
+    Counts that are not integers, n_r < 8, an odd n_phi or one below 4
+    and a y_max that is not positive and finite raise ParameterError.
 
     Carries the Gaussian-weighted quadrature weights of the spectral
     pairing.  Radial derivatives take radial_stencil, whose pole row
@@ -126,17 +127,22 @@ class PolarGrid:
     f(y, phi + pi), which is why n_phi must be even.
     """
 
-    def __init__(self, nodes, n_phi):
-        nodes = np.asarray(nodes, dtype=float)
-        self.dy = _uniform_step(nodes, "radial")
-        if n_phi < 4 or n_phi % 2 != 0:
-            raise ParameterError("n_phi must be even and at least 4")
+    def __init__(self, n_r, n_phi, y_max):
+        if not (isinstance(n_r, Integral) and n_r >= 8):
+            raise ParameterError(f"n_r must be an integer >= 8, got {n_r!r}")
+        if not (isinstance(n_phi, Integral) and n_phi >= 4 and n_phi % 2 == 0):
+            raise ParameterError(f"n_phi must be an even integer >= 4, got {n_phi!r}")
+        if not 0.0 < y_max < math.inf:
+            raise ParameterError(f"y_max must be positive and finite, got {y_max}")
+        nodes = y_max * np.linspace(0.0, 1.0, n_r + 1)
+        self.dy = float(np.diff(nodes).min())
+        if not self.dy**2 >= np.finfo(float).tiny:  # the stencils divide by it
+            raise ParameterError(f"y_max={y_max:g} is too small for {n_r} radial cells")
 
         self.y = nodes
         self.y.setflags(write=False)
-        self.n_r = len(nodes) - 1
-        self.n_phi = int(n_phi)
-        self.y_max = float(nodes[-1])
+        self.n_r, self.n_phi, self.y_max = int(n_r), int(n_phi), float(y_max)
+        self._key = (self.n_r, self.n_phi, self.y_max)
         self.dphi = 2.0 * math.pi / n_phi
         self.phi = np.arange(n_phi) * self.dphi
         self.phi.setflags(write=False)
@@ -163,15 +169,10 @@ class PolarGrid:
         return radial_stencil(values, self.dy, values[1, self._antipode], order)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolarGrid)
-            and self.n_phi == other.n_phi
-            and len(self.y) == len(other.y)
-            and bool(np.array_equal(self.y, other.y))
-        )
+        return isinstance(other, PolarGrid) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.n_r, self.n_phi, self.y_max))
+        return hash(self._key)
 
     def __repr__(self):
         return f"PolarGrid(n_r={self.n_r}, n_phi={self.n_phi}, y_max={self.y_max:g})"
@@ -260,19 +261,8 @@ def signed_square(field):
     return rebuild_halo(field.values**2, field.grid)
 
 
-def build_grid(n_r, n_phi, y_max):
-    """Construct a uniform polar grid.
-
-    n_r is the number of radial cells (n_r + 1 equally spaced nodes
-    including the origin), n_phi the number of uniformly spaced angles.
-    """
-    if n_r < 8:
-        raise ParameterError("n_r must be at least 8")
-    if n_phi < 4 or n_phi % 2 != 0:
-        raise ParameterError("n_phi must be even and at least 4")
-    if not y_max > 0.0:
-        raise ParameterError("y_max must be positive")
-    return PolarGrid(y_max * np.linspace(0.0, 1.0, n_r + 1), n_phi)
+# the constructor's public name
+build_grid = PolarGrid
 
 
 def inner_product_H(f, g):
@@ -439,13 +429,14 @@ def _write_table(path, header, nodes, phi, values):
 
 
 def _read_table(path, what, header):
-    """Read a _write_table file into (info, nodes, values).
+    """Read a _write_table file of `what` nodes into (info, values).
 
-    header(meta) parses the comment-line key=value pairs into (number of
-    nodes, info).  The header also promises phi_nodes; a table of any
-    other row count raises ShapeError, and a missing or non-numeric
-    header entry, a non-numeric value or a row without five fields
-    raises ParameterError.
+    header(meta) parses the comment-line key=value pairs into (nodes,
+    info), nodes being the column the table must hold.  The header also
+    promises phi_nodes; a table of any other row count raises ShapeError.
+    A missing or invalid header entry, a non-numeric value, a row without
+    five fields or a node off by more than 1e-9 of the step raises
+    ParameterError naming the file.
     """
     meta = {}
     rows = []
@@ -464,17 +455,21 @@ def _read_table(path, what, header):
                 rows.append([float(tok) for tok in line.split(",")])
         data = np.asarray(rows)
     except ValueError as err:
-        raise ParameterError(f"{path}: malformed {what} row ({err})") from None
+        raise ParameterError(f"{path}: malformed {what} table row ({err})") from None
     try:
-        (n, info), n_phi = header(meta), int(meta["phi_nodes"])
-    except (KeyError, ValueError) as err:
-        raise ParameterError(f"{path}: bad {what} header ({err})") from None
+        (nodes, info), n_phi = header(meta), int(meta["phi_nodes"])
+    except (KeyError, ValueError) as err:  # ParameterError is a ValueError
+        raise ParameterError(f"{path}: bad {what} table header ({err})") from None
+    n = len(nodes)
     if data.shape[0] != n * n_phi:
         raise ShapeError(f"{path}: expected {n * n_phi} rows, got {data.shape[0]}")
     if data.shape[1:] != (5,):
-        raise ParameterError(f"{path}: {what} rows need 5 fields")
+        raise ParameterError(f"{path}: {what} table rows need 5 fields")
     data = data.reshape(n, n_phi, -1)
-    return info, data[:, 0, 2], np.ascontiguousarray(data[:, :, 4])
+    if not np.all(np.abs(data[:, 0, 2] - nodes) <= 1.0e-9 * nodes[1]):
+        raise ParameterError(f"{path}: stored {what} nodes are not the "
+                             f"header's {n} uniform ones up to {nodes[-1]:.17g}")
+    return info, np.ascontiguousarray(data[:, :, 4])
 
 
 def save_field(f, path):
@@ -486,13 +481,15 @@ def save_field(f, path):
 
 
 def load_field(path, grid=None):
-    """Read a field written by save_field. If `grid` is given the stored
-    nodes must equal its nodes; otherwise the grid is rebuilt from them."""
-    _, nodes, values = _read_table(path, "grid",
-                                   lambda m: (int(m["y_nodes"]) + 1, None))
-    n_phi = values.shape[1]
-    if grid is None:
-        grid = PolarGrid(nodes, n_phi)
-    elif grid.n_phi != n_phi or not np.array_equal(grid.y, nodes):
+    """Read a field written by save_field onto the PolarGrid of its header
+    (y_nodes, phi_nodes, y_max), which a given grid must be (ShapeError
+    otherwise); stored nodes that are not its raise ParameterError."""
+    def header(meta):
+        key = (int(meta["y_nodes"]), int(meta["phi_nodes"]), float(meta["y_max"]))
+        stored = grid if grid is not None and grid._key == key else PolarGrid(*key)
+        return stored.y, stored
+
+    stored, values = _read_table(path, "radial", header)
+    if grid is not None and stored is not grid:
         raise ShapeError(f"{path}: stored grid does not match the given one")
-    return ScalarField(grid, values)
+    return ScalarField(stored, values)

@@ -108,7 +108,7 @@ def test_tip_distance_vanishes_against_the_generating_bowl():
     bowl = solve_bowl()
     v_nodes = np.linspace(0.0, 2.0 * THETA, 33)
     Y = math.sqrt(2.0 * -tau) + bowl.tip_profile(v_nodes, tau)
-    tip = TipField(v_nodes, Y[:, None] * np.ones((1, 16)), THETA)
+    tip = TipField(Y[:, None] * np.ones((1, 16)), THETA)
     g = build_grid(64, 16, 10.0)
     st = FlowState(
         time=tau,
@@ -434,10 +434,6 @@ def test_weight_node_requirements():
     tau = -100.0
     with pytest.raises(ParameterError):
         tip_weight(normal_form_tip(tau, n_nodes=32), tau)
-    v = np.linspace(0.0, 0.3, 33)  # midpoint 0.15, not theta
-    tip = TipField(v, np.full((33, 8), 10.0), THETA)
-    with pytest.raises(ParameterError):
-        tip_weight(tip, tau)
     with pytest.raises(ParameterError):
         tip_weight(normal_form_tip(-1.0, n_nodes=33), 1.0)
 

@@ -43,8 +43,8 @@ from ovalab.evolve import (
 )
 from ovalab.grid import (
     THETA,
-    PolarGrid,
     ScalarField,
+    _write_table,
     build_grid,
     diff_phi_fft,
     norm_H,
@@ -77,8 +77,10 @@ def _wobble_sphere(grid, eps=0.12):
 
 
 def _saved_nodes(path, v_nodes):
-    """Write a positive table on the given nodes and read it back."""
-    TipField(v_nodes, np.ones((len(v_nodes), 8)), 0.2).save(path)
+    """Write a positive table on the given nodes under a theta = 0.2
+    header and read it back."""
+    _write_table(path, f"v_nodes={len(v_nodes)} phi_nodes=8 theta=0.2", v_nodes,
+                 2.0 * math.pi * np.arange(8) / 8, np.ones((len(v_nodes), 8)))
     return TipField.load(path)
 
 
@@ -153,11 +155,24 @@ class TestTipField:
         lambda path: _saved_nodes(path, np.linspace(0.0, 0.4, 3)),
         lambda path: TipField.from_profile(sphere_field(build_grid(64, 8, 3.2)),
                                            n_nodes=3),
-    ], ids=["offset", "decreasing", "stretched", "three-stored", "three-inverted"])
+        lambda path: TipField.from_profile(sphere_field(build_grid(64, 8, 3.2)),
+                                           n_nodes=16.5),
+        lambda path: TipField(np.ones((3, 8)), 0.2),
+        *[lambda path, theta=theta: TipField(np.ones((9, 8)), theta)
+          for theta in (0.0, -0.2, math.inf, math.nan)],
+    ], ids=["offset", "decreasing", "stretched", "three-stored", "three-inverted",
+            "fractional-count", "three-built", "theta-0", "theta-negative",
+            "theta-inf", "theta-nan"])
     def test_bad_nodes_are_a_parameter_error(self, tmp_path, make):
-        """The tip stencils need 4 or more uniform nodes up from v = 0."""
-        with pytest.raises(ParameterError, match="tip nodes"):
-            make(os.path.join(tmp_path, "tip.csv"))
+        """The tip stencils need 4 or more uniform nodes up from v = 0: a
+        table takes grid.tip_nodes(n, theta), which refuses a count below
+        4 or not an integer and a theta outside (0, inf), and a stored
+        node column must be those nodes."""
+        path = os.path.join(tmp_path, "tip.csv")
+        with pytest.raises(ParameterError, match="tip nodes") as exc:
+            make(path)
+        if os.path.exists(path):  # a stored table names its file
+            assert path in str(exc.value)
 
     def test_rim_must_be_contained(self):
         g = build_grid(96, 32, 3.0)
@@ -171,11 +186,10 @@ class TestTipField:
             TipField.from_profile(_signed_field(g, w), theta=0.2)
 
     def test_tip_radius_positive_required(self):
-        v_nodes = np.linspace(0.0, 0.4, 9)
         bad = np.ones((9, 8))
         bad[3, 2] = -0.1
         with pytest.raises(DomainError):
-            TipField(v_nodes, bad, 0.2)
+            TipField(bad, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +233,11 @@ class TestWRHS:
 class TestTipRHS:
     def test_sphere_inverse_stationary(self):
         v_nodes = np.linspace(0.0, 0.4, 17)
-        tip = TipField(
-            v_nodes, np.sqrt(6.0 - v_nodes[:, None] ** 2) * np.ones((1, 48)), 0.2
-        )
+        tip = TipField(np.sqrt(6.0 - v_nodes[:, None] ** 2) * np.ones((1, 48)), 0.2)
         assert np.abs(rhs_renormalized_Y(tip)).max() < 5.0e-4
 
     def test_positive_radius_enforced(self):
-        v_nodes = np.linspace(0.0, 0.4, 9)
-        tip = TipField(v_nodes, np.full((9, 8), 2.0), 0.2)
+        tip = TipField(np.full((9, 8), 2.0), 0.2)
         tip.values[4, 4] = -1.0
         with pytest.raises(DomainError):
             rhs_renormalized_Y(tip)
@@ -251,7 +262,7 @@ class TestTipRHS:
         rng = np.random.default_rng(seed)
         Y = (base - slope * v_nodes[:, None] ** 2) * np.ones((1, n_phi))
         Y = np.abs(Y) * (1.0 + wobble * rng.uniform(-1.0, 1.0, Y.shape)) + 0.01
-        tip = TipField(v_nodes, Y, 0.2)
+        tip = TipField(Y, 0.5 * top)
         assert np.array_equal(rhs_renormalized_Y(tip), _rhs_Y_loop(tip))
 
     def test_inverse_identities_second_order(self):
@@ -269,11 +280,7 @@ class TestTipRHS:
             w = 6.0 - yy**2 * (1.0 + eps * np.cos(2.0 * pp))
             v_nodes = np.linspace(0.0, 0.4, n_nodes)
             shade = 1.0 + eps * np.cos(2.0 * g.phi)
-            tip = TipField(
-                v_nodes,
-                np.sqrt((6.0 - v_nodes[:, None] ** 2) / shade[None, :]),
-                0.2,
-            )
+            tip = TipField(np.sqrt((6.0 - v_nodes[:, None] ** 2) / shade[None, :]), 0.2)
             dv = tip.dv
             Y = tip.values
             Yv = np.gradient(Y, dv, axis=0)
@@ -421,9 +428,9 @@ class TestWholeTableTip:
         on_node = rng.random(shaken.shape) < 0.2
         nearest = np.abs(g.y[:, None, None] - shaken[None]).argmin(axis=0)
         shaken = np.where(on_node, g.y[nearest], shaken)
-        for table in (tip, TipField(tip.v_nodes, shaken, theta)):
+        for table in (tip, TipField(shaken, theta)):
             assert np.array_equal(rhs_renormalized_Y(table), _rhs_Y_loop(table))
-            got = evolve._inject_from_tip(w.copy(), table, g, theta)
+            got = evolve._inject_from_tip(w.copy(), table, g)
             assert np.array_equal(got, _inject_loop(w.copy(), table, g, theta))
 
     @pytest.mark.parametrize("columns, expected", [
@@ -789,7 +796,8 @@ class TestRunHistory:
                 hist.at(t)
 
     @pytest.mark.parametrize("case", ["no-theta", "no-time", "not-a-list", "time-soon",
-                                      "renormalized-no"])
+                                      "renormalized-no", "field-5", "tip-7",
+                                      "field-list"])
     def test_bad_index_is_a_parameter_error(self, tmp_path, case):
         g = build_grid(8, 4, 3.0)
         hist = FlowHistory()
@@ -809,6 +817,12 @@ class TestRunHistory:
             index = {"snapshots": index}
         elif case == "time-soon":
             index[0]["time"] = "soon"
+        elif case == "field-5":
+            index[0]["field"] = 5
+        elif case == "tip-7":
+            index[1]["tip"] = 7
+        elif case == "field-list":
+            index[1]["field"] = ["a"]
         else:
             index[1]["renormalized"] = "no"
         with open(where, "w") as fh:
@@ -1009,7 +1023,7 @@ class TestRenormalize:
         to roundoff, and its tau is shifted by -2 log lam."""
         t_e = 0.1
         g = build_grid(48, 16, 3.0)
-        g_lam = PolarGrid(lam * g.y, g.n_phi)
+        g_lam = build_grid(48, 16, 3.0 * lam)
         g_out = build_grid(48, 16, 4.0)
         yy, pp = g.y[:, None], g.phi[None, :]
         w = (
@@ -1076,7 +1090,7 @@ class TestZoomedTip:
         s = math.sqrt(abs(tau0))
         v_nodes = np.linspace(0.0, 0.4, 17)
         Y = 4.1 + bowl(s * v_nodes)[:, None] / s * np.ones((1, 8))
-        tip = TipField(v_nodes, Y, 0.2)
+        tip = TipField(Y, 0.2)
         st = FlowState(time=tau0, v=bubble_sheet_field(build_grid(16, 8, 2.0)),
                        tip=tip)
         rho, Z = zoomed_tip(st, j=0)

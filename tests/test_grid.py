@@ -14,8 +14,8 @@ import pytest
 
 from ovalab.errors import ParameterError, ShapeError
 from ovalab.grid import (
-    PolarGrid,
     ScalarField,
+    _write_table,
     angular_derivs,
     angular_lowpass,
     build_grid,
@@ -180,22 +180,57 @@ def _stretched_nodes(n_r, y_max):
     return y_max * np.linspace(0.0, 1.0, n_r + 1) ** 2
 
 
+def _last_step_off(n_r, y_max):
+    y = np.array(build_grid(n_r, 6, y_max).y)
+    y[-1] += 1.0e-6
+    return y
+
+
 @pytest.mark.parametrize("nodes", [
     _stretched_nodes(12, 5.0),
     np.linspace(0.5, 5.0, 13),
     np.linspace(0.0, 5.0, 3),
     -np.linspace(0.0, 5.0, 13),
-    np.append(np.linspace(0.0, 5.0, 12), 5.0 + 1.0e-6),
+    _last_step_off(12, 5.0),
 ], ids=["stretched", "offset", "three", "decreasing", "last-step-off"])
-def test_polar_grid_rejects_nonuniform_nodes(nodes):
-    with pytest.raises(ParameterError, match="radial nodes must be at least 4"):
-        PolarGrid(nodes, 6)
+def test_polar_grid_rejects_nonuniform_nodes(tmp_path, nodes):
+    """A PolarGrid lays out its own nodes from (n_r, n_phi, y_max), so
+    other nodes could reach one only from a stored table; load_field
+    refuses a table whose header names no grid or whose node column is
+    not that grid's."""
+    path = tmp_path / "field.csv"
+    _write_table(path, f"y_nodes={len(nodes) - 1} phi_nodes=6 y_max=5.0", nodes,
+                 np.arange(6) * math.pi / 3.0, np.ones((len(nodes), 6)))
+    with pytest.raises(ParameterError) as exc:
+        load_field(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("y_max", [math.inf, math.nan, 0.0, -1.0, 1.0e-320])
+def test_y_max_must_be_positive_and_finite(y_max):
+    with pytest.raises(ParameterError, match="y_max"):
+        build_grid(16, 8, y_max)
+
+
+@pytest.mark.parametrize("n_r, n_phi", [(8.5, 8), (16, 8.0)])
+def test_counts_must_be_integers(n_r, n_phi):
+    with pytest.raises(ParameterError, match="integer"):
+        build_grid(n_r, n_phi, 1.0)
+
+
+def test_grid_is_its_counts_and_radius():
+    """numpy integer counts build the same grid, equal and of equal hash
+    by (n_r, n_phi, y_max)."""
+    g = build_grid(16, 8, 1.0)
+    h = build_grid(np.int64(16), np.int32(8), np.float64(1.0))
+    assert g == h and hash(g) == hash(h) and np.array_equal(g.y, h.y)
+    assert g != build_grid(16, 8, 1.5) and g != build_grid(18, 8, 1.0)
 
 
 def test_grid_spacing_is_the_smallest_step():
     """dy is the smallest node step, which cfl_dt reads."""
-    for nodes in (np.linspace(0.0, 10.0, 97), 1.5 * np.linspace(0.0, 7.0, 33)):
-        assert PolarGrid(nodes, 8).dy == float(np.min(np.diff(nodes)))
+    for g in (build_grid(96, 8, 10.0), build_grid(32, 8, 10.5)):
+        assert g.dy == float(np.min(np.diff(g.y)))
 
 
 def test_pole_reflection_exact_on_linear():

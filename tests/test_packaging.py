@@ -228,3 +228,14 @@ def test_radial_stencil_has_one_owner():
     node spacing from the grid, so the stencil is written once."""
     found = {path.name: _radial_differences(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name for name, lines in found.items() if lines} == {"grid.py"}, found
+
+
+def test_node_layout_has_one_owner():
+    """Only grid.py calls linspace: a PolarGrid lays out its radial nodes
+    from (n_r, n_phi, y_max) and grid.tip_nodes those of a tip table, so
+    no other module builds a node array of its own."""
+    callers = sorted({path.name for path in PACKAGE.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func).split(".")[-1] == "linspace"})
+    assert callers == ["grid.py"]
