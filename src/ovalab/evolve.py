@@ -29,18 +29,24 @@ so stencils near the rim never see a cliff.
 The tip patch steps Y(v, phi) by the inverse-profile equation of
 rhs_renormalized_Y.  A tip table is (values, theta) and takes its nodes
 from grid.tip_nodes, as a PolarGrid is (n_r, n_phi, y_max), so neither
-patch is ever handed a node array.  Time integration is explicit
-midpoint under a parabolic CFL bound from the radial spacing; a
-per-ring angular low-pass keeps the polar axis from tightening it.  Angular
-derivatives and the low-pass are products with ring matrices that grid
-caches per n_phi, so the tip table, which has no PolarGrid, shares them
-with the graph.  Both patches take radial derivatives from
-grid.radial_stencil, the tip with the even reflection through v = 0 in
-place of the pole reflection.  Both run and find_extinction march
-through _march, which retries a rejected step at half the step and
-stops at t_end, at death or at the resolution floor.
+patch is ever handed a node array.  Time integration is explicit under a
+parabolic CFL bound from each patch's radial spacing.  The graph takes
+one midpoint step at a time, and a per-ring angular low-pass keeps the
+polar axis from tightening its bound.  The tip covers each graph step
+in second-order Runge-Kutta-Legendre (RKL2) super-steps of at most three
+stages, each stretching its bound up to 2.5 times (Meyer, Balsara &
+Aslam, J. Comput. Phys. 257, 2014).  Angular derivatives and the
+low-pass are products with ring matrices that grid caches per n_phi, so
+the tip table, which has no PolarGrid, shares them with the graph.  Both
+patches take radial derivatives from grid.radial_stencil, the tip with
+the even reflection through v = 0 in place of the pole reflection.  Both
+run and find_extinction march through _march, which retries a rejected
+step at half the step and stops at t_end, at death or at the resolution
+floor.
 """
 
+import copy
+import functools
 import json
 import math
 import os
@@ -78,8 +84,13 @@ from .grid import (
 from .grid import diff_phi_fft  # noqa: F401  (perfbench's tracer wraps evolve.diff_phi_fft)
 
 V_FLOOR = 1.0e-6
-# parabolic step bound dt <= CFL h^2 of the graph and the tip patch
+# parabolic step bound dt <= CFL h^2: the graph's midpoint step, and the
+# unit that the tip's RKL2 super-steps stretch
 CFL = 0.2
+# largest stretch of one tip super-step, (s^2 + s - 2)/4 at s = 3 stages;
+# longer super-steps damp the kink that _sync_patches leaves at the seam
+# too little (four stages: 4x the time error of the benchmark oval's tip)
+_TIP_STRETCH = 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +314,51 @@ class FlowState:
         return self.tip.tip_radius()
 
 
+@functools.cache
+def _rkl2_coefficients(s):
+    """Meyer-Balsara-Aslam RKL2 weights of an s-stage super-step: mu~_1,
+    then (mu_j, nu_j, mu~_j, gamma~_j) for stages j = 2..s."""
+    w1 = 4.0 / (s * s + s - 2)
+    b = [1.0 / 3.0, 1.0 / 3.0] + [(j * j + j - 2) / (2.0 * j * (j + 1))
+                                  for j in range(2, s + 1)]
+    stages = []
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        stages.append((mu, nu, mu * w1, -(1.0 - b[j - 1]) * mu * w1))
+    return b[1] * w1, tuple(stages)
+
+
 def _substep_tip(tip, dtau):
-    # explicit midpoint substeps under the parabolic bound CFL dv^2
-    n_sub = max(1, int(math.ceil(dtau / (CFL * tip.dv**2))))
-    h = dtau / n_sub
+    """Advance the tip table by dtau in m equal RKL2 super-steps of s
+    stages each.  m = ceil(ratio / _TIP_STRETCH) with ratio = dtau /
+    (CFL dv^2), and s is the fewest stages whose stable stretch
+    (s^2 + s - 2)/4 covers ratio / m, so s <= 3.  A super-step that
+    leaves a non-finite table raises StepSizeError."""
+    ratio = dtau / (CFL * tip.dv**2)
+    m = max(1, math.ceil(ratio / _TIP_STRETCH))
+    s = 2
+    while (s * s + s - 2) / 4.0 < ratio / m:
+        s += 1
+    h = dtau / m
+    mu1, stages = _rkl2_coefficients(s)
+    # one table object whose values each stage replaces, so each stage's
+    # positivity is checked once, by rhs_renormalized_Y
+    stage = copy.copy(tip)
     Y = tip.values
-    t = tip
-    for _ in range(n_sub):
-        k1 = rhs_renormalized_Y(t)
-        mid = TipField(Y + 0.5 * h * k1, tip.theta)
-        k2 = rhs_renormalized_Y(mid)
-        Y = Y + h * k2
-        t = TipField(Y, tip.theta)
-    return t
+    for _ in range(m):
+        stage.values = Y
+        k0 = h * rhs_renormalized_Y(stage)
+        prev, cur = Y, Y + mu1 * k0
+        for mu, nu, mu_t, gamma_t in stages:
+            stage.values = cur
+            k = rhs_renormalized_Y(stage)
+            prev, cur = cur, (mu * cur + nu * prev + (1.0 - mu - nu) * Y
+                              + (mu_t * h) * k + gamma_t * k0)
+        Y = cur
+        if not np.all(np.isfinite(Y)):
+            raise StepSizeError(f"tip table not finite at dt={dtau:.3e}")
+    return TipField(Y, tip.theta)
 
 
 def _interp_columns(x, xp, fp):
@@ -380,7 +423,8 @@ def _sync_patches(W, tip, grid):
 
 
 def step(state, dtau):
-    """Advance one explicit midpoint step, then synchronize patches."""
+    """Advance the graph one explicit midpoint step and the tip by its
+    RKL2 super-steps, then synchronize patches."""
     if dtau <= 0.0:
         raise ParameterError(f"time step must be positive, got {dtau}")
     g = state.v.grid
@@ -566,11 +610,8 @@ class FlowHistory:
         hist = cls()
         grid = None
         for time, field, tip, renormalized, theta, L in entries:
-            field_path = os.path.join(path, field)
-            try:
-                f = load_field(field_path, grid=grid)
-            except ShapeError:
-                f = load_field(field_path)  # stored on a grid of its own
+            # snapshots on one grid share its object
+            f = load_field(os.path.join(path, field), grid=grid)
             grid = f.grid
             if tip is not None:
                 tip = TipField.load(os.path.join(path, tip))

@@ -482,14 +482,12 @@ def save_field(f, path):
 
 def load_field(path, grid=None):
     """Read a field written by save_field onto the PolarGrid of its header
-    (y_nodes, phi_nodes, y_max), which a given grid must be (ShapeError
-    otherwise); stored nodes that are not its raise ParameterError."""
+    (y_nodes, phi_nodes, y_max): the given grid when it is that one, a new
+    grid otherwise.  Stored nodes that are not its raise ParameterError."""
     def header(meta):
         key = (int(meta["y_nodes"]), int(meta["phi_nodes"]), float(meta["y_max"]))
         stored = grid if grid is not None and grid._key == key else PolarGrid(*key)
         return stored.y, stored
 
     stored, values = _read_table(path, "radial", header)
-    if grid is not None and stored is not grid:
-        raise ShapeError(f"{path}: stored grid does not match the given one")
     return ScalarField(stored, values)

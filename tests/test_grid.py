@@ -296,12 +296,16 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_load_field_checks_the_stored_nodes(tmp_path):
+    """A given grid is reused when it is the header's; any other one
+    gives way to the header's grid."""
     g = build_grid(12, 6, 5.0)
     path = tmp_path / "field.csv"
     save_field(ScalarField(g, np.ones(g.shape)), path)
     assert load_field(path, grid=g).grid is g
-    with pytest.raises(ShapeError):
-        load_field(path, grid=build_grid(12, 6, 5.5))
+    other = build_grid(12, 6, 5.5)
+    back = load_field(path, grid=other)
+    assert back.grid is not other and back.grid == g
+    assert np.array_equal(back.grid.y, g.y)
 
 
 def test_load_field_rejects_stretched_nodes(tmp_path):
