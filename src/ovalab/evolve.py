@@ -29,20 +29,19 @@ so stencils near the rim never see a cliff.
 The tip patch steps Y(v, phi) by the inverse-profile equation of
 rhs_renormalized_Y.  A tip table is (values, theta) and takes its nodes
 from grid.tip_nodes, as a PolarGrid is (n_r, n_phi, y_max), so neither
-patch is ever handed a node array.  Time integration is explicit under a
-parabolic CFL bound from each patch's radial spacing.  The graph takes
-one midpoint step at a time, and a per-ring angular low-pass keeps the
-polar axis from tightening its bound.  The tip covers each graph step
-in second-order Runge-Kutta-Legendre (RKL2) super-steps of at most three
-stages, each stretching its bound up to 2.5 times (Meyer, Balsara &
-Aslam, J. Comput. Phys. 257, 2014).  Angular derivatives and the
-low-pass are products with ring matrices that grid caches per n_phi, so
-the tip table, which has no PolarGrid, shares them with the graph.  Both
-patches take radial derivatives from grid.radial_stencil, the tip with
-the even reflection through v = 0 in place of the pole reflection.  Both
-run and find_extinction march through _march, which retries a rejected
-step at half the step and stops at t_end, at death or at the resolution
-floor.
+patch is ever handed a node array.  Both patches step explicitly under
+a parabolic CFL bound from their radial spacing, in second-order
+Runge-Kutta-Legendre (RKL2) super-steps of one routine, _rkl2 (Meyer,
+Balsara & Aslam, J. Comput. Phys. 257, 2014).  The graph takes one
+two-stage super-step per step, whose stability polynomial 1 + z + z^2/2
+is the midpoint step's; a per-ring angular low-pass keeps the polar axis
+from tightening its bound.  The tip takes super-steps of at most three
+stages, each stretching its bound up to 2.5 times.  Angular derivatives
+and the low-pass are products with ring matrices cached per n_phi, and
+radial ones come from grid.radial_stencil, so the tip table, which has
+no PolarGrid, shares both with the graph.  Both run and find_extinction
+march through _march, which retries a rejected step at half the step
+and stops at t_end, at death or at the resolution floor.
 """
 
 import copy
@@ -84,8 +83,8 @@ from .grid import (
 from .grid import diff_phi_fft  # noqa: F401  (perfbench's tracer wraps evolve.diff_phi_fft)
 
 V_FLOOR = 1.0e-6
-# parabolic step bound dt <= CFL h^2: the graph's midpoint step, and the
-# unit that the tip's RKL2 super-steps stretch
+# parabolic step bound dt <= CFL h^2: the graph's two-stage RKL2
+# super-step, and the unit that the tip's longer super-steps stretch
 CFL = 0.2
 # largest stretch of one tip super-step, (s^2 + s - 2)/4 at s = 3 stages;
 # longer super-steps damp the kink that _sync_patches leaves at the seam
@@ -264,24 +263,6 @@ def _filter_w(W, grid):
     return out
 
 
-def _midpoint_w(W, grid, dtau, renormalized):
-    mask = W > 0.0
-    k1 = _w_rhs(W, grid, renormalized, mask=mask)
-    W1 = rebuild_halo(W + 0.5 * dtau * k1, grid)
-    k2 = _w_rhs(W1, grid, renormalized, mask=mask)
-    Wn = W + dtau * k2
-
-    w_max = float(W.max())
-    core = W > 0.5 * w_max
-    if np.any(Wn[core] < 0.0) and float(Wn.max()) > 0.5 * w_max:
-        raise StepSizeError(f"interior sign change at dt={dtau:.3e}")
-    # the squared profile obeys a maximum principle (growth at most e^dt
-    # in the renormalized gauge), so any faster inflation is a blown step
-    if float(Wn.max()) > w_max * (1.0 + 4.0 * dtau) + 1.0e-14:
-        raise StepSizeError(f"maximum principle violation at dt={dtau:.3e}")
-    return _filter_w(rebuild_halo(Wn, grid), grid)
-
-
 # ---------------------------------------------------------------------------
 # flow state and stepping
 
@@ -329,35 +310,43 @@ def _rkl2_coefficients(s):
     return b[1] * w1, tuple(stages)
 
 
+def _rkl2(Y, h, s, rhs, after_stage):
+    """One s-stage RKL2 super-step of length h from Y.  rhs gives a
+    stage's time derivative; after_stage maps each new stage to the one
+    later stages read.  At s = 2 the stability polynomial is the
+    midpoint's, 1 + z + z^2/2.  A non-finite end raises StepSizeError."""
+    mu1, stages = _rkl2_coefficients(s)
+    k0 = h * rhs(Y)
+    prev, cur = Y, after_stage(Y + mu1 * k0)
+    for mu, nu, mu_t, gamma_t in stages:
+        k = rhs(cur)
+        prev, cur = cur, after_stage(mu * cur + nu * prev + (1.0 - mu - nu) * Y
+                                     + (mu_t * h) * k + gamma_t * k0)
+    if not np.all(np.isfinite(cur)):
+        raise StepSizeError(f"{s}-stage super-step not finite at dt={h:.3e}")
+    return cur
+
+
 def _substep_tip(tip, dtau):
-    """Advance the tip table by dtau in m equal RKL2 super-steps of s
+    """Advance the tip table by dtau in m equal _rkl2 super-steps of s
     stages each.  m = ceil(ratio / _TIP_STRETCH) with ratio = dtau /
     (CFL dv^2), and s is the fewest stages whose stable stretch
-    (s^2 + s - 2)/4 covers ratio / m, so s <= 3.  A super-step that
-    leaves a non-finite table raises StepSizeError."""
+    (s^2 + s - 2)/4 covers ratio / m, so s <= 3."""
     ratio = dtau / (CFL * tip.dv**2)
     m = max(1, math.ceil(ratio / _TIP_STRETCH))
     s = 2
     while (s * s + s - 2) / 4.0 < ratio / m:
         s += 1
-    h = dtau / m
-    mu1, stages = _rkl2_coefficients(s)
-    # one table object whose values each stage replaces, so each stage's
-    # positivity is checked once, by rhs_renormalized_Y
+    # stages share one table object, so only rhs_renormalized_Y checks Y > 0
     stage = copy.copy(tip)
+
+    def rhs(Y):
+        stage.values = Y
+        return rhs_renormalized_Y(stage)
+
     Y = tip.values
     for _ in range(m):
-        stage.values = Y
-        k0 = h * rhs_renormalized_Y(stage)
-        prev, cur = Y, Y + mu1 * k0
-        for mu, nu, mu_t, gamma_t in stages:
-            stage.values = cur
-            k = rhs_renormalized_Y(stage)
-            prev, cur = cur, (mu * cur + nu * prev + (1.0 - mu - nu) * Y
-                              + (mu_t * h) * k + gamma_t * k0)
-        Y = cur
-        if not np.all(np.isfinite(Y)):
-            raise StepSizeError(f"tip table not finite at dt={dtau:.3e}")
+        Y = _rkl2(Y, dtau / m, s, rhs, lambda Y: Y)
     return TipField(Y, tip.theta)
 
 
@@ -423,12 +412,23 @@ def _sync_patches(W, tip, grid):
 
 
 def step(state, dtau):
-    """Advance the graph one explicit midpoint step and the tip by its
-    RKL2 super-steps, then synchronize patches."""
+    """Advance the graph by one two-stage _rkl2 super-step, unsplit at any
+    dtau, and the tip by its super-steps, then synchronize patches."""
     if dtau <= 0.0:
         raise ParameterError(f"time step must be positive, got {dtau}")
     g = state.v.grid
-    W = _midpoint_w(signed_square(state.v), g, dtau, state.renormalized)
+    W0 = signed_square(state.v)
+    rhs = functools.partial(_w_rhs, grid=g, renormalized=state.renormalized,
+                            mask=W0 > 0.0)
+    W = _rkl2(W0, dtau, 2, rhs, functools.partial(rebuild_halo, grid=g))
+    w_max = float(W0.max())
+    if np.any(W[W0 > 0.5 * w_max] < 0.0) and float(W.max()) > 0.5 * w_max:
+        raise StepSizeError(f"interior sign change at dt={dtau:.3e}")
+    # the squared profile obeys a maximum principle (growth at most e^dt
+    # in the renormalized gauge), so any faster inflation is a blown step
+    if float(W.max()) > w_max * (1.0 + 4.0 * dtau) + 1.0e-14:
+        raise StepSizeError(f"maximum principle violation at dt={dtau:.3e}")
+    W = _filter_w(W, g)
     if state.tip is not None:
         if not state.renormalized:
             raise ParameterError("tip patch requires the renormalized gauge")

@@ -403,19 +403,20 @@ def _benchmark_oval(n_r, n_phi):
     return FlowState(time=-20.0, v=f, tip=TipField.from_profile(f), L=1.0)
 
 
-def _counting_rhs(monkeypatch, first=None):
-    """Wrap evolve.rhs_renormalized_Y, the name perfbench's tracer wraps,
-    with a call counter; first, if given, replaces the first call."""
+def _counting_rhs(monkeypatch, first=None, name="rhs_renormalized_Y"):
+    """Wrap the right-hand side evolve.<name> with a call counter: by
+    default the tip's, the name perfbench's tracer wraps, or the graph's
+    _w_rhs.  first, if given, replaces the first call."""
     calls = []
-    inner = evolve.rhs_renormalized_Y
+    inner = getattr(evolve, name)
 
-    def counted(tip):
-        calls.append(tip.values.shape)
+    def counted(*args, **kwargs):
+        calls.append(name)
         if first is not None and len(calls) == 1:
-            return first(tip)
-        return inner(tip)
+            return first(*args, **kwargs)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(evolve, "rhs_renormalized_Y", counted)
+    monkeypatch.setattr(evolve, name, counted)
     return calls
 
 
@@ -492,11 +493,14 @@ class TestTipStep:
 
     def test_benchmark_oval_step_takes_twelve_rhs_calls(self, monkeypatch):
         """One cfl_dt step of the 128x32 benchmark oval is four three-stage
-        super-steps, each stage a call of evolve.rhs_renormalized_Y."""
+        super-steps, each stage a call of evolve.rhs_renormalized_Y, and
+        one two-stage graph super-step, each stage a call of _w_rhs."""
         st = _benchmark_oval(128, 32)
         calls = _counting_rhs(monkeypatch)
+        graph_calls = _counting_rhs(monkeypatch, name="_w_rhs")
         step(st, cfl_dt(st.v.grid))
         assert len(calls) == 12
+        assert len(graph_calls) == 2
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_tip_table_halves_the_step(self, monkeypatch):
@@ -797,6 +801,22 @@ class TestStep:
         assert len(tried) > 2
         assert tried == [0.05 * 0.5**k for k in range(len(tried))]
         assert out.time == tried[-1]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_graph_step_halves_the_step(self, monkeypatch):
+        """A graph super-step that ends non-finite is a StepSizeError, so
+        the march retries at half the step rather than reading the blown
+        state as a dead body.  (The stage after the injected inf computes
+        with it, hence the ignored warnings.)"""
+        g = build_grid(32, 8, 3.2)
+        st = FlowState(time=0.0, v=sphere_field(g), tip=None, renormalized=False)
+        dt = cfl_dt(g)
+        calls = _counting_rhs(monkeypatch, first=lambda W, *a, **k: np.full_like(W, np.inf),
+                              name="_w_rhs")
+        out = evolve._march_step(st, dt)
+        assert len(calls) == 4
+        assert out.time == st.time + 0.5 * dt
+        assert np.all(np.isfinite(out.v.w_signed))
 
     def test_tip_theta_must_match_state(self):
         """The tip table owns the handover level; a state that names
