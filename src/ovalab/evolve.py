@@ -98,7 +98,8 @@ _TIP_STRETCH = 2.5
 
 class TipField:
     """Per-angle inverse profile Y(v, phi), a 2-d table of values whose n
-    rows sit at v_nodes = grid.tip_nodes(n, theta) in [0, 2 theta].
+    rows sit at v_nodes = grid.tip_nodes(n, theta) in [0, 2 theta].  An
+    entry that is not finite and positive raises DomainError.
 
     The smooth-tip boundary condition Y_v(0, phi) = 0 is built into the
     reflection stencils rather than stored.  Y decreasing in v holds for
@@ -111,8 +112,8 @@ class TipField:
         if self.values.ndim != 2:
             raise ParameterError("tip value table must be 2-d")
         self.v_nodes = tip_nodes(self.values.shape[0], self.theta)
-        if np.any(self.values <= 0.0):
-            raise DomainError("tip radius table must be positive")
+        if not np.all((self.values > 0.0) & (self.values < np.inf)):
+            raise DomainError("tip radius table must be finite and positive")
 
     @property
     def n_phi(self):
@@ -584,14 +585,17 @@ class FlowHistory:
 
     @classmethod
     def load_dir(cls, path):
-        """Read a history written by save_dir.  An index that is not a
-        list of entries, or an entry without its field name, with a field
-        or tip name that is not a string, with a missing or non-boolean
-        renormalized flag or with a missing or non-numeric time, theta or
-        L, raises ParameterError naming the index file."""
+        """Read a history written by save_dir.  An index that is not JSON
+        or not a list of entries, or an entry without its field name, with
+        a field or tip name that is not a string, with a missing or
+        non-boolean renormalized flag or with a missing or non-numeric
+        time, theta or L, raises ParameterError naming the index file."""
         where = os.path.join(path, "history.json")
         with open(where) as fh:
-            index = json.load(fh)
+            try:
+                index = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ParameterError(f"{where}: index is not JSON ({err})") from None
         if not isinstance(index, list):
             raise ParameterError(f"{where}: index must be a list of snapshots")
         try:

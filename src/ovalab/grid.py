@@ -42,6 +42,7 @@ its continuation outside the body (signed_square).
 
 import functools
 import math
+import re
 from numbers import Integral
 
 import numpy as np
@@ -431,29 +432,22 @@ def _write_table(path, header, nodes, phi, values):
 def _read_table(path, what, header):
     """Read a _write_table file of `what` nodes into (info, values).
 
-    header(meta) parses the comment-line key=value pairs into (nodes,
-    info), nodes being the column the table must hold.  The header also
-    promises phi_nodes; a table of any other row count raises ShapeError.
-    A missing or invalid header entry, a non-numeric value, a row without
-    five fields or a node off by more than 1e-9 of the step raises
-    ParameterError naming the file.
+    np.loadtxt parses the rows; header(meta) parses the key=value pairs of
+    the `#` lines into (nodes, info), nodes being the column the table must
+    hold.  A table of other than len(nodes) * phi_nodes rows raises
+    ShapeError.  A non-numeric value or ragged row, a bad header entry, a
+    row without five fields, a non-finite value or a node off by more
+    than 1e-9 of the step raises ParameterError naming the file.
     """
-    meta = {}
-    rows = []
+    with open(path) as fh:
+        text = "\n" + fh.read()
+    skip = r"\n\s*(?:#(.*))?(?=\n|$)"  # a blank or `#` line, from the newline before it
+    meta = dict(re.findall(r"([^\s=]*)=(\S*)", " ".join(re.findall(skip, text))))
+    rows = re.sub(skip, "", text)
     try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for part in line[1:].split():
-                        if "=" in part:
-                            k, v = part.split("=", 1)
-                            meta[k] = v
-                    continue
-                rows.append([float(tok) for tok in line.split(",")])
-        data = np.asarray(rows)
+        # a header-only table is the ShapeError below, not numpy's no-data warning
+        data = (np.loadtxt(rows.splitlines(), delimiter=",", comments=None, ndmin=2)
+                if rows.strip() else np.empty((0, 5)))
     except ValueError as err:
         raise ParameterError(f"{path}: malformed {what} table row ({err})") from None
     try:
@@ -465,6 +459,8 @@ def _read_table(path, what, header):
         raise ShapeError(f"{path}: expected {n * n_phi} rows, got {data.shape[0]}")
     if data.shape[1:] != (5,):
         raise ParameterError(f"{path}: {what} table rows need 5 fields")
+    if not np.all(np.isfinite(data)):
+        raise ParameterError(f"{path}: {what} table holds a non-finite value")
     data = data.reshape(n, n_phi, -1)
     if not np.all(np.abs(data[:, 0, 2] - nodes) <= 1.0e-9 * nodes[1]):
         raise ParameterError(f"{path}: stored {what} nodes are not the "

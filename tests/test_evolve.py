@@ -132,7 +132,8 @@ class TestTipField:
         (0, lambda text: text.replace("phi_nodes=32", "phi_nodes=four")),
         (5, lambda text: text.rsplit(",", 1)[0] + "\n"),
         (5, lambda text: text.rsplit(",", 1)[0] + ", one\n"),
-    ], ids=["no-theta", "phi-nodes-four", "four-fields", "non-numeric"])
+        (5, lambda text: text.rsplit(",", 1)[0] + ", nan\n"),
+    ], ids=["no-theta", "phi-nodes-four", "four-fields", "non-numeric", "nan"])
     def test_malformed_table_is_a_parameter_error(self, tmp_path, line, edit):
         g = build_grid(160, 32, 3.2)
         tip = TipField.from_profile(_wobble_sphere(g), theta=0.2, n_nodes=17)
@@ -186,11 +187,26 @@ class TestTipField:
         with pytest.raises(DegeneracyError):
             TipField.from_profile(_signed_field(g, w), theta=0.2)
 
-    def test_tip_radius_positive_required(self):
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -0.1],
+                             ids=["nan", "inf", "negative"])
+    def test_tip_radius_finite_and_positive_required(self, entry):
         bad = np.ones((9, 8))
-        bad[3, 2] = -0.1
+        bad[3, 2] = entry
         with pytest.raises(DomainError):
             TipField(bad, 0.2)
+
+    def test_saved_table_format(self, tmp_path):
+        path = os.path.join(tmp_path, "tip.csv")
+        TipField(np.full((4, 4), 1.5), 0.25).save(path)
+        with open(path) as fh:
+            assert fh.readlines()[:6] == [
+                "# v_nodes=4 phi_nodes=4 theta=0.25\n",
+                "0, 0, 0, 0, 1.5\n",
+                "0, 1, 0, 1.5707963267948966, 1.5\n",
+                "0, 2, 0, 3.1415926535897931, 1.5\n",
+                "0, 3, 0, 4.7123889803846897, 1.5\n",
+                "1, 0, 0.16666666666666666, 0, 1.5\n",
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +976,7 @@ class TestRunHistory:
 
     @pytest.mark.parametrize("case", ["no-theta", "no-time", "not-a-list", "time-soon",
                                       "renormalized-no", "field-5", "tip-7",
-                                      "field-list"])
+                                      "field-list", "not-json"])
     def test_bad_index_is_a_parameter_error(self, tmp_path, case):
         g = build_grid(8, 4, 3.0)
         hist = FlowHistory()
@@ -986,10 +1002,13 @@ class TestRunHistory:
             index[1]["tip"] = 7
         elif case == "field-list":
             index[1]["field"] = ["a"]
-        else:
+        elif case == "renormalized-no":
             index[1]["renormalized"] = "no"
         with open(where, "w") as fh:
-            json.dump(index, fh)
+            if case == "not-json":
+                fh.write("[{")
+            else:
+                json.dump(index, fh)
         with pytest.raises(ParameterError, match="history.json"):
             FlowHistory.load_dir(out)
 

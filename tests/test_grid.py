@@ -8,6 +8,7 @@ file can rely on the frozen numbers.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,41 @@ def test_csv_roundtrip(tmp_path):
     assert back.grid.n_phi == g.n_phi
     first = path.read_text().splitlines()[0]
     assert first.startswith("# y_nodes=12 phi_nodes=6 y_max=5")
+
+
+def test_saved_field_format(tmp_path):
+    g = build_grid(8, 4, 2.0)
+    path = tmp_path / "field.csv"
+    save_field(ScalarField(g, np.arange(36.0).reshape(g.shape) / 4), path)
+    assert path.read_text().splitlines(keepends=True)[:6] == [
+        "# y_nodes=8 phi_nodes=4 y_max=2\n",
+        "0, 0, 0, 0, 0\n",
+        "0, 1, 0, 1.5707963267948966, 0.25\n",
+        "0, 2, 0, 3.1415926535897931, 0.5\n",
+        "0, 3, 0, 4.7123889803846897, 0.75\n",
+        "1, 0, 0.25, 0, 1\n",
+    ]
+
+
+def test_header_only_table_is_a_shape_error(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("# y_nodes=8 phi_nodes=4 y_max=2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError):
+            load_field(path)
+
+
+def test_load_field_rejects_non_finite_values(tmp_path):
+    g = build_grid(12, 6, 5.0)
+    path = tmp_path / "field.csv"
+    save_field(ScalarField(g, np.ones(g.shape)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[20] = lines[20].rsplit(",", 1)[0] + ", nan\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParameterError, match="non-finite") as exc:
+        load_field(path)
+    assert str(path) in str(exc.value)
 
 
 def test_load_field_checks_the_stored_nodes(tmp_path):
