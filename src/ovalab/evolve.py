@@ -76,6 +76,7 @@ from .grid import (
     load_field,
     radial_stencil,
     rebuild_halo,
+    resample,
     save_field,
     signed_square,
     tip_nodes,
@@ -530,38 +531,17 @@ class FlowHistory:
         return self.state_at(t).v
 
     def sample(self, r, phi, tau):
-        """Profile at time tau read at the polar points (r, phi), which
-        broadcast together.
-
-        Bilinear in (y, phi) on the grid of the field at tau.  Points
-        beyond its radius are clamped to the boundary ring; those past it
-        by more than roundoff are reported through a warning.
-        """
+        """Profile at time tau at the polar points (r, phi), which broadcast
+        together, read by grid.resample on the field's grid.  Points past
+        its radius read the boundary ring, with a warning beyond roundoff."""
         src = self.at(tau)
         g = src.grid
         r, ang = np.broadcast_arrays(r, phi)
         clipped = int(np.count_nonzero(r > g.y_max * (1.0 + 1.0e-12)))
         if clipped:
-            warnings.warn(
-                f"{clipped} pullback points beyond y_max={g.y_max:g} "
-                "clamped to the boundary ring",
-                stacklevel=3,
-            )
-        r = np.minimum(r, g.y_max)
-        j0 = np.floor(ang / g.dphi).astype(int) % g.n_phi
-        j1 = (j0 + 1) % g.n_phi
-        tphi = ang / g.dphi - np.floor(ang / g.dphi)
-        i1 = np.clip(np.searchsorted(g.y, r), 1, g.y.size - 1)
-        i0 = i1 - 1
-        ty = (r - g.y[i0]) / (g.y[i1] - g.y[i0])
-        flat = src.values.ravel()
-        row0, row1 = i0 * g.n_phi, i1 * g.n_phi
-        return (
-            flat[row0 + j0] * (1.0 - ty) * (1.0 - tphi)
-            + flat[row1 + j0] * ty * (1.0 - tphi)
-            + flat[row0 + j1] * (1.0 - ty) * tphi
-            + flat[row1 + j1] * ty * tphi
-        )
+            warnings.warn(f"{clipped} pullback points beyond y_max={g.y_max:g} "
+                          "clamped to the boundary ring", stacklevel=3)
+        return resample(src.values, g, r, ang)
 
     def save_dir(self, path):
         os.makedirs(path, exist_ok=True)
@@ -772,8 +752,8 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
 def renormalize(field, t, t_e, grid_out=None):
     """Rescale an unrescaled snapshot to the renormalized gauge.
 
-    v = V / sqrt(t_e - t) resampled radially (linearly in the squared
-    profile, which is the smooth variable through the rim), with
+    v = V / sqrt(t_e - t) read by grid.resample, bilinear in the squared
+    profile (smooth through the rim) and in angle, so any grid_out works;
     tau = -log(t_e - t).  Without grid_out the new grid has the input's
     node counts and reaches 15 % past the rescaled rim (at least to 1).
     """
@@ -786,15 +766,11 @@ def renormalize(field, t, t_e, grid_out=None):
         live = np.any(field.values > 0.0, axis=1)
         y_rim = g_in.y[np.max(np.nonzero(live))] if np.any(live) else g_in.y_max
         grid_out = build_grid(g_in.n_r, g_in.n_phi, max(scale * y_rim * 1.15, 1.0))
-    w_in = signed_square(field)
-    y_src = grid_out.y / scale
-    w_out = np.empty(grid_out.shape)
-    for j in range(grid_out.n_phi):
-        w_out[:, j] = scale**2 * np.interp(y_src, g_in.y, w_in[:, j])
+    y, phi = grid_out.y[:, None] / scale, grid_out.phi[None, :]
+    w_out = scale**2 * resample(signed_square(field), g_in, y, phi)
     rebuild_halo(w_out, grid_out)
-    v_out = np.sqrt(np.maximum(w_out, 0.0))
-    out = ScalarField(grid_out, v_out, w_signed=w_out, copy=False)
-    return out, tau
+    return ScalarField(grid_out, np.sqrt(np.maximum(w_out, 0.0)), w_signed=w_out,
+                       copy=False), tau
 
 
 def renormalized_state(field, t, t_e, L=10.0, grid_out=None):

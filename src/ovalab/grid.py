@@ -24,6 +24,7 @@ f(-y, phi) = f(y, phi + pi); the tip patch mirrors evenly through its tip.
 polar_jet gives a field's derivatives in (y, phi); frame_jet, the one
 owner of the pole row, turns them into gradient and Hessian in an
 orthonormal frame at every node, so no plane operator has a pole case.
+resample, bilinear in (y, phi), is the one reader between the nodes.
 
 Angular operators act on rings, the last axis of an array, and are
 products with real circulant matrices cached per ring size: the Fourier
@@ -211,6 +212,23 @@ class ScalarField:
 
     def with_values(self, values, w_signed=None):
         return ScalarField(self.grid, values, w_signed=w_signed)
+
+
+def resample(F, grid, r, phi):
+    """A (n_r+1, n_phi) array F on grid read at the polar points (r, phi),
+    which broadcast together: bilinear in (y, phi), periodic in phi, r
+    clamped to [0, y_max].  Fractions are measured between a cell's own
+    nodes, so a point on a node reads that node's value exactly."""
+    r = np.clip(r, 0.0, grid.y_max)
+    i = np.minimum((r / grid.dy).astype(int), grid.n_r - 1)  # uniform nodes: no search
+    ty = (r - grid.y[i]) / (grid.y[i + 1] - grid.y[i])
+    j = np.floor(phi / grid.dphi)  # grid.phi holds j * dphi
+    tphi = (phi - j * grid.dphi) / ((j + 1.0) * grid.dphi - j * grid.dphi)
+    n, flat = grid.n_phi, np.ravel(F)
+    k0 = i * n + j.astype(int) % n  # flat indices of the cell's inner nodes
+    k1 = i * n + (j.astype(int) + 1) % n
+    return (flat[k0] * (1.0 - ty) * (1.0 - tphi) + flat[k0 + n] * ty * (1.0 - tphi)
+            + flat[k1] * (1.0 - ty) * tphi + flat[k1 + n] * ty * tphi)
 
 
 def rim_index(W):
@@ -436,8 +454,9 @@ def _read_table(path, what, header):
     the `#` lines into (nodes, info), nodes being the column the table must
     hold.  A table of other than len(nodes) * phi_nodes rows raises
     ShapeError.  A non-numeric value or ragged row, a bad header entry, a
-    row without five fields, a non-finite value or a node off by more
-    than 1e-9 of the step raises ParameterError naming the file.
+    row without five fields, a non-finite value or a row whose (k, j,
+    node, phi) is not the header's, row-major with node and phi to 1e-9
+    of their step, raises ParameterError naming the file.
     """
     with open(path) as fh:
         text = "\n" + fh.read()
@@ -462,9 +481,12 @@ def _read_table(path, what, header):
     if not np.all(np.isfinite(data)):
         raise ParameterError(f"{path}: {what} table holds a non-finite value")
     data = data.reshape(n, n_phi, -1)
-    if not np.all(np.abs(data[:, 0, 2] - nodes) <= 1.0e-9 * nodes[1]):
-        raise ParameterError(f"{path}: stored {what} nodes are not the "
-                             f"header's {n} uniform ones up to {nodes[-1]:.17g}")
+    k, j = np.indices((n, n_phi))
+    want = np.stack((k, j, nodes[k], 2.0 * math.pi * j / n_phi), axis=-1)
+    tol = 1.0e-9 * np.array([0.0, 0.0, nodes[1], 2.0 * math.pi / n_phi])
+    if not np.all(np.abs(data[..., :4] - want) <= tol):
+        raise ParameterError(f"{path}: rows are not the header's {n} uniform {what} "
+                             f"nodes up to {nodes[-1]:.17g} by {n_phi} angles")
     return info, np.ascontiguousarray(data[:, :, 4])
 
 

@@ -26,8 +26,8 @@ determinant-sign test (two-param only) and the closing rotation
 
 Everything here reads a history through one interface: its grid, the
 field at(tau) and sample(r, phi, tau) at arbitrary polar points.  A
-recorded FlowHistory answers by linear interpolation in tau and bilinear
-interpolation in space; a SyntheticHistory evaluates a closed-form
+recorded FlowHistory answers by linear interpolation in tau and
+grid.resample in space; a SyntheticHistory evaluates a closed-form
 profile family exactly.  The closed form is what makes solver validation
 sharp: round trips through known parameters are then limited only by
 the Newton tolerance, not by resampling error.
@@ -182,7 +182,7 @@ def _pullback(history, q, ang, b, Gamma, tau0):
     """(1+b) v(q/(1+b), ang, (1+Gamma) tau0) as a field on the history's
     grid, where (q, ang) is the polar point each node moves to before
     the 1/(1+b) scaling."""
-    if b <= -1.0:
+    if not b > -1.0:  # NaN included
         raise ParameterError(f"need 1 + b > 0, got b = {b:g}")
     vals = history.sample(q / (1.0 + b), ang, (1.0 + Gamma) * tau0)
     return ScalarField(history.grid, (1.0 + b) * vals, copy=False)
@@ -207,8 +207,7 @@ def transform_full(history, a, b, Gamma, phi_rot, tau0):
     c, s = np.cos(phi - phi_rot), np.sin(phi - phi_rot)
     qx = y * c - a[0]
     qy = y * s - a[1]
-    ang = np.mod(np.arctan2(qy, qx), 2.0 * math.pi)
-    return _pullback(history, np.hypot(qx, qy), ang, b, Gamma, tau0)
+    return _pullback(history, np.hypot(qx, qy), np.arctan2(qy, qx), b, Gamma, tau0)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,24 @@ class TestTipField:
             TipField.load(path)
         assert path in str(exc.value)
 
+    @pytest.mark.parametrize("row,other", [(2, 3), (5, 40)], ids=["same-ring", "two-rings"])
+    def test_swapped_rows_are_a_parameter_error(self, tmp_path, row, other):
+        """Every row must be its header's (k, j, node, phi) in row-major
+        order; a table with two rows swapped would put radii at the wrong
+        nodes."""
+        g = build_grid(160, 32, 3.2)
+        tip = TipField.from_profile(_wobble_sphere(g), theta=0.2, n_nodes=17)
+        path = os.path.join(tmp_path, "tip.csv")
+        tip.save(path)
+        with open(path) as fh:
+            lines = fh.readlines()
+        lines[row + 1], lines[other + 1] = lines[other + 1], lines[row + 1]
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ParameterError, match="by 32 angles") as exc:
+            TipField.load(path)
+        assert path in str(exc.value)
+
     @pytest.mark.parametrize("make", [
         lambda path: _saved_nodes(path, np.linspace(0.05, 0.45, 17)),
         lambda path: _saved_nodes(path, -np.linspace(0.0, 0.4, 17)),
@@ -1220,6 +1238,21 @@ class TestRenormalize:
         scale = np.abs(v1.w_signed).max()
         assert np.abs(v2.w_signed - v1.w_signed).max() <= 1.0e-12 * scale
         assert tau2 - tau1 == pytest.approx(-2.0 * math.log(lam), abs=1.0e-12)
+
+    @pytest.mark.parametrize("n_phi", [16, 64])
+    def test_any_output_angles_read_the_input_at_theirs(self, n_phi):
+        """An output grid with other angles reads the input at its own
+        angles: on the angles it shares with the input grid it is the
+        same-grid result, for a body that is not round."""
+        g = build_grid(96, 32, 2.0)
+        yy, pp = g.y[:, None], g.phi[None, :]
+        f = _signed_field(g, 1.5 - 1.3 * (yy * np.cos(pp)) ** 2
+                          - 0.7 * (yy * np.sin(pp)) ** 2)
+        same, _ = renormalize(f, 0.0, 0.25, grid_out=build_grid(96, 32, 3.5))
+        other, _ = renormalize(f, 0.0, 0.25, grid_out=build_grid(96, n_phi, 3.5))
+        shared = min(n_phi, 32)
+        diff = other.w_signed[:, ::n_phi // shared] - same.w_signed[:, ::32 // shared]
+        assert np.abs(diff).max() < 1.0e-13
 
     def test_rejects_time_past_extinction(self):
         g = build_grid(96, 16, 4.0)

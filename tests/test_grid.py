@@ -26,6 +26,7 @@ from ovalab.grid import (
     inner_product_H,
     load_field,
     radial_stencil,
+    resample,
     save_field,
 )
 
@@ -360,6 +361,22 @@ def test_load_field_rejects_stretched_nodes(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize("row,other", [(2, 3), (5, 9)], ids=["same-ring", "two-rings"])
+def test_load_field_rejects_swapped_rows(tmp_path, row, other):
+    """Every row must be its header's (k, j, node, phi) in row-major
+    order; a table with two rows swapped would put values at the wrong
+    nodes."""
+    g = build_grid(8, 4, 2.0)
+    path = tmp_path / "field.csv"
+    save_field(ScalarField(g, np.arange(36.0).reshape(g.shape) / 4), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[row + 1], lines[other + 1] = lines[other + 1], lines[row + 1]
+    path.write_text("".join(lines))
+    with pytest.raises(ParameterError, match="by 4 angles") as exc:
+        load_field(path)
+    assert str(path) in str(exc.value)
+
+
 def test_parameter_errors():
     with pytest.raises(ParameterError):
         build_grid(192, 3, 18.0)
@@ -492,3 +509,67 @@ def test_ring_operators_reject_bad_orders_and_caps():
             diff_phi_fft(f, order=order)
     with pytest.raises(ParameterError):
         angular_lowpass(f, -1)
+
+
+# ---------------------------------------------------------------------------
+# resampling between nodes
+
+
+def _random_field(g, seed=3):
+    return np.random.default_rng(seed).normal(size=g.shape)
+
+
+@pytest.mark.parametrize("n_phi", [4, 6, 16, 32, 64, 96])
+def test_resample_reads_nodes_exactly(n_phi):
+    """At every node, the pole row included, resample returns the stored
+    value bit for bit, although phi_j / dphi is not always j in floating
+    point (it is not for j = 11 on 32 angles)."""
+    g = build_grid(12, n_phi, 3.0)
+    F = _random_field(g)
+    assert np.array_equal(resample(F, g, g.y[:, None], g.phi[None, :]), F)
+
+
+def test_resample_is_periodic_in_phi():
+    g = build_grid(12, 8, 3.0)
+    F = _random_field(g)
+    rng = np.random.default_rng(5)
+    r, phi = rng.uniform(0.0, 3.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200)
+    base = resample(F, g, r, phi)
+    for shifted in (phi + 2.0 * math.pi, phi - 2.0 * math.pi, phi - 6.0 * math.pi):
+        assert np.abs(resample(F, g, r, shifted) - base).max() < 1.0e-13
+    # a negative angle one cell back from 0 is the last column
+    assert np.array_equal(resample(F, g, g.y, -g.dphi), F[:, -1])
+
+
+def test_resample_past_y_max_reads_the_boundary_ring():
+    g = build_grid(12, 8, 3.0)
+    F = _random_field(g)
+    phi = np.linspace(-1.0, 7.0, 25)
+    for r in (3.0 * (1.0 + 1.0e-9), 4.5, 1.0e6):
+        assert np.array_equal(resample(F, g, r, phi), resample(F, g, 3.0, phi))
+    assert np.array_equal(resample(F, g, 4.5, g.phi), F[-1])
+
+
+def test_resample_is_exact_on_fields_affine_in_y():
+    g = build_grid(12, 8, 3.0)
+    rng = np.random.default_rng(9)
+    c, d = rng.normal(size=(2, g.n_phi))
+    r = rng.uniform(0.0, 3.0, (50, 1))
+    got = resample(c + d * g.y[:, None], g, r, g.phi[None, :])
+    assert np.abs(got - (c + d * r)).max() < 1.0e-14
+    # between angles too, when the affine field is the same on every ring
+    phi = rng.uniform(-4.0, 10.0, (1, 30))
+    got = resample((c[0] + d[0] * g.y[:, None]) * np.ones(g.n_phi), g, r, phi)
+    assert np.abs(got - (c[0] + d[0] * r)).max() < 1.0e-14
+
+
+@pytest.mark.parametrize("n_phi", [8, 32])
+def test_resample_matches_per_column_interp_at_node_angles(n_phi):
+    """At node angles the read is np.interp down each column, the reader
+    renormalize used before resample (kept here as the oracle)."""
+    g = build_grid(24, n_phi, 5.0)
+    F = _random_field(g)
+    r = np.random.default_rng(11).uniform(0.0, 6.0, 80)
+    oracle = np.stack([np.interp(r, g.y, F[:, j]) for j in range(g.n_phi)], axis=1)
+    got = resample(F, g, r[:, None], g.phi[None, :])
+    assert np.abs(got - oracle).max() < 1.0e-14

@@ -196,8 +196,9 @@ def test_flow_history_resampling(grid):
 
 
 def test_transform_guards(base):
-    with pytest.raises(ParameterError):
-        transform_profile(base, -1.0, 0.0, TAU0)
+    for b in (-1.0, math.nan):
+        with pytest.raises(ParameterError):
+            transform_profile(base, b, 0.0, TAU0)
     with pytest.raises(CoverageError):
         transform_profile(base, 0.0, 0.5, TAU0)  # 1.5 tau0 out of span
     with pytest.raises(ParameterError):
