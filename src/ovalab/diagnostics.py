@@ -41,6 +41,7 @@ from .grid import (
     diff_phi_fft,
     frame_jet,
     polar_jet,
+    resample,
     rim_index,
     signed_square,
     sqrt_jet,
@@ -351,31 +352,25 @@ def huisken_density(field, r, tail=None):
         0.0,
     )
 
-    i0 = rim_index(W)
+    # every column at once: trapezoids over its live rows, then one out
+    # to its rim, or the whole column and the flat tail where it has none
+    k = rim_index(W)
     n = W.shape[0]
-    total = 0.0
-    for j in range(grid.n_phi):
-        k = int(i0[j])
-        if k == 0:
-            continue
-        if k >= n:
-            total += float(np.trapezoid(dens[:, j] * y, y))
-            if tail == "flat":
-                total += float(dens[-1, j]) * 2.0 * r**2
-            continue
-        frac = W[k - 1, j] / (W[k - 1, j] - W[k, j])
-        y_rim = y[k - 1] + frac * (y[k] - y[k - 1])
-        wy_rim = wy[k - 1, j] + frac * (wy[k, j] - wy[k - 1, j])
-        f_rim = (
-            2.0
-            * np.pi
-            * 0.5
-            * abs(wy_rim)
-            * math.exp(-(y_rim**2) / (4.0 * r**2))
-        )
-        ys = np.append(y[:k], y_rim)
-        fs = np.append(dens[:k, j], f_rim)
-        total += float(np.trapezoid(fs * ys, ys))
+    inner = (k > 0) & (k < n)
+    last = np.clip(k, 1, n - 1) - 1
+    cols = np.arange(grid.n_phi)
+    w0 = W[last, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_rim = y[last] + np.where(inner, w0 / (w0 - W[last + 1, cols]), 0.0) * grid.dy
+    wy_rim = resample(wy, grid, y_rim, grid.phi)
+    f_rim = np.pi * np.abs(wy_rim) * np.exp(-(y_rim**2) / (4.0 * r**2))
+    fy = dens * y[:, None]
+    segs = 0.5 * (fy[:-1] + fy[1:]) * grid.dy
+    total = float(np.sum(segs, where=np.arange(1, n)[:, None] < k))
+    total += float(np.sum(0.5 * (fy[last, cols] + f_rim * y_rim) * (y_rim - y[last]),
+                          where=inner))
+    if tail == "flat":  # dens is 0 on outer-ring nodes outside the body
+        total += float(dens[-1].sum()) * 2.0 * r**2
     return (4.0 * math.pi * r**2) ** -1.5 * total * grid.dphi
 
 

@@ -77,6 +77,7 @@ from .grid import (
     radial_stencil,
     rebuild_halo,
     resample,
+    rim_index,
     save_field,
     signed_square,
     tip_nodes,
@@ -139,49 +140,13 @@ class TipField:
 
     @classmethod
     def from_profile(cls, field, theta=THETA, n_nodes=17):
-        """Build the table by monotone inversion of v near the rim.
-
-        Levels are located in the squared profile, which crosses the rim
-        linearly and so keeps the interpolation uniformly second order;
-        the rim row lands at the zero crossing of the continuation read by
-        signed_square, not at the last live node.  grid.tip_nodes
-        raises ParameterError for n_nodes or theta it cannot lay out.
-
-        All angles are inverted at once: rows above each column's peak
-        are masked to +inf, so one running minimum down the table holds
-        every column's nonincreasing tail from its peak outwards, and the
-        count of tail entries above a level locates that level's bracket.
-        """
-        g = field.grid
-        w_levels = tip_nodes(n_nodes, theta) ** 2
-        w = signed_square(field)
-        n = w.shape[0]
-        rows = np.arange(n)[:, None]
-        i_peak = np.argmax(w, axis=0)
-        tail = np.minimum.accumulate(
-            np.where(rows < i_peak, np.inf, w), axis=0
-        )
-        peak = w.max(axis=0)
-        ceiling = peak <= w_levels[-1]
-        bad = ceiling | (tail[-1] > w_levels[0])
-        if np.any(bad):
-            j = int(np.argmax(bad))  # first failing angle, as a sweep finds it
-            if ceiling[j]:
-                raise DegeneracyError(
-                    f"profile max {math.sqrt(max(peak[j], 0)):.4g} at angle "
-                    f"{j} does not reach the tip-patch ceiling {2 * theta:.4g}"
-                )
-            raise DegeneracyError(f"rim not contained in grid at angle {j}")
-        # tail is nonincreasing below the peak and +inf above it, so the
-        # number of entries above a level is the row just past its crossing
-        idx = (tail[None, :, :] > w_levels[:, None, None]).sum(axis=1)
-        idx = np.clip(idx, i_peak + 1, n - 1)
-        cols = np.arange(w.shape[1])
-        w_hi, w_lo = tail[idx - 1, cols], tail[idx, cols]
-        gap = np.where(w_hi > w_lo, w_hi - w_lo, 1.0)
-        frac = np.where(w_hi > w_lo, (w_hi - w_levels[:, None]) / gap, 0.0)
-        ys = g.y[idx - 1] + frac * (g.y[idx] - g.y[idx - 1])
-        return cls(ys, theta)
+        """Build the table by monotone inversion of v near the rim: the
+        squared profile read by signed_square, inverted at the tip nodes
+        by _invert_w, which raises DegeneracyError where that fails.
+        grid.tip_nodes raises ParameterError for n_nodes or theta it
+        cannot lay out."""
+        return cls(_invert_w(signed_square(field), field.grid,
+                             tip_nodes(n_nodes, theta)), theta)
 
     def save(self, path):
         _write_table(
@@ -359,6 +324,10 @@ def _interp_columns(x, xp, fp):
     each column.  The node choice (the last xp <= x, also on flat runs),
     the end values and the formula are np.interp's own, so column j is
     bitwise equal to np.interp(x[:, j], xp[:, j], fp[:, j]).
+
+    xp may end in +inf entries, as _invert_w's masked rows above each
+    peak do: a finite x below the last finite xp has its bracket among
+    the finite entries, so an infinite node is never read.
     """
     m, c = xp.shape[0], x.shape[1]
     xp = np.broadcast_to(xp, (m, c))
@@ -398,16 +367,44 @@ def _inject_from_tip(W, tip, grid):
     return W
 
 
+def _invert_w(W, grid, v_levels):
+    """Plane radius where each column of the squared profile W falls
+    through each level v^2, as a (len(v_levels), n_phi) table.
+
+    The levels are located in W, which crosses the rim linearly and so
+    keeps the interpolation uniformly second order; the rim lands at the
+    zero crossing of W's continuation, not at the last live node.  Rows
+    above each column's peak are masked to +inf, so one running minimum
+    down the table holds every column's nonincreasing tail from its peak
+    outwards, and _interp_columns inverts all tails at once.  A column
+    whose peak does not clear the top level, or whose rim lies past the
+    grid, raises DegeneracyError naming the first such angle.
+    """
+    rows = np.arange(W.shape[0])[:, None]
+    tail = np.minimum.accumulate(np.where(rows < np.argmax(W, axis=0), np.inf, W), axis=0)
+    peak = W.max(axis=0)
+    ceiling = peak <= v_levels[-1] ** 2
+    bad = ceiling | (tail[-1] > 0.0)
+    if np.any(bad):
+        j = int(np.argmax(bad))  # first failing angle, as a sweep finds it
+        if ceiling[j]:
+            raise DegeneracyError(
+                f"profile max {math.sqrt(max(peak[j], 0)):.4g} at angle "
+                f"{j} does not reach the tip-patch ceiling {v_levels[-1]:.4g}"
+            )
+        raise DegeneracyError(f"rim not contained in grid at angle {j}")
+    levels = np.repeat(v_levels[:, None] ** 2, W.shape[1], axis=1)
+    return _interp_columns(levels, tail[::-1], grid.y[::-1, None])
+
+
 def _sync_patches(W, tip, grid):
     """Couple the patches: tip rows with v >= tip.theta are rebuilt from
-    the graph by monotone inversion, rows below keep the Y-step; the
-    graph in turn takes its rim-side boundary from the updated tip.  Both
-    directions work on whole tables, every angle at once."""
-    field = ScalarField(grid, np.sqrt(np.maximum(W, 0.0)), w_signed=W, copy=True)
-    inverted = TipField.from_profile(field, theta=tip.theta, n_nodes=len(tip.v_nodes))
-    merged = np.where(
-        tip.v_nodes[:, None] >= tip.theta - 1.0e-12, inverted.values, tip.values
-    )
+    the graph by _invert_w, rows below keep the Y-step; the graph in turn
+    takes its rim-side boundary from the updated tip.  Both directions
+    work on whole tables, every angle at once."""
+    outer = tip.v_nodes >= tip.theta - 1.0e-12
+    merged = tip.values.copy()
+    merged[outer] = _invert_w(W, grid, tip.v_nodes[outer])
     new_tip = TipField(merged, tip.theta)
     W = rebuild_halo(_inject_from_tip(W, new_tip, grid), grid)
     return W, new_tip
@@ -491,7 +488,7 @@ class FlowHistory:
         ts = self._times
         if not ts:
             raise CoverageError("empty history")
-        if t < ts[0] - 1.0e-9 or t > ts[-1] + 1.0e-9:
+        if not ts[0] - 1.0e-9 <= t <= ts[-1] + 1.0e-9:  # NaN included
             raise CoverageError(
                 f"time {t:.6g} outside history [{ts[0]:.6g}, {ts[-1]:.6g}]"
             )
@@ -763,8 +760,7 @@ def renormalize(field, t, t_e, grid_out=None):
     tau = -math.log(t_e - t)
     g_in = field.grid
     if grid_out is None:
-        live = np.any(field.values > 0.0, axis=1)
-        y_rim = g_in.y[np.max(np.nonzero(live))] if np.any(live) else g_in.y_max
+        y_rim = g_in.y[rim_index(field.values).max() - 1]  # y_max if none is alive
         grid_out = build_grid(g_in.n_r, g_in.n_phi, max(scale * y_rim * 1.15, 1.0))
     y, phi = grid_out.y[:, None] / scale, grid_out.phi[None, :]
     w_out = scale**2 * resample(signed_square(field), g_in, y, phi)

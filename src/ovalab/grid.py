@@ -24,7 +24,9 @@ f(-y, phi) = f(y, phi + pi); the tip patch mirrors evenly through its tip.
 polar_jet gives a field's derivatives in (y, phi); frame_jet, the one
 owner of the pole row, turns them into gradient and Hessian in an
 orthonormal frame at every node, so no plane operator has a pole case.
-resample, bilinear in (y, phi), is the one reader between the nodes.
+resample, bilinear in (y, phi), is the one reader between the nodes;
+the inverse reading, of where a monotone tip or W column crosses a
+level, is evolve._interp_columns.
 
 Angular operators act on rings, the last axis of an array, and are
 products with real circulant matrices cached per ring size: the Fourier

@@ -146,7 +146,7 @@ class SyntheticHistory:
 
     def _check(self, tau):
         lo, hi = self.span
-        if tau < lo - 1.0e-9 or tau > hi + 1.0e-9:
+        if not lo - 1.0e-9 <= tau <= hi + 1.0e-9:  # NaN included
             raise CoverageError(
                 f"time {tau:.6g} outside synthetic span [{lo:.6g}, {hi:.6g}]"
             )

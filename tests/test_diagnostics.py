@@ -28,7 +28,16 @@ from ovalab.diagnostics import (
 )
 from ovalab.errors import CoverageError, DomainError, ParameterError
 from ovalab.evolve import V_FLOOR, FlowHistory, FlowState, TipField, run
-from ovalab.grid import THETA, ScalarField, build_grid, load_field, save_field
+from ovalab.grid import (
+    THETA,
+    ScalarField,
+    build_grid,
+    diff_phi_fft,
+    load_field,
+    rim_index,
+    save_field,
+    signed_square,
+)
 from ovalab.shrinkers import (
     bubble_sheet_field,
     neck_field,
@@ -351,6 +360,63 @@ def test_density_guards():
         huisken_density(f, 0.0)
     with pytest.raises(ParameterError):
         huisken_density(f, 1.0, tail="cone")
+
+
+def _density_loop(field, r, tail=None):
+    """huisken_density as a per-angle loop: each column integrated by
+    np.trapezoid up to its own rim crossing."""
+    grid, y = field.grid, field.grid.y
+    W = signed_square(field)
+    wy = grid.radial_derivative(W, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad2 = wy**2 + np.where(
+            y[:, None] > 0.0, (diff_phi_fft(W, order=1) / y[:, None]) ** 2, 0.0)
+    dens = np.where(W > 0.0, 2.0 * np.pi * np.sqrt(np.maximum(W, 0.0) + 0.25 * grad2)
+                    * np.exp(-(y[:, None] ** 2 + np.maximum(W, 0.0)) / (4.0 * r**2)), 0.0)
+    i0, n, total = rim_index(W), W.shape[0], 0.0
+    for j in range(grid.n_phi):
+        k = int(i0[j])
+        if k == 0:
+            continue
+        if k >= n:
+            total += float(np.trapezoid(dens[:, j] * y, y))
+            if tail == "flat":
+                total += float(dens[-1, j]) * 2.0 * r**2
+            continue
+        frac = W[k - 1, j] / (W[k - 1, j] - W[k, j])
+        y_rim = y[k - 1] + frac * (y[k] - y[k - 1])
+        wy_rim = wy[k - 1, j] + frac * (wy[k, j] - wy[k - 1, j])
+        f_rim = np.pi * abs(wy_rim) * math.exp(-(y_rim**2) / (4.0 * r**2))
+        ys = np.append(y[:k], y_rim)
+        total += float(np.trapezoid(np.append(dens[:k, j], f_rim) * ys, ys))
+    return (4.0 * math.pi * r**2) ** -1.5 * total * grid.dphi
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_density_matches_the_per_angle_loop_on_a_wobbled_ellipse(r):
+    """Off-centre ellipse with an m = 3 wobble: its rim falls in
+    different rows at different angles."""
+    g = build_grid(96, 32, 3.2)
+    yy, pp = g.y[:, None], g.phi[None, :]
+    w = (2.0 - ((yy * np.cos(pp) - 0.3) / 1.2) ** 2 - (yy * np.sin(pp) + 0.2) ** 2
+         + 0.06 * yy**3 * np.cos(3.0 * (pp - 0.4)))
+    f = ScalarField(g, np.sqrt(np.maximum(w, 0.0)), w_signed=w)
+    assert len(set(rim_index(w).tolist())) > 5
+    assert huisken_density(f, r) == pytest.approx(_density_loop(f, r), rel=1.0e-12)
+
+
+@pytest.mark.parametrize("tail", [None, "flat"])
+def test_density_matches_the_per_angle_loop_past_the_outer_ring(tail):
+    """A long ellipse that reaches the outer ring along its long axis
+    and ends inside the grid across it."""
+    g = build_grid(64, 16, 3.0)
+    yy, pp = g.y[:, None], g.phi[None, :]
+    w = 2.0 - 0.1 * (yy * np.cos(pp)) ** 2 - (yy * np.sin(pp)) ** 2
+    f = ScalarField(g, np.sqrt(np.maximum(w, 0.0)), w_signed=w)
+    k = rim_index(w)
+    assert np.any(k > g.n_r) and np.any(k <= g.n_r)
+    assert huisken_density(f, 1.0, tail=tail) == pytest.approx(
+        _density_loop(f, 1.0, tail), rel=1.0e-12)
 
 
 def test_density_profile_along_a_sphere_flow():

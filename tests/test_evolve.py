@@ -372,15 +372,7 @@ def _from_profile_loop(field, theta=THETA, n_nodes=17):
             )
         if tail[-1] > w_levels[0]:
             raise DegeneracyError(f"rim not contained in grid at angle {j}")
-        idx = np.searchsorted(-tail, -w_levels, side="left")
-        idx = np.clip(idx, 1, len(tail) - 1)
-        w_hi = tail[idx - 1]
-        w_lo = tail[idx]
-        gap = np.where(w_hi > w_lo, w_hi - w_lo, 1.0)
-        frac = np.where(w_hi > w_lo, (w_hi - w_levels) / gap, 0.0)
-        vals[:, j] = g.y[i_peak + idx - 1] + frac * (
-            g.y[i_peak + idx] - g.y[i_peak + idx - 1]
-        )
+        vals[:, j] = np.interp(w_levels, tail[::-1], g.y[i_peak:][::-1])
     return vals
 
 
@@ -592,6 +584,17 @@ class TestWholeTableTip:
             assert np.array_equal(rhs_renormalized_Y(table), _rhs_Y_loop(table))
             got = evolve._inject_from_tip(w.copy(), table, g)
             assert np.array_equal(got, _inject_loop(w.copy(), table, g, theta))
+
+    def test_sync_inverts_only_the_rows_at_and_above_theta(self):
+        """_sync_patches gives the rows v >= theta the graph's inversion,
+        as from_profile has them, and keeps the stepped rows below."""
+        st = _benchmark_oval(64, 16)
+        moved = TipField(1.01 * st.tip.values, st.tip.theta)
+        _, synced = evolve._sync_patches(signed_square(st.v), moved, st.v.grid)
+        outer = moved.v_nodes >= moved.theta
+        assert 0 < outer.sum() < len(outer)
+        assert np.array_equal(synced.values[outer], st.tip.values[outer])
+        assert np.array_equal(synced.values[~outer], moved.values[~outer])
 
     @pytest.mark.parametrize("columns, expected", [
         ({3: "rim", 9: "rim"}, "rim not contained in grid at angle 3"),
@@ -910,6 +913,17 @@ class TestRunHistory:
             hist.at(-0.01)
         with pytest.raises(CoverageError):
             FlowHistory().grid
+
+    def test_nan_time_is_outside_the_history(self):
+        """Every comparison with NaN is False, so a range check written
+        as two comparisons let a NaN time through to an all-NaN blend."""
+        g = build_grid(16, 8, 3.0)
+        hist = FlowHistory()
+        for t in (0.0, 0.1, 0.2):
+            w = (2.0 - t) - g.y[:, None] ** 2 * np.ones((1, 8))
+            hist.append(FlowState(time=t, v=_signed_field(g, w), tip=None))
+        with pytest.raises(CoverageError, match=r"time nan outside history"):
+            hist.state_at(math.nan)
 
     def test_blend_reads_the_profile_off_the_blended_square(self):
         """Between two snapshots with signed squared profiles W = c - y^2,

@@ -437,6 +437,21 @@ def test_synthetic_history_span(grid):
         H.at(-200.0)
 
 
+def test_synthetic_history_refuses_a_nan_time(base):
+    with pytest.raises(CoverageError, match=r"time nan outside synthetic span"):
+        base.at(math.nan)
+
+
+def test_transform_refuses_a_nan_dilation(base):
+    """Gamma = NaN asks for the time NaN of a recorded history, which
+    raises rather than resampling an all-NaN blend."""
+    hist = FlowHistory()
+    for tau in (TAU0 - 0.5, TAU0, TAU0 + 0.5):
+        hist.append(FlowState(time=tau, v=base.at(tau), renormalized=True))
+    with pytest.raises(CoverageError, match=r"time nan outside history"):
+        transform_profile(hist, 0.0, math.nan, TAU0)
+
+
 def test_fd_jacobian_makes_two_calls_per_parameter():
     calls = []
 
