@@ -184,8 +184,8 @@ def concavity_margin(field, t, delta):
             "almost concavity is weighted by ((-t)/log(-t))^(3/2); "
             f"it needs log(-t) >= 1, got t = {t:g}"
         )
-    if delta < 0.0:
-        raise ParameterError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise ParameterError(f"delta must be nonnegative and finite, got {delta}")
     grid = field.grid
     W = signed_square(field)
     V = field.values

@@ -133,10 +133,11 @@ class TipField:
         return bool(np.all(np.diff(self.values, axis=0) < 0.0))
 
     def profile_at(self, y, j):
-        """Invert the angle-j column: plane radius y -> fiber radius v."""
+        """Plane radius y -> fiber radius v down the angle-j column, by _interp_columns."""
         col = np.minimum.accumulate(self.values[:, j])
-        return np.interp(y, col[::-1], self.v_nodes[::-1],
-                         left=self.v_nodes[-1], right=0.0)
+        y = np.asarray(y, dtype=float)
+        v = _interp_columns(y.reshape(-1, 1), col[::-1, None], self.v_nodes[::-1, None])
+        return v.reshape(y.shape)[()]
 
     @classmethod
     def from_profile(cls, field, theta=THETA, n_nodes=17):
@@ -413,8 +414,8 @@ def _sync_patches(W, tip, grid):
 def step(state, dtau):
     """Advance the graph by one two-stage _rkl2 super-step, unsplit at any
     dtau, and the tip by its super-steps, then synchronize patches."""
-    if dtau <= 0.0:
-        raise ParameterError(f"time step must be positive, got {dtau}")
+    if not 0.0 < dtau < math.inf:
+        raise ParameterError(f"time step must be positive and finite, got {dtau}")
     g = state.v.grid
     W0 = signed_square(state.v)
     rhs = functools.partial(_w_rhs, grid=g, renormalized=state.renormalized,
@@ -435,10 +436,9 @@ def step(state, dtau):
         W, new_tip = _sync_patches(W, new_tip, g)
     else:
         new_tip = None
-    field = ScalarField(g, np.sqrt(np.maximum(W, 0.0)), w_signed=W, copy=False)
     return FlowState(
         time=state.time + dtau,
-        v=field,
+        v=ScalarField.from_square(g, W),
         tip=new_tip,
         renormalized=state.renormalized,
         theta=state.theta,
@@ -474,8 +474,9 @@ class FlowHistory:
         return self._states[0].v.grid
 
     def append(self, state):
-        if self._times and state.time <= self._times[-1] + 1.0e-15:
-            raise ParameterError("history times must increase")
+        if not (math.isfinite(state.time)
+                and (not self._times or state.time > self._times[-1] + 1.0e-15)):
+            raise ParameterError(f"history time {state.time} is not finite and increasing")
         self._times.append(state.time)
         self._states.append(state)
 
@@ -505,19 +506,19 @@ class FlowHistory:
                 f"snapshots at t={ts[k]:.6g} and t={ts[k + 1]:.6g} lie on "
                 f"different grids; time {t:.6g} cannot blend them"
             )
-        w = None
         if s0.v.w_signed is not None and s1.v.w_signed is not None:
-            w = (1.0 - lam) * s0.v.w_signed + lam * s1.v.w_signed
-            vals = np.sqrt(np.maximum(w, 0.0))
+            v = ScalarField.from_square(
+                s0.v.grid, (1.0 - lam) * s0.v.w_signed + lam * s1.v.w_signed)
         else:
-            vals = (1.0 - lam) * s0.v.values + lam * s1.v.values
+            v = ScalarField(s0.v.grid, (1.0 - lam) * s0.v.values + lam * s1.v.values,
+                            copy=False)
         tip = None
         if s0.tip is not None and s1.tip is not None:
             tip = TipField((1.0 - lam) * s0.tip.values + lam * s1.tip.values,
                            s0.tip.theta)
         return FlowState(
             time=t,
-            v=ScalarField(s0.v.grid, vals, w_signed=w, copy=False),
+            v=v,
             tip=tip,
             renormalized=s0.renormalized,
             theta=s0.theta,
@@ -564,9 +565,9 @@ class FlowHistory:
     def load_dir(cls, path):
         """Read a history written by save_dir.  An index that is not JSON
         or not a list of entries, or an entry without its field name, with
-        a field or tip name that is not a string, with a missing or
-        non-boolean renormalized flag or with a missing or non-numeric
-        time, theta or L, raises ParameterError naming the index file."""
+        a field or tip name that is not a string, a missing or non-boolean
+        renormalized flag, a missing or non-numeric time, theta or L or a
+        non-finite time, raises ParameterError naming the index file."""
         where = os.path.join(path, "history.json")
         with open(where) as fh:
             try:
@@ -588,6 +589,8 @@ class FlowHistory:
         if not all(isinstance(e[1], str) and isinstance(e[2], (str, type(None)))
                    for e in entries):
             raise ParameterError(f"{where}: field and tip must be file names")
+        if not all(math.isfinite(e[0]) for e in entries):
+            raise ParameterError(f"{where}: snapshot times must be finite")
         hist = cls()
         grid = None
         for time, field, tip, renormalized, theta, L in entries:
@@ -764,9 +767,7 @@ def renormalize(field, t, t_e, grid_out=None):
         grid_out = build_grid(g_in.n_r, g_in.n_phi, max(scale * y_rim * 1.15, 1.0))
     y, phi = grid_out.y[:, None] / scale, grid_out.phi[None, :]
     w_out = scale**2 * resample(signed_square(field), g_in, y, phi)
-    rebuild_halo(w_out, grid_out)
-    return ScalarField(grid_out, np.sqrt(np.maximum(w_out, 0.0)), w_signed=w_out,
-                       copy=False), tau
+    return ScalarField.from_square(grid_out, rebuild_halo(w_out, grid_out)), tau
 
 
 def renormalized_state(field, t, t_e, L=10.0, grid_out=None):

@@ -38,9 +38,10 @@ applied to each ring's deviation from its first sample, so constant
 rings stay exactly constant.  This module is the only one that calls
 np.fft.
 
-The module also owns the two conventions every layer shares: the cutoff
-scale THETA, and the reading of a field's squared profile W = v^2 with
-its continuation outside the body (signed_square).
+The module also owns what every layer shares: the cutoff scale THETA,
+the Gaussian pairing PolarGrid.pair (the only reader of the weights) and
+the squared profile W = v^2, read with its outside continuation by
+signed_square and written as a field by ScalarField.from_square.
 """
 
 import functools
@@ -126,9 +127,9 @@ class PolarGrid:
     and a y_max that is not positive and finite raise ParameterError.
 
     Carries the Gaussian-weighted quadrature weights of the spectral
-    pairing.  Radial derivatives take radial_stencil, whose pole row
-    uses values reflected through the origin, f(-y, phi) =
-    f(y, phi + pi), which is why n_phi must be even.
+    pairing, read by pair.  Radial derivatives take radial_stencil,
+    whose pole row uses values reflected through the origin,
+    f(-y, phi) = f(y, phi + pi), which is why n_phi must be even.
     """
 
     def __init__(self, n_r, n_phi, y_max):
@@ -166,6 +167,10 @@ class PolarGrid:
     @property
     def shape(self):
         return (self.n_r + 1, self.n_phi)
+
+    def pair(self, F, G):
+        """Gaussian pairing sum(weights F G) of two arrays on the grid."""
+        return float(np.sum(self.weights * F * G))
 
     def radial_derivative(self, values, order):
         """radial_stencil of a (n_r+1, n_phi) array, the first ring
@@ -211,6 +216,12 @@ class ScalarField:
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
+
+    @classmethod
+    def from_square(cls, grid, W):
+        """Profile field v = sqrt(max(W, 0)) of a signed square W, which it
+        keeps as w_signed and freezes: W must be a fresh array."""
+        return cls(grid, np.sqrt(np.maximum(W, 0.0)), w_signed=W, copy=False)
 
     def with_values(self, values, w_signed=None):
         return ScalarField(self.grid, values, w_signed=w_signed)
@@ -276,7 +287,7 @@ def signed_square(field):
     """Writable signed squared profile W of a field: its stored
     w_signed, or else the clamped values squared with the outside
     continuation rebuilt, so a field read back from disk gives the same
-    W as the one that was written."""
+    W as the one written.  ScalarField.from_square writes W back."""
     if field.w_signed is not None:
         return np.array(field.w_signed)
     return rebuild_halo(field.values**2, field.grid)
@@ -290,7 +301,7 @@ def inner_product_H(f, g):
     """Gaussian-weighted pairing of two fields on the same grid."""
     if f.grid != g.grid:
         raise ShapeError("fields live on different grids")
-    return float(np.sum(f.grid.weights * f.values * g.values))
+    return f.grid.pair(f.values, g.values)
 
 
 def norm_H(f):

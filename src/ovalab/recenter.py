@@ -46,7 +46,7 @@ from .errors import (
 )
 from .grid import ScalarField
 from .shrinkers import normal_form_profile
-from .spectral import get_basis, pairings, quadratic_distance
+from .spectral import get_basis, pairings, quadratic_distance, truncated_deviation
 
 SQRT2 = math.sqrt(2.0)
 SQRT8 = math.sqrt(8.0)
@@ -214,20 +214,15 @@ def transform_full(history, a, b, Gamma, phi_rot, tau0):
 # pairing maps
 
 
-def _pairings(field):
-    """Gaussian pairings of the truncated deviation with the six modes,
-    and the basis they were taken against."""
-    basis = get_basis(field.grid)
-    return pairings(field, basis), basis
-
-
 def _locked_pairings(history, tau0, rows, transform, *args):
     """Rows of the pairings of transform(history, *args, tau0), with the
     y^2 - 4 row (row 3) measured against the locked inward slope
     -1/(sqrt(8)|tau0|)."""
     if tau0 >= 0.0:
         raise ParameterError(f"tau0 must be negative, got {tau0:g}")
-    p, basis = _pairings(transform(history, *args, tau0))
+    field = transform(history, *args, tau0)
+    basis = get_basis(field.grid)
+    p = pairings(truncated_deviation(field), basis)
     p[3] += basis.normsq[3] / (SQRT8 * abs(tau0))
     return p[rows]
 
@@ -252,8 +247,8 @@ def rotation_angle(field):
     pairing nonnegative is returned, in [0, 2 pi).  A field without
     quadrupole content returns 0.
     """
-    p, basis = _pairings(field)
-    c_pair, s_pair = p[4], p[5]
+    basis = get_basis(field.grid)
+    c_pair, s_pair = pairings(truncated_deviation(field), basis)[4:]
     scale = max(basis.normsq[4], basis.normsq[5])
     if math.hypot(c_pair, s_pair) < 1.0e-14 * scale:
         return 0.0

@@ -28,8 +28,7 @@ SQRT2 = math.sqrt(2.0)
 
 def bubble_sheet_field(grid):
     """Static profile v = sqrt(2): the cylindrical product soliton."""
-    vals = np.full(grid.shape, SQRT2)
-    return ScalarField(grid, vals, w_signed=np.full(grid.shape, 2.0))
+    return ScalarField.from_square(grid, np.full(grid.shape, 2.0))
 
 
 def sphere_field(grid):
@@ -44,8 +43,7 @@ def sphere_field(grid):
             "squared radius 6"
         )
     w = 6.0 - grid.y[:, None] ** 2 + 0.0 * grid.phi[None, :]
-    vals = np.sqrt(np.maximum(w, 0.0))
-    return ScalarField(grid, vals, w_signed=w)
+    return ScalarField.from_square(grid, w)
 
 
 def neck_field(grid):
@@ -56,9 +54,7 @@ def neck_field(grid):
     2 around the phi = 0 axis, not a compact body.
     """
     y2 = grid.y[:, None] ** 2
-    w = 4.0 - y2 * np.sin(grid.phi[None, :]) ** 2
-    vals = np.sqrt(np.maximum(w, 0.0))
-    return ScalarField(grid, vals, w_signed=w)
+    return ScalarField.from_square(grid, 4.0 - y2 * np.sin(grid.phi[None, :]) ** 2)
 
 
 def normal_form_profile(y, tau):
@@ -136,8 +132,7 @@ def ellipsoid_initial(grid, spec):
         - (spec.a / spec.ell) ** 2 * x1**2
         - ((1.0 - spec.a) / spec.ell) ** 2 * x2**2
     )
-    vals = np.sqrt(np.maximum(w, 0.0))
-    return ScalarField(grid, vals, w_signed=w)
+    return ScalarField.from_square(grid, w)
 
 
 class BowlProfile:
@@ -182,14 +177,14 @@ def solve_bowl(rho_max=12.0, drho=5.0e-3):
     Newton correction of the interior residual, and classical RK4
     carries the solution outward from there.
     """
-    if rho_max < 1.0:
-        raise ParameterError(f"rho_max must be at least 1, got {rho_max}")
+    if not 1.0 <= rho_max < math.inf:
+        raise ParameterError(f"rho_max must be at least 1 and finite, got {rho_max}")
     if drho > 1.0e-2:
         raise AccuracyError(
             f"bowl step {drho} too coarse for the tabulated profile; "
             "use drho <= 1e-2"
         )
-    if drho <= 0.0:
+    if not drho > 0.0:
         raise ParameterError(f"drho must be positive, got {drho}")
 
     a2 = -SQRT2 / 8.0

@@ -78,17 +78,14 @@ class EigenBasis:
         )
         self.names = MODE_NAMES
         self.eigenvalues = EIGENVALUES
-        w = grid.weights
-        self.normsq = tuple(float(np.sum(w * f * f)) for f in self.functions)
+        self.normsq = tuple(grid.pair(f, f) for f in self.functions)
 
     def mode(self, k):
         return ScalarField(self.grid, self.functions[k], copy=False)
 
     def gram(self):
         """Full 6x6 Gram matrix under the Gaussian quadrature."""
-        w = self.grid.weights
-        flat = self.functions.reshape(6, -1)
-        return (flat * w.reshape(1, -1)) @ flat.T
+        return np.array([pairings(f, self) for f in self.functions])
 
 
 def get_basis(grid):
@@ -108,15 +105,9 @@ def truncated_deviation(field):
     return cutoff_profile(field.values) * (field.values - SQRT2)
 
 
-def _pair(u, w, basis):
-    """Pairings sum(w u e_k) of an array with the six modes of basis."""
-    return np.array([float(np.sum(w * u * f)) for f in basis.functions])
-
-
-def pairings(field, basis):
-    """Gaussian pairings <u, e_k> of the truncated deviation with the six
-    modes of basis."""
-    return _pair(truncated_deviation(field), field.grid.weights, basis)
+def pairings(u, basis):
+    """Gaussian pairings <u, e_k> of an array with the six modes of basis."""
+    return np.array([basis.grid.pair(u, f) for f in basis.functions])
 
 
 def quadratic_distance(field, tau):
@@ -124,14 +115,14 @@ def quadratic_distance(field, tau):
     at time tau."""
     g = field.grid
     dev = truncate(field).values - normal_form_profile(g.y[:, None], tau)
-    return math.sqrt(max(float(np.sum(g.weights * dev * dev)), 0.0))
+    return math.sqrt(max(g.pair(dev, dev), 0.0))
 
 
 def project(field):
     """Six mode coefficients of the truncated deviation from sqrt(2) in
     the grid's basis."""
     basis = get_basis(field.grid)
-    return pairings(field, basis) / np.array(basis.normsq)
+    return pairings(truncated_deviation(field), basis) / np.array(basis.normsq)
 
 
 def alpha_from_coeffs(coeffs):
@@ -197,11 +188,12 @@ def spectral_report(field, tau):
     8 tau^2 D - 1); both components vanish on the exact inward-quadratic
     state.
     """
-    if tau >= 0.0:
-        raise ParameterError(f"renormalized time must be negative, got {tau}")
+    if not -math.inf < tau < 0.0:
+        raise ParameterError(
+            f"renormalized time must be negative and finite, got {tau}")
     basis = get_basis(field.grid)
     u = truncated_deviation(field)
-    c = _pair(u, field.grid.weights, basis) / np.array(basis.normsq)
+    c = pairings(u, basis) / np.array(basis.normsq)
     a = alpha_from_coeffs(c)
     S = float(a[0] + a[1])
     D = float(a[0] * a[1] - a[2] ** 2)
@@ -234,8 +226,8 @@ def width_ratio(field):
     y2 = g.y[:, None] ** 2
     cos_pair = y2 * np.cos(g.phi[None, :]) ** 2 - 2.0
     sin_pair = y2 * np.sin(g.phi[None, :]) ** 2 - 2.0
-    num = float(np.sum(g.weights * v_c * cos_pair))
-    den = float(np.sum(g.weights * v_c * sin_pair))
+    num = g.pair(v_c, cos_pair)
+    den = g.pair(v_c, sin_pair)
     if abs(den) <= 1.0e-8:
         raise DegeneracyError(
             f"width pairing denominator {den:.3e} too close to zero"

@@ -230,6 +230,16 @@ def test_concavity_labels_and_guards():
         concavity_margin(f, t, -0.5)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_concavity_refuses_a_non_finite_delta(delta):
+    """A NaN delta passed `delta < 0` and gave worst = nan."""
+    t = -math.e**2
+    g = build_grid(32, 8, 7.5)
+    w = 6.0 * -t - g.y[:, None] ** 2 * np.ones((1, 8))
+    with pytest.raises(ParameterError, match="finite"):
+        concavity_margin(ScalarField.from_square(g, w), t, delta)
+
+
 def test_concavity_margin_needs_a_body():
     # no node above V_FLOOR: there is no margin to report
     g = build_grid(32, 8, 3.0)

@@ -809,6 +809,15 @@ class TestStep:
         with pytest.raises(ParameterError):
             step(st, 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        """A NaN step passed `dtau <= 0` and came back as a StepSizeError,
+        which _march_step would retry at half of it 13 times."""
+        g = build_grid(16, 8, 3.0)
+        st = FlowState(time=0.0, v=sphere_field(g), renormalized=False)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            step(st, dt)
+
     def test_rejects_tip_in_unrescaled_gauge(self):
         g = build_grid(160, 32, 3.2)
         f = sphere_field(g)
@@ -924,6 +933,16 @@ class TestRunHistory:
             hist.append(FlowState(time=t, v=_signed_field(g, w), tip=None))
         with pytest.raises(CoverageError, match=r"time nan outside history"):
             hist.state_at(math.nan)
+
+    def test_append_refuses_a_non_finite_time(self):
+        """A NaN time passed the increasing-time check, and a blend
+        between it and a later snapshot was all NaN."""
+        g = build_grid(16, 8, 3.0)
+        hist = FlowHistory()
+        with pytest.raises(ParameterError, match="finite"):
+            hist.append(FlowState(time=math.nan, v=sphere_field(g), renormalized=False))
+        hist.append(FlowState(time=1.0, v=sphere_field(g), renormalized=False))
+        assert hist.times.tolist() == [1.0]
 
     def test_blend_reads_the_profile_off_the_blended_square(self):
         """Between two snapshots with signed squared profiles W = c - y^2,
@@ -1042,6 +1061,25 @@ class TestRunHistory:
             else:
                 json.dump(index, fh)
         with pytest.raises(ParameterError, match="history.json"):
+            FlowHistory.load_dir(out)
+
+    def test_load_refuses_a_non_finite_time(self, tmp_path):
+        """Python's json reads NaN, so a NaN time got through every entry
+        check of the index."""
+        g = build_grid(8, 4, 3.0)
+        hist = FlowHistory()
+        for t in (0.0, 0.1):
+            hist.append(FlowState(time=t, v=_signed_field(g, _sphere_w(g)),
+                                  renormalized=False))
+        out = os.path.join(tmp_path, "hist")
+        hist.save_dir(out)
+        where = os.path.join(out, "history.json")
+        with open(where) as fh:
+            index = json.load(fh)
+        index[1]["time"] = math.nan
+        with open(where, "w") as fh:
+            json.dump(index, fh)
+        with pytest.raises(ParameterError, match=r"history\.json: .* must be finite"):
             FlowHistory.load_dir(out)
 
     def test_loaded_fields_read_the_written_squared_profile(self, tmp_path):

@@ -239,3 +239,44 @@ def test_node_layout_has_one_owner():
                       if isinstance(node, ast.Call)
                       and ast.unparse(node.func).split(".")[-1] == "linspace"})
     assert callers == ["grid.py"]
+
+
+def test_quadrature_weights_have_one_reader():
+    """Only grid.py reads .weights: every Gaussian pairing is
+    PolarGrid.pair, so the quadrature is spelled once."""
+    readers = sorted({path.name for path in PACKAGE.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr == "weights"})
+    assert readers == ["grid.py"]
+
+
+def test_profile_writer_has_one_owner():
+    """Only grid.py takes np.sqrt(np.maximum(X, 0.0)): a profile field is
+    written from its signed square by ScalarField.from_square alone."""
+    def clamped_root(node):
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.sqrt"
+                and len(node.args) == 1):
+            return False
+        inner = node.args[0]
+        return (isinstance(inner, ast.Call) and ast.unparse(inner.func) == "np.maximum"
+                and len(inner.args) == 2 and ast.unparse(inner.args[1]) == "0.0")
+
+    callers = sorted({path.name for path in PACKAGE.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if clamped_root(node)})
+    assert callers == ["grid.py"]
+
+
+def _keyword_defaults(path):
+    """Number of parameters with a default value in the module at path,
+    positional or keyword-only, over every def and lambda."""
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def test_keyword_defaults_do_not_grow():
+    """A ratchet on options: the package holds at most 34 parameter
+    defaults.  Lower the bound when a change removes one."""
+    count = sum(_keyword_defaults(path) for path in PACKAGE.glob("*.py"))
+    assert count <= 34, f"{count} keyword defaults in src/ovalab, at most 34 allowed"

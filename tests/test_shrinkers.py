@@ -109,6 +109,16 @@ def test_bowl_parameter_validation():
         solve_bowl(drho=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [{"drho": math.nan}, {"rho_max": math.nan},
+                                    {"rho_max": math.inf}],
+                         ids=["drho-nan", "rho_max-nan", "rho_max-inf"])
+def test_bowl_refuses_non_finite_parameters(kwargs):
+    """NaN passed every comparison and came out as a bare ValueError, and
+    an infinite rho_max as an OverflowError, from sizing the table."""
+    with pytest.raises(ParameterError):
+        solve_bowl(**kwargs)
+
+
 def test_bubble_sheet_constant():
     g = build_grid(32, 8, 10.0)
     f = bubble_sheet_field(g)

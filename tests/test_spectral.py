@@ -138,6 +138,14 @@ def test_completeness_on_span(fine_grid, fine_basis):
     assert np.max(np.abs(dev)) < 1.0e-8
 
 
+@pytest.mark.parametrize("tau", [math.nan, -math.inf])
+def test_spectral_report_refuses_a_non_finite_time(tau):
+    """A NaN tau passed `tau >= 0` and gave xi = (nan, nan)."""
+    g = build_grid(32, 8, 6.0)
+    with pytest.raises(ParameterError, match="negative and finite"):
+        spectral_report(normal_form_field(g, -50.0), tau)
+
+
 def test_spectral_report_consistency(fine_grid):
     tau = -100.0
     rep = spectral_report(normal_form_field(fine_grid, tau), tau)
