@@ -17,9 +17,6 @@ report over the grid:
   where the profile is bounded away from zero.
 * ``huisken_density``: Gaussian-weighted area of an unrescaled slice,
   the monotone quantity that calibrates extinction scales.
-* ``tip_weight`` / ``poincare_check``: the hybrid tip weight built from
-  the inverse profile and the bowl, and the weighted Poincare ratio it
-  is designed to make uniform.
 
 Everything is a pure function of immutable snapshots.  Derivatives are
 always taken on the signed squared profile read by ``grid.signed_square``
@@ -35,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CoverageError, DomainError, ParameterError
-from .evolve import V_FLOOR, TipField, zoomed_tip
+from .evolve import V_FLOOR, zoomed_tip
 from .grid import (
     THETA,
     diff_phi_fft,
@@ -45,10 +42,8 @@ from .grid import (
     rim_index,
     signed_square,
     sqrt_jet,
-    tip_nodes,
 )
 from .shrinkers import normal_form_profile, solve_bowl
-from .spectral import smoothstep_quintic
 
 SQRT2 = math.sqrt(2.0)
 
@@ -60,24 +55,6 @@ DENSITY_NECK = 4.0 / math.e
 @lru_cache(maxsize=1)
 def _reference_bowl():
     return solve_bowl()
-
-
-# ---------------------------------------------------------------------------
-# closed-form reference states
-
-
-def normal_form_tip(tau, n_phi=32, n_nodes=33):
-    """Round tip table of the square-root intermediate profile.
-
-    Inverts v = sqrt(2 - y^2/|tau|) (with the +4 plane offset of the
-    quadratic bulge) on [0, 2 THETA]; a convenient synthetic geometry
-    for exercising the weight and Poincare machinery at large |tau|.
-    """
-    if not tau < 0.0:
-        raise ParameterError("the model tip needs tau < 0")
-    v = tip_nodes(n_nodes, THETA)
-    Y = np.sqrt(abs(tau) * (2.0 - v**2) + 4.0)
-    return TipField(Y[:, None] * np.ones((1, n_phi)), THETA)
 
 
 # ---------------------------------------------------------------------------
@@ -373,130 +350,3 @@ def huisken_density(field, r, tail=None):
         total += float(dens[-1].sum()) * 2.0 * r**2
     return (4.0 * math.pi * r**2) ** -1.5 * total * grid.dphi
 
-
-# ---------------------------------------------------------------------------
-# tip weight and weighted Poincare ratio
-
-
-def _zeta(v, theta):
-    """C^2 quintic ramp: 0 below theta/8, 1 above theta/4."""
-    return smoothstep_quintic((np.asarray(v, dtype=float) - theta / 8.0)
-                              / (theta / 8.0))
-
-
-@dataclass(frozen=True)
-class WeightField:
-    """Hybrid tip weight mu over the tip nodes, one column per angle.
-
-    Above a quarter of the ceiling mu is minus a quarter of the squared
-    inverse profile; below an eighth its v-derivative is the bowl's
-    (1 + Y_B,v^2)/v, which makes exp(mu) vanish linearly at the tip.
-    """
-
-    v_nodes: np.ndarray
-    mu: np.ndarray
-    zeta: np.ndarray
-    bowl_height: np.ndarray
-    bowl_slope: np.ndarray
-    theta: float
-    tau: float
-
-    @property
-    def dv(self):
-        return float(self.v_nodes[1] - self.v_nodes[0])
-
-
-def tip_weight(tip, tau, bowl=None):
-    """Build the hybrid weight from a tip table at renormalized time tau.
-
-    mu(v) = -Y(theta)^2/4 + integral from v to theta of
-    [zeta (Y^2/4)_v' - (1-zeta) (1+Y_B,v'^2)/v'] dv', by composite
-    trapezoid on the tip nodes.  The half-ceiling theta must itself be
-    a node (odd node count), so the anchor of the integral is exact.
-    """
-    if not tau < 0.0:
-        raise ParameterError("the tip weight needs tau < 0")
-    nodes = tip.v_nodes
-    n = nodes.size
-    if n % 2 == 0:
-        raise ParameterError(
-            "the weight integral anchors at the half-ceiling; "
-            "use an odd number of tip nodes"
-        )
-    mid = (n - 1) // 2
-    theta = tip.theta
-    dv = tip.dv
-    bowl = bowl if bowl is not None else _reference_bowl()
-    slope = bowl.tip_slope(nodes, tau)
-    height = bowl.tip_profile(nodes, tau)
-    zeta = _zeta(nodes, theta)
-
-    q = tip.values**2 / 4.0
-    dq = np.gradient(q, dv, axis=0)
-    with np.errstate(divide="ignore"):
-        sink = (1.0 - zeta) * (1.0 + slope**2) / nodes
-    integrand = zeta[:, None] * dq - sink[:, None]
-
-    inner = integrand[1:, :]
-    steps = 0.5 * dv * (inner[1:, :] + inner[:-1, :])
-    cum = np.concatenate(
-        [np.zeros((1, integrand.shape[1])), np.cumsum(steps, axis=0)]
-    )
-    mu = np.empty_like(integrand)
-    mu[1:, :] = -q[mid, :][None, :] + (cum[mid - 1, :][None, :] - cum)
-    mu[0, :] = -np.inf
-    return WeightField(
-        v_nodes=nodes,
-        mu=mu,
-        zeta=zeta,
-        bowl_height=height,
-        bowl_slope=slope,
-        theta=theta,
-        tau=float(tau),
-    )
-
-
-def poincare_check(F, weight, tip, tau=None):
-    """Measured constant |tau| * LHS/RHS of the weighted Poincare pair
-
-    integral F^2 e^mu dv  <=  (C/|tau|) integral F_v^2/(1+Y_v^2) e^mu dv
-
-    maximized over angles.  F must be flat at v = 0 and vanish at the
-    ceiling 2 theta; it may be a single column or one per angle.
-    """
-    tau = weight.tau if tau is None else tau
-    if tau == 0.0:
-        raise ParameterError("the ratio is scaled by a nonzero |tau|")
-    nodes = weight.v_nodes
-    n = nodes.size
-    F = np.asarray(F, dtype=float)
-    if F.ndim == 1:
-        F = F[:, None]
-    if F.shape[0] != n:
-        raise ParameterError("test function must live on the tip nodes")
-    if tip.values.shape[0] != n:
-        raise ParameterError("tip table and weight nodes disagree")
-    fmax = float(np.abs(F).max())
-    if fmax == 0.0:
-        return 0.0
-    if np.abs(F[-1, :]).max() > 1.0e-12 * fmax:
-        raise ParameterError("support must stay inside [0, 2 theta)")
-    dv = weight.dv
-    slope0 = np.abs(-3.0 * F[0, :] + 4.0 * F[1, :] - F[2, :]) / (2.0 * dv)
-    if slope0.max() > 0.05 * fmax / weight.theta:
-        raise ParameterError("test function must be flat at v = 0")
-
-    mu = weight.mu - np.max(weight.mu[np.isfinite(weight.mu)])
-    w = np.exp(mu)
-    Yv = np.gradient(tip.values, dv, axis=0)
-    Fv = np.gradient(F, dv, axis=0)
-    lhs = np.trapezoid(F**2 * w, dx=dv, axis=0)
-    rhs = np.trapezoid(Fv**2 / (1.0 + Yv**2) * w, dx=dv, axis=0)
-    ratios = np.zeros(max(lhs.shape[0], rhs.shape[0]))
-    lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    for j in range(lhs.shape[0]):
-        if rhs[j] > 0.0:
-            ratios[j] = lhs[j] / rhs[j]
-        elif lhs[j] > 0.0:
-            ratios[j] = math.inf
-    return abs(tau) * float(ratios.max())

@@ -757,8 +757,9 @@ def renormalize(field, t, t_e, grid_out=None):
     tau = -log(t_e - t).  Without grid_out the new grid has the input's
     node counts and reaches 15 % past the rescaled rim (at least to 1).
     """
-    if not t < t_e:
-        raise DomainError(f"time {t} is not before extinction {t_e}")
+    if not -math.inf < t < t_e < math.inf:
+        raise DomainError(
+            f"time {t} is not a finite time before a finite extinction t_e = {t_e}")
     scale = 1.0 / math.sqrt(t_e - t)
     tau = -math.log(t_e - t)
     g_in = field.grid

@@ -94,13 +94,13 @@ class EllipsoidSpec:
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise ParameterError(f"axis split a must lie in (0,1), got {self.a}")
-        if self.ell <= 0.0:
-            raise ParameterError(f"scale ell must be positive, got {self.ell}")
-        if self.radius <= 0.0:
-            raise ParameterError(f"radius must be positive, got {self.radius}")
-        if self.t_start >= 0.0:
+        if not 0.0 < self.ell < math.inf:
+            raise ParameterError(f"scale ell must be positive and finite, got {self.ell}")
+        if not 0.0 < self.radius < math.inf:
+            raise ParameterError(f"radius must be positive and finite, got {self.radius}")
+        if not -math.inf < self.t_start < 0.0:
             raise ParameterError(
-                f"start time must be negative, got {self.t_start}"
+                f"start time must be negative and finite, got {self.t_start}"
             )
 
     def plane_semi_axes(self):
@@ -149,20 +149,6 @@ class BowlProfile:
 
     def dZ(self, rho):
         return np.interp(rho, self.rho, self.slope)
-
-    def tip_profile(self, v, tau):
-        """Bowl cap matched at renormalized time tau: the height map
-
-        Y(v) = |tau|^{-1/2} Z(|tau|^{1/2} v),
-
-        shifted to Y(0) = 0, which the tip-weight construction uses as
-        its outer reference.
-        """
-        s = math.sqrt(abs(tau))
-        return self(s * np.asarray(v, dtype=float)) / s
-
-    def tip_slope(self, v, tau):
-        return self.dZ(math.sqrt(abs(tau)) * np.asarray(v, dtype=float))
 
 
 def _bowl_rhs(rho, z, p):

@@ -22,9 +22,6 @@ from ovalab.diagnostics import (
     concavity_margin,
     cylindrical_estimate,
     huisken_density,
-    normal_form_tip,
-    poincare_check,
-    tip_weight,
 )
 from ovalab.errors import CoverageError, DomainError, ParameterError
 from ovalab.evolve import V_FLOOR, FlowHistory, FlowState, TipField, run
@@ -75,16 +72,6 @@ def test_normal_form_field_rejects_forward_time():
     g = build_grid(32, 8, 6.0)
     with pytest.raises(ParameterError):
         normal_form_field(g, 1.0)
-    with pytest.raises(ParameterError):
-        normal_form_tip(0.0)
-
-
-def test_normal_form_tip_shape():
-    tip = normal_form_tip(-100.0, n_nodes=33, n_phi=8)
-    assert tip.values.shape == (33, 8)
-    assert tip.v_nodes[0] == 0.0
-    assert tip.v_nodes[-1] == pytest.approx(2.0 * THETA)
-    assert tip.values[0, 0] == pytest.approx(math.sqrt(204.0))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +103,8 @@ def test_tip_distance_vanishes_against_the_generating_bowl():
     tau = -50.0
     bowl = solve_bowl()
     v_nodes = np.linspace(0.0, 2.0 * THETA, 33)
-    Y = math.sqrt(2.0 * -tau) + bowl.tip_profile(v_nodes, tau)
+    s = math.sqrt(-tau)  # the bowl cap matched at tau: Z(s v) / s
+    Y = math.sqrt(2.0 * -tau) + bowl(s * v_nodes) / s
     tip = TipField(Y[:, None] * np.ones((1, 16)), THETA)
     g = build_grid(64, 16, 10.0)
     st = FlowState(
@@ -451,127 +439,3 @@ def test_density_profile_along_a_sphere_flow():
     backslide = np.maximum(0.0, dens[:-1] - dens[1:]).max()
     assert backslide < 1.0e-4
 
-
-# ---------------------------------------------------------------------------
-# tip weight
-
-
-def test_weight_upper_plateau_is_minus_quarter_y_squared():
-    tau = -100.0
-    tip = normal_form_tip(tau, n_nodes=129)
-    wf = tip_weight(tip, tau)
-    hi = wf.v_nodes >= THETA / 4.0
-    err = np.abs(wf.mu[hi, :] + tip.values[hi, :] ** 2 / 4.0).max()
-    assert err < 3.0e-4
-    # the anchor node at theta itself is exact
-    mid = (wf.v_nodes.size - 1) // 2
-    assert wf.mu[mid, 0] == -tip.values[mid, 0] ** 2 / 4.0
-
-
-def test_weight_lower_plateau_matches_the_bowl_slope_law():
-    """Below theta/8 the weight solves mu_v = (1 + Y_B,v^2)/v.  Checked
-    in relative terms on [theta/16, theta/8] where the 1/v curvature is
-    resolved; the error is O(dv^2)."""
-    tau = -100.0
-    tip = normal_form_tip(tau, n_nodes=513)
-    wf = tip_weight(tip, tau)
-    v, dv = wf.v_nodes, wf.dv
-    idx = np.where((v >= THETA / 16.0) & (v <= THETA / 8.0))[0]
-    mu_v = (wf.mu[idx + 1, :] - wf.mu[idx - 1, :]) / (2.0 * dv)
-    target = ((1.0 + wf.bowl_slope[idx] ** 2) / v[idx])[:, None]
-    assert np.abs(mu_v / target - 1.0).max() < 5.0e-3
-
-
-def test_weight_vanishes_linearly_at_the_tip():
-    # exp(mu) ~ c v: mu - log v settles to a constant as v -> 0
-    tau = -50.0
-    tip = normal_form_tip(tau, n_nodes=257)
-    wf = tip_weight(tip, tau)
-    assert np.isneginf(wf.mu[0, :]).all()
-    gaps = np.abs(np.diff(wf.mu[1:8, 0] - np.log(wf.v_nodes[1:8])))
-    assert np.all(np.diff(gaps) < 0.0)
-    assert gaps[-1] < 1.0e-2
-
-
-def test_weight_ramp_profile():
-    tau = -100.0
-    tip = normal_form_tip(tau, n_nodes=129)
-    wf = tip_weight(tip, tau)
-    v = wf.v_nodes
-    assert np.all(wf.zeta[v <= THETA / 8.0] == 0.0)
-    assert np.all(wf.zeta[v >= THETA / 4.0] == 1.0)
-    ramp = wf.zeta[(v > THETA / 8.0) & (v < THETA / 4.0)]
-    assert np.all(np.diff(ramp) > 0.0)
-    mid = np.interp(3.0 * THETA / 16.0, v, wf.zeta)
-    assert mid == pytest.approx(0.5, abs=1.0e-12)
-
-
-def test_weight_node_requirements():
-    tau = -100.0
-    with pytest.raises(ParameterError):
-        tip_weight(normal_form_tip(tau, n_nodes=32), tau)
-    with pytest.raises(ParameterError):
-        tip_weight(normal_form_tip(-1.0, n_nodes=33), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# weighted Poincare ratio
-
-
-def cos_bump(v):
-    return np.cos(np.pi * v / (4.0 * THETA)) ** 2
-
-
-def test_poincare_frozen_constants():
-    """The cos^2 bump on the synthetic round tip gives measured
-    constants 2.9725 / 6.2272 / 9.0919 at |tau| = 50 / 100 / 200 with
-    129 nodes; frozen from the first run of the integrator."""
-    frozen = {-50.0: 2.9724836531, -100.0: 6.2271807264, -200.0: 9.0919309169}
-    for tau, want in frozen.items():
-        tip = normal_form_tip(tau, n_nodes=129)
-        wf = tip_weight(tip, tau)
-        got = poincare_check(cos_bump(wf.v_nodes), wf, tip)
-        assert got == pytest.approx(want, abs=1.0e-6)
-
-
-def test_poincare_single_constant_across_times_and_functions():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for tau in (-50.0, -100.0, -200.0, -400.0, -1600.0):
-        tip = normal_form_tip(tau, n_nodes=129)
-        wf = tip_weight(tip, tau)
-        v = wf.v_nodes
-        consts = [poincare_check(cos_bump(v), wf, tip)]
-        for _ in range(10):
-            a = rng.normal(size=4)
-            F = sum(
-                a[k] * np.cos((k + 0.5) * np.pi * v / (2.0 * THETA))
-                for k in range(4)
-            )
-            consts.append(poincare_check(F, wf, tip))
-        worst = max(worst, max(consts))
-    assert worst < 12.0
-
-
-def test_poincare_scale_invariance_and_zero():
-    tau = -100.0
-    tip = normal_form_tip(tau, n_nodes=129)
-    wf = tip_weight(tip, tau)
-    F = cos_bump(wf.v_nodes)
-    assert poincare_check(2.0 * F, wf, tip) == poincare_check(F, wf, tip)
-    assert poincare_check(np.zeros_like(F), wf, tip) == 0.0
-
-
-def test_poincare_admissibility():
-    tau = -100.0
-    tip = normal_form_tip(tau, n_nodes=129)
-    wf = tip_weight(tip, tau)
-    v = wf.v_nodes
-    with pytest.raises(ParameterError):
-        poincare_check(v.copy(), wf, tip)  # nonzero at the ceiling
-    with pytest.raises(ParameterError):
-        poincare_check(2.0 * THETA - v, wf, tip)  # steep at the tip
-    with pytest.raises(ParameterError):
-        poincare_check(np.ones(17), wf, tip)
-    with pytest.raises(ParameterError):
-        poincare_check(cos_bump(v), wf, tip, tau=0.0)

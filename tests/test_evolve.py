@@ -1324,6 +1324,14 @@ class TestRenormalize:
         with pytest.raises(DomainError, match="extinction"):
             renormalize(f, math.nan, 0.0)
 
+    @pytest.mark.parametrize("t, t_e", [(-1.0, math.inf), (-math.inf, 0.0)])
+    def test_infinite_times_refused(self, t, t_e):
+        """An infinite gap t_e - t rescales by 0; it is refused instead of
+        reaching the resampler."""
+        g = build_grid(16, 8, 3.0)
+        with pytest.raises(DomainError, match="finite"):
+            renormalize(sphere_field(g), t, t_e)
+
     def test_gauges_commute_around_extinction(self, ellipsoid_lifecycle):
         """Renormalize-then-march equals march-then-renormalize to the
         discretization error, across gauges and a grid change."""

@@ -92,14 +92,6 @@ def test_bowl_monotone_concave(bowl):
     assert np.all(np.diff(bowl.height) < 0.0)
 
 
-def test_bowl_tip_profile_scaling(bowl):
-    tau = -50.0
-    v = np.array([0.0, 0.1, 0.3])
-    s = math.sqrt(abs(tau))
-    np.testing.assert_allclose(bowl.tip_profile(v, tau) * s, bowl(s * v))
-    np.testing.assert_allclose(bowl.tip_slope(v, tau), bowl.dZ(s * v))
-
-
 def test_bowl_parameter_validation():
     with pytest.raises(ParameterError):
         solve_bowl(rho_max=0.5)
@@ -218,6 +210,13 @@ def test_ellipsoid_validation():
         dict(ell=-1.0),
         dict(radius=0.0),
         dict(t_start=0.0),
+        # each guard is `not (...)`, so NaN fails it as well
+        dict(radius=math.nan),
+        dict(ell=math.nan),
+        dict(t_start=math.nan),
+        dict(radius=math.inf),
+        dict(ell=math.inf),
+        dict(t_start=-math.inf),
     ):
         with pytest.raises(ParameterError):
             EllipsoidSpec(**bad)

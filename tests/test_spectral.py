@@ -16,23 +16,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ovalab.errors import CoverageError, DegeneracyError, ParameterError
-from ovalab.evolve import FlowHistory
+from ovalab.errors import DegeneracyError, ParameterError
 from ovalab.grid import THETA, ScalarField, build_grid, inner_product_H
-from ovalab.recenter import normal_form_history
 from ovalab.shrinkers import bubble_sheet_field, normal_form_field
 from ovalab.spectral import (
     EigenBasis,
-    KappaVerdict,
     THEORY_NORMSQ,
     alpha_from_coeffs,
     apply_ou,
     bubble_sheet_Q,
-    c4_norm_proxy,
     cutoff_profile,
     get_basis,
-    kappa_quadratic,
     project,
+    quadratic_distance,
     spectral_report,
     sym2_eigenvalues,
     truncate,
@@ -146,6 +142,14 @@ def test_spectral_report_refuses_a_non_finite_time(tau):
         spectral_report(normal_form_field(g, -50.0), tau)
 
 
+@pytest.mark.parametrize("tau", [math.nan, 0.0])
+def test_quadratic_distance_refuses_a_time_off_the_ancient_axis(tau):
+    """A NaN tau returned a NaN distance instead of being refused."""
+    g = build_grid(32, 8, 8.0)
+    with pytest.raises(ParameterError, match="negative and finite"):
+        quadratic_distance(normal_form_field(g, -20.0), tau)
+
+
 def test_spectral_report_consistency(fine_grid):
     tau = -100.0
     rep = spectral_report(normal_form_field(fine_grid, tau), tau)
@@ -206,82 +210,6 @@ def test_width_ratio_degeneracy():
     f = ScalarField(g, np.zeros(g.shape))
     with pytest.raises(DegeneracyError):
         width_ratio(f)
-
-
-def _normal_form_maker(grid, tau):
-    return normal_form_field(grid, tau)
-
-
-def test_kappa_quadratic_exact_state(fine_grid, recorded_history):
-    tau0 = -100.0
-    hist = recorded_history(
-        fine_grid, np.linspace(2.0 * tau0, tau0, 9), _normal_form_maker
-    )
-    verdict = kappa_quadratic(hist, tau0, kappa=0.1)
-    assert verdict.passed
-    assert verdict.kappa_measured < 1.0e-6
-    assert verdict.centering_ok and verdict.quadratic_ok and verdict.radius_ok
-    assert verdict.radius_sup <= 1.0
-    assert isinstance(verdict, KappaVerdict)
-    assert verdict.as_dict()["passed"] is True
-
-
-def test_kappa_quadratic_measures_added_bump(fine_grid, fine_basis,
-                                             recorded_history):
-    tau0 = -100.0
-    norm_y2m4 = math.sqrt(fine_basis.normsq[3])
-
-    def maker(grid, tau):
-        base = normal_form_field(grid, tau)
-        bump = 0.5 / abs(tau0) * (grid.y[:, None] ** 2 - 4.0) / norm_y2m4
-        return base.with_values(base.values + bump)
-
-    hist = recorded_history(fine_grid, np.linspace(2 * tau0, tau0, 9), maker)
-    verdict = kappa_quadratic(hist, tau0, kappa=1.0)
-    assert abs(verdict.kappa_measured - 0.5) < 1.0e-3
-    assert verdict.passed
-
-
-def test_kappa_quadratic_centering_failure(fine_grid, recorded_history):
-    tau0 = -100.0
-
-    def maker(grid, tau):
-        y = grid.y[:, None]
-        phi = grid.phi[None, :]
-        return ScalarField(grid, SQRT2 + 0.1 * y * np.cos(phi) + 0.0 * y)
-
-    hist = recorded_history(fine_grid, np.linspace(2 * tau0, tau0, 9), maker)
-    verdict = kappa_quadratic(hist, tau0, kappa=1.0)
-    assert not verdict.centering_ok
-    assert not verdict.passed
-
-
-def test_kappa_quadratic_coverage_error(fine_grid, recorded_history):
-    tau0 = -100.0
-    short = recorded_history(
-        fine_grid, np.linspace(1.5 * tau0, tau0, 5), _normal_form_maker
-    )
-    for hist in (short, FlowHistory()):
-        with pytest.raises(CoverageError):
-            kappa_quadratic(hist, tau0, kappa=1.0)
-
-
-def test_kappa_quadratic_needs_snapshot_times():
-    # a closed-form family samples any time but records none, so the
-    # C^4 sweep has nothing to visit
-    hist = normal_form_history(build_grid(64, 8, 10.0), -50.0)
-    with pytest.raises(ParameterError, match="snapshot times"):
-        kappa_quadratic(hist, -50.0, kappa=1.0)
-
-
-def test_c4_proxy_on_smooth_field():
-    g = build_grid(256, 32, 10.0)
-    y = g.y[:, None]
-    vals = np.exp(-0.25 * y**2) + 0.0 * g.phi[None, :]
-    sup = c4_norm_proxy(ScalarField(g, vals), radius=3.0)
-    assert 0.5 < sup < 2.0
-    with pytest.raises(CoverageError):
-        c4_norm_proxy(ScalarField(g, vals), radius=20.0)
 
 
 def test_get_basis_caches(fine_grid):
