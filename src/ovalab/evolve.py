@@ -24,7 +24,10 @@ boundary linearly where v has a square root, every quadric model body
 is an exact polynomial state of the discrete operators, and the -1/v
 sink becomes the harmless constant -2.  Nodes outside the body hold a
 smooth continuation of W rebuilt from the interior after every stage,
-so stencils near the rim never see a cliff.
+so stencils near the rim never see a cliff.  A graph step works on the
+rows up to the outermost rim + 2 only, the farthest that a stencil or
+ring transform of a body node reaches: rows past them are neither
+stepped nor filtered, and carried over unchanged.
 
 The tip patch steps Y(v, phi) by the inverse-profile equation of
 rhs_renormalized_Y.  A tip table is (values, theta) and takes its nodes
@@ -203,7 +206,9 @@ def _w_rhs(W, grid, renormalized, mask):
     pass the mask of an earlier stage: cells that dip below zero mid-step
     still get a genuine update instead of freezing at a positive remnant.
     Every term is frame-invariant, so one expression over the frame jet
-    covers all rows; at the pole the radial drift vanishes with y.
+    covers every row of W, the grid's first rows from the pole out; at
+    the pole the radial drift vanishes with y.  step passes the rows up
+    to the outermost rim + 2, so rows past them are never evaluated.
     """
     W1, W2, W11, W12, W22 = frame_jet(grid, W)
     g2 = W1**2 + W2**2
@@ -216,19 +221,27 @@ def _w_rhs(W, grid, renormalized, mask):
     rat = np.where(den > 1.0e-4, (hess + 2.0 * g2) / np.where(den > 1.0e-4, den, 1.0), 0.0)
     out = W11 + W22 - rat - 2.0
     if renormalized:
-        out += -0.5 * grid.y[:, None] * W1 + W
+        out += -0.5 * grid.y[:W.shape[0], None] * W1 + W
     return np.where(mask, out, 0.0)
 
 
-def _filter_w(W, grid):
-    """Per-ring angular low-pass: ring i keeps modes m <= max(2, 2.5 i),
-    which caps the angular diffusion number below the radial one near
-    the pole.  W is smooth across the rim, so filtering whole rings is
-    safe everywhere."""
-    caps = np.maximum(2, (2.5 * np.arange(grid.n_r + 1)).astype(int))
-    out = angular_lowpass(W, caps)
-    out[0, :] = out[0, :].mean()
-    return out
+@functools.cache
+def _ring_caps(rows, n_phi):
+    """Caps max(2, floor(2.5 i)) of the rings i < rows that _filter_w
+    cuts, those below n_phi/2; rings further out keep every mode."""
+    caps = (max(2, int(2.5 * i)) for i in range(rows))
+    return tuple(c for c in caps if c < n_phi // 2)
+
+
+def _filter_w(W):
+    """Per-ring angular low-pass of W in place: ring i keeps modes
+    m <= max(2, 2.5 i), which caps the angular diffusion number below the
+    radial one near the pole.  Only the rings _ring_caps cuts are handed
+    to angular_lowpass, so its set-up is cached per (rows, n_phi).  W is
+    smooth across the rim, so filtering whole rings is safe everywhere."""
+    caps = _ring_caps(*W.shape)
+    W[:len(caps)] = angular_lowpass(W[:len(caps)], caps)
+    W[0, :] = W[0, :].mean()
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +260,11 @@ class FlowState:
     L: float = 10.0
 
     def __post_init__(self):
+        if not abs(self.time) < math.inf:
+            raise ParameterError(f"state time must be finite, got {self.time}")
+        if not (0.0 < self.theta < math.inf and 0.0 < self.L < math.inf):
+            raise ParameterError(
+                f"state theta and L must be positive and finite, got {self.theta} and {self.L}")
         if self.tip is not None and self.tip.theta != self.theta:
             raise ParameterError(
                 f"state theta={self.theta:g} is not its tip's theta={self.tip.theta:g}")
@@ -413,14 +431,19 @@ def _sync_patches(W, tip, grid):
 
 def step(state, dtau):
     """Advance the graph by one two-stage _rkl2 super-step, unsplit at any
-    dtau, and the tip by its super-steps, then synchronize patches."""
+    dtau, and the tip by its super-steps, then synchronize patches.
+
+    The graph step and its filter see only the rows up to the outermost
+    rim + 2 (four at least); rows past them are carried over unchanged."""
     if not 0.0 < dtau < math.inf:
         raise ParameterError(f"time step must be positive and finite, got {dtau}")
     g = state.v.grid
     W0 = signed_square(state.v)
+    k = min(max(int(rim_index(W0).max()) + 3, 4), g.n_r + 1)
     rhs = functools.partial(_w_rhs, grid=g, renormalized=state.renormalized,
-                            mask=W0 > 0.0)
-    W = _rkl2(W0, dtau, 2, rhs, functools.partial(rebuild_halo, grid=g))
+                            mask=W0[:k] > 0.0)
+    W = W0.copy()
+    W[:k] = _rkl2(W0[:k], dtau, 2, rhs, functools.partial(rebuild_halo, grid=g))
     w_max = float(W0.max())
     if np.any(W[W0 > 0.5 * w_max] < 0.0) and float(W.max()) > 0.5 * w_max:
         raise StepSizeError(f"interior sign change at dt={dtau:.3e}")
@@ -428,7 +451,7 @@ def step(state, dtau):
     # in the renormalized gauge), so any faster inflation is a blown step
     if float(W.max()) > w_max * (1.0 + 4.0 * dtau) + 1.0e-14:
         raise StepSizeError(f"maximum principle violation at dt={dtau:.3e}")
-    W = _filter_w(W, g)
+    _filter_w(W[:k])
     if state.tip is not None:
         if not state.renormalized:
             raise ParameterError("tip patch requires the renormalized gauge")
@@ -474,9 +497,9 @@ class FlowHistory:
         return self._states[0].v.grid
 
     def append(self, state):
-        if not (math.isfinite(state.time)
-                and (not self._times or state.time > self._times[-1] + 1.0e-15)):
-            raise ParameterError(f"history time {state.time} is not finite and increasing")
+        """Add a state after the last one; FlowState refuses a non-finite time."""
+        if self._times and not state.time > self._times[-1] + 1.0e-15:
+            raise ParameterError(f"history time {state.time} is not increasing")
         self._times.append(state.time)
         self._states.append(state)
 

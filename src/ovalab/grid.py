@@ -173,8 +173,9 @@ class PolarGrid:
         return float(np.sum(self.weights * F * G))
 
     def radial_derivative(self, values, order):
-        """radial_stencil of a (n_r+1, n_phi) array, the first ring
-        reflected through the pole standing for the row at -dy."""
+        """radial_stencil of the grid's first rows, four or more, from the
+        pole out: a (rows, n_phi) array, the first ring reflected through
+        the pole standing for the row at -dy."""
         return radial_stencil(values, self.dy, values[1, self._antipode], order)
 
     def __eq__(self, other):
@@ -259,8 +260,9 @@ def rebuild_halo(W, grid):
     Three-term recursion along each column extends the last interior
     values exactly for parabolic profiles.  Rows are rebuilt out to two
     past the outermost rim, which is as far as any stencil or ring
-    transform containing interior nodes can reach; beyond that the
-    array keeps whatever it held (never read).
+    transform containing interior nodes can reach.  Rows beyond are not
+    touched: evolve.step hands this only the rows up to the outermost
+    rim + 2, and carries the rest over unchanged.
     """
     n = W.shape[0]
     i0 = rim_index(W)
@@ -374,7 +376,7 @@ def angular_derivs(F, Fr):
 
 def polar_jet(grid, F):
     """Polar first and second derivatives (F_y, F_yy, F_phi, F_phiphi,
-    F_yphi) of a (n_r+1, n_phi) array, radial by radial_derivative and
+    F_yphi) of a (rows, n_phi) array, radial by radial_derivative and
     angular spectrally; also returns the angular spectrum of the first
     ring, F[1, :], which is what pole_jet reads."""
     Fy = grid.radial_derivative(F, 1)
@@ -403,13 +405,15 @@ def pole_jet(F0, ring_spec, grid):
 
 def frame_jet(grid, F):
     """Gradient and Hessian (F_1, F_2, F_11, F_12, F_22) of a
-    (n_r+1, n_phi) array in an orthonormal frame at every node: on rows
+    (rows, n_phi) array in an orthonormal frame at every node: on rows
     y > 0 the polar one, F_2 = F_phi/y, F_12 = (F_yphi - F_2)/y and
     F_22 = F_phiphi/y^2 + F_y/y; on the pole row the Cartesian jet of
     pole_jet.  A frame-invariant combination (F_11 + F_22, |DF|^2,
-    Hess(DF, DF)) is thus one expression over all rows."""
+    Hess(DF, DF)) is thus one expression over all rows.  F holds the
+    grid's first rows from the pole out, four or more; the last takes
+    the one-sided stencil of radial_stencil."""
     (F1, F11, Fp, Fpp, Fyp), ring_spec = polar_jet(grid, F)
-    y = grid.y[1:, None]
+    y = grid.y[1:F.shape[0], None]
     F2, F12, F22 = np.empty_like(F1), np.empty_like(F1), np.empty_like(F1)
     F2[1:] = Fp[1:] / y
     F12[1:] = (Fyp[1:] - F2[1:]) / y
@@ -429,22 +433,35 @@ def sqrt_jet(W1, W2, W11, W12, W22, v):
             W22 / h - W2**2 / c)
 
 
+@functools.cache
+def _lowpass_plan(m_max, shape):
+    """The set-up of angular_lowpass on an array of the given shape: the
+    rings m_max cuts and the high-pass matrices of their caps, gathered
+    from _highpass_stack.  Cached per (m_max, shape), so a caller that
+    filters the same rings every step gathers them once."""
+    n = shape[-1]
+    caps = np.broadcast_to(m_max, shape[:-1]).ravel()
+    if np.any(caps < 0):
+        raise ParameterError("m_max must be nonnegative")
+    cut = np.flatnonzero(caps < n // 2)
+    high = _highpass_stack(n)[caps[cut].astype(int)]
+    cut.setflags(write=False)
+    high.setflags(write=False)
+    return cut, high
+
+
 def angular_lowpass(values, m_max):
     """Drop angular Fourier content above m_max from a (..., n_phi) array.
 
-    m_max is a nonnegative integer, or one per ring.  Each ring it cuts
-    subtracts the product of its deviation from its first sample with
-    the cached high-pass matrix of its cap; rings with m_max >= n_phi/2
-    come back unchanged.  The result is a new array.
+    m_max is a nonnegative integer, or a 1-d sequence of caps, one per
+    ring.  Each ring it cuts subtracts the product of its deviation from
+    its first sample with the cached high-pass matrix of its cap; rings
+    with m_max >= n_phi/2 come back unchanged.  The result is a new array.
     """
-    n = values.shape[-1]
-    caps = np.broadcast_to(m_max, values.shape[:-1]).ravel()
-    if np.any(caps < 0):
-        raise ParameterError("m_max must be nonnegative")
+    cut, high = _lowpass_plan(m_max if isinstance(m_max, Integral) else tuple(m_max),
+                              values.shape)
     out = np.array(values, dtype=float)
-    rings = out.reshape(-1, n)
-    cut = np.flatnonzero(caps < n // 2)
-    high = _highpass_stack(n)[caps[cut].astype(int)]
+    rings = out.reshape(-1, values.shape[-1])
     rings[cut] -= np.matmul(_ring_deviation(rings[cut])[:, None, :], high)[:, 0]
     return out
 

@@ -142,7 +142,6 @@ class BowlProfile:
         self.rho = np.asarray(rho, dtype=float)
         self.height = np.asarray(height, dtype=float)
         self.slope = np.asarray(slope, dtype=float)
-        self.rho_max = float(self.rho[-1])
 
     def __call__(self, rho):
         return np.interp(rho, self.rho, self.height)

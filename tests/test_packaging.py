@@ -11,6 +11,7 @@ The typed errors carry the exit codes errors.py documents.
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -82,19 +83,21 @@ def test_no_unused_imports():
 
 
 def _references(path):
-    """(name, line) of every read of a name or attribute, keyword
-    argument and identifier-like string constant in the module at path."""
+    """(name, line, bare) of every read of a name or attribute, keyword
+    argument and identifier-like string constant in the module at path;
+    bare marks a plain name, which can read a module-level name but no
+    class member."""
     refs = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.append((node.id, node.lineno))
+            refs.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            refs.append((node.attr, node.lineno))
+            refs.append((node.attr, node.lineno, False))
         elif isinstance(node, ast.keyword) and node.arg is not None:
-            refs.append((node.arg, node.value.lineno))
+            refs.append((node.arg, node.value.lineno, False))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            refs.append((node.value, node.lineno))
+            refs.append((node.value, node.lineno, False))
     return refs
 
 
@@ -138,6 +141,7 @@ TEST_ONLY = {
     **{f"errors.{cls}.exit_code": _EXIT_CODE for cls in (
         "OvalabError", "ParameterError", "DomainError", "CoverageError",
         "BudgetError", "DegeneracyError", "AccuracyError")},
+    "diagnostics.AsymptoticsReport.epsilon": _RECORD,
     "evolve.TipField.profile_at": "oracle: reads a tip column back as v(y) to "
                                   "check the tip table inverts the graph",
     "evolve.renormalized_state": "item 12: the renormalized ellipsoid inputs",
@@ -147,6 +151,8 @@ TEST_ONLY = {
     "modes.DeviationReport.as_dict": _RECORD,
     "recenter.normal_form_history": "oracle: the closed-form history solve_psi "
                                     "recovers exactly",
+    "recenter.SyntheticHistory.fn": "oracle: a test composes a transformed "
+                                    "closed-form history from another's fn",
     "recenter.jacobian_det": "oracle: pins det ~ 128 pi^2/|tau0| (1 + 2/|tau0|), "
                              "the theorem behind item 9's error",
     "shrinkers.bubble_sheet_field": _ORACLE_STATE,
@@ -155,6 +161,10 @@ TEST_ONLY = {
     "shrinkers.normal_form_field": _ORACLE_STATE,
     "shrinkers.BowlProfile.dZ": "oracle: the bowl slope checked against an "
                                 "independent ODE solve",
+    "shrinkers.BowlProfile.rho": "oracle: the bowl nodes the ODE solve is "
+                                 "checked at",
+    "shrinkers.BowlProfile.slope": "oracle: the bowl slope table checked "
+                                   "monotone",
     "shrinkers.BowlProfile.height": "oracle: the bowl table checked monotone "
                                     "and concave",
     "spectral.EigenBasis.gram": "oracle: the exact Gaussian norms of the six modes",
@@ -172,14 +182,21 @@ def test_no_dead_public_names():
     its own definition or by perfbench/; a test is no caller.  The names
     only tests read are listed in TEST_ONLY with a reason, and an entry
     that gained a caller, lost its last test reader or no longer exists
-    fails too.  The match is by name."""
+    fails too.  The match is by name; a class member is read only through
+    an attribute, a keyword or a string, never by a plain name."""
     callers = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     tests = [*(ROOT / "tests").glob("*.py")]
     refs = {path: _references(path) for path in callers + tests}
+    # this file's AST helpers and guards read node.names, alias.name and
+    # the like; of its tests only test_error_exit_codes reads the package
+    lines, first = inspect.getsourcelines(test_error_exit_codes)
+    here = pathlib.Path(__file__).resolve()
+    refs[here] = [r for r in refs[here] if first <= r[1] < first + len(lines)]
 
-    def referenced(name, path, first, last, files):
+    def referenced(name, path, first, last, files, member):
         return any(n == name and not (p == path and first <= line <= last)
-                   for p in files for n, line in refs[p])
+                   and not (member and bare)
+                   for p in files for n, line, bare in refs[p])
 
     dead, stale, seen = [], [], set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -194,9 +211,10 @@ def test_no_dead_public_names():
             for qual, name, line, first, last in names:
                 key = f"{path.stem}.{qual}"
                 seen.add(key)
-                called = referenced(name, path, first, last, callers)
+                member = "." in qual
+                called = referenced(name, path, first, last, callers, member)
                 if key in TEST_ONLY:
-                    if called or not referenced(name, path, first, last, tests):
+                    if called or not referenced(name, path, first, last, tests, member):
                         stale.append(key)
                 elif not called:
                     dead.append(f"{path.name}:{line} {qual}")
@@ -224,7 +242,7 @@ def test_pole_row_has_one_owner():
         tree = ast.parse(path.read_text())
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
-        if "pole_jet" in imported or any(n == "pole_jet" for n, _ in _references(path)):
+        if "pole_jet" in imported or any(n == "pole_jet" for n, *_ in _references(path)):
             readers.append(path.name)
     assert readers == ["grid.py"]
 

@@ -226,4 +226,3 @@ def test_bowl_profile_interp_is_linear_table():
     prof = BowlProfile([0.0, 1.0, 2.0], [0.0, -1.0, -4.0], [0.0, -2.0, -4.0])
     assert prof(0.5) == -0.5
     assert prof.dZ(1.5) == -3.0
-    assert prof.rho_max == 2.0
