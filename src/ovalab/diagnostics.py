@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, ParameterError
+from .errors import CoverageError, DomainError, ParameterError, gate
 from .evolve import V_FLOOR, zoomed_tip
 from .grid import (
     THETA,
@@ -85,11 +85,8 @@ def asymptotics_report(state, epsilon, bowl=None):
     given; to measure a history, pass the snapshot wanted, e.g. its
     final state history.states[-1].
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError("epsilon must lie in (0, 1)")
-    tau = state.tau
-    if tau >= 0.0:
-        raise ParameterError("asymptotics are measured at tau < 0")
+    gate("epsilon", epsilon, "(0, 1)", ParameterError)
+    tau = gate("asymptotics time tau", state.tau, "(-inf, 0)", ParameterError)
     at = abs(tau)
     grid = state.v.grid
     y = grid.y
@@ -156,13 +153,10 @@ def concavity_margin(field, t, delta):
     the body V > V_FLOOR, NaN elsewhere; a field without such a node
     raises CoverageError.
     """
-    if not t <= -math.e:
-        raise DomainError(
-            "almost concavity is weighted by ((-t)/log(-t))^(3/2); "
-            f"it needs log(-t) >= 1, got t = {t:g}"
-        )
-    if not 0.0 <= delta < math.inf:
-        raise ParameterError(f"delta must be nonnegative and finite, got {delta}")
+    gate("t", t, "(-inf, 0)", DomainError)
+    log_t = gate("log(-t) of the weight ((-t)/log(-t))^(3/2)", math.log(-t), "[1, inf)",
+                 DomainError)
+    gate("delta", delta, "[0, inf)", ParameterError)
     grid = field.grid
     W = signed_square(field)
     V = field.values
@@ -176,7 +170,7 @@ def concavity_margin(field, t, delta):
 
     dv2 = V1**2 + V2**2
     slope = (V1 * Q1 + V2 * Q2) / (1.0 + dv2)
-    gamma = ((-t) / math.log(-t)) ** 1.5 / safe**3
+    gamma = ((-t) / log_t) ** 1.5 / safe**3
     eps = gamma + delta
     A11 = Q11 - V11 * slope - eps * (1.0 + V1**2)
     A12 = Q12 - V12 * slope - eps * V1 * V2
@@ -224,9 +218,8 @@ def collar_deviation(field, tau, L=10.0):
     Near-Gaussian collars make the combination vanish; spheres fail it
     loudly, which makes this a useful discriminator.
     """
-    if tau == 0.0:
-        raise ParameterError("the collar band needs a nonzero time")
-    s = math.sqrt(abs(tau))
+    s = math.sqrt(gate("|tau| of the collar band", abs(tau), "(0, inf)", ParameterError))
+    gate("collar scale L", L, "(0, inf)", ParameterError)
     v = field.values
     band = (v >= L / s) & (v <= 2.0 * THETA)
     if not band.any():
@@ -256,9 +249,8 @@ def cylindrical_estimate(field, tau, L=10.0):
     only contributes the purely radial terms; the angular ones have an
     explicit 1/y weight.
     """
-    if tau == 0.0:
-        raise ParameterError("the cylindrical region needs a nonzero time")
-    s = math.sqrt(abs(tau))
+    s = math.sqrt(gate("|tau| of the cylindrical region", abs(tau), "(0, inf)", ParameterError))
+    gate("cylindrical scale L", L, "(0, inf)", ParameterError)
     v = field.values
     region = v >= max(L / s, 2.0 * V_FLOOR)
     if not region.any():
@@ -305,8 +297,7 @@ def huisken_density(field, r, tail=None):
     boundary ring cylindrically to infinity and adds its Gaussian tail
     in closed form, for slices of noncompact model bodies.
     """
-    if not r > 0.0:
-        raise ParameterError("the density scale r must be positive")
+    gate("density scale r", r, "(0, inf)", ParameterError)
     if tail not in (None, "flat"):
         raise ParameterError(f"unknown tail treatment {tail!r}")
     grid = field.grid
@@ -346,6 +337,8 @@ def huisken_density(field, r, tail=None):
     total = float(np.sum(segs, where=np.arange(1, n)[:, None] < k))
     total += float(np.sum(0.5 * (fy[last, cols] + f_rim * y_rim) * (y_rim - y[last]),
                           where=inner))
+    # trapezoids of g = f y miss the Euler-Maclaurin pole term dy^2 g'(0)/12 = dy^2 f(0)/12
+    total += grid.dy**2 / 12.0 * float(dens[0].sum())
     if tail == "flat":  # dens is 0 on outer-ring nodes outside the body
         total += float(dens[-1].sum()) * 2.0 * r**2
     return (4.0 * math.pi * r**2) ** -1.5 * total * grid.dphi

@@ -66,6 +66,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     StepSizeError,
+    gate,
 )
 from .grid import (
     THETA,
@@ -250,7 +251,13 @@ def _filter_w(W):
 
 @dataclass(frozen=True)
 class FlowState:
-    """One snapshot of the evolving surface in either time gauge."""
+    """One snapshot of the evolving surface in either time gauge.
+
+    theta is the tip patch's handover level, its tip's own when it has
+    one, and L the collar scale of the run.  No package computation reads
+    L: step, state_at and save_dir/load_dir carry it, while collar_deviation
+    and cylindrical_estimate take their own L.
+    """
 
     time: float
     v: ScalarField
@@ -260,11 +267,9 @@ class FlowState:
     L: float = 10.0
 
     def __post_init__(self):
-        if not abs(self.time) < math.inf:
-            raise ParameterError(f"state time must be finite, got {self.time}")
-        if not (0.0 < self.theta < math.inf and 0.0 < self.L < math.inf):
-            raise ParameterError(
-                f"state theta and L must be positive and finite, got {self.theta} and {self.L}")
+        gate("state time", self.time, "(-inf, inf)", ParameterError)
+        gate("state theta", self.theta, "(0, inf)", ParameterError)
+        gate("state L", self.L, "(0, inf)", ParameterError)
         if self.tip is not None and self.tip.theta != self.theta:
             raise ParameterError(
                 f"state theta={self.theta:g} is not its tip's theta={self.tip.theta:g}")
@@ -435,8 +440,7 @@ def step(state, dtau):
 
     The graph step and its filter see only the rows up to the outermost
     rim + 2 (four at least); rows past them are carried over unchanged."""
-    if not 0.0 < dtau < math.inf:
-        raise ParameterError(f"time step must be positive and finite, got {dtau}")
+    gate("time step", dtau, "(0, inf)", ParameterError)
     g = state.v.grid
     W0 = signed_square(state.v)
     k = min(max(int(rim_index(W0).max()) + 3, 4), g.n_r + 1)
@@ -459,14 +463,7 @@ def step(state, dtau):
         W, new_tip = _sync_patches(W, new_tip, g)
     else:
         new_tip = None
-    return FlowState(
-        time=state.time + dtau,
-        v=ScalarField.from_square(g, W),
-        tip=new_tip,
-        renormalized=state.renormalized,
-        theta=state.theta,
-        L=state.L,
-    )
+    return replace(state, time=state.time + dtau, v=ScalarField.from_square(g, W), tip=new_tip)
 
 
 class FlowHistory:
@@ -539,14 +536,7 @@ class FlowHistory:
         if s0.tip is not None and s1.tip is not None:
             tip = TipField((1.0 - lam) * s0.tip.values + lam * s1.tip.values,
                            s0.tip.theta)
-        return FlowState(
-            time=t,
-            v=v,
-            tip=tip,
-            renormalized=s0.renormalized,
-            theta=s0.theta,
-            L=s0.L,
-        )
+        return replace(s0, time=t, v=v, tip=tip)
 
     def at(self, t):
         return self.state_at(t).v
@@ -557,12 +547,12 @@ class FlowHistory:
         its radius read the boundary ring, with a warning beyond roundoff."""
         src = self.at(tau)
         g = src.grid
-        r, ang = np.broadcast_arrays(r, phi)
-        clipped = int(np.count_nonzero(r > g.y_max * (1.0 + 1.0e-12)))
+        beyond = np.broadcast_to(r > g.y_max * (1.0 + 1.0e-12), np.broadcast(r, phi).shape)
+        clipped = int(np.count_nonzero(beyond))
         if clipped:
             warnings.warn(f"{clipped} pullback points beyond y_max={g.y_max:g} "
                           "clamped to the boundary ring", stacklevel=3)
-        return resample(src.values, g, r, ang)
+        return resample(src.values, g, r, phi)
 
     def save_dir(self, path):
         os.makedirs(path, exist_ok=True)
@@ -612,8 +602,8 @@ class FlowHistory:
         if not all(isinstance(e[1], str) and isinstance(e[2], (str, type(None)))
                    for e in entries):
             raise ParameterError(f"{where}: field and tip must be file names")
-        if not all(math.isfinite(e[0]) for e in entries):
-            raise ParameterError(f"{where}: snapshot times must be finite")
+        for e in entries:
+            gate(f"{where}: snapshot time", e[0], "(-inf, inf)", ParameterError)
         hist = cls()
         grid = None
         for time, field, tip, renormalized, theta, L in entries:
@@ -693,12 +683,8 @@ def run(state, t_end, snapshot_every=0.05):
     reached (t_end, or earlier if the body became extinct or the march
     stopped at the resolution floor).
     """
-    if not t_end >= state.time:
-        raise ParameterError(
-            f"t_end={t_end:.6g} precedes state time {state.time:.6g}"
-        )
-    if not snapshot_every > 0.0:
-        raise ParameterError(f"snapshot_every must be positive, got {snapshot_every}")
+    gate(f"t_end - t = {t_end} - {state.time}", t_end - state.time, "[0, inf]", ParameterError)
+    gate("snapshot_every", snapshot_every, "(0, inf]", ParameterError)
     hist = FlowHistory()
     hist.append(state)
     next_snap = state.time + snapshot_every
@@ -735,10 +721,8 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
     would stand.  The bracket is narrowed until it is below rel_tol of the
     elapsed lifetime (a CFL-step march usually starts below that already).
     """
-    if not rel_tol > 0.0:
-        raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
-    if not abs(t_start) < math.inf:
-        raise ParameterError(f"t_start must be finite, got {t_start}")
+    gate("rel_tol", rel_tol, "(0, inf)", ParameterError)
+    gate("t_start", t_start, "(-inf, inf)", ParameterError)
     if float(initial.values[-1, :].max()) > V_FLOOR:
         raise DomainError("initial body touches the grid boundary; not compact")
     if not _alive(initial):
@@ -780,11 +764,9 @@ def renormalize(field, t, t_e, grid_out=None):
     tau = -log(t_e - t).  Without grid_out the new grid has the input's
     node counts and reaches 15 % past the rescaled rim (at least to 1).
     """
-    if not -math.inf < t < t_e < math.inf:
-        raise DomainError(
-            f"time {t} is not a finite time before a finite extinction t_e = {t_e}")
-    scale = 1.0 / math.sqrt(t_e - t)
-    tau = -math.log(t_e - t)
+    gap = gate(f"time to extinction t_e - t = {t_e} - {t}", t_e - t, "(0, inf)", DomainError)
+    scale = 1.0 / math.sqrt(gap)
+    tau = -math.log(gap)
     g_in = field.grid
     if grid_out is None:
         y_rim = g_in.y[rim_index(field.values).max() - 1]  # y_max if none is alive

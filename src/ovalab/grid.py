@@ -51,7 +51,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, gate
 
 _erf = np.vectorize(math.erf, otypes=[float])
 
@@ -85,9 +85,9 @@ def tip_nodes(n, theta):
     """The read-only nodes linspace(0, 2 theta, n) of a tip table.  A
     count that is not an integer of at least 4, or theta outside
     (0, inf), raises ParameterError."""
-    if not (isinstance(n, Integral) and n >= 4 and 0.0 < theta < math.inf):
-        raise ParameterError(f"tip nodes need an integer count >= 4 and "
-                             f"0 < theta < inf, got {n!r} and {theta!r}")
+    if not (isinstance(n, Integral) and n >= 4):
+        raise ParameterError(f"tip nodes need an integer count >= 4, got {n!r}")
+    gate("theta of the tip nodes", theta, "(0, inf)", ParameterError)
     nodes = np.linspace(0.0, 2.0 * theta, n)
     nodes.setflags(write=False)
     return nodes
@@ -109,6 +109,7 @@ def radial_stencil(values, h, mirror, order):
     """
     if order not in _EDGE:
         raise ParameterError("order must be 1 or 2")
+    gate("h", h, "(0, inf)", ParameterError)
     ext = np.concatenate((mirror[None], values))
     out = np.empty_like(values)
     if order == 1:
@@ -137,8 +138,7 @@ class PolarGrid:
             raise ParameterError(f"n_r must be an integer >= 8, got {n_r!r}")
         if not (isinstance(n_phi, Integral) and n_phi >= 4 and n_phi % 2 == 0):
             raise ParameterError(f"n_phi must be an even integer >= 4, got {n_phi!r}")
-        if not 0.0 < y_max < math.inf:
-            raise ParameterError(f"y_max must be positive and finite, got {y_max}")
+        gate("y_max", y_max, "(0, inf)", ParameterError)
         nodes = y_max * np.linspace(0.0, 1.0, n_r + 1)
         self.dy = float(np.diff(nodes).min())
         if not self.dy**2 >= np.finfo(float).tiny:  # the stencils divide by it
@@ -232,17 +232,20 @@ def resample(F, grid, r, phi):
     """A (n_r+1, n_phi) array F on grid read at the polar points (r, phi),
     which broadcast together: bilinear in (y, phi), periodic in phi, r
     clamped to [0, y_max].  Fractions are measured between a cell's own
-    nodes, so a point on a node reads that node's value exactly."""
+    nodes, so a point on a node reads that node's value exactly.  A NaN r
+    or a phi that is not finite raises ParameterError."""
     r = np.clip(r, 0.0, grid.y_max)
+    if np.isnan(r).any() or not np.isfinite(phi).all():
+        raise ParameterError("resample needs every r a number and every phi finite")
     i = np.minimum((r / grid.dy).astype(int), grid.n_r - 1)  # uniform nodes: no search
     ty = (r - grid.y[i]) / (grid.y[i + 1] - grid.y[i])
     j = np.floor(phi / grid.dphi)  # grid.phi holds j * dphi
     tphi = (phi - j * grid.dphi) / ((j + 1.0) * grid.dphi - j * grid.dphi)
-    n, flat = grid.n_phi, np.ravel(F)
-    k0 = i * n + j.astype(int) % n  # flat indices of the cell's inner nodes
-    k1 = i * n + (j.astype(int) + 1) % n
-    return (flat[k0] * (1.0 - ty) * (1.0 - tphi) + flat[k0 + n] * ty * (1.0 - tphi)
-            + flat[k1] * (1.0 - ty) * tphi + flat[k1 + n] * ty * tphi)
+    n, flat, row, col = grid.n_phi, np.ravel(F), i * grid.n_phi, j.astype(int)
+    k0, k1 = row + col % n, row + (col + 1) % n  # flat indices of the cell's inner nodes
+    sy, sphi = 1.0 - ty, 1.0 - tphi
+    return (flat[k0] * sy * sphi + flat[k0 + n] * ty * sphi
+            + flat[k1] * sy * tphi + flat[k1 + n] * ty * tphi)
 
 
 def rim_index(W):

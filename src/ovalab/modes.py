@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral  # read as spectral.project so a wrapper installed there is seen
-from .errors import CoverageError, ParameterError
+from .errors import CoverageError, ParameterError, gate
 
 SQRT2 = math.sqrt(2.0)
 SQRT8 = math.sqrt(8.0)
@@ -31,6 +31,8 @@ XI_LINEARIZATION = np.array([[-3.0, 1.0], [-2.0, 0.0]])
 
 
 def sd_to_xi(tau, S, D):
+    for name, x in (("tau", tau), ("S", S), ("D", D)):
+        gate(name, x, "(-inf, inf)", ParameterError)
     return np.array([SQRT2 * tau * S - 1.0, 8.0 * tau * tau * D - 1.0])
 
 
@@ -57,11 +59,10 @@ def compare_with_flow(history, window):
 
     alpha is extracted from each stored snapshot by Gaussian projection;
     the report quantifies how tightly the simulated flow follows the
-    model attractor.
+    model attractor.  Either end of the window may be infinite.
     """
     lo, hi = float(window[0]), float(window[1])
-    if lo >= hi:
-        raise ParameterError(f"empty window ({lo}, {hi})")
+    gate(f"window length {hi} - {lo}", hi - lo, "(0, inf]", ParameterError)
     times = history.times
     sel = times[(times >= lo - 1.0e-9) & (times <= hi + 1.0e-9)]
     if len(sel) == 0:

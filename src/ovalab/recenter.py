@@ -43,6 +43,7 @@ from .errors import (
     CoverageError,
     DegeneracyError,
     ParameterError,
+    gate,
 )
 from .grid import ScalarField
 from .shrinkers import normal_form_profile
@@ -69,7 +70,8 @@ class TransformParams:
     alpha is the spatial translation in the symmetry plane, beta the
     time shift, gamma the log dilation, phi_rot the rotation angle.
     The renormalized working parameters depend on the time at which the
-    transformation is read off and are exposed as methods.
+    transformation is read off and are exposed as methods.  Parameters
+    and the times handed to the methods are finite, so every derived value is.
     """
 
     alpha: tuple
@@ -77,8 +79,13 @@ class TransformParams:
     gamma: float
     phi_rot: float = 0.0
 
+    def __post_init__(self):
+        for name, x in (*(("alpha", a) for a in self.alpha), ("beta", self.beta),
+                        ("gamma", self.gamma), ("phi_rot", self.phi_rot)):
+            gate(name, x, "(-inf, inf)", ParameterError)
+
     def _stretch(self, tau):
-        s = 1.0 + self.beta * math.exp(tau)
+        s = 1.0 + self.beta * math.exp(gate("tau", tau, "(-inf, inf)", ParameterError))
         if s <= 0.0:
             raise ParameterError(
                 f"time shift beta={self.beta:g} empties the flow before "
@@ -87,24 +94,22 @@ class TransformParams:
         return s
 
     def a(self, tau):
+        tau = gate("tau", tau, "(-inf, inf)", ParameterError)
         return math.exp(tau / 2.0) * np.asarray(self.alpha, dtype=float)
 
     def b(self, tau):
         return math.sqrt(self._stretch(tau)) - 1.0
 
     def Gamma(self, tau):
-        if tau == 0.0:
-            raise ParameterError("Gamma is undefined at tau = 0")
+        gate("|tau| of Gamma", abs(tau), "(0, inf)", ParameterError)
         return (self.gamma - math.log(self._stretch(tau))) / tau
 
     @classmethod
     def from_renormalized(cls, tau, a=(0.0, 0.0), b=0.0, Gamma=0.0,
                           phi_rot=0.0):
         """Invert the derived triple back to raw parameters at time tau."""
-        if tau == 0.0:
-            raise ParameterError("conversion is undefined at tau = 0")
-        if b <= -1.0:
-            raise ParameterError(f"need 1 + b > 0, got b = {b:g}")
+        gate("|tau| of the conversion", abs(tau), "(0, inf)", ParameterError)
+        gate("b", b, "(-1, inf)", ParameterError)
         stretch = (1.0 + b) ** 2
         beta = math.exp(-tau) * (stretch - 1.0)
         gamma = Gamma * tau + math.log(stretch)
@@ -131,8 +136,7 @@ class SyntheticHistory:
 
     def __init__(self, fn, grid, span):
         lo, hi = float(span[0]), float(span[1])
-        if not lo < hi:
-            raise ParameterError(f"empty time span ({lo:g}, {hi:g})")
+        gate(f"time span length {hi} - {lo}", hi - lo, "(0, inf]", ParameterError)
         self.fn = fn
         self.grid = grid
         self.span = (lo, hi)
@@ -164,8 +168,7 @@ class SyntheticHistory:
 def normal_form_history(grid, tau0):
     """Synthetic history of the inward-quadratic profile on
     [1.25 tau0, 0.75 tau0]."""
-    if tau0 >= 0.0:
-        raise ParameterError(f"tau0 must be negative, got {tau0:g}")
+    gate("tau0", tau0, "(-inf, 0)", ParameterError)
 
     def fn(y, phi, tau):
         return normal_form_profile(y, tau)
@@ -182,8 +185,9 @@ def _pullback(history, q, ang, b, Gamma, tau0):
     """(1+b) v(q/(1+b), ang, (1+Gamma) tau0) as a field on the history's
     grid, where (q, ang) is the polar point each node moves to before
     the 1/(1+b) scaling."""
-    if not b > -1.0:  # NaN included
-        raise ParameterError(f"need 1 + b > 0, got b = {b:g}")
+    gate("b", b, "(-1, inf)", ParameterError)
+    gate("Gamma", Gamma, "(-inf, inf)", ParameterError)
+    gate("tau0", tau0, "(-inf, 0)", ParameterError)
     vals = history.sample(q / (1.0 + b), ang, (1.0 + Gamma) * tau0)
     return ScalarField(history.grid, (1.0 + b) * vals, copy=False)
 
@@ -202,6 +206,8 @@ def transform_full(history, a, b, Gamma, phi_rot, tau0):
     a = np.asarray(a, dtype=float)
     if a.shape != (2,):
         raise ParameterError("translation a must be a plane vector")
+    for name, x in (("a_1", a[0]), ("a_2", a[1]), ("phi_rot", phi_rot)):
+        gate(name, x, "(-inf, inf)", ParameterError)
     y = history.grid.y[:, None]
     phi = history.grid.phi[None, :]
     c, s = np.cos(phi - phi_rot), np.sin(phi - phi_rot)
@@ -218,8 +224,6 @@ def _locked_pairings(history, tau0, rows, transform, *args):
     """Rows of the pairings of transform(history, *args, tau0), with the
     y^2 - 4 row (row 3) measured against the locked inward slope
     -1/(sqrt(8)|tau0|)."""
-    if tau0 >= 0.0:
-        raise ParameterError(f"tau0 must be negative, got {tau0:g}")
     field = transform(history, *args, tau0)
     basis = get_basis(field.grid)
     p = pairings(truncated_deviation(field), basis)
@@ -262,8 +266,7 @@ def rotation_angle(field):
 def measure_kappa(history, tau0):
     """Gaussian distance (scaled by |tau0|) of the truncated profile
     from the inward-quadratic state; sets the search box size."""
-    if tau0 >= 0.0:
-        raise ParameterError(f"tau0 must be negative, got {tau0:g}")
+    gate("tau0", tau0, "(-inf, 0)", ParameterError)
     return abs(tau0) * quadratic_distance(history.at(tau0), tau0)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError
+from .errors import AccuracyError, ParameterError, gate
 from .grid import ScalarField
 
 SQRT2 = math.sqrt(2.0)
@@ -59,6 +59,7 @@ def neck_field(grid):
 
 def normal_form_profile(y, tau):
     """Inward-quadratic bulge sqrt(2) - (y^2 - 4) / (sqrt(8) |tau|)."""
+    gate("tau", tau, "(-inf, 0)", ParameterError)
     return SQRT2 - (y**2 - 4.0) / (math.sqrt(8.0) * abs(tau))
 
 
@@ -71,8 +72,6 @@ def normal_form_field(grid, tau):
     The signed square keeps the analytic continuation past the zero
     crossing, so derivative stencils and the stepper see no cliff there.
     """
-    if not tau < 0.0:
-        raise ParameterError(f"the quadratic normal form needs tau < 0, got {tau}")
     v = normal_form_profile(grid.y[:, None], tau) * np.ones((1, grid.n_phi))
     return ScalarField(grid, np.maximum(v, 0.0), w_signed=np.sign(v) * v**2)
 
@@ -92,16 +91,10 @@ class EllipsoidSpec:
     t_start: float = -1.0
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise ParameterError(f"axis split a must lie in (0,1), got {self.a}")
-        if not 0.0 < self.ell < math.inf:
-            raise ParameterError(f"scale ell must be positive and finite, got {self.ell}")
-        if not 0.0 < self.radius < math.inf:
-            raise ParameterError(f"radius must be positive and finite, got {self.radius}")
-        if not -math.inf < self.t_start < 0.0:
-            raise ParameterError(
-                f"start time must be negative and finite, got {self.t_start}"
-            )
+        gate("axis split a", self.a, "(0, 1)", ParameterError)
+        gate("scale ell", self.ell, "(0, inf)", ParameterError)
+        gate("radius", self.radius, "(0, inf)", ParameterError)
+        gate("start time t_start", self.t_start, "(-inf, 0)", ParameterError)
 
     def plane_semi_axes(self):
         """Semi-axes of the body's footprint in the symmetry plane."""
@@ -162,15 +155,13 @@ def solve_bowl(rho_max=12.0, drho=5.0e-3):
     Newton correction of the interior residual, and classical RK4
     carries the solution outward from there.
     """
-    if not 1.0 <= rho_max < math.inf:
-        raise ParameterError(f"rho_max must be at least 1 and finite, got {rho_max}")
+    gate("rho_max", rho_max, "[1, inf)", ParameterError)
+    gate("drho", drho, "(0, inf)", ParameterError)
     if drho > 1.0e-2:
         raise AccuracyError(
             f"bowl step {drho} too coarse for the tabulated profile; "
             "use drho <= 1e-2"
         )
-    if not drho > 0.0:
-        raise ParameterError(f"drho must be positive, got {drho}")
 
     a2 = -SQRT2 / 8.0
     rho_jet = 10.0 * drho

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ParameterError
+from .errors import DegeneracyError, ParameterError, gate
 from .grid import THETA, ScalarField, frame_jet, norm_H
 # nothing here calls it, but perfbench/tracer.py wraps spectral.diff_phi_fft
 # and tests/test_tracer_targets.py asks for the name
@@ -115,10 +115,7 @@ def pairings(u, basis):
 
 def quadratic_distance(field, tau):
     """Gaussian norm of chi(v) v minus the inward-quadratic normal form
-    at time tau."""
-    if not -math.inf < tau < 0.0:
-        raise ParameterError(
-            f"renormalized time must be negative and finite, got {tau}")
+    at time tau; normal_form_profile refuses a tau outside (-inf, 0)."""
     g = field.grid
     dev = truncate(field).values - normal_form_profile(g.y[:, None], tau)
     return math.sqrt(max(g.pair(dev, dev), 0.0))
@@ -146,7 +143,7 @@ def alpha_from_coeffs(coeffs):
 def bubble_sheet_Q(alpha, tau):
     """Normalized bending matrix |tau| [[a1, a3], [a3, a2]]."""
     a = np.asarray(alpha, dtype=float)
-    t = abs(tau)
+    t = abs(gate("tau", tau, "(-inf, inf)", ParameterError))
     return np.array([[t * a[0], t * a[2]], [t * a[2], t * a[1]]])
 
 
@@ -194,9 +191,7 @@ def spectral_report(field, tau):
     8 tau^2 D - 1); both components vanish on the exact inward-quadratic
     state.
     """
-    if not -math.inf < tau < 0.0:
-        raise ParameterError(
-            f"renormalized time must be negative and finite, got {tau}")
+    gate("renormalized time tau", tau, "(-inf, 0)", ParameterError)
     basis = get_basis(field.grid)
     u = truncated_deviation(field)
     c = pairings(u, basis) / np.array(basis.normsq)

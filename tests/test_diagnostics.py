@@ -360,9 +360,25 @@ def test_density_guards():
         huisken_density(f, 1.0, tail="cone")
 
 
+def test_density_converges_at_fourth_order():
+    """Trapezoids of g = f y from the pole miss dy^2 f(0)/12 per angle;
+    with that term the density converges at fourth order (it was second
+    order without): on the normal form at tau = -50 against 384 cells,
+    and on the bubble sheet with its flat tail against the closed form."""
+    nf = {n: huisken_density(normal_form_field(build_grid(n, 8, 18.0), -50.0), 1.0)
+          for n in (48, 96, 192, 384)}
+    sheet = [huisken_density(bubble_sheet_field(build_grid(n, 8, 10.0)), 1.0, tail="flat")
+             for n in (32, 64, 128)]
+    for err in ([abs(nf[n] - nf[384]) for n in (48, 96, 192)],
+                [abs(F - DENSITY_SHEET) for F in sheet]):
+        orders = np.log2(np.array(err[:-1]) / np.array(err[1:]))
+        assert np.all(orders >= 3.5), orders
+
+
 def _density_loop(field, r, tail=None):
     """huisken_density as a per-angle loop: each column integrated by
-    np.trapezoid up to its own rim crossing."""
+    np.trapezoid up to its own rim crossing, plus the Euler-Maclaurin
+    pole term dy^2 f(0)/12 of g = f y."""
     grid, y = field.grid, field.grid.y
     W = signed_square(field)
     wy = grid.radial_derivative(W, 1)
@@ -376,6 +392,7 @@ def _density_loop(field, r, tail=None):
         k = int(i0[j])
         if k == 0:
             continue
+        total += (y[1] - y[0]) ** 2 / 12.0 * float(dens[0, j])
         if k >= n:
             total += float(np.trapezoid(dens[:, j] * y, y))
             if tail == "flat":

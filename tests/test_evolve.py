@@ -61,6 +61,8 @@ from ovalab.shrinkers import (
     solve_bowl,
     sphere_field,
 )
+from ovalab.recenter import _fd_jacobian
+from ovalab.spectral import apply_ou
 
 SQRT2 = math.sqrt(2.0)
 
@@ -265,6 +267,37 @@ class TestWRHS:
         b = evolve._w_rhs(W, g, False, live)
         gauge = -0.5 * g.y[:, None] * g.radial_derivative(W, 1) + W
         assert np.abs(a - b - gauge)[live].max() < 1.0e-12
+
+    def test_linearization_at_the_sheet_has_the_ou_spectrum(self):
+        """The Jacobian of the renormalized _w_rhs at W = 2, the pole one
+        unknown whose rate is the pole row's mean as _filter_w takes it,
+        has the drift Laplacian's top spectrum {1, 1/2, 1/2, 0, 0, 0} on
+        32x16 and 64x16 cells, y_max = 8; its -1/2 block converges at
+        second order, and on 32x16 it is the matrix of spectral.apply_ou."""
+        block = {}
+        for n_r in (32, 64):
+            g = build_grid(n_r, 16, 8.0)
+
+            def unfold(x):
+                return np.concatenate((np.full((1, 16), x[0]), x[1:].reshape(n_r, 16)))
+
+            def fold(R):
+                return np.concatenate(([R[0].mean()], R[1:].ravel()))
+
+            def F(x):
+                return fold(evolve._w_rhs(unfold(x), g, True, np.ones(g.shape, bool)))
+
+            x0 = np.full(1 + 16 * n_r, 2.0)
+            J = _fd_jacobian(F, x0, (1.0e-6,) * len(x0))
+            ev = np.linalg.eigvals(J)
+            ev = ev[np.argsort(-ev.real)]
+            assert np.abs(ev[:6] - [1.0, 0.5, 0.5, 0.0, 0.0, 0.0]).max() < 1.0e-7
+            block[n_r] = np.abs(ev[6:10] + 0.5).max()
+            if n_r == 32:
+                ou = np.column_stack([fold(apply_ou(ScalarField(g, unfold(e))).values)
+                                      for e in np.eye(len(x0))])
+                assert np.abs(J - ou).max() < 1.0e-7
+        assert abs(math.log2(block[32] / block[64]) - 2.0) < 0.1
 
 
 class TestTipRHS:

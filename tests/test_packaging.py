@@ -86,9 +86,15 @@ def _references(path):
     """(name, line, bare) of every read of a name or attribute, keyword
     argument and identifier-like string constant in the module at path;
     bare marks a plain name, which can read a module-level name but no
-    class member."""
+    class member.  The name errors.gate puts in its message reads
+    nothing."""
+    tree = ast.parse(path.read_text())
+    labels = {id(node.args[0]) for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and ast.unparse(node.func).split(".")[-1] == "gate" and node.args}
     refs = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
+        if id(node) in labels:
+            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -220,6 +226,65 @@ def test_no_dead_public_names():
                     dead.append(f"{path.name}:{line} {qual}")
     stale += sorted(set(TEST_ONLY) - seen)
     assert not dead and not stale, {"no caller": dead, "stale TEST_ONLY entry": stale}
+
+
+def _public_parameters():
+    """(callable, parameter) of every public callable of the package: each
+    module-level function, each class's constructor (exceptions, whose
+    constructor takes a message, aside) and each public method that is not
+    a property, named module.qualname; self, *args and **kwargs aside."""
+    pairs = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"ovalab.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            obj = getattr(module, node.name)
+            found = [] if isinstance(obj, type) and issubclass(obj, BaseException) \
+                else [(node.name, obj)]
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{m.name}", getattr(obj, m.name)) for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                          and not isinstance(inspect.getattr_static(obj, m.name), property)]
+            pairs |= {(f"{path.stem}.{qual}", p.name) for qual, fn in found
+                      for p in inspect.signature(fn).parameters.values()
+                      if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)}
+    return pairs
+
+
+def test_gate_table_lists_every_public_parameter():
+    """tests/test_gate.py's GATE names every (callable, parameter) pair of
+    the public signatures, and nothing else: a new public float parameter
+    fails here until the table says which values it refuses."""
+    from test_gate import GATE
+
+    tabled = {(key, param) for key, params in GATE.items() for param in params}
+    public = _public_parameters()
+    assert tabled == public, {"missing from GATE": sorted(public - tabled),
+                              "stale in GATE": sorted(tabled - public)}
+
+
+def _nan_rules(path):
+    """Lines of the module at path that compare a value with math.inf or
+    call math.isfinite, math.isinf or math.isnan: a NaN/inf rule of its own."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare) and any(ast.unparse(x).lstrip("-") == "math.inf"
+                                                 for x in (node.left, *node.comparators)):
+            found.append(f"{path.name}:{node.lineno} compares with math.inf")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "math.isfinite", "math.isinf", "math.isnan"):
+            found.append(f"{path.name}:{node.lineno} calls {ast.unparse(node.func)}")
+    return found
+
+
+def test_nan_and_inf_rule_has_one_owner():
+    """Only errors.py states the NaN/inf rule of a float parameter, in
+    errors.gate; every other module hands its floats to the gate.  Array
+    checks on data (np.isfinite over a table or a step) are not this rule."""
+    found = {path.name: _nan_rules(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} <= {"errors.py"}, found
 
 
 def test_no_module_calls_np_gradient():

@@ -443,12 +443,12 @@ def test_synthetic_history_refuses_a_nan_time(base):
 
 
 def test_transform_refuses_a_nan_dilation(base):
-    """Gamma = NaN asks for the time NaN of a recorded history, which
-    raises rather than resampling an all-NaN blend."""
+    """Gamma = NaN would ask a recorded history for the time NaN; the
+    parameter gate refuses it first, as the bad parameter it is."""
     hist = FlowHistory()
     for tau in (TAU0 - 0.5, TAU0, TAU0 + 0.5):
         hist.append(FlowState(time=tau, v=base.at(tau), renormalized=True))
-    with pytest.raises(CoverageError, match=r"time nan outside history"):
+    with pytest.raises(ParameterError, match="Gamma must be finite, got nan"):
         transform_profile(hist, 0.0, math.nan, TAU0)
 
 
