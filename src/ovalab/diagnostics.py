@@ -35,7 +35,6 @@ from .errors import CoverageError, DomainError, ParameterError, gate
 from .evolve import V_FLOOR, zoomed_tip
 from .grid import (
     THETA,
-    diff_phi_fft,
     frame_jet,
     polar_jet,
     resample,
@@ -43,6 +42,9 @@ from .grid import (
     signed_square,
     sqrt_jet,
 )
+# nothing here calls it, but perfbench/tracer.py wraps diagnostics.diff_phi_fft
+# and tests/test_tracer_targets.py asks for the name
+from .grid import diff_phi_fft  # noqa: F401
 from .shrinkers import normal_form_profile, solve_bowl
 
 SQRT2 = math.sqrt(2.0)
@@ -303,13 +305,10 @@ def huisken_density(field, r, tail=None):
     grid = field.grid
     W = signed_square(field)
     y = grid.y
+    W1, W2 = frame_jet(grid, W)[:2]
+    grad2 = W1**2 + W2**2
+    # the rim slope is read along each column, the pole row included
     wy = grid.radial_derivative(W, 1)
-    wp = diff_phi_fft(W, order=1)
-    grad2 = wy**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad2 = grad2 + np.where(
-            y[:, None] > 0.0, (wp / y[:, None]) ** 2, 0.0
-        )
     body = W > 0.0
     dens = np.where(
         body,

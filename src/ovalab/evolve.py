@@ -32,7 +32,11 @@ stepped nor filtered, and carried over unchanged.
 The tip patch steps Y(v, phi) by the inverse-profile equation of
 rhs_renormalized_Y.  A tip table is (values, theta) and takes its nodes
 from grid.tip_nodes, as a PolarGrid is (n_r, n_phi, y_max), so neither
-patch is ever handed a node array.  Both patches step explicitly under
+patch is ever handed a node array.  Coupling runs one way: after each
+step the tip rows with v >= theta are read from the graph, and the
+graph never reads the tip.  The graph needs no boundary values from it,
+because its equation is regular through the rim and the continuation
+outside the body is its own.  Both patches step explicitly under
 a parabolic CFL bound from their radial spacing, in second-order
 Runge-Kutta-Legendre (RKL2) super-steps of one routine, _rkl2 (Meyer,
 Balsara & Aslam, J. Comput. Phys. 257, 2014).  The graph takes one
@@ -92,9 +96,11 @@ V_FLOOR = 1.0e-6
 # parabolic step bound dt <= CFL h^2: the graph's two-stage RKL2
 # super-step, and the unit that the tip's longer super-steps stretch
 CFL = 0.2
-# largest stretch of one tip super-step, (s^2 + s - 2)/4 at s = 3 stages;
-# longer super-steps damp the kink that _sync_patches leaves at the seam
-# too little (four stages: 4x the time error of the benchmark oval's tip)
+# largest stretch of one tip super-step, (s^2 + s - 2)/4 at s = 3 stages.
+# On the 128x32 benchmark oval over tau -20 -> -19.75, the tip table's
+# time error against a CFL 0.025 run is 1.10e-4 at this stretch and
+# 1.34e-4 with four-stage super-steps (stretch 4.5): 1.2x, for 12 instead
+# of 8 right-hand-side calls per step
 _TIP_STRETCH = 2.5
 
 
@@ -367,30 +373,6 @@ def _interp_columns(x, xp, fp):
     return np.where(x < xp[0], fp[0], out)
 
 
-def _inject_from_tip(W, tip, grid):
-    """Dirichlet side of the patch coupling: graph nodes below the
-    handover level take their values from the tip table, blended in
-    over v in [theta/2, theta] so no kink forms at the seam.
-
-    All angles are handled at once.  Column j rewrites the rows between
-    its handover radius Y(theta) and its tip radius Y(0); those few
-    nodes are gathered from every column and inverted together.
-    """
-    v_nodes, theta = tip.v_nodes, tip.theta
-    y_top = _interp_columns(np.full((1, tip.n_phi), theta), v_nodes[:, None],
-                            tip.values)[0]
-    col = np.minimum.accumulate(tip.values, axis=0)
-    i_lo = np.searchsorted(grid.y, y_top)
-    i_hi = np.searchsorted(grid.y, col[0])
-    rows = np.arange(len(grid.y))[:, None]
-    r, j = np.nonzero((rows >= i_lo) & (rows < i_hi))
-    v_t = _interp_columns(grid.y[r][None, :], col[::-1, j], v_nodes[::-1, None])[0]
-    lam = np.clip((theta - v_t) / (0.5 * theta), 0.0, 1.0)
-    s = lam * lam * (3.0 - 2.0 * lam)
-    W[r, j] = (1.0 - s) * W[r, j] + s * v_t**2
-    return W
-
-
 def _invert_w(W, grid, v_levels):
     """Plane radius where each column of the squared profile W falls
     through each level v^2, as a (len(v_levels), n_phi) table.
@@ -422,21 +404,26 @@ def _invert_w(W, grid, v_levels):
 
 
 def _sync_patches(W, tip, grid):
-    """Couple the patches: tip rows with v >= tip.theta are rebuilt from
-    the graph by _invert_w, rows below keep the Y-step; the graph in turn
-    takes its rim-side boundary from the updated tip.  Both directions
-    work on whole tables, every angle at once."""
+    """Rebuild the tip rows with v >= tip.theta from the graph by
+    _invert_w, every angle at once; rows below keep the Y-step.
+
+    Coupling runs one way, the rule for overlapping grids that a point
+    receiving interpolated values is never read to give values back
+    (Chesshire & Henshaw, J. Comput. Phys. 90, 1990): the graph's W is
+    never written from the tip table.  The graph needs no boundary
+    values there, since its equation is regular through the rim and
+    rebuild_halo continues W outside it.  So a sync is a projection:
+    syncing a synced state again returns the same tip."""
     outer = tip.v_nodes >= tip.theta - 1.0e-12
     merged = tip.values.copy()
     merged[outer] = _invert_w(W, grid, tip.v_nodes[outer])
-    new_tip = TipField(merged, tip.theta)
-    W = rebuild_halo(_inject_from_tip(W, new_tip, grid), grid)
-    return W, new_tip
+    return TipField(merged, tip.theta)
 
 
 def step(state, dtau):
     """Advance the graph by one two-stage _rkl2 super-step, unsplit at any
-    dtau, and the tip by its super-steps, then synchronize patches.
+    dtau, and the tip by its super-steps, then rebuild the tip's outer
+    rows from the new graph by _sync_patches.
 
     The graph step and its filter see only the rows up to the outermost
     rim + 2 (four at least); rows past them are carried over unchanged."""
@@ -459,8 +446,7 @@ def step(state, dtau):
     if state.tip is not None:
         if not state.renormalized:
             raise ParameterError("tip patch requires the renormalized gauge")
-        new_tip = _substep_tip(state.tip, dtau)
-        W, new_tip = _sync_patches(W, new_tip, g)
+        new_tip = _sync_patches(W, _substep_tip(state.tip, dtau), g)
     else:
         new_tip = None
     return replace(state, time=state.time + dtau, v=ScalarField.from_square(g, W), tip=new_tip)

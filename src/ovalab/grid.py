@@ -228,15 +228,22 @@ class ScalarField:
         return ScalarField(self.grid, values, w_signed=w_signed)
 
 
+def _check_points(r, phi):
+    """The check on polar query points that resample and a closed-form
+    history's sample share: a NaN r or a phi that is not finite raises
+    ParameterError."""
+    if np.isnan(r).any() or not np.isfinite(phi).all():
+        raise ParameterError("a polar point needs every r a number and every phi finite")
+
+
 def resample(F, grid, r, phi):
     """A (n_r+1, n_phi) array F on grid read at the polar points (r, phi),
     which broadcast together: bilinear in (y, phi), periodic in phi, r
     clamped to [0, y_max].  Fractions are measured between a cell's own
-    nodes, so a point on a node reads that node's value exactly.  A NaN r
-    or a phi that is not finite raises ParameterError."""
+    nodes, so a point on a node reads that node's value exactly.  Points
+    are checked by _check_points."""
+    _check_points(r, phi)
     r = np.clip(r, 0.0, grid.y_max)
-    if np.isnan(r).any() or not np.isfinite(phi).all():
-        raise ParameterError("resample needs every r a number and every phi finite")
     i = np.minimum((r / grid.dy).astype(int), grid.n_r - 1)  # uniform nodes: no search
     ty = (r - grid.y[i]) / (grid.y[i + 1] - grid.y[i])
     j = np.floor(phi / grid.dphi)  # grid.phi holds j * dphi

@@ -11,9 +11,9 @@ alpha = (1, 1, 0)/(sqrt(8) tau), and the attractor-relative pair
 evolves in the slow time sigma = log(-tau) with linearization
 XI_LINEARIZATION = [[-3, 1], [-2, 0]] at 0, spectrum {-1, -2}.
 
-``sd_to_xi`` maps measured invariants to xi, and ``compare_with_flow``
-measures how closely a stored history's projected bending rates follow
-the attractor.
+``spectral.sd_to_xi`` maps measured invariants to xi, and
+``compare_with_flow`` measures how closely a stored history's projected
+bending rates follow the attractor.
 """
 
 import math
@@ -24,16 +24,9 @@ import numpy as np
 from . import spectral  # read as spectral.project so a wrapper installed there is seen
 from .errors import CoverageError, ParameterError, gate
 
-SQRT2 = math.sqrt(2.0)
 SQRT8 = math.sqrt(8.0)
 
 XI_LINEARIZATION = np.array([[-3.0, 1.0], [-2.0, 0.0]])
-
-
-def sd_to_xi(tau, S, D):
-    for name, x in (("tau", tau), ("S", S), ("D", D)):
-        gate(name, x, "(-inf, inf)", ParameterError)
-    return np.array([SQRT2 * tau * S - 1.0, 8.0 * tau * tau * D - 1.0])
 
 
 @dataclass(frozen=True)

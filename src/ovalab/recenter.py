@@ -45,7 +45,7 @@ from .errors import (
     ParameterError,
     gate,
 )
-from .grid import ScalarField
+from .grid import ScalarField, _check_points
 from .shrinkers import normal_form_profile
 from .spectral import get_basis, pairings, quadratic_distance, truncated_deviation
 
@@ -156,7 +156,11 @@ class SyntheticHistory:
             )
 
     def sample(self, y, phi, tau):
+        """fn at the points (y, phi), which broadcast together, and time
+        tau.  Points are checked by grid._check_points, as a recorded
+        history's are; an infinite y is handed to fn as it is."""
         self._check(tau)
+        _check_points(y, phi)
         shape = np.broadcast_shapes(np.shape(y), np.shape(phi))
         return np.broadcast_to(np.asarray(self.fn(y, phi, tau), dtype=float), shape)
 

@@ -184,13 +184,18 @@ class SpectralReport:
         }
 
 
-def spectral_report(field, tau):
-    """Project a profile and package the derived spectral quantities.
+def sd_to_xi(tau, S, D):
+    """The attractor-relative coordinate pair (sqrt(2) tau S - 1,
+    8 tau^2 D - 1) of the invariants S and D at time tau; both components
+    vanish on the exact inward-quadratic state."""
+    for name, x in (("tau", tau), ("S", S), ("D", D)):
+        gate(name, x, "(-inf, inf)", ParameterError)
+    return np.array([SQRT2 * tau * S - 1.0, 8.0 * tau**2 * D - 1.0])
 
-    xi is the attractor-relative coordinate pair (sqrt(2) tau S - 1,
-    8 tau^2 D - 1); both components vanish on the exact inward-quadratic
-    state.
-    """
+
+def spectral_report(field, tau):
+    """Project a profile and package the derived spectral quantities,
+    xi by sd_to_xi."""
     gate("renormalized time tau", tau, "(-inf, 0)", ParameterError)
     basis = get_basis(field.grid)
     u = truncated_deviation(field)
@@ -198,7 +203,6 @@ def spectral_report(field, tau):
     a = alpha_from_coeffs(c)
     S = float(a[0] + a[1])
     D = float(a[0] * a[1] - a[2] ** 2)
-    xi = (SQRT2 * tau * S - 1.0, 8.0 * tau**2 * D - 1.0)
     Q = bubble_sheet_Q(a, tau)
     recon = np.tensordot(c, basis.functions, axes=(0, 0))
     resid = ScalarField(field.grid, u - recon, copy=False)
@@ -209,7 +213,7 @@ def spectral_report(field, tau):
         alpha=tuple(float(x) for x in a),
         S=S,
         D=D,
-        xi=xi,
+        xi=tuple(float(x) for x in sd_to_xi(tau, S, D)),
         Q=tuple(tuple(float(x) for x in row) for row in Q),
         q_eigenvalues=tuple(float(x) for x in sym2_eigenvalues(Q)),
         residual_norm=float(norm_H(resid)),

@@ -43,6 +43,7 @@ class Float:
 NOT_HELD = dict.fromkeys(("nan", "pinf", "minf"),
                          "coverage: a time the history does not hold, as any outside its span")
 CLAMPED = "accepted: r is clamped to [0, y_max], as resample documents"
+EVALUATED = "accepted: the closed form is evaluated as given"
 
 G = grid.build_grid(16, 8, 3.0)
 SPHERE = shrinkers.sphere_field(G)  # squared radius 6, extinct at t = 1
@@ -164,10 +165,6 @@ GATE = {
     "grid.save_field": {"f": OBJECT, "path": PATH},
     "grid.load_field": {"path": PATH, "grid": OBJECT},
     # modes
-    "modes.sd_to_xi": {
-        "tau": Float(lambda x: modes.sd_to_xi(x, 0.0, 0.0)),
-        "S": Float(lambda x: modes.sd_to_xi(-50.0, x, 0.0)),
-        "D": Float(lambda x: modes.sd_to_xi(-50.0, 0.0, x))},
     "modes.DeviationReport": _record("window", "sup_diagonal", "sup_off_diagonal", "taus"),
     "modes.compare_with_flow": {
         "history": OBJECT,
@@ -194,8 +191,9 @@ GATE = {
         "span": Float(lambda x: recenter.SyntheticHistory(SYNTH.fn, NF_GRID, (x, 0.0)),
                       minf="accepted: a closed form may hold every earlier time")},
     "recenter.SyntheticHistory.sample": {
-        "y": "array: points handed to the closed form as they are",
-        "phi": "array: points handed to the closed form as they are",
+        "y": Float(lambda x: SYNTH.sample(x, 0.0, -100.0),
+                   pinf=EVALUATED, minf=EVALUATED),
+        "phi": Float(lambda x: SYNTH.sample(1.0, x, -100.0)),
         "tau": Float(lambda x: SYNTH.sample(1.0, 0.0, x), **NOT_HELD)},
     "recenter.SyntheticHistory.at": {"tau": Float(SYNTH.at, **NOT_HELD)},
     "recenter.normal_form_history": {
@@ -272,6 +270,10 @@ GATE = {
     "spectral.sym2_eigenvalues": {"m": ARRAY},
     "spectral.SpectralReport": _record("tau", "theta", "coeffs", "alpha", "S", "D", "xi",
                                        "Q", "q_eigenvalues", "residual_norm"),
+    "spectral.sd_to_xi": {
+        "tau": Float(lambda x: spectral.sd_to_xi(x, 0.0, 0.0)),
+        "S": Float(lambda x: spectral.sd_to_xi(-50.0, x, 0.0)),
+        "D": Float(lambda x: spectral.sd_to_xi(-50.0, 0.0, x))},
     "spectral.spectral_report": {
         "field": OBJECT, "tau": Float(lambda x: spectral.spectral_report(NF, x))},
     "spectral.width_ratio": {"field": OBJECT},

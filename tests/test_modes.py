@@ -12,14 +12,10 @@ import pytest
 
 from ovalab.errors import CoverageError, ParameterError
 from ovalab.grid import build_grid
-from ovalab.modes import (
-    XI_LINEARIZATION,
-    DeviationReport,
-    compare_with_flow,
-    sd_to_xi,
-)
+from ovalab.modes import XI_LINEARIZATION, DeviationReport, compare_with_flow
 from ovalab.recenter import normal_form_history
 from ovalab.shrinkers import normal_form_field
+from ovalab.spectral import sd_to_xi
 
 SQRT2 = math.sqrt(2.0)
 

@@ -153,7 +153,6 @@ TEST_ONLY = {
     "evolve.renormalized_state": "item 12: the renormalized ellipsoid inputs",
     "grid.PolarGrid.weights": "oracle: the Gaussian quadrature whose sum and "
                               "pairings the norm tests check",
-    "modes.sd_to_xi": "item 12: records xi along each run",
     "modes.DeviationReport.as_dict": _RECORD,
     "recenter.normal_form_history": "oracle: the closed-form history solve_psi "
                                     "recovers exactly",
