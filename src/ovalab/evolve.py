@@ -32,18 +32,21 @@ stepped nor filtered, and carried over unchanged.
 The tip patch steps Y(v, phi) by the inverse-profile equation of
 rhs_renormalized_Y.  A tip table is (values, theta) and takes its nodes
 from grid.tip_nodes, as a PolarGrid is (n_r, n_phi, y_max), so neither
-patch is ever handed a node array.  Coupling runs one way: after each
-step the tip rows with v >= theta are read from the graph, and the
-graph never reads the tip.  The graph needs no boundary values from it,
-because its equation is regular through the rim and the continuation
-outside the body is its own.  Both patches step explicitly under
-a parabolic CFL bound from their radial spacing, in second-order
-Runge-Kutta-Legendre (RKL2) super-steps of one routine, _rkl2 (Meyer,
-Balsara & Aslam, J. Comput. Phys. 257, 2014).  The graph takes one
-two-stage super-step per step, whose stability polynomial 1 + z + z^2/2
-is the midpoint step's; a per-ring angular low-pass keeps the polar axis
-from tightening its bound.  The tip takes super-steps of at most three
-stages, each stretching its bound up to 2.5 times.  Angular derivatives
+patch is ever handed a node array.  Coupling runs one way: the graph
+never reads the tip, and needs no boundary values from it, because its
+equation is regular through the rim and the continuation outside the
+body is its own.  So the graph steps first, and over the step the tip
+rows with v >= theta follow it: they move at the constant rate that
+carries them to the new graph's inversion, and end on it.  Both patches
+step explicitly under a parabolic CFL bound from their radial spacing,
+in second-order Runge-Kutta-Legendre (RKL2) super-steps of one routine,
+_rkl2 (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014).  The graph
+takes one two-stage super-step per step, whose stability polynomial
+1 + z + z^2/2 is the midpoint step's; a per-ring angular low-pass keeps
+the polar axis from tightening its bound.  The tip takes super-steps of
+at most three stages, each stretching its bound up to 2.5 times.  Its
+default spacing follows the graph's, the finest at which one
+three-stage super-step crosses a cfl_dt graph step.  Angular derivatives
 and the low-pass are products with ring matrices cached per n_phi, and
 radial ones come from grid.radial_stencil, so the tip table, which has
 no PolarGrid, shares both with the graph.  Both run and find_extinction
@@ -96,11 +99,13 @@ V_FLOOR = 1.0e-6
 # parabolic step bound dt <= CFL h^2: the graph's two-stage RKL2
 # super-step, and the unit that the tip's longer super-steps stretch
 CFL = 0.2
-# largest stretch of one tip super-step, (s^2 + s - 2)/4 at s = 3 stages.
-# On the 128x32 benchmark oval over tau -20 -> -19.75, the tip table's
-# time error against a CFL 0.025 run is 1.10e-4 at this stretch and
-# 1.34e-4 with four-stage super-steps (stretch 4.5): 1.2x, for 12 instead
-# of 8 right-hand-side calls per step
+# largest stretch of one tip super-step, (s^2 + s - 2)/4 at s = 3 stages,
+# and so the bound on (dy/dv)^2 that sets the default tip spacing.  On the
+# 128x32 benchmark oval over tau -20 -> -19.75, with the rows v >= theta
+# following the graph, the tip table's time error against a CFL 0.025 run
+# is 1.19e-5 with the default 9 nodes (3 right-hand-side calls per step);
+# four-stage super-steps (stretch 4.5) give 1.19e-5 with 11 nodes (4 calls),
+# and 17 nodes give 1.20e-5 at either stretch (12 or 8 calls)
 _TIP_STRETCH = 2.5
 
 
@@ -150,14 +155,27 @@ class TipField:
         return v.reshape(y.shape)[()]
 
     @classmethod
-    def from_profile(cls, field, theta=THETA, n_nodes=17):
+    def from_profile(cls, field, theta=THETA, n_nodes=None):
         """Build the table by monotone inversion of v near the rim: the
         squared profile read by signed_square, inverted at the tip nodes
         by _invert_w, which raises DegeneracyError where that fails.
         grid.tip_nodes raises ParameterError for n_nodes or theta it
-        cannot lay out."""
-        return cls(_invert_w(signed_square(field), field.grid,
-                             tip_nodes(n_nodes, theta)), theta)
+        cannot lay out.
+
+        Without n_nodes the spacing follows the graph's: the table takes
+        the most nodes whose spacing dv keeps the tip's step ratio
+        (dy/dv)^2 within _TIP_STRETCH, with theta on a node.  So n - 1 is
+        the largest even integer <= 2 theta sqrt(_TIP_STRETCH) / dy, and 4
+        at least, and the tip crosses each cfl_dt graph step in one
+        three-stage super-step."""
+        W = signed_square(field)
+        if n_nodes is None:
+            gate("theta of the tip nodes", theta, "(0, inf)", ParameterError)
+            # a ceiling 2 theta above the peak is refused by _invert_w, so
+            # the count never lays out more nodes than the peak's
+            reach = min(theta, 0.5 * math.sqrt(max(float(W.max()), 0.0)))
+            n_nodes = 1 + 2 * max(2, int(reach * math.sqrt(_TIP_STRETCH) / field.grid.dy))
+        return cls(_invert_w(W, field.grid, tip_nodes(n_nodes, theta)), theta)
 
     def save(self, path):
         _write_table(
@@ -324,26 +342,36 @@ def _rkl2(Y, h, s, rhs, after_stage):
     return cur
 
 
-def _substep_tip(tip, dtau):
+def _substep_tip(tip, dtau, outer_end):
     """Advance the tip table by dtau in m equal _rkl2 super-steps of s
     stages each.  m = ceil(ratio / _TIP_STRETCH) with ratio = dtau /
     (CFL dv^2), and s is the fewest stages whose stable stretch
-    (s^2 + s - 2)/4 covers ratio / m, so s <= 3."""
+    (s^2 + s - 2)/4 covers ratio / m, so s <= 3.
+
+    The last len(outer_end) rows are not stepped by their own right-hand
+    side: every stage gives them the constant rate that carries them to
+    outer_end over dtau, which RKL2 integrates exactly, and they end on
+    outer_end.  A tip stepped alone passes a table of no rows."""
     ratio = dtau / (CFL * tip.dv**2)
     m = max(1, math.ceil(ratio / _TIP_STRETCH))
     s = 2
     while (s * s + s - 2) / 4.0 < ratio / m:
         s += 1
+    i = tip.values.shape[0] - outer_end.shape[0]
+    rate = (outer_end - tip.values[i:]) / dtau
     # stages share one table object, so only rhs_renormalized_Y checks Y > 0
     stage = copy.copy(tip)
 
     def rhs(Y):
         stage.values = Y
-        return rhs_renormalized_Y(stage)
+        out = rhs_renormalized_Y(stage)
+        out[i:] = rate
+        return out
 
     Y = tip.values
     for _ in range(m):
         Y = _rkl2(Y, dtau / m, s, rhs, lambda Y: Y)
+    Y[i:] = outer_end
     return TipField(Y, tip.theta)
 
 
@@ -403,30 +431,20 @@ def _invert_w(W, grid, v_levels):
     return _interp_columns(levels, tail[::-1], grid.y[::-1, None])
 
 
-def _sync_patches(W, tip, grid):
-    """Rebuild the tip rows with v >= tip.theta from the graph by
-    _invert_w, every angle at once; rows below keep the Y-step.
-
-    Coupling runs one way, the rule for overlapping grids that a point
-    receiving interpolated values is never read to give values back
-    (Chesshire & Henshaw, J. Comput. Phys. 90, 1990): the graph's W is
-    never written from the tip table.  The graph needs no boundary
-    values there, since its equation is regular through the rim and
-    rebuild_halo continues W outside it.  So a sync is a projection:
-    syncing a synced state again returns the same tip."""
-    outer = tip.v_nodes >= tip.theta - 1.0e-12
-    merged = tip.values.copy()
-    merged[outer] = _invert_w(W, grid, tip.v_nodes[outer])
-    return TipField(merged, tip.theta)
-
-
 def step(state, dtau):
     """Advance the graph by one two-stage _rkl2 super-step, unsplit at any
-    dtau, and the tip by its super-steps, then rebuild the tip's outer
-    rows from the new graph by _sync_patches.
+    dtau, then the tip by its super-steps.
 
     The graph step and its filter see only the rows up to the outermost
-    rim + 2 (four at least); rows past them are carried over unchanged."""
+    rim + 2 (four at least); rows past them are carried over unchanged.
+
+    The tip rows with v >= theta follow the graph over the step: the new
+    graph is inverted there once by _invert_w, and _substep_tip carries
+    those rows to that table at a constant rate and ends them on it, so
+    inverting the new graph again gives them bit for bit.  The graph's W
+    is never written from the tip, the rule for overlapping grids that a
+    point receiving interpolated values is never read to give values back
+    (Chesshire & Henshaw, J. Comput. Phys. 90, 1990)."""
     gate("time step", dtau, "(0, inf)", ParameterError)
     g = state.v.grid
     W0 = signed_square(state.v)
@@ -443,12 +461,12 @@ def step(state, dtau):
     if float(W.max()) > w_max * (1.0 + 4.0 * dtau) + 1.0e-14:
         raise StepSizeError(f"maximum principle violation at dt={dtau:.3e}")
     _filter_w(W[:k])
-    if state.tip is not None:
+    new_tip = state.tip
+    if new_tip is not None:
         if not state.renormalized:
             raise ParameterError("tip patch requires the renormalized gauge")
-        new_tip = _sync_patches(W, _substep_tip(state.tip, dtau), g)
-    else:
-        new_tip = None
+        outer = new_tip.v_nodes >= new_tip.theta - 1.0e-12
+        new_tip = _substep_tip(new_tip, dtau, _invert_w(W, g, new_tip.v_nodes[outer]))
     return replace(state, time=state.time + dtau, v=ScalarField.from_square(g, W), tip=new_tip)
 
 
@@ -763,7 +781,8 @@ def renormalize(field, t, t_e, grid_out=None):
 
 
 def renormalized_state(field, t, t_e, L=10.0, grid_out=None):
-    """Renormalize and attach a freshly inverted tip patch at THETA."""
+    """Renormalize and attach a freshly inverted tip patch at THETA, with
+    from_profile's default node count."""
     v, tau = renormalize(field, t, t_e, grid_out=grid_out)
     return FlowState(time=tau, v=v, tip=TipField.from_profile(v),
                      renormalized=True, L=L)

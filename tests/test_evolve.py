@@ -209,6 +209,19 @@ class TestTipField:
         with pytest.raises(DegeneracyError):
             TipField.from_profile(_signed_field(g, w), theta=0.2)
 
+    def test_far_ceiling_lays_out_no_more_nodes_than_the_peak(self, monkeypatch):
+        """theta = 1e6 is refused as a DegeneracyError, with the default
+        count taken at half the profile's peak 0.3, 15 nodes: taken at
+        theta, it would lay out about 1e8 nodes before the refusal."""
+        g = build_grid(96, 32, 3.0)
+        w = (0.09 - g.y[:, None] ** 2 / 50.0) * np.ones((1, 32))
+        counts = []
+        monkeypatch.setattr(evolve, "tip_nodes",
+                            lambda n, theta: counts.append(n) or tip_nodes(n, theta))
+        with pytest.raises(DegeneracyError):
+            TipField.from_profile(_signed_field(g, w), theta=1.0e6)
+        assert counts == [15]
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -0.1],
                              ids=["nan", "inf", "negative"])
     def test_tip_radius_finite_and_positive_required(self, entry):
@@ -463,10 +476,18 @@ def _counting_rhs(monkeypatch, first=None, name="rhs_renormalized_Y"):
     return calls
 
 
+def _step_alone(tip, dtau):
+    """The tip stepped without the graph: no rows follow a graph."""
+    return evolve._substep_tip(tip, dtau, tip.values[:0])
+
+
 class TestTipStep:
     """The tip covers a graph step in RKL2 super-steps: m of them, each of
     the fewest stages s whose stretch (s^2 + s - 2)/4 of CFL dv^2 covers
-    dtau / m, with m = ceil(dtau / (2.5 CFL dv^2))."""
+    dtau / m, with m = ceil(dtau / (2.5 CFL dv^2)).  The default table's
+    spacing keeps dtau = cfl_dt within one three-stage super-step, and in
+    a step the rows v >= theta follow the graph instead of their own
+    right-hand side."""
 
     def test_time_convergence_second_order(self):
         """A Z2^2-symmetric wobbled table stepped alone over a fixed span
@@ -487,7 +508,7 @@ class TestTipStep:
         def march(k):
             t = tip
             for _ in range(k):
-                t = evolve._substep_tip(t, span / k)
+                t = _step_alone(t, span / k)
             return t.values
 
         fine = march(8 * 512)
@@ -511,7 +532,7 @@ class TestTipStep:
         lam = m * z / dtau
         monkeypatch.setattr(evolve, "rhs_renormalized_Y", lambda t: lam * t.values)
         calls = _counting_rhs(monkeypatch)
-        R = evolve._substep_tip(tip, dtau).values[0]
+        R = _step_alone(tip, dtau).values[0]
         assert len(calls) == m * s
         small = np.abs(R[:8] - np.exp(m * z[:8]))
         assert np.all(small <= 0.2 * m * np.abs(z[:8]) ** 3)
@@ -522,28 +543,42 @@ class TestTipStep:
         Y = sqrt(6 - v^2) moves the rows below theta by no more than the
         span times the table's right-hand-side bound.
 
-        Those are the rows a step keeps; _sync_patches rebuilds the rest
-        from the graph.  The outer row, stepped alone on its one-sided
-        stencil, moves at a mean rate of 1.211e-3 over this step, with
-        explicit midpoint substeps of CFL dv^2 as with the super-steps;
-        the rows at and above theta are held to that."""
+        In a coupled step the rows at and above theta follow the graph
+        instead.  Stepped alone, the outer row on its one-sided stencil
+        moves at a mean rate of 1.211e-3 over this step, with explicit
+        midpoint substeps of CFL dv^2 as with the super-steps; the rows
+        at and above theta are held to that."""
         v_nodes = tip_nodes(17, 0.2)
         tip = TipField(np.sqrt(6.0 - v_nodes[:, None] ** 2) * np.ones((1, 48)), 0.2)
         span = 40.0 * evolve.CFL * tip.dv**2
-        moved = evolve._substep_tip(tip, span).values - tip.values
+        moved = _step_alone(tip, span).values - tip.values
         assert np.abs(moved[v_nodes < 0.2]).max() <= span * 5.0e-4
         assert np.abs(moved[v_nodes >= 0.2]).max() <= span * 1.25e-3
 
-    def test_benchmark_oval_step_takes_twelve_rhs_calls(self, monkeypatch):
-        """One cfl_dt step of the 128x32 benchmark oval is four three-stage
-        super-steps, each stage a call of evolve.rhs_renormalized_Y, and
-        one two-stage graph super-step, each stage a call of _w_rhs."""
+    def test_benchmark_oval_step_takes_three_tip_rhs_calls(self, monkeypatch):
+        """One cfl_dt step of the 128x32 benchmark oval, whose default tip
+        table has 9 nodes, is one three-stage tip super-step, each stage a
+        call of evolve.rhs_renormalized_Y, and one two-stage graph
+        super-step, each stage a call of _w_rhs."""
         st = _benchmark_oval(128, 32)
         calls = _counting_rhs(monkeypatch)
         graph_calls = _counting_rhs(monkeypatch, name="_w_rhs")
         step(st, cfl_dt(st.v.grid))
-        assert len(calls) == 12
+        assert len(calls) == 3
         assert len(graph_calls) == 2
+
+    @pytest.mark.parametrize("n_r, n_phi, n_nodes", [(64, 16, 5), (96, 16, 7),
+                                                     (128, 32, 9), (256, 64, 17)])
+    def test_default_spacing_follows_the_graph(self, n_r, n_phi, n_nodes):
+        """The default table on each benchmark oval has the most nodes
+        whose step ratio (dy/dv)^2 stays within _TIP_STRETCH, with theta
+        on a node: two nodes more would pass it."""
+        st = _benchmark_oval(n_r, n_phi)
+        tip, dy = st.tip, st.v.grid.dy
+        assert tip.values.shape == (n_nodes, n_phi)
+        assert (dy / tip.dv) ** 2 <= evolve._TIP_STRETCH
+        assert (dy / tip_nodes(n_nodes + 2, tip.theta)[1]) ** 2 > evolve._TIP_STRETCH
+        assert tip.v_nodes[(n_nodes - 1) // 2] == tip.theta
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_tip_table_halves_the_step(self, monkeypatch):
@@ -600,16 +635,40 @@ class TestWholeTableTip:
         for table in (tip, TipField(shaken, theta)):
             assert np.array_equal(rhs_renormalized_Y(table), _rhs_Y_loop(table))
 
-    def test_sync_inverts_only_the_rows_at_and_above_theta(self):
-        """_sync_patches gives the rows v >= theta the graph's inversion,
-        as from_profile has them, and keeps the stepped rows below."""
-        st = _benchmark_oval(64, 16)
-        moved = TipField(1.01 * st.tip.values, st.tip.theta)
-        synced = evolve._sync_patches(signed_square(st.v), moved, st.v.grid)
-        outer = moved.v_nodes >= moved.theta
+    def test_outer_rows_move_on_a_line_to_the_graph(self, monkeypatch):
+        """_substep_tip hands every stage the rows v >= theta on the line
+        from their start to the given end table, at one fraction of the
+        way for all of them, and ends them on that table bit for bit; the
+        rows below take their own right-hand side."""
+        tip = _benchmark_oval(128, 32).tip
+        outer = tip.v_nodes >= tip.theta
         assert 0 < outer.sum() < len(outer)
-        assert np.array_equal(synced.values[outer], st.tip.values[outer])
-        assert np.array_equal(synced.values[~outer], moved.values[~outer])
+        end = 1.01 * tip.values[outer]
+        stages = []
+        inner = evolve.rhs_renormalized_Y
+
+        def recorded(table):
+            stages.append(table.values.copy())
+            return inner(table)
+
+        monkeypatch.setattr(evolve, "rhs_renormalized_Y", recorded)
+        out = evolve._substep_tip(tip, 2.0 * evolve.CFL * tip.dv**2, end)
+        assert np.array_equal(out.values[outer], end)
+        assert np.abs(out.values[~outer] - tip.values[~outer]).max() > 0.0
+        assert len(stages) == 3
+        for Y in stages:
+            frac = (Y[outer] - tip.values[outer]) / (end - tip.values[outer])
+            assert 0.0 <= frac.min() and frac.max() <= 1.0
+            assert np.ptp(frac) <= 1.0e-12
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_rkl2_integrates_a_constant_rate_exactly(self, s):
+        """A constant rate c over h ends at Y + h c to roundoff, which is
+        why the rows that follow the graph can end on its table."""
+        Y = np.linspace(1.0, 2.0, 7)
+        c = np.linspace(-0.3, 0.5, 7)
+        out = evolve._rkl2(Y, 0.01, s, lambda _: c, lambda Y: Y)
+        assert np.abs(out - (Y + 0.01 * c)).max() <= 1.0e-15
 
     @pytest.mark.parametrize("columns, expected", [
         ({3: "rim", 9: "rim"}, "rim not contained in grid at angle 3"),
@@ -641,13 +700,15 @@ class TestOneWaySeam:
     never reads the tip, so a sync is a projection."""
 
     def test_syncing_a_synced_state_leaves_the_tip(self):
-        """The benchmark oval after one step, synced again: the tip comes
-        back bit for bit.  A seam that also blends the tip into the graph
-        moves it by 1.4e-4."""
+        """The benchmark oval after one step, its new graph inverted again
+        at the tip's rows v >= theta: those rows come back bit for bit.
+        A seam that also blends the tip into the graph moves them by
+        1.4e-4."""
         st = _benchmark_oval(64, 16)
         st = step(st, cfl_dt(st.v.grid))
-        again = evolve._sync_patches(signed_square(st.v), st.tip, st.v.grid)
-        assert np.array_equal(again.values, st.tip.values)
+        outer = st.tip.v_nodes >= st.tip.theta
+        again = evolve._invert_w(signed_square(st.v), st.v.grid, st.tip.v_nodes[outer])
+        assert np.array_equal(again, st.tip.values[outer])
 
     def test_coupled_graph_is_the_graph_only_graph(self):
         """40 cfl_dt steps of the benchmark oval with and without its tip
@@ -659,20 +720,36 @@ class TestOneWaySeam:
             coupled, alone = step(coupled, dt), step(alone, dt)
         assert np.array_equal(coupled.v.w_signed, alone.v.w_signed)
 
-    def test_final_rim_converges_in_the_step(self, monkeypatch):
-        """The 96x16 benchmark oval run over a tau-span of 0.1 at CFL 0.2,
-        0.1, 0.05 and 0.025: the final tip radius settles as the step
-        shrinks.  Measured orders of its Cauchy differences 0.92 and 1.24.
-        A seam that also blends the tip into the graph gives 0.18 and
-        0.21: the rim then follows the count of syncs."""
+    @staticmethod
+    def _rim_orders(monkeypatch, n_r, n_phi, span, cfls):
+        """Observed orders of the Cauchy differences of the final tip
+        radius of the benchmark oval run over span at each CFL."""
         rims = []
-        for cfl in (0.2, 0.1, 0.05, 0.025):
+        for cfl in cfls:
             monkeypatch.setattr(evolve, "CFL", cfl)
-            st = _benchmark_oval(96, 16)
-            rims.append(run(st, st.time + 0.1, snapshot_every=1.0).states[-1].tip_radius())
+            st = _benchmark_oval(n_r, n_phi)
+            rims.append(run(st, st.time + span, snapshot_every=1.0).states[-1].tip_radius())
         diffs = [np.abs(a - b).max() for a, b in zip(rims, rims[1:])]
-        assert math.log2(diffs[0] / diffs[1]) >= 0.75
-        assert math.log2(diffs[1] / diffs[2]) >= 0.75
+        return [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+
+    def test_final_rim_converges_in_the_step(self, monkeypatch):
+        """The 96x16 benchmark oval (7 tip nodes) run over a tau-span of
+        0.1 at CFL 0.2, 0.1, 0.05 and 0.025: the final tip radius settles
+        as the step shrinks.  Measured orders of its Cauchy differences
+        3.58 and 1.04.  With the tip's rows v >= theta held over the step
+        and rebuilt from the graph after it, 17 nodes gave 0.92 and 1.24;
+        a seam that also blends the tip into the graph gave 0.18 and 0.21,
+        the rim then following the count of syncs."""
+        orders = self._rim_orders(monkeypatch, 96, 16, 0.1, (0.2, 0.1, 0.05, 0.025))
+        assert min(orders) >= 0.75
+
+    def test_final_rim_converges_at_second_order(self, monkeypatch):
+        """The 128x32 benchmark oval (9 tip nodes) run over a tau-span of
+        0.2 at CFL 0.2, 0.1 and 0.05: measured order 2.99, and 2.70 on to
+        CFL 0.025.  With the tip's rows v >= theta held over the step and
+        rebuilt from the graph after it, this case gives 1.09."""
+        orders = self._rim_orders(monkeypatch, 128, 32, 0.2, (0.2, 0.1, 0.05))
+        assert orders[0] >= 1.8
 
 
 # ---------------------------------------------------------------------------
@@ -1478,4 +1555,4 @@ class TestZoomedTip:
         assert st.tip_radius().min() > 0.0
         rho, Z = zoomed_tip(st)
         assert np.all(Z[0, :] == 0.0)
-        assert Z.shape == (17, g.n_phi)
+        assert Z.shape == st.tip.values.shape == (len(rho), g.n_phi)
