@@ -504,11 +504,9 @@ class FlowHistory:
         self._times.append(state.time)
         self._states.append(state)
 
-    def state_at(self, t):
-        """State at time t: a stored snapshot at its own time, else the
-        linear blend of the two around t, which must share a grid.  When
-        both carry the signed squared profile, that is what is blended
-        and the profile is its clamped square root."""
+    def _bracket(self, t):
+        """(k, lam) with time t the blend (1 - lam) t_k + lam t_(k+1) of
+        two snapshots, lam in [0, 1], or (0, 0.0) for a single one."""
         t = float(t)
         ts = self._times
         if not ts:
@@ -518,37 +516,57 @@ class FlowHistory:
                 f"time {t:.6g} outside history [{ts[0]:.6g}, {ts[-1]:.6g}]"
             )
         if len(ts) == 1:
-            return self._states[0]
+            return 0, 0.0
         k = min(max(bisect_left(ts, t) - 1, 0), len(ts) - 2)
-        s0, s1 = self._states[k], self._states[k + 1]
         lam = (t - ts[k]) / (ts[k + 1] - ts[k])
-        lam = min(max(lam, 0.0), 1.0)
+        return k, min(max(lam, 0.0), 1.0)
+
+    def _blend(self, t, k, lam):
+        """Profile field at time t of the bracket (k, lam): a snapshot's own
+        at lam 0 or 1, else the blend of the two, which must share a grid.
+        When both carry the signed squared profile, that is what is
+        blended and the profile is its clamped square root."""
         if lam in (0.0, 1.0):
-            return replace(s1 if lam else s0, time=t)
-        if s0.v.grid != s1.v.grid:
+            return self._states[k + 1 if lam else k].v
+        v0, v1 = self._states[k].v, self._states[k + 1].v
+        if v0.grid != v1.grid:
+            ts = self._times
             raise ShapeError(
                 f"snapshots at t={ts[k]:.6g} and t={ts[k + 1]:.6g} lie on "
                 f"different grids; time {t:.6g} cannot blend them"
             )
-        if s0.v.w_signed is not None and s1.v.w_signed is not None:
-            v = ScalarField.from_square(
-                s0.v.grid, (1.0 - lam) * s0.v.w_signed + lam * s1.v.w_signed)
-        else:
-            v = ScalarField(s0.v.grid, (1.0 - lam) * s0.v.values + lam * s1.v.values,
-                            copy=False)
+        if v0.w_signed is not None and v1.w_signed is not None:
+            return ScalarField.from_square(
+                v0.grid, (1.0 - lam) * v0.w_signed + lam * v1.w_signed)
+        return ScalarField(v0.grid, (1.0 - lam) * v0.values + lam * v1.values, copy=False)
+
+    def state_at(self, t):
+        """State at time t: a stored snapshot at its own time, else the
+        linear blend of the two around t, whose profile is at(t)."""
+        k, lam = self._bracket(t)
+        if len(self._times) == 1:
+            return self._states[0]
+        s0, s1 = self._states[k], self._states[k + 1]
+        if lam in (0.0, 1.0):
+            return replace(s1 if lam else s0, time=float(t))
+        v = self._blend(t, k, lam)
         tip = None
         if s0.tip is not None and s1.tip is not None:
             tip = TipField((1.0 - lam) * s0.tip.values + lam * s1.tip.values,
                            s0.tip.theta)
-        return replace(s0, time=t, v=v, tip=tip)
+        return replace(s0, time=float(t), v=v, tip=tip)
 
     def at(self, t):
-        return self.state_at(t).v
+        """Profile field at time t, state_at(t).v without the rest of the
+        state: a stored snapshot's own field, else the blend of the two
+        around t, the signed squares when both carry them."""
+        return self._blend(t, *self._bracket(t))
 
     def sample(self, r, phi, tau):
         """Profile at time tau at the polar points (r, phi), which broadcast
-        together, read by grid.resample on the field's grid.  Points past
-        its radius read the boundary ring, with a warning beyond roundoff."""
+        together, read by grid.resample on the field of at(tau).  Points
+        past its radius read the boundary ring, with a warning beyond
+        roundoff."""
         src = self.at(tau)
         g = src.grid
         beyond = np.broadcast_to(r > g.y_max * (1.0 + 1.0e-12), np.broadcast(r, phi).shape)

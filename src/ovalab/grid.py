@@ -39,9 +39,11 @@ rings stay exactly constant.  This module is the only one that calls
 np.fft.
 
 The module also owns what every layer shares: the cutoff scale THETA,
-the Gaussian pairing PolarGrid.pair (the only reader of the weights) and
-the squared profile W = v^2, read with its outside continuation by
-signed_square and written as a field by ScalarField.from_square.
+the Gaussian pairing PolarGrid.pair (the only reader of the weights),
+which pairs a field with one array or with a stack of them in one
+product, and the squared profile W = v^2, read with its outside
+continuation by signed_square and written as a field by
+ScalarField.from_square.
 """
 
 import functools
@@ -169,8 +171,15 @@ class PolarGrid:
         return (self.n_r + 1, self.n_phi)
 
     def pair(self, F, G):
-        """Gaussian pairing sum(weights F G) of two arrays on the grid."""
-        return float(np.sum(self.weights * F * G))
+        """Gaussian pairing sum(weights F G) of two arrays on the grid.
+
+        F is an (n_r+1, n_phi) array.  A G of the same shape gives one
+        float; a stack G of shape (m, n_r+1, n_phi) gives its m pairings
+        as an array, from one product of the flattened stack with
+        weights F."""
+        if np.ndim(G) == 2:
+            return float(np.sum(self.weights * F * G))
+        return G.reshape(len(G), -1) @ (self.weights * F).ravel()
 
     def radial_derivative(self, values, order):
         """radial_stencil of the grid's first rows, four or more, from the

@@ -18,8 +18,9 @@ and the profile transforms as
 
     v'(y, tau) = (1+b) v((R_(-phi) y - a)/(1+b), (1+Gamma) tau).
 
-psi2 over (b, Gamma) and psi4 over (a, b, Gamma) are rows of one
-locked pairing vector, and solve_psi runs one Newton loop for both.
+psi2 over (b, Gamma) and psi4 over (a, b, Gamma) share one locked
+pairing, and each map pairs only its own rows: modes 0 and 3 for psi2,
+0 to 3 for psi4.  solve_psi runs one Newton loop for both.
 The mode picks the map with its finite-difference steps, the paper's
 determinant-sign test (two-param only) and the closing rotation
 (four-param only).
@@ -224,27 +225,28 @@ def transform_full(history, a, b, Gamma, phi_rot, tau0):
 # pairing maps
 
 
-def _locked_pairings(history, tau0, rows, transform, *args):
-    """Rows of the pairings of transform(history, *args, tau0), with the
-    y^2 - 4 row (row 3) measured against the locked inward slope
-    -1/(sqrt(8)|tau0|)."""
+def _locked_pairings(history, tau0, modes, transform, *args):
+    """Pairings of transform(history, *args, tau0) with the basis modes
+    the slice modes picks, and with no others; a slice keeps their stack
+    a view.  The last is y^2 - 4 (mode 3), measured against the locked
+    inward slope -1/(sqrt(8)|tau0|)."""
     field = transform(history, *args, tau0)
     basis = get_basis(field.grid)
-    p = pairings(truncated_deviation(field), basis)
-    p[3] += basis.normsq[3] / (SQRT8 * abs(tau0))
-    return p[rows]
+    p = field.grid.pair(truncated_deviation(field), basis.functions[modes])
+    p[-1] += basis.normsq[3] / (SQRT8 * abs(tau0))
+    return p
 
 
 def psi2(history, tau0, b, Gamma):
     """Two centering conditions: the constant pairing of the deviation
-    and the locked quadratic pairing."""
-    return _locked_pairings(history, tau0, [0, 3], transform_profile, b, Gamma)
+    and the locked quadratic pairing, modes 0 and 3 alone."""
+    return _locked_pairings(history, tau0, slice(0, 4, 3), transform_profile, b, Gamma)
 
 
 def psi4(history, tau0, a, b, Gamma):
     """Four centering conditions: the two of psi2 plus the translation
     pairings against y cos phi and y sin phi, all at phi_rot = 0."""
-    return _locked_pairings(history, tau0, [0, 1, 2, 3], transform_full,
+    return _locked_pairings(history, tau0, slice(0, 4), transform_full,
                             a, b, Gamma, 0.0)
 
 
@@ -316,31 +318,9 @@ def _fd_jacobian(F, x, steps):
     return np.column_stack(cols)
 
 
-def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
-    """Damped Newton search for the canonical zero of the pairing map.
-
-    Two-param mode solves psi2 over (b, Gamma); four-param mode solves
-    psi4 over (a1, a2, b, Gamma) and then fixes the rotation by the
-    closed-form half-angle.  Newton stops once |psi| < PSI_TOL.
-    Iterates are confined to the box
-    |tau0|^2 b^2 + Gamma^2 <= 100 kappa^2 with kappa measured from the
-    history.  A nonpositive psi2 Jacobian determinant inside the box,
-    or a singular Jacobian in either mode, is a degeneracy; running
-    past max_iter exhausts the budget.  A trial point whose time
-    (1 + Gamma) tau0 the history does not hold raises the history's
-    CoverageError, which names the time asked for and the span held.
-    """
-    F, steps = _pairing_map(history, tau0, mode)
-    kappa = max(measure_kappa(history, tau0), 1.0e-8)
-    radius_sq = 100.0 * kappa**2
-
-    dim = len(steps)
-    x = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
-    if x.shape != (dim,):
-        raise ParameterError(f"start must have {dim} components")
-    if not _in_box(x, tau0, radius_sq):
-        raise ParameterError("start lies outside the search box")
-
+def _newton(F, x, steps, mode, tau0, radius_sq, max_iter):
+    """The damped Newton loop of solve_psi from x: returns the point where
+    |F| < PSI_TOL, every iterate inside the box of squared radius radius_sq."""
     res = F(x)
     for _ in range(max_iter):
         if float(np.linalg.norm(res)) < PSI_TOL:
@@ -376,6 +356,43 @@ def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
             f"no convergence in {max_iter} Newton iterations "
             f"(|psi| = {float(np.linalg.norm(res)):.3g})"
         )
+    return x
+
+
+def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
+    """Damped Newton search for the canonical zero of the pairing map.
+
+    Two-param mode solves psi2 over (b, Gamma); four-param mode solves
+    psi4 over (a1, a2, b, Gamma) and then fixes the rotation by the
+    closed-form half-angle.  Newton stops once |psi| < PSI_TOL.
+    Iterates are confined to the box
+    |tau0|^2 b^2 + Gamma^2 <= 100 kappa^2 with kappa measured from the
+    history.  A nonpositive psi2 Jacobian determinant inside the box,
+    or a singular Jacobian in either mode, is a degeneracy; running
+    past max_iter exhausts the budget.  A trial point whose time
+    (1 + Gamma) tau0 the history does not hold raises the history's
+    CoverageError, which names the time asked for and the span held.
+    Each of these errors keeps its type, and its text goes on to name
+    kappa and the box radius.
+    """
+    F, steps = _pairing_map(history, tau0, mode)
+    kappa = max(measure_kappa(history, tau0), 1.0e-8)
+    radius_sq = 100.0 * kappa**2
+
+    dim = len(steps)
+    x = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
+    if x.shape != (dim,):
+        raise ParameterError(f"start must have {dim} components")
+    if not _in_box(x, tau0, radius_sq):
+        raise ParameterError("start lies outside the search box")
+
+    try:
+        x = _newton(F, x, steps, mode, tau0, radius_sq, max_iter)
+    except (BudgetError, CoverageError, DegeneracyError) as err:
+        raise type(err)(
+            f"{err}; at tau0={tau0:g}, kappa = {kappa:.3g} and the search box "
+            f"tau0^2 b^2 + Gamma^2 <= r^2 has radius r = 10 kappa = {10.0 * kappa:.3g}"
+        ) from err
 
     if mode == TWO_PARAM:
         return TransformParams.from_renormalized(tau0, b=x[0], Gamma=x[1])

@@ -104,13 +104,19 @@ def truncated_deviation(field):
     """u = chi(v) (v - sqrt(2)): the same cutoff scales both the profile
     and the constant, so the static bubble sheet maps to exactly zero and
     the cap region (where the graph turns vertical) drops out instead of
-    polluting the Gaussian pairings."""
-    return cutoff_profile(field.values) * (field.values - SQRT2)
+    polluting the Gaussian pairings.  chi is exactly 1 from (7/8) THETA
+    up, so it is evaluated only on the nodes below."""
+    v = field.values
+    u = v - SQRT2
+    low = v < 0.875 * THETA
+    u[low] *= cutoff_profile(v[low])
+    return u
 
 
 def pairings(u, basis):
-    """Gaussian pairings <u, e_k> of an array with the six modes of basis."""
-    return np.array([basis.grid.pair(u, f) for f in basis.functions])
+    """Gaussian pairings <u, e_k> of an array with the six modes of basis,
+    one stacked PolarGrid.pair."""
+    return basis.grid.pair(u, basis.functions)
 
 
 def quadratic_distance(field, tau):

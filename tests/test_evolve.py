@@ -1113,6 +1113,25 @@ class TestRunHistory:
         hist.append(FlowState(time=1.0, v=sphere_field(g), renormalized=False))
         assert hist.times.tolist() == [1.0]
 
+    @pytest.mark.parametrize("signed", [True, False], ids=["w_signed", "values"])
+    def test_at_is_the_profile_of_state_at(self, signed):
+        """at(t) blends the profile alone, as state_at(t) does for its
+        field, so the two agree bit for bit: between two snapshots, on a
+        snapshot, and with or without the signed squares."""
+        g = build_grid(16, 8, 3.0)
+        hist = FlowHistory()
+        for t, c in ((0.0, 1.0), (0.3, 4.0), (1.0, 2.0)):
+            w = _sphere_w(g, c / 6.0)
+            v = _signed_field(g, w) if signed else ScalarField(g, np.sqrt(np.maximum(w, 0.0)))
+            hist.append(FlowState(time=t, v=v))
+        for t in (0.1, 0.3, 0.65, 1.0):
+            got, want = hist.at(t), hist.state_at(t).v
+            assert got.grid == want.grid
+            assert got.values.tobytes() == want.values.tobytes()
+            assert (got.w_signed is None) == (want.w_signed is None) == (not signed)
+            if signed:
+                assert got.w_signed.tobytes() == want.w_signed.tobytes()
+
     def test_blend_reads_the_profile_off_the_blended_square(self):
         """Between two snapshots with signed squared profiles W = c - y^2,
         c = 1 and 4, the midpoint blends W to 2.5 - y^2 and the profile

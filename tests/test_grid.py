@@ -29,6 +29,7 @@ from ovalab.grid import (
     resample,
     save_field,
 )
+from ovalab.shrinkers import normal_form_field
 
 M0, M1, M2, M3 = 2.0, 8.0, 64.0, 768.0          # radial moments k = 0..3
 IP_CONST = 4.0 * math.pi                        # <1, 1>
@@ -105,6 +106,28 @@ def test_mixed_width_pairing():
     a = ScalarField(g, y * y * np.cos(2 * p) * np.ones(g.shape))
     b = ScalarField(g, (y * y * np.cos(p) ** 2 - 2.0) * np.ones(g.shape))
     assert abs(inner_product_H(a, b) - 32 * math.pi) / (32 * math.pi) < 1e-3
+
+
+@pytest.mark.parametrize("n_r, n_phi, y_max", [(192, 24, 18.0), (64, 16, 10.0)])
+@pytest.mark.parametrize("which", ["random", "normal form"])
+def test_stacked_pair_matches_the_pairing_of_each_array(n_r, n_phi, y_max, which):
+    """PolarGrid.pair of a field with a stack of arrays, one product,
+    gives each array's own pairing to 1e-13 of the Cauchy-Schwarz scale
+    |F| |G_k|, for the six modes and three random arrays.  Pairing with
+    one array stays the quadrature sum, a float."""
+    g = build_grid(n_r, n_phi, y_max)
+    rng = np.random.default_rng(17)
+    F = (rng.normal(size=g.shape) if which == "random"
+         else normal_form_field(g, -50.0).values)
+    stack = np.concatenate([np.stack(list(_eigenfunctions(g).values())),
+                            rng.normal(size=(3, *g.shape))])
+    got = g.pair(F, stack)
+    want = np.array([g.pair(F, G) for G in stack])
+    scale = np.sqrt(g.pair(F, F) * np.array([g.pair(G, G) for G in stack]))
+    assert got.shape == (len(stack),)
+    assert np.all(np.abs(got - want) <= 1.0e-13 * scale)
+    one = g.pair(F, stack[3])
+    assert type(one) is float and one == float(np.sum(g.weights * F * stack[3]))
 
 
 def _smooth_field(g):

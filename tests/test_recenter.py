@@ -7,6 +7,7 @@ O(h^2) level.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -239,6 +240,18 @@ def test_psi4_parity_and_reduction(base):
     assert p4[3] == pytest.approx(p2[1], abs=1.0e-13)
 
 
+@pytest.mark.parametrize("b, Gamma", [(0.0, 0.0), (-8.0e-4, -2.9e-2), (1.0e-3, 1.0e-2)])
+def test_psi4_at_zero_translation_is_psi2(grid, b, Gamma):
+    """Each map pairs only its own modes, and at zero translation psi4's
+    rows 0 and 3 are psi2, on a shifted closed-form history whose
+    pairings do not vanish."""
+    H = shifted_history(grid, 8.0e-4, 3.0e-2)
+    p2 = psi2(H, TAU0, b, Gamma)
+    p4 = psi4(H, TAU0, (0.0, 0.0), b, Gamma)
+    assert p2.shape == (2,) and p4.shape == (4,)
+    assert np.abs(p4[[0, 3]] - p2).max() <= 1.0e-10
+
+
 def test_psi4_expansion_structure(base):
     """First component per unit norm is sqrt(2) b - |a|^2/(sqrt8 |tau|
     (1+Gamma)) up to O(b/|tau|) corrections."""
@@ -355,15 +368,16 @@ def test_solver_four_param_round_trip(grid):
     assert sol.phi_rot == 0.0
 
 
-def test_solver_degeneracy_detection(grid):
-    # outward-quadratic profile reverses the Gamma response, flipping
-    # the Jacobian determinant sign
-    def fn(y, phi, tau):
-        return SQRT2 + (y**2 - 4.0) / (SQRT8 * abs(tau)) + 0.0 * phi
+def _outward_history(grid):
+    """The outward-quadratic profile, which reverses the Gamma response
+    and so flips the sign of the psi2 Jacobian determinant."""
+    return SyntheticHistory(lambda y, phi, tau: SQRT2 + (y**2 - 4.0) / (SQRT8 * abs(tau)),
+                            grid, (TAU0 * 1.25, TAU0 * 0.75))
 
-    H = SyntheticHistory(fn, grid, (TAU0 * 1.25, TAU0 * 0.75))
+
+def test_solver_degeneracy_detection(grid):
     with pytest.raises(DegeneracyError):
-        solve_psi(H, TAU0)
+        solve_psi(_outward_history(grid), TAU0)
     # a constant profile ignores translation and time dilation, so three
     # columns of the psi4 Jacobian vanish and the Newton solve is singular
     flat = SyntheticHistory(lambda y, phi, tau: SQRT2 + 0.0 * y + 0.0 * phi,
@@ -405,15 +419,21 @@ def test_solver_budget_and_guards(grid, base):
         solve_psi(base, TAU0, start=np.array([10.0, 10.0]))
 
 
+def _short_history(grid):
+    """A recorded history of three snapshots 0.5 apart around TAU0."""
+    H = shifted_history(grid, 0.0, -3.0e-2)
+    hist = FlowHistory()
+    for tau in (TAU0 - 0.5, TAU0, TAU0 + 0.5):
+        hist.append(FlowState(time=tau, v=H.at(tau), renormalized=True))
+    return hist
+
+
 @pytest.mark.filterwarnings("ignore:.*clamped to the boundary ring")
 def test_solver_reports_the_time_its_first_step_leaves(grid, monkeypatch):
     """A Newton trial outside a recorded history raises that history's
     CoverageError at once, naming the span it holds; it is not halved
     back inside and reported as a spent budget."""
-    H = shifted_history(grid, 0.0, -3.0e-2)
-    hist = FlowHistory()
-    for tau in (TAU0 - 0.5, TAU0, TAU0 + 0.5):
-        hist.append(FlowState(time=tau, v=H.at(tau), renormalized=True))
+    hist = _short_history(grid)
     calls = []
     inner = recenter.psi2
 
@@ -427,6 +447,25 @@ def test_solver_reports_the_time_its_first_step_leaves(grid, monkeypatch):
         solve_psi(hist, TAU0)
     # the start residual, two calls per Jacobian column and one trial
     assert len(calls) == 6
+
+
+@pytest.mark.filterwarnings("ignore:.*clamped to the boundary ring")
+@pytest.mark.parametrize("error, history, max_iter, first", [
+    (CoverageError, _short_history, 50, r"time \S+ outside history \[-100\.5, -99\.5\]"),
+    (DegeneracyError, _outward_history, 50, r"psi2 Jacobian determinant \S+ <= 0"),
+    (BudgetError, lambda g: shifted_history(g, 8.0e-4, 3.0e-2), 0, r"no convergence in 0"),
+], ids=["coverage", "degeneracy", "budget"])
+def test_solver_errors_name_kappa_and_the_box(grid, error, history, max_iter, first):
+    """A refusal of solve_psi keeps its type and its own text first, then
+    names kappa and the radius 10 kappa of the search box."""
+    H = history(grid)
+    kappa = max(measure_kappa(H, TAU0), 1.0e-8)
+    with pytest.raises(error) as info:
+        solve_psi(H, TAU0, max_iter=max_iter)
+    assert type(info.value) is error
+    assert re.match(first, str(info.value))
+    assert (f"; at tau0=-100, kappa = {kappa:.3g} and the search box tau0^2 b^2 + "
+            f"Gamma^2 <= r^2 has radius r = 10 kappa = {10.0 * kappa:.3g}") in str(info.value)
 
 
 def test_synthetic_history_span(grid):

@@ -32,6 +32,7 @@ from ovalab.spectral import (
     spectral_report,
     sym2_eigenvalues,
     truncate,
+    truncated_deviation,
     width_ratio,
 )
 
@@ -94,6 +95,20 @@ def test_truncate_plateaus_and_monotonicity():
     assert chi.min() == 0.0 and chi.max() == 1.0
     assert np.all(chi[ramp <= 0.625 * THETA] == 0.0)
     assert np.all(chi[ramp >= 0.875 * THETA] == 1.0)
+
+
+def test_truncated_deviation_is_the_cutoff_times_the_deviation():
+    """truncated_deviation skips the cutoff where it is exactly 1, and is
+    bit for bit cutoff_profile(v) (v - sqrt(2)): on a ramp through the
+    band, at v = 0 and at 5/8 and 7/8 theta and their neighbouring floats."""
+    g = build_grid(64, 16, 10.0)
+    edges = [0.0, 0.625 * THETA, 0.875 * THETA]
+    marks = edges + [np.nextafter(e, s) for e in edges[1:] for s in (0.0, 1.0)]
+    v = np.linspace(0.0, 2.0 * SQRT2, g.shape[0] * g.shape[1]).reshape(g.shape)
+    v.flat[:len(marks)] = marks
+    got = truncated_deviation(ScalarField(g, v))
+    want = cutoff_profile(v) * (v - SQRT2)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_project_bubble_sheet_is_zero(fine_grid):
