@@ -214,7 +214,7 @@ class CollarReport:
     nodes: int
 
 
-def collar_deviation(field, tau, L=10.0):
+def collar_deviation(field, tau, L):
     """Sup of |y (v^2)_y + 4| over the band L/sqrt(|tau|) <= v <= 2 THETA.
 
     Near-Gaussian collars make the combination vanish; spheres fail it
@@ -242,7 +242,7 @@ def collar_deviation(field, tau, L=10.0):
     )
 
 
-def cylindrical_estimate(field, tau, L=10.0):
+def cylindrical_estimate(field, tau, L):
     """Largest |v^(k+l-1) y^(-k) d_phi^k d_y^l v| for 1 <= k+l <= 2
     over the region v >= L/sqrt(|tau|).
 

@@ -2,7 +2,7 @@
 
 Two coordinate patches mirror the geometry: the profile v(y, phi) as a
 graph over the symmetry plane wherever v is not too small, and the
-per-angle inverse profile Y(v, phi) on a tip patch v in [0, 2 theta]
+per-angle inverse profile Y(v, phi) on a tip patch v in [0, 2 THETA]
 where the v-graph degenerates.  The renormalized graph equation is
 
     v_tau = quasilinear(v) - (1/2) y v_y + v/2 - 1/v,
@@ -30,13 +30,14 @@ ring transform of a body node reaches: rows past them are neither
 stepped nor filtered, and carried over unchanged.
 
 The tip patch steps Y(v, phi) by the inverse-profile equation of
-rhs_renormalized_Y.  A tip table is (values, theta) and takes its nodes
-from grid.tip_nodes, as a PolarGrid is (n_r, n_phi, y_max), so neither
-patch is ever handed a node array.  Coupling runs one way: the graph
+rhs_renormalized_Y.  A tip table is just its values, its n rows at
+grid.tip_nodes(n), as a PolarGrid is (n_r, n_phi, y_max), so neither
+patch is ever handed a node array; it hands over at the grid.THETA of
+the spectral cutoff and the collar band.  Coupling runs one way: the graph
 never reads the tip, and needs no boundary values from it, because its
 equation is regular through the rim and the continuation outside the
 body is its own.  So the graph steps first, and over the step the tip
-rows with v >= theta follow it: they move at the constant rate that
+rows with v >= THETA follow it: they move at the constant rate that
 carries them to the new graph's inversion, and end on it.  Both patches
 step explicitly under a parabolic CFL bound from their radial spacing,
 in second-order Runge-Kutta-Legendre (RKL2) super-steps of one routine,
@@ -54,7 +55,6 @@ march through _march, which retries a rejected step at half the step
 and stops at t_end, at death or at the resolution floor.
 """
 
-import copy
 import functools
 import json
 import math
@@ -101,7 +101,7 @@ V_FLOOR = 1.0e-6
 CFL = 0.2
 # largest stretch of one tip super-step, (s^2 + s - 2)/4 at s = 3 stages,
 # and so the bound on (dy/dv)^2 that sets the default tip spacing.  On the
-# 128x32 benchmark oval over tau -20 -> -19.75, with the rows v >= theta
+# 128x32 benchmark oval over tau -20 -> -19.75, with the rows v >= THETA
 # following the graph, the tip table's time error against a CFL 0.025 run
 # is 1.19e-5 with the default 9 nodes (3 right-hand-side calls per step);
 # four-stage super-steps (stretch 4.5) give 1.19e-5 with 11 nodes (4 calls),
@@ -115,20 +115,19 @@ _TIP_STRETCH = 2.5
 
 class TipField:
     """Per-angle inverse profile Y(v, phi), a 2-d table of values whose n
-    rows sit at v_nodes = grid.tip_nodes(n, theta) in [0, 2 theta].  An
-    entry that is not finite and positive raises DomainError.
+    rows sit at v_nodes = grid.tip_nodes(n) in [0, 2 THETA].  An entry
+    that is not finite and positive raises DomainError.
 
     The smooth-tip boundary condition Y_v(0, phi) = 0 is built into the
     reflection stencils rather than stored.  Y decreasing in v holds for
     convex bodies and is monitored, not enforced.
     """
 
-    def __init__(self, values, theta):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        self.theta = float(theta)
         if self.values.ndim != 2:
             raise ParameterError("tip value table must be 2-d")
-        self.v_nodes = tip_nodes(self.values.shape[0], self.theta)
+        self.v_nodes = tip_nodes(self.values.shape[0])
         if not np.all((self.values > 0.0) & (self.values < np.inf)):
             raise DomainError("tip radius table must be finite and positive")
 
@@ -155,33 +154,31 @@ class TipField:
         return v.reshape(y.shape)[()]
 
     @classmethod
-    def from_profile(cls, field, theta=THETA, n_nodes=None):
+    def from_profile(cls, field, n_nodes=None):
         """Build the table by monotone inversion of v near the rim: the
         squared profile read by signed_square, inverted at the tip nodes
         by _invert_w, which raises DegeneracyError where that fails.
-        grid.tip_nodes raises ParameterError for n_nodes or theta it
-        cannot lay out.
+        grid.tip_nodes raises ParameterError for an n_nodes it cannot lay
+        out.
 
         Without n_nodes the spacing follows the graph's: the table takes
         the most nodes whose spacing dv keeps the tip's step ratio
-        (dy/dv)^2 within _TIP_STRETCH, with theta on a node.  So n - 1 is
-        the largest even integer <= 2 theta sqrt(_TIP_STRETCH) / dy, and 4
+        (dy/dv)^2 within _TIP_STRETCH, with THETA on a node.  So n - 1 is
+        the largest even integer <= 2 THETA sqrt(_TIP_STRETCH) / dy, and 4
         at least, and the tip crosses each cfl_dt graph step in one
-        three-stage super-step."""
+        three-stage super-step.  Half the peak takes THETA's place if it
+        is lower, so a body too small for the tip lays out few nodes."""
         W = signed_square(field)
         if n_nodes is None:
-            gate("theta of the tip nodes", theta, "(0, inf)", ParameterError)
-            # a ceiling 2 theta above the peak is refused by _invert_w, so
-            # the count never lays out more nodes than the peak's
-            reach = min(theta, 0.5 * math.sqrt(max(float(W.max()), 0.0)))
+            reach = min(THETA, 0.5 * math.sqrt(max(float(W.max()), 0.0)))
             n_nodes = 1 + 2 * max(2, int(reach * math.sqrt(_TIP_STRETCH) / field.grid.dy))
-        return cls(_invert_w(W, field.grid, tip_nodes(n_nodes, theta)), theta)
+        return cls(_invert_w(W, field.grid, tip_nodes(n_nodes)))
 
     def save(self, path):
         _write_table(
             path,
             f"v_nodes={len(self.v_nodes)} phi_nodes={self.n_phi} "
-            f"theta={self.theta:.17g}",
+            f"theta={THETA:.17g}",
             self.v_nodes,
             2.0 * math.pi * np.arange(self.n_phi) / self.n_phi,
             self.values,
@@ -189,26 +186,30 @@ class TipField:
 
     @classmethod
     def load(cls, path):
-        """Read a table written by save; stored nodes that are not the
-        header's tip_nodes(v_nodes, theta) raise ParameterError."""
-        theta, values = _read_table(path, "tip", lambda m: (
-            tip_nodes(int(m["v_nodes"]), float(m["theta"])), float(m["theta"])))
-        return cls(values, theta)
+        """Read a table written by save.  A header theta other than THETA
+        or stored nodes that are not the header's tip_nodes(v_nodes) raise
+        ParameterError naming the file."""
+        def header(m):
+            if float(m["theta"]) != THETA:
+                raise ParameterError(f"theta={m['theta']} is not THETA: rows off the tip nodes")
+            return tip_nodes(int(m["v_nodes"])), None
+        return cls(_read_table(path, "tip", header)[1])
 
 
-def rhs_renormalized_Y(tip):
-    """Right-hand side of the inverse-profile equation on the tip patch.
+def rhs_renormalized_Y(Y):
+    """Right-hand side of the inverse-profile equation on the tip table
+    values Y, whose n rows sit at grid.tip_nodes(n); Y <= 0 is a DomainError.
 
     Y_v and Y_vv are grid.radial_stencil's, with the even reflection
     Y(-v) = Y(v) as the row below the tip.  The (1/v) Y_v factor is
     regular at the tip: by that reflection Y_v / v -> Y_vv at v = 0.
     """
-    Y = tip.values
     if np.any(Y <= 0.0):
         raise DomainError("tip radius must stay positive")
-    v = tip.v_nodes[:, None]
-    Yv = radial_stencil(Y, tip.dv, Y[1], 1)
-    Yvv = radial_stencil(Y, tip.dv, Y[1], 2)
+    v = tip_nodes(Y.shape[0])[:, None]
+    dv = v[1, 0]
+    Yv = radial_stencil(Y, dv, Y[1], 1)
+    Yvv = radial_stencil(Y, dv, Y[1], 2)
     Yp, Ypp, Yvp = angular_derivs(Y, Yv)
 
     den = Y**2 * (1.0 + Yv**2) + Yp**2
@@ -277,10 +278,11 @@ def _filter_w(W):
 class FlowState:
     """One snapshot of the evolving surface in either time gauge.
 
-    theta is the tip patch's handover level, its tip's own when it has
-    one, and L the collar scale of the run.  No package computation reads
-    L: step, state_at and save_dir/load_dir carry it, while collar_deviation
-    and cylindrical_estimate take their own L.
+    A tip needs the renormalized gauge (or ParameterError) and the
+    graph's angles (or ShapeError); theta admits grid.THETA alone.  L is
+    the collar scale of the run, which step, state_at and save_dir/load_dir
+    carry and no computation reads: collar_deviation and
+    cylindrical_estimate take their own L.
     """
 
     time: float
@@ -292,11 +294,16 @@ class FlowState:
 
     def __post_init__(self):
         gate("state time", self.time, "(-inf, inf)", ParameterError)
-        gate("state theta", self.theta, "(0, inf)", ParameterError)
-        gate("state L", self.L, "(0, inf)", ParameterError)
-        if self.tip is not None and self.tip.theta != self.theta:
+        if self.theta != THETA:
             raise ParameterError(
-                f"state theta={self.theta:g} is not its tip's theta={self.tip.theta:g}")
+                f"state theta must be finite and equal to grid.THETA={THETA:g}, got {self.theta}")
+        gate("state L", self.L, "(0, inf)", ParameterError)
+        if self.tip is not None:
+            if not self.renormalized:
+                raise ParameterError("tip patch requires the renormalized gauge")
+            if self.tip.n_phi != self.v.grid.n_phi:
+                raise ShapeError(f"tip table of {self.tip.n_phi} angles on a graph of "
+                                 f"{self.v.grid.n_phi}")
 
     @property
     def tau(self):
@@ -351,7 +358,8 @@ def _substep_tip(tip, dtau, outer_end):
     The last len(outer_end) rows are not stepped by their own right-hand
     side: every stage gives them the constant rate that carries them to
     outer_end over dtau, which RKL2 integrates exactly, and they end on
-    outer_end.  A tip stepped alone passes a table of no rows."""
+    outer_end.  A tip stepped alone passes a table of no rows.  Only
+    rhs_renormalized_Y checks the bare stage arrays for Y > 0."""
     ratio = dtau / (CFL * tip.dv**2)
     m = max(1, math.ceil(ratio / _TIP_STRETCH))
     s = 2
@@ -359,12 +367,9 @@ def _substep_tip(tip, dtau, outer_end):
         s += 1
     i = tip.values.shape[0] - outer_end.shape[0]
     rate = (outer_end - tip.values[i:]) / dtau
-    # stages share one table object, so only rhs_renormalized_Y checks Y > 0
-    stage = copy.copy(tip)
 
     def rhs(Y):
-        stage.values = Y
-        out = rhs_renormalized_Y(stage)
+        out = rhs_renormalized_Y(Y)
         out[i:] = rate
         return out
 
@@ -372,7 +377,7 @@ def _substep_tip(tip, dtau, outer_end):
     for _ in range(m):
         Y = _rkl2(Y, dtau / m, s, rhs, lambda Y: Y)
     Y[i:] = outer_end
-    return TipField(Y, tip.theta)
+    return TipField(Y)
 
 
 def _interp_columns(x, xp, fp):
@@ -438,7 +443,7 @@ def step(state, dtau):
     The graph step and its filter see only the rows up to the outermost
     rim + 2 (four at least); rows past them are carried over unchanged.
 
-    The tip rows with v >= theta follow the graph over the step: the new
+    The tip rows with v >= THETA follow the graph over the step: the new
     graph is inverted there once by _invert_w, and _substep_tip carries
     those rows to that table at a constant rate and ends them on it, so
     inverting the new graph again gives them bit for bit.  The graph's W
@@ -463,9 +468,7 @@ def step(state, dtau):
     _filter_w(W[:k])
     new_tip = state.tip
     if new_tip is not None:
-        if not state.renormalized:
-            raise ParameterError("tip patch requires the renormalized gauge")
-        outer = new_tip.v_nodes >= new_tip.theta - 1.0e-12
+        outer = new_tip.v_nodes >= THETA - 1.0e-12
         new_tip = _substep_tip(new_tip, dtau, _invert_w(W, g, new_tip.v_nodes[outer]))
     return replace(state, time=state.time + dtau, v=ScalarField.from_square(g, W), tip=new_tip)
 
@@ -552,8 +555,7 @@ class FlowHistory:
         v = self._blend(t, k, lam)
         tip = None
         if s0.tip is not None and s1.tip is not None:
-            tip = TipField((1.0 - lam) * s0.tip.values + lam * s1.tip.values,
-                           s0.tip.theta)
+            tip = TipField((1.0 - lam) * s0.tip.values + lam * s1.tip.values)
         return replace(s0, time=float(t), v=v, tip=tip)
 
     def at(self, t):
@@ -586,7 +588,6 @@ class FlowHistory:
                 "time": t,
                 "field": name + ".csv",
                 "renormalized": st.renormalized,
-                "theta": st.theta,
                 "L": st.L,
             }
             if st.tip is not None:
@@ -601,7 +602,7 @@ class FlowHistory:
         """Read a history written by save_dir.  An index that is not JSON
         or not a list of entries, or an entry without its field name, with
         a field or tip name that is not a string, a missing or non-boolean
-        renormalized flag, a missing or non-numeric time, theta or L or a
+        renormalized flag, a missing or non-numeric time or L or a
         non-finite time, raises ParameterError naming the index file."""
         where = os.path.join(path, "history.json")
         with open(where) as fh:
@@ -613,7 +614,7 @@ class FlowHistory:
             raise ParameterError(f"{where}: index must be a list of snapshots")
         try:
             entries = [(float(e["time"]), e["field"], e.get("tip"),
-                        e["renormalized"], float(e["theta"]), float(e["L"]))
+                        e["renormalized"], float(e["L"]))
                        for e in index]
         except (KeyError, TypeError, ValueError) as err:
             raise ParameterError(
@@ -628,14 +629,13 @@ class FlowHistory:
             gate(f"{where}: snapshot time", e[0], "(-inf, inf)", ParameterError)
         hist = cls()
         grid = None
-        for time, field, tip, renormalized, theta, L in entries:
+        for time, field, tip, renormalized, L in entries:
             # snapshots on one grid share its object
             f = load_field(os.path.join(path, field), grid=grid)
             grid = f.grid
             if tip is not None:
                 tip = TipField.load(os.path.join(path, tip))
-            hist.append(FlowState(time=time, v=f, tip=tip, renormalized=renormalized,
-                                  theta=theta, L=L))
+            hist.append(FlowState(time=time, v=f, tip=tip, renormalized=renormalized, L=L))
         return hist
 
 
@@ -798,19 +798,17 @@ def renormalize(field, t, t_e, grid_out=None):
     return ScalarField.from_square(grid_out, rebuild_halo(w_out, grid_out)), tau
 
 
-def renormalized_state(field, t, t_e, L=10.0, grid_out=None):
-    """Renormalize and attach a freshly inverted tip patch at THETA, with
+def renormalized_state(field, t, t_e, grid_out=None):
+    """Renormalize and attach a freshly inverted tip patch, with
     from_profile's default node count."""
     v, tau = renormalize(field, t, t_e, grid_out=grid_out)
-    return FlowState(time=tau, v=v, tip=TipField.from_profile(v),
-                     renormalized=True, L=L)
+    return FlowState(time=tau, v=v, tip=TipField.from_profile(v), renormalized=True)
 
 
-def zoomed_tip(state, j=None):
+def zoomed_tip(state):
     """Zoomed tip profile Z(rho) = sqrt(|tau|) (Y(rho/sqrt(|tau|)) - Y(0)).
 
-    Returns (rho, Z) with Z of shape (n_nodes, n_angles); j selects a
-    single angle column.
+    Returns (rho, Z) with Z of shape (n_nodes, n_angles).
     """
     if state.tip is None:
         raise ParameterError("state has no tip patch")
@@ -818,6 +816,4 @@ def zoomed_tip(state, j=None):
     s = math.sqrt(abs(tau))
     rho = s * state.tip.v_nodes
     Z = s * (state.tip.values - state.tip.values[0:1, :])
-    if j is not None:
-        Z = Z[:, j]
     return rho, Z

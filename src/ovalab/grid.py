@@ -15,7 +15,7 @@ orthogonal in the continuum and a lot of the mode bookkeeping assumes
 the discrete version agrees.
 
 Nodes are laid out here alone, uniform from 0: a PolarGrid from
-(n_r, n_phi, y_max), a tip table of evolve by tip_nodes(n, theta).
+(n_r, n_phi, y_max), a tip table of evolve by tip_nodes(n) on [0, 2 THETA].
 radial_stencil is the one radial finite-difference stencil: centred
 three-point differences with a caller's mirror row at -h, and one-sided
 four-point ones at the outer row.  The graph mirrors through the pole,
@@ -57,8 +57,9 @@ from .errors import ParameterError, ShapeError, gate
 
 _erf = np.vectorize(math.erf, otypes=[float])
 
-# cutoff scale theta: the truncated deviation ramps in on [5/8, 7/8] theta,
-# the collar band is v <= 2 theta and the tip patch covers v in [0, 2 theta]
+# the one cutoff scale theta, not an option of any layer: the truncated
+# deviation ramps in on [5/8, 7/8] theta, the collar band is v <= 2 theta,
+# and the tip patch covers v in [0, 2 theta] and hands over at theta
 THETA = 0.2
 
 
@@ -83,14 +84,12 @@ def _hat_weights(nodes, j0, j1):
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def tip_nodes(n, theta):
-    """The read-only nodes linspace(0, 2 theta, n) of a tip table.  A
-    count that is not an integer of at least 4, or theta outside
-    (0, inf), raises ParameterError."""
+def tip_nodes(n):
+    """The read-only nodes linspace(0, 2 THETA, n) of a tip table.  A
+    count that is not an integer of at least 4 raises ParameterError."""
     if not (isinstance(n, Integral) and n >= 4):
         raise ParameterError(f"tip nodes need an integer count >= 4, got {n!r}")
-    gate("theta of the tip nodes", theta, "(0, inf)", ParameterError)
-    nodes = np.linspace(0.0, 2.0 * theta, n)
+    nodes = np.linspace(0.0, 2.0 * THETA, n)
     nodes.setflags(write=False)
     return nodes
 

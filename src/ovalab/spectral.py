@@ -165,7 +165,6 @@ class SpectralReport:
     """Spectral snapshot of one profile field at renormalized time tau."""
 
     tau: float
-    theta: float
     coeffs: tuple
     alpha: tuple
     S: float
@@ -178,7 +177,7 @@ class SpectralReport:
     def as_dict(self):
         return {
             "tau": self.tau,
-            "theta": self.theta,
+            "theta": THETA,
             "coefficients": dict(zip(MODE_NAMES, self.coeffs)),
             "alpha": list(self.alpha),
             "S": self.S,
@@ -214,7 +213,6 @@ def spectral_report(field, tau):
     resid = ScalarField(field.grid, u - recon, copy=False)
     return SpectralReport(
         tau=float(tau),
-        theta=THETA,
         coeffs=tuple(float(x) for x in c),
         alpha=tuple(float(x) for x in a),
         S=S,

@@ -60,7 +60,7 @@ def quadratic_profile_field(grid, tau):
 
 def plain_state(field, tau):
     return FlowState(
-        time=tau, v=field, tip=None, renormalized=True, theta=THETA, L=10.0
+        time=tau, v=field, tip=None, renormalized=True, L=10.0
     )
 
 
@@ -105,14 +105,13 @@ def test_tip_distance_vanishes_against_the_generating_bowl():
     v_nodes = np.linspace(0.0, 2.0 * THETA, 33)
     s = math.sqrt(-tau)  # the bowl cap matched at tau: Z(s v) / s
     Y = math.sqrt(2.0 * -tau) + bowl(s * v_nodes) / s
-    tip = TipField(Y[:, None] * np.ones((1, 16)), THETA)
+    tip = TipField(Y[:, None] * np.ones((1, 16)))
     g = build_grid(64, 16, 10.0)
     st = FlowState(
         time=tau,
         v=normal_form_field(g, tau),
         tip=tip,
         renormalized=True,
-        theta=THETA,
         L=10.0,
     )
     rep = asymptotics_report(st, 0.25, bowl=bowl)
@@ -135,7 +134,7 @@ def test_asymptotics_guard_rails():
     with pytest.raises(CoverageError):
         asymptotics_report(st, 0.05)  # needs y_max >= 20
     fwd = FlowState(
-        time=1.0, v=st.v, tip=None, renormalized=True, theta=THETA, L=10.0
+        time=1.0, v=st.v, tip=None, renormalized=True, L=10.0
     )
     with pytest.raises(ParameterError):
         asymptotics_report(fwd, 0.25)
@@ -245,7 +244,7 @@ def test_collar_deviation_on_the_quadratic_profile():
     tau = -2000.0
     g = build_grid(768, 16, math.sqrt(-tau) * 1.43)
     f = quadratic_profile_field(g, tau)
-    rep = collar_deviation(f, tau)
+    rep = collar_deviation(f, tau, 10.0)
     v = f.values[:, 0]
     band = (v >= 10.0 / math.sqrt(-tau)) & (v <= 2.0 * THETA)
     expected = np.abs(4.0 - 2.0 * g.y[band] ** 2 / -tau).max()
@@ -259,13 +258,13 @@ def test_collar_deviation_flags_the_sphere(tmp_path):
     # sits, a loud failure compared with the quadratic profile
     g = build_grid(256, 16, 3.2)
     f = sphere_field(g)
-    rep = collar_deviation(f, -3000.0)
+    rep = collar_deviation(f, -3000.0, 10.0)
     assert rep.deviation > 7.0
     # the band reaches the rim row, so a field read back from disk has
     # to see the same continuation of W there
     path = os.path.join(tmp_path, "sphere.csv")
     save_field(f, path)
-    back = collar_deviation(load_field(path), -3000.0)
+    back = collar_deviation(load_field(path), -3000.0, 10.0)
     assert abs(back.deviation - rep.deviation) < 1.0e-12
 
 
@@ -273,14 +272,14 @@ def test_collar_guards():
     g = build_grid(64, 8, 3.2)
     f = sphere_field(g)
     with pytest.raises(ParameterError):
-        collar_deviation(f, 0.0)
+        collar_deviation(f, 0.0, 10.0)
     with pytest.raises(CoverageError):
-        collar_deviation(f, -4.0)  # band [5, 0.4] is empty
+        collar_deviation(f, -4.0, 10.0)  # band [5, 0.4] is empty
 
 
 def test_cylindrical_estimate_vanishes_on_the_product_soliton():
     f = bubble_sheet_field(build_grid(128, 32, 9.0))
-    assert cylindrical_estimate(f, -100.0) < 1.0e-13
+    assert cylindrical_estimate(f, -100.0, 10.0) < 1.0e-13
 
 
 def test_cylindrical_estimate_frozen_and_bounded():
@@ -289,7 +288,7 @@ def test_cylindrical_estimate_frozen_and_bounded():
     vals = {}
     for tau in (-100.0, -200.0, -400.0):
         g = build_grid(512, 32, math.sqrt(-tau) * 1.40)
-        est = cylindrical_estimate(quadratic_profile_field(g, tau), tau)
+        est = cylindrical_estimate(quadratic_profile_field(g, tau), tau, 10.0)
         vals[tau] = est
         assert est < SQRT2 / 10.0
     assert vals[-100.0] == pytest.approx(0.1014487691, abs=1.0e-8)
@@ -299,9 +298,9 @@ def test_cylindrical_estimate_frozen_and_bounded():
 def test_cylindrical_estimate_empty_region():
     g = build_grid(64, 8, 3.2)
     with pytest.raises(CoverageError):
-        cylindrical_estimate(sphere_field(g), -1.0)
+        cylindrical_estimate(sphere_field(g), -1.0, 10.0)
     with pytest.raises(ParameterError):
-        cylindrical_estimate(sphere_field(g), 0.0)
+        cylindrical_estimate(sphere_field(g), 0.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +450,6 @@ def test_density_profile_along_a_sphere_flow():
         v=sphere_field(g),
         tip=None,
         renormalized=False,
-        theta=THETA,
         L=10.0,
     )
     hist = run(st, -0.9, snapshot_every=0.025)

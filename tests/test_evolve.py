@@ -81,10 +81,10 @@ def _wobble_sphere(grid, eps=0.12):
     return _signed_field(grid, w)
 
 
-def _saved_nodes(path, v_nodes):
-    """Write a positive table on the given nodes under a theta = 0.2
-    header and read it back."""
-    _write_table(path, f"v_nodes={len(v_nodes)} phi_nodes=8 theta=0.2", v_nodes,
+def _saved_nodes(path, v_nodes, theta=THETA):
+    """Write a positive table on the given nodes under a header of the
+    given theta and read it back."""
+    _write_table(path, f"v_nodes={len(v_nodes)} phi_nodes=8 theta={theta}", v_nodes,
                  2.0 * math.pi * np.arange(8) / 8, np.ones((len(v_nodes), 8)))
     return TipField.load(path)
 
@@ -96,14 +96,14 @@ def _saved_nodes(path, v_nodes):
 class TestTipField:
     def test_from_profile_matches_exact_sphere(self):
         g = build_grid(192, 48, 3.2)
-        tip = TipField.from_profile(sphere_field(g), theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(sphere_field(g), n_nodes=17)
         exact = np.sqrt(6.0 - tip.v_nodes[:, None] ** 2)
         assert np.abs(tip.values - exact).max() < 1.0e-4
         assert tip.monotone()
 
     def test_profile_at_inverts_columns(self):
         g = build_grid(192, 48, 3.2)
-        tip = TipField.from_profile(sphere_field(g), theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(sphere_field(g), n_nodes=17)
         for j in (0, 11):
             ys = tip.values[2:-2, j]
             back = tip.profile_at(ys, j)
@@ -111,17 +111,16 @@ class TestTipField:
 
     def test_save_load_roundtrip(self, tmp_path):
         g = build_grid(160, 32, 3.2)
-        tip = TipField.from_profile(_wobble_sphere(g), theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(_wobble_sphere(g), n_nodes=17)
         path = os.path.join(tmp_path, "tip.csv")
         tip.save(path)
         back = TipField.load(path)
         assert np.array_equal(back.v_nodes, tip.v_nodes)
         assert np.abs(back.values - tip.values).max() < 1.0e-14
-        assert back.theta == tip.theta
 
     def test_truncated_table_rejected(self, tmp_path):
         g = build_grid(160, 32, 3.2)
-        tip = TipField.from_profile(_wobble_sphere(g), theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(_wobble_sphere(g), n_nodes=17)
         path = os.path.join(tmp_path, "tip.csv")
         tip.save(path)
         with open(path) as fh:
@@ -140,7 +139,7 @@ class TestTipField:
     ], ids=["no-theta", "phi-nodes-four", "four-fields", "non-numeric", "nan"])
     def test_malformed_table_is_a_parameter_error(self, tmp_path, line, edit):
         g = build_grid(160, 32, 3.2)
-        tip = TipField.from_profile(_wobble_sphere(g), theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(_wobble_sphere(g), n_nodes=17)
         path = os.path.join(tmp_path, "tip.csv")
         tip.save(path)
         with open(path) as fh:
@@ -160,7 +159,7 @@ class TestTipField:
         order; a table with two rows swapped would put radii at the wrong
         nodes."""
         g = build_grid(160, 32, 3.2)
-        tip = TipField.from_profile(_wobble_sphere(g), theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(_wobble_sphere(g), n_nodes=17)
         path = os.path.join(tmp_path, "tip.csv")
         tip.save(path)
         with open(path) as fh:
@@ -181,17 +180,18 @@ class TestTipField:
                                            n_nodes=3),
         lambda path: TipField.from_profile(sphere_field(build_grid(64, 8, 3.2)),
                                            n_nodes=16.5),
-        lambda path: TipField(np.ones((3, 8)), 0.2),
-        *[lambda path, theta=theta: TipField(np.ones((9, 8)), theta)
-          for theta in (0.0, -0.2, math.inf, math.nan)],
+        lambda path: TipField(np.ones((3, 8))),
+        *[lambda path, theta=theta: _saved_nodes(path, tip_nodes(17), theta)
+          for theta in (0.0, -0.2, math.inf, math.nan, 0.25)],
     ], ids=["offset", "decreasing", "stretched", "three-stored", "three-inverted",
             "fractional-count", "three-built", "theta-0", "theta-negative",
-            "theta-inf", "theta-nan"])
+            "theta-inf", "theta-nan", "theta-other"])
     def test_bad_nodes_are_a_parameter_error(self, tmp_path, make):
         """The tip stencils need 4 or more uniform nodes up from v = 0: a
-        table takes grid.tip_nodes(n, theta), which refuses a count below
-        4 or not an integer and a theta outside (0, inf), and a stored
-        node column must be those nodes."""
+        table takes grid.tip_nodes(n), which refuses a count below 4 or
+        not an integer, and a stored node column must be those nodes.  A
+        stored header whose theta is not THETA names other nodes than the
+        table's, so it is refused whatever the rows hold."""
         path = os.path.join(tmp_path, "tip.csv")
         with pytest.raises(ParameterError, match="tip nodes") as exc:
             make(path)
@@ -207,19 +207,19 @@ class TestTipField:
         g = build_grid(96, 32, 3.0)
         w = (0.09 - g.y[:, None] ** 2 / 50.0) * np.ones((1, 32))
         with pytest.raises(DegeneracyError):
-            TipField.from_profile(_signed_field(g, w), theta=0.2)
+            TipField.from_profile(_signed_field(g, w))
 
     def test_far_ceiling_lays_out_no_more_nodes_than_the_peak(self, monkeypatch):
-        """theta = 1e6 is refused as a DegeneracyError, with the default
-        count taken at half the profile's peak 0.3, 15 nodes: taken at
-        theta, it would lay out about 1e8 nodes before the refusal."""
+        """A body of peak 0.3, below the ceiling 2 THETA, is refused as a
+        DegeneracyError, with the default count taken at half its peak,
+        15 nodes, not at THETA: the count follows the peak, so a small
+        body on a fine grid lays out no more nodes than its own."""
         g = build_grid(96, 32, 3.0)
         w = (0.09 - g.y[:, None] ** 2 / 50.0) * np.ones((1, 32))
         counts = []
-        monkeypatch.setattr(evolve, "tip_nodes",
-                            lambda n, theta: counts.append(n) or tip_nodes(n, theta))
+        monkeypatch.setattr(evolve, "tip_nodes", lambda n: counts.append(n) or tip_nodes(n))
         with pytest.raises(DegeneracyError):
-            TipField.from_profile(_signed_field(g, w), theta=1.0e6)
+            TipField.from_profile(_signed_field(g, w))
         assert counts == [15]
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -0.1],
@@ -228,19 +228,19 @@ class TestTipField:
         bad = np.ones((9, 8))
         bad[3, 2] = entry
         with pytest.raises(DomainError):
-            TipField(bad, 0.2)
+            TipField(bad)
 
     def test_saved_table_format(self, tmp_path):
         path = os.path.join(tmp_path, "tip.csv")
-        TipField(np.full((4, 4), 1.5), 0.25).save(path)
+        TipField(np.full((4, 4), 1.5)).save(path)
         with open(path) as fh:
             assert fh.readlines()[:6] == [
-                "# v_nodes=4 phi_nodes=4 theta=0.25\n",
+                "# v_nodes=4 phi_nodes=4 theta=0.20000000000000001\n",
                 "0, 0, 0, 0, 1.5\n",
                 "0, 1, 0, 1.5707963267948966, 1.5\n",
                 "0, 2, 0, 3.1415926535897931, 1.5\n",
                 "0, 3, 0, 4.7123889803846897, 1.5\n",
-                "1, 0, 0.16666666666666666, 0, 1.5\n",
+                "1, 0, 0.13333333333333333, 0, 1.5\n",
             ]
 
 
@@ -316,37 +316,36 @@ class TestWRHS:
 class TestTipRHS:
     def test_sphere_inverse_stationary(self):
         v_nodes = np.linspace(0.0, 0.4, 17)
-        tip = TipField(np.sqrt(6.0 - v_nodes[:, None] ** 2) * np.ones((1, 48)), 0.2)
-        assert np.abs(rhs_renormalized_Y(tip)).max() < 5.0e-4
+        Y = np.sqrt(6.0 - v_nodes[:, None] ** 2) * np.ones((1, 48))
+        assert np.abs(rhs_renormalized_Y(Y)).max() < 5.0e-4
 
     def test_positive_radius_enforced(self):
-        tip = TipField(np.full((9, 8), 2.0), 0.2)
-        tip.values[4, 4] = -1.0
+        Y = np.full((9, 8), 2.0)
+        Y[4, 4] = -1.0
         with pytest.raises(DomainError):
-            rhs_renormalized_Y(tip)
+            rhs_renormalized_Y(Y)
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(
         n_nodes=st.integers(4, 40),
         n_phi=st.sampled_from([4, 8, 16, 48]),
-        top=st.floats(0.05, 1.0),
         base=st.floats(0.3, 3.0),
         slope=st.floats(0.0, 2.0),
         wobble=st.floats(0.0, 0.2),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_stencil_bitwise_equal_to_hand_written(
-        self, n_nodes, n_phi, top, base, slope, wobble, seed
+        self, n_nodes, n_phi, base, slope, wobble, seed
     ):
         """The tip takes its radial derivatives from grid.radial_stencil;
         on random positive tables the right-hand side is bit for bit the
         one of the hand-written tip stencil it replaced (_rhs_Y_loop)."""
-        v_nodes = np.linspace(0.0, top, n_nodes)
+        v_nodes = tip_nodes(n_nodes)
         rng = np.random.default_rng(seed)
         Y = (base - slope * v_nodes[:, None] ** 2) * np.ones((1, n_phi))
         Y = np.abs(Y) * (1.0 + wobble * rng.uniform(-1.0, 1.0, Y.shape)) + 0.01
-        tip = TipField(Y, 0.5 * top)
-        assert np.array_equal(rhs_renormalized_Y(tip), _rhs_Y_loop(tip))
+        tip = TipField(Y)
+        assert np.array_equal(rhs_renormalized_Y(Y), _rhs_Y_loop(tip))
 
     def test_inverse_identities_second_order(self):
         """Graph and tip describe one surface: the inverse-function
@@ -363,7 +362,7 @@ class TestTipRHS:
             w = 6.0 - yy**2 * (1.0 + eps * np.cos(2.0 * pp))
             v_nodes = np.linspace(0.0, 0.4, n_nodes)
             shade = 1.0 + eps * np.cos(2.0 * g.phi)
-            tip = TipField(np.sqrt((6.0 - v_nodes[:, None] ** 2) / shade[None, :]), 0.2)
+            tip = TipField(np.sqrt((6.0 - v_nodes[:, None] ** 2) / shade[None, :]))
             dv = tip.dv
             Y = tip.values
             Yv = np.gradient(Y, dv, axis=0)
@@ -403,9 +402,9 @@ class TestTipRHS:
 # the vectorized code has to reproduce them bit for bit.
 
 
-def _from_profile_loop(field, theta=THETA, n_nodes=17):
+def _from_profile_loop(field, n_nodes=17):
     g = field.grid
-    v_nodes = np.linspace(0.0, 2.0 * theta, n_nodes)
+    v_nodes = np.linspace(0.0, 2.0 * THETA, n_nodes)
     w_levels = v_nodes**2
     w = signed_square(field)
     vals = np.empty((n_nodes, g.n_phi))
@@ -416,7 +415,7 @@ def _from_profile_loop(field, theta=THETA, n_nodes=17):
         if tail[0] <= w_levels[-1]:
             raise DegeneracyError(
                 f"profile max {math.sqrt(max(tail[0], 0)):.4g} at angle "
-                f"{j} does not reach the tip-patch ceiling {2 * theta:.4g}"
+                f"{j} does not reach the tip-patch ceiling {2 * THETA:.4g}"
             )
         if tail[-1] > w_levels[0]:
             raise DegeneracyError(f"rim not contained in grid at angle {j}")
@@ -486,7 +485,7 @@ class TestTipStep:
     the fewest stages s whose stretch (s^2 + s - 2)/4 of CFL dv^2 covers
     dtau / m, with m = ceil(dtau / (2.5 CFL dv^2)).  The default table's
     spacing keeps dtau = cfl_dt within one three-stage super-step, and in
-    a step the rows v >= theta follow the graph instead of their own
+    a step the rows v >= THETA follow the graph instead of their own
     right-hand side."""
 
     def test_time_convergence_second_order(self):
@@ -498,11 +497,11 @@ class TestTipStep:
         exceeds 2.5 CFL dv^2, so halving a longer graph step halves only
         the count of equal super-steps; the three-stage polynomial is
         checked on the linear equation below."""
-        v = tip_nodes(17, 0.2)[:, None]
+        v = tip_nodes(17)[:, None]
         phi = 2.0 * math.pi * np.arange(16) / 16
         Y0 = (np.sqrt((6.0 - v**2) / (1.0 + 0.3 * np.cos(2.0 * phi)))
               * (1.0 + 0.1 * np.cos(4.0 * phi)))
-        tip = TipField(Y0, 0.2)
+        tip = TipField(Y0)
         span = 8 * 0.9 * evolve.CFL * tip.dv**2
 
         def march(k):
@@ -527,10 +526,10 @@ class TestTipStep:
         the stretch (s^2 + s - 2)/4 promises."""
         edge = (s * s + s - 2) / 2.0
         z = np.concatenate((-np.geomspace(1.0e-3, 0.1, 8), -np.linspace(0.1, edge, 64)))
-        tip = TipField(np.ones((4, z.size)), 0.2)
+        tip = TipField(np.ones((4, z.size)))
         dtau = ratio * evolve.CFL * tip.dv**2
         lam = m * z / dtau
-        monkeypatch.setattr(evolve, "rhs_renormalized_Y", lambda t: lam * t.values)
+        monkeypatch.setattr(evolve, "rhs_renormalized_Y", lambda Y: lam * Y)
         calls = _counting_rhs(monkeypatch)
         R = _step_alone(tip, dtau).values[0]
         assert len(calls) == m * s
@@ -540,16 +539,16 @@ class TestTipStep:
 
     def test_long_step_keeps_the_stationary_table(self):
         """One step of 40 CFL dv^2, sixteen three-stage super-steps, on
-        Y = sqrt(6 - v^2) moves the rows below theta by no more than the
+        Y = sqrt(6 - v^2) moves the rows below THETA by no more than the
         span times the table's right-hand-side bound.
 
-        In a coupled step the rows at and above theta follow the graph
+        In a coupled step the rows at and above THETA follow the graph
         instead.  Stepped alone, the outer row on its one-sided stencil
         moves at a mean rate of 1.211e-3 over this step, with explicit
         midpoint substeps of CFL dv^2 as with the super-steps; the rows
-        at and above theta are held to that."""
-        v_nodes = tip_nodes(17, 0.2)
-        tip = TipField(np.sqrt(6.0 - v_nodes[:, None] ** 2) * np.ones((1, 48)), 0.2)
+        at and above THETA are held to that."""
+        v_nodes = tip_nodes(17)
+        tip = TipField(np.sqrt(6.0 - v_nodes[:, None] ** 2) * np.ones((1, 48)))
         span = 40.0 * evolve.CFL * tip.dv**2
         moved = _step_alone(tip, span).values - tip.values
         assert np.abs(moved[v_nodes < 0.2]).max() <= span * 5.0e-4
@@ -571,14 +570,14 @@ class TestTipStep:
                                                      (128, 32, 9), (256, 64, 17)])
     def test_default_spacing_follows_the_graph(self, n_r, n_phi, n_nodes):
         """The default table on each benchmark oval has the most nodes
-        whose step ratio (dy/dv)^2 stays within _TIP_STRETCH, with theta
+        whose step ratio (dy/dv)^2 stays within _TIP_STRETCH, with THETA
         on a node: two nodes more would pass it."""
         st = _benchmark_oval(n_r, n_phi)
         tip, dy = st.tip, st.v.grid.dy
         assert tip.values.shape == (n_nodes, n_phi)
         assert (dy / tip.dv) ** 2 <= evolve._TIP_STRETCH
-        assert (dy / tip_nodes(n_nodes + 2, tip.theta)[1]) ** 2 > evolve._TIP_STRETCH
-        assert tip.v_nodes[(n_nodes - 1) // 2] == tip.theta
+        assert (dy / tip_nodes(n_nodes + 2)[1]) ** 2 > evolve._TIP_STRETCH
+        assert tip.v_nodes[(n_nodes - 1) // 2] == THETA
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_tip_table_halves_the_step(self, monkeypatch):
@@ -587,7 +586,7 @@ class TestTipStep:
         injected inf compute with it, hence the ignored warnings.)"""
         st = _benchmark_oval(64, 16)
         dt = cfl_dt(st.v.grid)
-        calls = _counting_rhs(monkeypatch, first=lambda t: np.full_like(t.values, np.inf))
+        calls = _counting_rhs(monkeypatch, first=lambda Y: np.full_like(Y, np.inf))
         out = evolve._march_step(st, dt)
         assert len(calls) > 1
         assert out.time == st.time + 0.5 * dt
@@ -603,13 +602,12 @@ class TestWholeTableTip:
         eps=st.floats(0.0, 0.08),
         phase=st.floats(0.0, 2.0 * math.pi),
         signed=st.booleans(),
-        theta=st.sampled_from([0.1, 0.2, 0.3]),
         n_nodes=st.sampled_from([9, 17, 33]),
         bump=st.floats(0.0, 0.02),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bitwise_equal_to_per_angle_loops(
-        self, x0, y0, a, eps, phase, signed, theta, n_nodes, bump, seed
+        self, x0, y0, a, eps, phase, signed, n_nodes, bump, seed
     ):
         """Off-centre ellipse with an m = 3 wobble, given with or without
         its signed continuation.  The inverted table is then shaken so
@@ -624,32 +622,32 @@ class TestWholeTableTip:
             + eps * yy**3 * np.cos(3.0 * (pp - phase))
         )
         f = _signed_field(g, w) if signed else ScalarField(g, np.sqrt(np.maximum(w, 0.0)))
-        tip = TipField.from_profile(f, theta=theta, n_nodes=n_nodes)
-        assert np.array_equal(tip.values, _from_profile_loop(f, theta, n_nodes))
+        tip = TipField.from_profile(f, n_nodes=n_nodes)
+        assert np.array_equal(tip.values, _from_profile_loop(f, n_nodes))
 
         rng = np.random.default_rng(seed)
         shaken = tip.values * (1.0 + bump * rng.uniform(-1.0, 1.0, tip.values.shape))
         on_node = rng.random(shaken.shape) < 0.2
         nearest = np.abs(g.y[:, None, None] - shaken[None]).argmin(axis=0)
         shaken = np.where(on_node, g.y[nearest], shaken)
-        for table in (tip, TipField(shaken, theta)):
-            assert np.array_equal(rhs_renormalized_Y(table), _rhs_Y_loop(table))
+        for table in (tip, TipField(shaken)):
+            assert np.array_equal(rhs_renormalized_Y(table.values), _rhs_Y_loop(table))
 
     def test_outer_rows_move_on_a_line_to_the_graph(self, monkeypatch):
-        """_substep_tip hands every stage the rows v >= theta on the line
+        """_substep_tip hands every stage the rows v >= THETA on the line
         from their start to the given end table, at one fraction of the
         way for all of them, and ends them on that table bit for bit; the
         rows below take their own right-hand side."""
         tip = _benchmark_oval(128, 32).tip
-        outer = tip.v_nodes >= tip.theta
+        outer = tip.v_nodes >= THETA
         assert 0 < outer.sum() < len(outer)
         end = 1.01 * tip.values[outer]
         stages = []
         inner = evolve.rhs_renormalized_Y
 
-        def recorded(table):
-            stages.append(table.values.copy())
-            return inner(table)
+        def recorded(Y):
+            stages.append(Y.copy())
+            return inner(Y)
 
         monkeypatch.setattr(evolve, "rhs_renormalized_Y", recorded)
         out = evolve._substep_tip(tip, 2.0 * evolve.CFL * tip.dv**2, end)
@@ -696,17 +694,17 @@ class TestWholeTableTip:
 
 
 class TestOneWaySeam:
-    """The tip reads its rows v >= theta from the graph, and the graph
+    """The tip reads its rows v >= THETA from the graph, and the graph
     never reads the tip, so a sync is a projection."""
 
     def test_syncing_a_synced_state_leaves_the_tip(self):
         """The benchmark oval after one step, its new graph inverted again
-        at the tip's rows v >= theta: those rows come back bit for bit.
+        at the tip's rows v >= THETA: those rows come back bit for bit.
         A seam that also blends the tip into the graph moves them by
         1.4e-4."""
         st = _benchmark_oval(64, 16)
         st = step(st, cfl_dt(st.v.grid))
-        outer = st.tip.v_nodes >= st.tip.theta
+        outer = st.tip.v_nodes >= THETA
         again = evolve._invert_w(signed_square(st.v), st.v.grid, st.tip.v_nodes[outer])
         assert np.array_equal(again, st.tip.values[outer])
 
@@ -736,7 +734,7 @@ class TestOneWaySeam:
         """The 96x16 benchmark oval (7 tip nodes) run over a tau-span of
         0.1 at CFL 0.2, 0.1, 0.05 and 0.025: the final tip radius settles
         as the step shrinks.  Measured orders of its Cauchy differences
-        3.58 and 1.04.  With the tip's rows v >= theta held over the step
+        3.58 and 1.04.  With the tip's rows v >= THETA held over the step
         and rebuilt from the graph after it, 17 nodes gave 0.92 and 1.24;
         a seam that also blends the tip into the graph gave 0.18 and 0.21,
         the rim then following the count of syncs."""
@@ -746,7 +744,7 @@ class TestOneWaySeam:
     def test_final_rim_converges_at_second_order(self, monkeypatch):
         """The 128x32 benchmark oval (9 tip nodes) run over a tau-span of
         0.2 at CFL 0.2, 0.1 and 0.05: measured order 2.99, and 2.70 on to
-        CFL 0.025.  With the tip's rows v >= theta held over the step and
+        CFL 0.025.  With the tip's rows v >= THETA held over the step and
         rebuilt from the graph after it, this case gives 1.09."""
         orders = self._rim_orders(monkeypatch, 128, 32, 0.2, (0.2, 0.1, 0.05))
         assert orders[0] >= 1.8
@@ -837,7 +835,7 @@ class TestStep:
     def test_two_patch_sphere_drift(self):
         g = build_grid(192, 48, 3.2)
         f = sphere_field(g)
-        tip = TipField.from_profile(f, theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(f, n_nodes=17)
         st = FlowState(time=0.0, v=f, tip=tip, renormalized=True)
         dt = cfl_dt(g)
         for _ in range(300):
@@ -878,7 +876,7 @@ class TestStep:
     def test_z2_square_symmetry_preserved(self):
         g = build_grid(160, 48, 3.4)
         f = _wobble_sphere(g)
-        tip = TipField.from_profile(f, theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(f, n_nodes=17)
         st = FlowState(time=0.0, v=f, tip=tip, renormalized=True)
         dt = cfl_dt(g)
         for _ in range(100):
@@ -924,13 +922,13 @@ class TestStep:
     def test_overlap_round_trip_within_cells(self):
         g = build_grid(160, 48, 3.4)
         f = _wobble_sphere(g)
-        tip = TipField.from_profile(f, theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(f, n_nodes=17)
         st = FlowState(time=0.0, v=f, tip=tip, renormalized=True)
         dt = cfl_dt(g)
         for _ in range(100):
             st = step(st, dt)
-        again = TipField.from_profile(st.v, theta=0.2, n_nodes=17)
-        on = st.tip.v_nodes >= 0.2 - 1.0e-12
+        again = TipField.from_profile(st.v, n_nodes=17)
+        on = st.tip.v_nodes >= THETA - 1.0e-12
         gap = np.abs(st.tip.values[on] - again.values[on]).max()
         assert gap < 2.0 * (g.y[1] - g.y[0])
 
@@ -950,12 +948,21 @@ class TestStep:
             step(st, dt)
 
     def test_rejects_tip_in_unrescaled_gauge(self):
+        """The tip equation is the renormalized one, so a state that pairs
+        a tip with the unrescaled gauge is refused when it is built."""
         g = build_grid(160, 32, 3.2)
         f = sphere_field(g)
-        tip = TipField.from_profile(f, theta=0.2, n_nodes=17)
-        st = FlowState(time=0.0, v=f, tip=tip, renormalized=False)
-        with pytest.raises(ParameterError):
-            step(st, 1.0e-4)
+        tip = TipField.from_profile(f, n_nodes=17)
+        with pytest.raises(ParameterError, match="renormalized"):
+            FlowState(time=0.0, v=f, tip=tip, renormalized=False)
+
+    def test_rejects_tip_of_other_angles(self):
+        """A tip of 8 angles on a graph of 16 was stepped until numpy
+        refused to broadcast them; the state refuses it when built."""
+        f = sphere_field(build_grid(128, 16, 3.2))
+        tip = TipField.from_profile(sphere_field(build_grid(128, 8, 3.2)))
+        with pytest.raises(ShapeError, match="8 angles"):
+            FlowState(time=0.0, v=f, tip=tip)
 
     def test_step_size_error_suggests_half(self, monkeypatch):
         """A rejected step is retried at half the step until one is
@@ -996,8 +1003,8 @@ class TestStep:
         assert np.all(np.isfinite(out.v.w_signed))
 
     def test_tip_theta_must_match_state(self):
-        """The tip table owns the handover level; a state that names
-        another one is rejected rather than stepped."""
+        """Every tip table hands over at grid.THETA; a state that names
+        another level is rejected rather than stepped."""
         f = sphere_field(build_grid(128, 32, 3.2))
         with pytest.raises(ParameterError, match="theta"):
             FlowState(time=0.0, v=f, tip=TipField.from_profile(f), theta=0.3)
@@ -1149,7 +1156,7 @@ class TestRunHistory:
     def test_save_load_roundtrip(self, tmp_path):
         g = build_grid(128, 32, 3.2)
         f = sphere_field(g)
-        tip = TipField.from_profile(f, theta=0.2, n_nodes=17)
+        tip = TipField.from_profile(f, n_nodes=17)
         st = FlowState(time=0.0, v=f, tip=tip, renormalized=True)
         hist = run(st, 0.01, snapshot_every=0.005)
         out = os.path.join(tmp_path, "hist")
@@ -1213,7 +1220,7 @@ class TestRunHistory:
             with pytest.raises(ShapeError, match=between):
                 hist.at(t)
 
-    @pytest.mark.parametrize("case", ["no-theta", "no-time", "not-a-list", "time-soon",
+    @pytest.mark.parametrize("case", ["no-L", "no-time", "not-a-list", "time-soon",
                                       "renormalized-no", "field-5", "tip-7",
                                       "field-list", "not-json"])
     def test_bad_index_is_a_parameter_error(self, tmp_path, case):
@@ -1227,8 +1234,8 @@ class TestRunHistory:
         where = os.path.join(out, "history.json")
         with open(where) as fh:
             index = json.load(fh)
-        if case == "no-theta":
-            del index[1]["theta"]
+        if case == "no-L":
+            del index[1]["L"]
         elif case == "no-time":
             del index[0]["time"]
         elif case == "not-a-list":
@@ -1268,6 +1275,23 @@ class TestRunHistory:
         with open(where, "w") as fh:
             json.dump(index, fh)
         with pytest.raises(ParameterError, match=r"history\.json: .* must be finite"):
+            FlowHistory.load_dir(out)
+
+    def test_load_refuses_a_tip_in_the_unrescaled_gauge(self, tmp_path):
+        """An index that pairs a tip table with renormalized: false loads
+        into a state that FlowState refuses."""
+        f = sphere_field(build_grid(64, 8, 3.2))
+        hist = FlowHistory()
+        hist.append(FlowState(time=0.0, v=f, tip=TipField.from_profile(f)))
+        out = os.path.join(tmp_path, "hist")
+        hist.save_dir(out)
+        where = os.path.join(out, "history.json")
+        with open(where) as fh:
+            index = json.load(fh)
+        index[0]["renormalized"] = False
+        with open(where, "w") as fh:
+            json.dump(index, fh)
+        with pytest.raises(ParameterError, match="renormalized gauge"):
             FlowHistory.load_dir(out)
 
     def test_loaded_fields_read_the_written_squared_profile(self, tmp_path):
@@ -1555,12 +1579,12 @@ class TestZoomedTip:
         s = math.sqrt(abs(tau0))
         v_nodes = np.linspace(0.0, 0.4, 17)
         Y = 4.1 + bowl(s * v_nodes)[:, None] / s * np.ones((1, 8))
-        tip = TipField(Y, 0.2)
+        tip = TipField(Y)
         st = FlowState(time=tau0, v=bubble_sheet_field(build_grid(16, 8, 2.0)),
                        tip=tip)
-        rho, Z = zoomed_tip(st, j=0)
-        assert Z[0] == 0.0
-        assert np.abs(Z - bowl(rho)).max() < 1.0e-13
+        rho, Z = zoomed_tip(st)
+        assert Z[0, 0] == 0.0
+        assert np.abs(Z[:, 0] - bowl(rho)).max() < 1.0e-13
 
     def test_renormalized_state_attaches_tip(self, ellipsoid_lifecycle):
         spec, g, f0, res = ellipsoid_lifecycle

@@ -85,15 +85,12 @@ GATE = {
         "field": OBJECT, "tail": STR,
         "r": Float(lambda x: diagnostics.huisken_density(SPHERE, x))},
     # evolve
-    "evolve.TipField": {
-        "values": ARRAY, "theta": Float(lambda x: evolve.TipField(np.ones((5, 8)), x))},
+    "evolve.TipField": {"values": ARRAY},
     "evolve.TipField.profile_at": {"y": QUERY, "j": INT},
-    "evolve.TipField.from_profile": {
-        "field": OBJECT, "n_nodes": INT,
-        "theta": Float(lambda x: evolve.TipField.from_profile(TIP_BODY, x))},
+    "evolve.TipField.from_profile": {"field": OBJECT, "n_nodes": INT},
     "evolve.TipField.save": {"path": PATH},
     "evolve.TipField.load": {"path": PATH},
-    "evolve.rhs_renormalized_Y": {"tip": OBJECT},
+    "evolve.rhs_renormalized_Y": {"Y": ARRAY},
     "evolve.FlowState": {
         "v": OBJECT, "tip": OBJECT, "renormalized": BOOL,
         "time": Float(lambda x: evolve.FlowState(time=x, v=SPHERE)),
@@ -128,11 +125,10 @@ GATE = {
     "evolve.renormalized_state": {
         "field": OBJECT, "grid_out": OBJECT,
         "t": Float(lambda x: evolve.renormalized_state(TIP_BODY, x, 1.0)),
-        "t_e": Float(lambda x: evolve.renormalized_state(TIP_BODY, 0.0, x)),
-        "L": Float(lambda x: evolve.renormalized_state(TIP_BODY, 0.0, 1.0, x))},
-    "evolve.zoomed_tip": {"state": OBJECT, "j": INT},
+        "t_e": Float(lambda x: evolve.renormalized_state(TIP_BODY, 0.0, x))},
+    "evolve.zoomed_tip": {"state": OBJECT},
     # grid
-    "grid.tip_nodes": {"n": INT, "theta": Float(lambda x: grid.tip_nodes(5, x))},
+    "grid.tip_nodes": {"n": INT},
     "grid.radial_stencil": {
         "values": ARRAY, "mirror": ARRAY, "order": INT,
         "h": Float(lambda x: grid.radial_stencil(np.ones((5, 8)), x, np.ones(8), 1))},
@@ -268,7 +264,7 @@ GATE = {
     "spectral.bubble_sheet_Q": {
         "alpha": ARRAY, "tau": Float(lambda x: spectral.bubble_sheet_Q((1.0, 1.0, 0.0), x))},
     "spectral.sym2_eigenvalues": {"m": ARRAY},
-    "spectral.SpectralReport": _record("tau", "theta", "coeffs", "alpha", "S", "D", "xi",
+    "spectral.SpectralReport": _record("tau", "coeffs", "alpha", "S", "D", "xi",
                                        "Q", "q_eigenvalues", "residual_norm"),
     "spectral.sd_to_xi": {
         "tau": Float(lambda x: spectral.sd_to_xi(x, 0.0, 0.0)),

@@ -264,6 +264,14 @@ def test_gate_table_lists_every_public_parameter():
                               "stale in GATE": sorted(tabled - public)}
 
 
+def test_theta_is_not_a_parameter():
+    """No public callable takes theta but FlowState, which admits
+    grid.THETA alone: the tip nodes, the spectral cutoff and the collar
+    band share that one level, so no caller can set one of them apart."""
+    takers = sorted(key for key, param in _public_parameters() if param == "theta")
+    assert takers == ["evolve.FlowState"]
+
+
 def _nan_rules(path):
     """Lines of the module at path that compare a value with math.inf or
     call math.isfinite, math.isinf or math.isnan: a NaN/inf rule of its own."""
@@ -421,7 +429,7 @@ def _keyword_defaults(path):
 
 
 def test_keyword_defaults_do_not_grow():
-    """A ratchet on options: the package holds at most 27 parameter
+    """A ratchet on options: the package holds at most 22 parameter
     defaults.  Lower the bound when a change removes one."""
     count = sum(_keyword_defaults(path) for path in PACKAGE.glob("*.py"))
-    assert count <= 27, f"{count} keyword defaults in src/ovalab, at most 27 allowed"
+    assert count <= 22, f"{count} keyword defaults in src/ovalab, at most 22 allowed"

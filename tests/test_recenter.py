@@ -177,7 +177,6 @@ def test_flow_history_resampling(grid):
                 v=normal_form_field(grid, tau),
                 tip=None,
                 renormalized=True,
-                theta=0.2,
                 L=10.0,
             )
         )
