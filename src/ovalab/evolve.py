@@ -50,9 +50,18 @@ default spacing follows the graph's, the finest at which one
 three-stage super-step crosses a cfl_dt graph step.  Angular derivatives
 and the low-pass are products with ring matrices cached per n_phi, and
 radial ones come from grid.radial_stencil, so the tip table, which has
-no PolarGrid, shares both with the graph.  Both run and find_extinction
-march through _march, which retries a rejected step at half the step
-and stops at t_end, at death or at the resolution floor.
+no PolarGrid, shares both with the graph.
+
+run marches through _march, which steps at cfl_dt, retries a rejected
+step at half the step and stops at t_end, at death or at the resolution
+floor.  find_extinction first takes the resolved part of a body's life
+in _super_march's longer graph super-steps: each spans a whole number n
+of cfl_dt steps, a small share of the body's own time scale, in as many
+stages as its stretched bound needs, with the halo and the filter after
+every stage, and ends at the start plus cfl_dt added n times.  So the
+state where they stop lies on _march's own time grid, and _march takes
+the endgame from there: the death bracket, every rejection and the
+bisection are its.
 """
 
 import functools
@@ -436,6 +445,27 @@ def _invert_w(W, grid, v_levels):
     return _interp_columns(levels, tail[::-1], grid.y[::-1, None])
 
 
+def _graph_rhs(state, W0):
+    """(k, rhs): the graph's rows up to the outermost rim + 2 of W0 (four
+    at least), and _w_rhs on them with the body mask of W0."""
+    g = state.v.grid
+    k = min(max(int(rim_index(W0).max()) + 3, 4), g.n_r + 1)
+    return k, functools.partial(_w_rhs, grid=g, renormalized=state.renormalized,
+                                mask=W0[:k] > 0.0)
+
+
+def _check_graph_step(W0, W, dtau):
+    """StepSizeError where a graph step of length dtau from W0 to W has
+    turned the core negative or inflated the body."""
+    w_max = float(W0.max())
+    if np.any(W[W0 > 0.5 * w_max] < 0.0) and float(W.max()) > 0.5 * w_max:
+        raise StepSizeError(f"interior sign change at dt={dtau:.3e}")
+    # the squared profile obeys a maximum principle (growth at most e^dt
+    # in the renormalized gauge), so any faster inflation is a blown step
+    if float(W.max()) > w_max * (1.0 + 4.0 * dtau) + 1.0e-14:
+        raise StepSizeError(f"maximum principle violation at dt={dtau:.3e}")
+
+
 def step(state, dtau):
     """Advance the graph by one two-stage _rkl2 super-step, unsplit at any
     dtau, then the tip by its super-steps.
@@ -453,18 +483,10 @@ def step(state, dtau):
     gate("time step", dtau, "(0, inf)", ParameterError)
     g = state.v.grid
     W0 = signed_square(state.v)
-    k = min(max(int(rim_index(W0).max()) + 3, 4), g.n_r + 1)
-    rhs = functools.partial(_w_rhs, grid=g, renormalized=state.renormalized,
-                            mask=W0[:k] > 0.0)
+    k, rhs = _graph_rhs(state, W0)
     W = W0.copy()
     W[:k] = _rkl2(W0[:k], dtau, 2, rhs, functools.partial(rebuild_halo, grid=g))
-    w_max = float(W0.max())
-    if np.any(W[W0 > 0.5 * w_max] < 0.0) and float(W.max()) > 0.5 * w_max:
-        raise StepSizeError(f"interior sign change at dt={dtau:.3e}")
-    # the squared profile obeys a maximum principle (growth at most e^dt
-    # in the renormalized gauge), so any faster inflation is a blown step
-    if float(W.max()) > w_max * (1.0 + 4.0 * dtau) + 1.0e-14:
-        raise StepSizeError(f"maximum principle violation at dt={dtau:.3e}")
+    _check_graph_step(W0, W, dtau)
     _filter_w(W[:k])
     new_tip = state.tip
     if new_tip is not None:
@@ -603,7 +625,10 @@ class FlowHistory:
         or not a list of entries, or an entry without its field name, with
         a field or tip name that is not a string, a missing or non-boolean
         renormalized flag, a missing or non-numeric time or L or a
-        non-finite time, raises ParameterError naming the index file."""
+        non-finite time, raises ParameterError naming the index file.  An
+        entry that FlowState or the time order refuses keeps its
+        ParameterError or ShapeError, with the index file and the
+        snapshot's field name in front of the message."""
         where = os.path.join(path, "history.json")
         with open(where) as fh:
             try:
@@ -635,7 +660,10 @@ class FlowHistory:
             grid = f.grid
             if tip is not None:
                 tip = TipField.load(os.path.join(path, tip))
-            hist.append(FlowState(time=time, v=f, tip=tip, renormalized=renormalized, L=L))
+            try:
+                hist.append(FlowState(time=time, v=f, tip=tip, renormalized=renormalized, L=L))
+            except ParameterError as err:  # ShapeError included, and kept
+                raise type(err)(f"{where}: snapshot {field}: {err}") from None
         return hist
 
 
@@ -725,8 +753,84 @@ def run(state, t_end, snapshot_every=0.05):
 # extinction and renormalization
 
 
+# share of the body's own time scale T = W_max/|W_t|, read at its core,
+# that one find_extinction super-step spans.  RKL2 is second order, so the
+# shift of the death instant (bisected to rel_tol 1e-9) from the plain
+# march's grows as the square of the share: on the 96x32 reference
+# ellipsoid, in units of its lifetime, 1.1e-6 at 0.01, 1.07e-5 at 0.02 and
+# 5.8e-5 at 0.05.  The march itself moves that instant by 2.6e-4 between
+# CFL 0.2 and 0.1, and its margin to the edge of the death bracket is
+# 2.3e-4, so at 0.02 the super-steps add a twentieth of either.  The
+# sphere's shift is 0 at every share, its states being exact.
+_SUPER_SHARE = 0.02
+
+
+def _super_step(state, dt):
+    """One _rkl2 super-step of n steps dt from an unrescaled state, with a
+    rebuilt halo and _filter_w after every stage, or None where n < 2.
+
+    n = floor(_SUPER_SHARE T / dt) with T = W_max/|W_t| at the node of
+    W_max; |W_t| is read from the super-step's first stage and taken as 2
+    at least, the rate at which the maximum of W falls where the body is
+    flat, so T never exceeds the body's lifetime.  s is the fewest stages
+    with 0.9 (s^2 + s - 2)/4 >= n, the stretched bound with a 0.9 margin.
+    The end time is the start plus dt added n times, so the new state lies
+    on the time grid of a march at dt.  Returns (state, n); a rejected
+    super-step raises step's StepSizeError."""
+    g = state.v.grid
+    W0 = signed_square(state.v)
+    k, rhs = _graph_rhs(state, W0)
+    live = W0[:k]
+    f0 = rhs(live)
+    core = np.argmax(live)
+    n = int(_SUPER_SHARE * live.flat[core] / max(-f0.flat[core], 2.0) / dt)
+    if n < 2:
+        return None
+    s = 3
+    while 0.9 * (s * s + s - 2) / 4.0 < n:
+        s += 1
+
+    def after_stage(Y):
+        _filter_w(rebuild_halo(Y, g))
+        return Y
+
+    W = W0.copy()
+    # the first stage's rate is f0, already read for T
+    W[:k] = _rkl2(live, n * dt, s, lambda Y: f0 if Y is live else rhs(Y), after_stage)
+    _check_graph_step(W0, W, n * dt)
+    t = state.time
+    for _ in range(n):
+        t += dt
+    return replace(state, time=t, v=ScalarField.from_square(g, W)), n
+
+
+def _super_march(state):
+    """The resolved life of find_extinction: _super_step from state at
+    cfl_dt until the step count n falls below 2, a super-step is rejected
+    or would end dead.  Returns the last state it reached, which lies on
+    the march's time grid, and the cfl_dt steps it spans."""
+    dt = cfl_dt(state.v.grid)
+    steps = 0
+    while True:
+        try:
+            out = _super_step(state, dt)
+        except StepSizeError:
+            out = None
+        if out is None or not _alive(out[0].v):
+            return state, steps
+        state, steps = out[0], steps + out[1]
+
+
 @dataclass(frozen=True)
 class ExtinctionResult:
+    """The death bracket of find_extinction.
+
+    t_last_alive and t_first_dead bracket the collapse, t_extinct is their
+    midpoint, and steps is the number of cfl_dt steps marched up to the
+    first dead state, a super-step counting as the steps it spans and a
+    step retried at a shorter length as one.
+    """
+
     t_extinct: float
     t_last_alive: float
     t_first_dead: float
@@ -737,11 +841,15 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
     """Locate the collapse time of a compact convex body by bisection on
     the predicate "the body survives until t".
 
-    A forward march brackets the death step between the last alive
-    state and the first dead one.  Each bisection probe takes one partial
-    step from that last alive state, which is where a re-run of the march
-    would stand.  The bracket is narrowed until it is below rel_tol of the
-    elapsed lifetime (a CFL-step march usually starts below that already).
+    The resolved part of the life is taken in _super_march's RKL2
+    super-steps, each of a whole number of cfl_dt steps and a small share
+    of the body's own time scale.  They end on the time grid of a march at
+    cfl_dt, and from there _march steps at cfl_dt and brackets the death
+    step between the last alive state and the first dead one.  Each
+    bisection probe takes one partial step from that last alive state,
+    which is where a re-run of the march would stand.  The bracket is
+    narrowed until it is below rel_tol of the elapsed lifetime (a CFL-step
+    march usually starts below that already).
     """
     gate("rel_tol", rel_tol, "(0, inf)", ParameterError)
     gate("t_start", t_start, "(-inf, inf)", ParameterError)
@@ -750,8 +858,9 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
     if not _alive(initial):
         raise DomainError("initial body is already extinct")
 
-    prev = cur = FlowState(time=t_start, v=initial, tip=None, renormalized=False)
-    steps = 0
+    cur, steps = _super_march(FlowState(time=t_start, v=initial, tip=None,
+                                        renormalized=False))
+    prev = cur
     for nxt in _march(cur, math.inf):
         prev, cur = cur, nxt
         steps += 1

@@ -1291,8 +1291,29 @@ class TestRunHistory:
         index[0]["renormalized"] = False
         with open(where, "w") as fh:
             json.dump(index, fh)
-        with pytest.raises(ParameterError, match="renormalized gauge"):
+        with pytest.raises(ParameterError, match="renormalized gauge") as info:
             FlowHistory.load_dir(out)
+        assert f"{where}: snapshot snap_00000.csv: " in str(info.value)
+
+    def test_load_keeps_a_shape_refusal_and_names_the_snapshot(self, tmp_path):
+        """A tip table on other angles than its graph is refused as a
+        ShapeError, with the index file and the field name in front."""
+        g = build_grid(64, 8, 3.2)
+        hist = FlowHistory()
+        hist.append(FlowState(time=0.0, v=sphere_field(g)))
+        out = os.path.join(tmp_path, "hist")
+        hist.save_dir(out)
+        TipField.from_profile(sphere_field(build_grid(64, 16, 3.2))).save(
+            os.path.join(out, "wide_tip.csv"))
+        where = os.path.join(out, "history.json")
+        with open(where) as fh:
+            index = json.load(fh)
+        index[0]["tip"] = "wide_tip.csv"
+        with open(where, "w") as fh:
+            json.dump(index, fh)
+        with pytest.raises(ShapeError, match="16 angles on a graph of 8") as info:
+            FlowHistory.load_dir(out)
+        assert str(info.value).startswith(f"{where}: snapshot snap_00000.csv: ")
 
     def test_loaded_fields_read_the_written_squared_profile(self, tmp_path):
         """A field read back from disk has no stored continuation; the tip
@@ -1325,6 +1346,26 @@ class TestRunHistory:
 
 # ---------------------------------------------------------------------------
 # extinction and gauge change
+
+
+def _plain_march(field, t0):
+    """(t_last_alive, t_first_dead, steps) of the plain march at cfl_dt
+    from an unrescaled body at t0, which must die, not stop at the floor."""
+    prev = cur = FlowState(time=t0, v=field, renormalized=False)
+    steps = 0
+    for nxt in evolve._march(cur, math.inf):
+        prev, cur = cur, nxt
+        steps += 1
+    assert not evolve._alive(cur.v)
+    return prev.time, cur.time, steps
+
+
+def _small_ellipsoid():
+    """The reference ellipsoid (a=1/2, l=2, R=2, T=-5) on a 48x16 grid
+    tight around it: 287 steps, the first 189 in super-steps."""
+    spec = EllipsoidSpec(a=0.5, ell=2.0, radius=2.0, t_start=-5.0)
+    g = build_grid(48, 16, 1.05 * max(spec.plane_semi_axes()))
+    return ellipsoid_initial(g, spec), spec.t_start
 
 
 @pytest.fixture(scope="module")
@@ -1366,6 +1407,53 @@ class TestExtinction:
         assert res.t_extinct == pytest.approx(-3.2426, abs=0.02)
         assert res.steps == 2250
 
+    def test_super_steps_keep_the_sphere_exact_on_the_time_grid(self):
+        """Under the per-stage halo and filter, the sphere W = 6 - |y|^2
+        stays the exact state W0 - 6 (t - t0) through every super-step,
+        and the state where super-stepping stops is at t0 plus cfl_dt
+        added once per step it spans, as the plain march would reach it."""
+        g = build_grid(64, 16, 4.0)
+        w0 = _sphere_w(g)
+        t0 = -1.0
+        end, steps = evolve._super_march(
+            FlowState(time=t0, v=_signed_field(g, w0), renormalized=False))
+        dt, t = cfl_dt(g), t0
+        for _ in range(steps):
+            t += dt
+        assert steps > 1000 and end.time == t
+        W = signed_square(end.v)
+        assert W.max() < 120.0 * g.dy**2  # n < 2 from here
+        body = W > 0.0
+        assert np.abs(W - (w0 - 6.0 * (end.time - t0)))[body].max() < 1.0e-12
+
+    def test_super_steps_keep_the_plain_march_bracket(self):
+        """find_extinction's death bracket and step count are bitwise the
+        plain march's from t_start."""
+        f, t0 = _small_ellipsoid()
+        _, handed_over = evolve._super_march(FlowState(time=t0, v=f, renormalized=False))
+        assert handed_over > 0
+        res = find_extinction(f, t0, rel_tol=1.0)
+        assert (res.t_last_alive, res.t_first_dead, res.steps) == _plain_march(f, t0)
+
+    @pytest.mark.parametrize("rejected", [1, 3])
+    def test_rejected_super_step_hands_over(self, monkeypatch, rejected):
+        """A super-step that raises StepSizeError leaves the rest of the
+        life to the plain march from its start state."""
+        f, t0 = _small_ellipsoid()
+        want = _plain_march(f, t0)
+        inner, calls = evolve._super_step, []
+
+        def rejecting(state, dt):
+            calls.append(state.time)
+            if len(calls) == rejected:
+                raise StepSizeError("forced")
+            return inner(state, dt)
+
+        monkeypatch.setattr(evolve, "_super_step", rejecting)
+        res = find_extinction(f, t0, rel_tol=1.0)
+        assert len(calls) == rejected
+        assert (res.t_last_alive, res.t_first_dead, res.steps) == want
+
     def test_bisection_costs_one_step_per_halving(self, monkeypatch):
         """Each bisection probe is one partial step from the last alive
         state (plus any rejections), not a re-run of the march."""
@@ -1383,6 +1471,8 @@ class TestExtinction:
                 calls["rejected"] += 1
                 raise
 
+        # the super-steps call no step: only the march after them does
+        _, super_steps = evolve._super_march(FlowState(time=t0, v=f, renormalized=False))
         monkeypatch.setattr(evolve, "step", counting_step)
         res = find_extinction(f, t0, rel_tol=1.0e-5)
         dt = cfl_dt(g)
@@ -1390,7 +1480,8 @@ class TestExtinction:
         # ends at most one step after t_first_dead
         tol = 1.0e-5 * (res.t_first_dead - t0)
         halvings = math.ceil(math.log2(dt / tol))
-        assert calls["all"] <= res.steps + calls["rejected"] + halvings + 1
+        assert super_steps > 0
+        assert calls["all"] <= res.steps - super_steps + calls["rejected"] + halvings + 1
         assert res.t_last_alive <= res.t_extinct <= res.t_first_dead
         assert res.t_first_dead - res.t_last_alive <= tol + 1.0e-5 * dt
 
