@@ -22,9 +22,10 @@ frame-invariant, so _w_rhs is one expression over grid.frame_jet on all
 rows, the pole included.  W is the smooth variable: it crosses the free
 boundary linearly where v has a square root, every quadric model body
 is an exact polynomial state of the discrete operators, and the -1/v
-sink becomes the harmless constant -2.  Nodes outside the body hold a
-smooth continuation of W rebuilt from the interior after every stage,
-so stencils near the rim never see a cliff.  A graph step works on the
+sink becomes the harmless constant -2.  Nodes outside the body hold
+each column's quadratic continuation of W, kept nonpositive and rebuilt
+from the interior by grid.rebuild_halo after every stage, so stencils
+near the rim never see a cliff.  A graph step works on the
 rows up to the outermost rim + 2 only, the farthest that a stencil or
 ring transform of a body node reaches: rows past them are neither
 stepped nor filtered, and carried over unchanged.

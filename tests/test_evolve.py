@@ -63,6 +63,7 @@ from ovalab.shrinkers import (
 )
 from ovalab.recenter import _fd_jacobian
 from ovalab.spectral import apply_ou
+from test_grid import halo_by_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -1046,6 +1047,26 @@ class TestStep:
         assert np.array_equal(got.v.w_signed[:k], want.v.w_signed[:k])
         assert np.array_equal(got.v.w_signed[k:], junk[k:])
         assert np.array_equal(want.v.w_signed[k:], W[k:])
+
+    def test_steps_match_the_row_by_row_halo(self, monkeypatch):
+        """With the halo rebuilt one row at a time (test_grid's oracle),
+        10 coupled steps of the 48x16 benchmark oval give W and the tip
+        table to 1e-12, and find_extinction on the 48x16 reference
+        ellipsoid the same bracket and step count, bit for bit."""
+        def march():
+            st = _benchmark_oval(48, 16)
+            for _ in range(10):
+                st = step(st, cfl_dt(st.v.grid))
+            res = find_extinction(*_small_ellipsoid())
+            return st, (res.t_last_alive, res.t_first_dead, res.steps)
+
+        fast, fast_bracket = march()
+        monkeypatch.setattr(evolve, "rebuild_halo", halo_by_rows)
+        monkeypatch.setattr("ovalab.grid.rebuild_halo", halo_by_rows)
+        rows, rows_bracket = march()
+        assert np.abs(fast.v.w_signed - rows.v.w_signed).max() < 1.0e-12
+        assert np.abs(fast.tip.values - rows.tip.values).max() < 1.0e-12
+        assert fast_bracket == rows_bracket
 
 
 # ---------------------------------------------------------------------------

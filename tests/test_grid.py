@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovalab.errors import ParameterError, ShapeError
 from ovalab.grid import (
@@ -26,7 +27,9 @@ from ovalab.grid import (
     inner_product_H,
     load_field,
     radial_stencil,
+    rebuild_halo,
     resample,
+    rim_index,
     save_field,
 )
 from ovalab.shrinkers import normal_form_field
@@ -596,3 +599,122 @@ def test_resample_matches_per_column_interp_at_node_angles(n_phi):
     oracle = np.stack([np.interp(r, g.y, F[:, j]) for j in range(g.n_phi)], axis=1)
     got = resample(F, g, r[:, None], g.phi[None, :])
     assert np.abs(got - oracle).max() < 1.0e-14
+
+
+# ---------------------------------------------------------------------------
+# halo continuation
+
+
+def halo_by_rows(W, grid):
+    """rebuild_halo as a three-term recursion down each column, one row
+    at a time, with each new row clamped to be nonpositive before the
+    next reads it: the oracle that the closed form must reproduce."""
+    n = W.shape[0]
+    i0 = rim_index(W)
+    lo = int(i0.min())
+    if lo >= n:
+        return W
+    hi = min(int(i0.max()) + 3, n)
+    for i in range(max(lo, 1), hi):
+        if i >= 3:
+            ext = 3.0 * W[i - 1] - 3.0 * W[i - 2] + W[i - 3]
+        elif i == 2:
+            ext = 2.0 * W[i - 1] - W[i - 2]
+        else:
+            ext = W[0] - grid.y[i] ** 2
+        np.copyto(W[i], np.minimum(ext, 0.0), where=i0 <= i)
+    return W
+
+
+HALO_GRID = build_grid(48, 16, 6.0)
+
+
+def _ragged_table(seed, rows, n_phi, noise):
+    """A table of rows x n_phi on HALO_GRID's first rows whose columns
+    each have their own rim, row 0 up to rows: a concave quadratic in y
+    plus uniform noise of the given amplitude inside, junk <= 0 outside."""
+    rng = np.random.default_rng(seed)
+    y = HALO_GRID.y[:rows, None]
+    rims = rng.integers(0, rows + 1, n_phi)
+    peak = rng.uniform(0.5, 3.0, n_phi)
+    W = peak * (1.0 - (y * rng.uniform(0.2, 1.0, n_phi)) ** 2)
+    W = np.abs(W + noise * rng.uniform(-1.0, 1.0, W.shape)) + 1.0e-3
+    return np.where(np.arange(rows)[:, None] < rims, W, -rng.uniform(0.0, 5.0, W.shape))
+
+
+def _check_against_rows(W):
+    """rebuild_halo on W matches the row recursion to 1e-12 max|W| with
+    the same nodes at 0, leaves every body row and every row past the
+    outermost rim + 2 bitwise as it was, and returns the array it got."""
+    want = halo_by_rows(W.copy(), HALO_GRID)
+    got = W.copy()
+    assert rebuild_halo(got, HALO_GRID) is got
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1.0e-12 * scale
+    assert np.array_equal(got == 0.0, want == 0.0)
+    i0 = rim_index(W)
+    rows = np.arange(W.shape[0])[:, None]
+    kept = (rows < i0) | (rows >= i0.max() + 3)
+    assert np.array_equal(got[kept], W[kept])
+    return got
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(4, 49),
+       n_phi=st.integers(1, 16), noise=st.sampled_from([0.0, 0.05, 1.0]))
+def test_halo_block_matches_the_row_recursion(seed, rows, n_phi, noise):
+    """On random ragged tables, smooth or noisy, with their rims anywhere
+    from row 0 to none at all, the closed form is the recursion to
+    roundoff and clamps the same nodes to 0."""
+    _check_against_rows(_ragged_table(seed, rows, n_phi, noise))
+
+
+def test_halo_restarts_after_each_clamp():
+    """A column whose last body rows are 40, 10, 1 would be continued by
+    a rising quadratic: the three halo rows it rebuilds each clamp, each
+    in a restart from the one before, as in the recursion.  The noisy ragged tables clamp hundreds of nodes too."""
+    W = -np.ones((12, 2))
+    W[:6, 0] = [80.0, 60.0, 50.0, 40.0, 10.0, 1.0]
+    W[:4, 1] = [4.0, 3.5, 2.5, 1.0]
+    got = _check_against_rows(W)
+    assert np.array_equal(got[6:9, 0], np.zeros(3))
+    assert (got[4:7, 1] < 0.0).all()
+    clamped = 0
+    for seed in range(20):
+        W = _ragged_table(seed, 40, 16, 1.0)
+        clamped += int(np.sum((_check_against_rows(W) == 0.0) & (W != 0.0)))
+    assert clamped > 100
+
+
+def test_halo_continues_quadratic_columns_exactly():
+    """A column that is a quadratic in y, falling past its rim, is
+    continued as that quadratic to roundoff, whatever the halo held."""
+    g = HALO_GRID
+    y = g.y[:, None]
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(4.0, 9.0, g.n_phi), rng.uniform(0.5, 2.0, g.n_phi)
+    c = rng.uniform(-0.5, 0.5, g.n_phi)
+    exact = a - b * y**2 + c * y
+    W = np.where(exact > 0.0, exact, -rng.uniform(0.0, 3.0, exact.shape))
+    hi = int(rim_index(W).max()) + 3
+    assert rim_index(W).min() >= 3 and hi < g.n_r
+    got = rebuild_halo(W, g)
+    assert np.abs(got[:hi] - exact[:hi]).max() <= 1.0e-12 * np.abs(exact[:hi]).max()
+
+
+@pytest.mark.parametrize("rims", [(0, 0), (0, 1, 2, 5), (1, 2), (2, 7, 3)])
+def test_halo_endgame_columns(rims):
+    """Columns with their rim at rows 0-2 get row 1 as a round cap about
+    the pole and row 2 on the line through rows 0 and 1, bitwise as the
+    recursion writes them, then the quadratic from row 3 on."""
+    rng = np.random.default_rng(len(rims))
+    W = -rng.uniform(0.0, 2.0, (10, len(rims)))
+    for j, rim in enumerate(rims):
+        W[:rim, j] = 0.04 - HALO_GRID.y[:rim] ** 2 + rng.uniform(0.0, 1.0e-3, rim)
+    got = _check_against_rows(W)
+    assert np.array_equal(got[:3], halo_by_rows(W.copy(), HALO_GRID)[:3])
+
+
+def test_halo_leaves_a_table_without_halo():
+    W = np.ones((6, 4))
+    assert np.array_equal(rebuild_halo(W, HALO_GRID), np.ones((6, 4)))
