@@ -12,7 +12,6 @@ from .grid import (
     PolarGrid,
     ScalarField,
     build_grid,
-    diff,
     inner_product_H,
     load_field,
     norm_H,
@@ -23,7 +22,6 @@ __all__ = [
     "PolarGrid",
     "ScalarField",
     "build_grid",
-    "diff",
     "inner_product_H",
     "load_field",
     "norm_H",

@@ -43,9 +43,10 @@ carries them to the new graph's inversion, and end on it.  Both patches
 step explicitly under a parabolic CFL bound from their radial spacing,
 in second-order Runge-Kutta-Legendre (RKL2) super-steps of one routine,
 _rkl2 (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014).  The graph
-takes one two-stage super-step per step, whose stability polynomial
-1 + z + z^2/2 is the midpoint step's; a per-ring angular low-pass keeps
-the polar axis from tightening its bound.  The tip takes super-steps of
+takes one two-stage super-step of _graph_step per step, whose stability
+polynomial 1 + z + z^2/2 is the midpoint step's; a per-ring angular
+low-pass after every stage but the first, so once per step, keeps the
+polar axis from tightening its bound.  The tip takes super-steps of
 at most three stages, each stretching its bound up to 2.5 times.  Its
 default spacing follows the graph's, the finest at which one
 three-stage super-step crosses a cfl_dt graph step.  Angular derivatives
@@ -56,10 +57,10 @@ no PolarGrid, shares both with the graph.
 run marches through _march, which steps at cfl_dt, retries a rejected
 step at half the step and stops at t_end, at death or at the resolution
 floor.  find_extinction first takes the resolved part of a body's life
-in _super_march's longer graph super-steps: each spans a whole number n
-of cfl_dt steps, a small share of the body's own time scale, in as many
-stages as its stretched bound needs, with the halo and the filter after
-every stage, and ends at the start plus cfl_dt added n times.  So the
+in _super_march's longer graph super-steps, _graph_step's under step's
+stage rule: each spans a whole number n of cfl_dt steps, a small share
+of the body's own time scale, in as many stages as its stretched bound
+needs, and ends at the start plus cfl_dt added n times.  So the
 state where they stop lies on _march's own time grid, and _march takes
 the endgame from there: the death bracket, every rejection and the
 bisection are its.
@@ -274,7 +275,9 @@ def _filter_w(W):
     m <= max(2, 2.5 i), which caps the angular diffusion number below the
     radial one near the pole.  Only the rings _ring_caps cuts are handed
     to angular_lowpass, so its set-up is cached per (rows, n_phi).  W is
-    smooth across the rim, so filtering whole rings is safe everywhere."""
+    smooth across the rim, so filtering whole rings is safe everywhere.
+    _graph_step runs it after every stage of a super-step but the first:
+    once at the end of a two-stage step."""
     caps = _ring_caps(*W.shape)
     W[:len(caps)] = angular_lowpass(W[:len(caps)], caps)
     W[0, :] = W[0, :].mean()
@@ -321,11 +324,6 @@ class FlowState:
             raise ParameterError("state is in unrescaled time")
         return self.time
 
-    def tip_radius(self):
-        if self.tip is None:
-            raise ParameterError("state has no tip patch")
-        return self.tip.tip_radius()
-
 
 @functools.cache
 def _rkl2_coefficients(s):
@@ -342,18 +340,27 @@ def _rkl2_coefficients(s):
     return b[1] * w1, tuple(stages)
 
 
+def _rkl2_stages(stretch):
+    """The fewest stages s >= 2 of an _rkl2 super-step whose stable
+    stretch (s^2 + s - 2)/4 of the two-stage bound reaches stretch."""
+    s = 2
+    while (s * s + s - 2) / 4.0 < stretch:
+        s += 1
+    return s
+
+
 def _rkl2(Y, h, s, rhs, after_stage):
     """One s-stage RKL2 super-step of length h from Y.  rhs gives a
-    stage's time derivative; after_stage maps each new stage to the one
-    later stages read.  At s = 2 the stability polynomial is the
+    stage's time derivative; after_stage(Y, j) maps stage j = 1..s to the
+    one later stages read.  At s = 2 the stability polynomial is the
     midpoint's, 1 + z + z^2/2.  A non-finite end raises StepSizeError."""
     mu1, stages = _rkl2_coefficients(s)
     k0 = h * rhs(Y)
-    prev, cur = Y, after_stage(Y + mu1 * k0)
-    for mu, nu, mu_t, gamma_t in stages:
+    prev, cur = Y, after_stage(Y + mu1 * k0, 1)
+    for j, (mu, nu, mu_t, gamma_t) in enumerate(stages, 2):
         k = rhs(cur)
         prev, cur = cur, after_stage(mu * cur + nu * prev + (1.0 - mu - nu) * Y
-                                     + (mu_t * h) * k + gamma_t * k0)
+                                     + (mu_t * h) * k + gamma_t * k0, j)
     if not np.all(np.isfinite(cur)):
         raise StepSizeError(f"{s}-stage super-step not finite at dt={h:.3e}")
     return cur
@@ -362,8 +369,7 @@ def _rkl2(Y, h, s, rhs, after_stage):
 def _substep_tip(tip, dtau, outer_end):
     """Advance the tip table by dtau in m equal _rkl2 super-steps of s
     stages each.  m = ceil(ratio / _TIP_STRETCH) with ratio = dtau /
-    (CFL dv^2), and s is the fewest stages whose stable stretch
-    (s^2 + s - 2)/4 covers ratio / m, so s <= 3.
+    (CFL dv^2), and s = _rkl2_stages(ratio / m), so s <= 3.
 
     The last len(outer_end) rows are not stepped by their own right-hand
     side: every stage gives them the constant rate that carries them to
@@ -372,9 +378,7 @@ def _substep_tip(tip, dtau, outer_end):
     rhs_renormalized_Y checks the bare stage arrays for Y > 0."""
     ratio = dtau / (CFL * tip.dv**2)
     m = max(1, math.ceil(ratio / _TIP_STRETCH))
-    s = 2
-    while (s * s + s - 2) / 4.0 < ratio / m:
-        s += 1
+    s = _rkl2_stages(ratio / m)
     i = tip.values.shape[0] - outer_end.shape[0]
     rate = (outer_end - tip.values[i:]) / dtau
 
@@ -385,7 +389,7 @@ def _substep_tip(tip, dtau, outer_end):
 
     Y = tip.values
     for _ in range(m):
-        Y = _rkl2(Y, dtau / m, s, rhs, lambda Y: Y)
+        Y = _rkl2(Y, dtau / m, s, rhs, lambda Y, j: Y)
     Y[i:] = outer_end
     return TipField(Y)
 
@@ -446,29 +450,50 @@ def _invert_w(W, grid, v_levels):
     return _interp_columns(levels, tail[::-1], grid.y[::-1, None])
 
 
-def _graph_rhs(state, W0):
-    """(k, rhs): the graph's rows up to the outermost rim + 2 of W0 (four
-    at least), and _w_rhs on them with the body mask of W0."""
+def _graph_step(state, dt, pace):
+    """One _rkl2 super-step of the graph from state: (field, n), or None.
+
+    The step sees only the rows up to the outermost rim + 2 of the start's
+    signed square W (four at least), and _w_rhs there keeps the body mask
+    of W; rows past them are carried over unchanged.  pace(W, f) is handed
+    those rows and their rate f, and gives the number n of steps dt the
+    super-step spans and its stage count s, or None for no step.  The
+    first stage reuses f.  Every stage gets a rebuilt halo, and every
+    stage but the first _filter_w, so at s = 2 the filter runs once, at
+    the end.  A step that turns the core negative or inflates the body
+    raises StepSizeError."""
     g = state.v.grid
+    W0 = signed_square(state.v)
     k = min(max(int(rim_index(W0).max()) + 3, 4), g.n_r + 1)
-    return k, functools.partial(_w_rhs, grid=g, renormalized=state.renormalized,
-                                mask=W0[:k] > 0.0)
+    live = W0[:k]
+    rhs = functools.partial(_w_rhs, grid=g, renormalized=state.renormalized, mask=live > 0.0)
+    f0 = rhs(live)
+    plan = pace(live, f0)
+    if plan is None:
+        return None
+    n, s = plan
+    h = n * dt
 
+    def after_stage(Y, j):
+        rebuild_halo(Y, g)
+        if j > 1:
+            _filter_w(Y)
+        return Y
 
-def _check_graph_step(W0, W, dtau):
-    """StepSizeError where a graph step of length dtau from W0 to W has
-    turned the core negative or inflated the body."""
+    W = W0.copy()
+    W[:k] = _rkl2(live, h, s, lambda Y: f0 if Y is live else rhs(Y), after_stage)
     w_max = float(W0.max())
     if np.any(W[W0 > 0.5 * w_max] < 0.0) and float(W.max()) > 0.5 * w_max:
-        raise StepSizeError(f"interior sign change at dt={dtau:.3e}")
+        raise StepSizeError(f"interior sign change at dt={h:.3e}")
     # the squared profile obeys a maximum principle (growth at most e^dt
     # in the renormalized gauge), so any faster inflation is a blown step
-    if float(W.max()) > w_max * (1.0 + 4.0 * dtau) + 1.0e-14:
-        raise StepSizeError(f"maximum principle violation at dt={dtau:.3e}")
+    if float(W.max()) > w_max * (1.0 + 4.0 * h) + 1.0e-14:
+        raise StepSizeError(f"maximum principle violation at dt={h:.3e}")
+    return ScalarField.from_square(g, W), n
 
 
 def step(state, dtau):
-    """Advance the graph by one two-stage _rkl2 super-step, unsplit at any
+    """Advance the graph by one two-stage _graph_step, unsplit at any
     dtau, then the tip by its super-steps.
 
     The graph step and its filter see only the rows up to the outermost
@@ -482,18 +507,12 @@ def step(state, dtau):
     point receiving interpolated values is never read to give values back
     (Chesshire & Henshaw, J. Comput. Phys. 90, 1990)."""
     gate("time step", dtau, "(0, inf)", ParameterError)
-    g = state.v.grid
-    W0 = signed_square(state.v)
-    k, rhs = _graph_rhs(state, W0)
-    W = W0.copy()
-    W[:k] = _rkl2(W0[:k], dtau, 2, rhs, functools.partial(rebuild_halo, grid=g))
-    _check_graph_step(W0, W, dtau)
-    _filter_w(W[:k])
-    new_tip = state.tip
-    if new_tip is not None:
-        outer = new_tip.v_nodes >= THETA - 1.0e-12
-        new_tip = _substep_tip(new_tip, dtau, _invert_w(W, g, new_tip.v_nodes[outer]))
-    return replace(state, time=state.time + dtau, v=ScalarField.from_square(g, W), tip=new_tip)
+    v, _ = _graph_step(state, dtau, lambda W, f: (1, 2))
+    tip = state.tip
+    if tip is not None:
+        outer = tip.v_nodes >= THETA - 1.0e-12
+        tip = _substep_tip(tip, dtau, _invert_w(v.w_signed, v.grid, tip.v_nodes[outer]))
+    return replace(state, time=state.time + dtau, v=v, tip=tip)
 
 
 class FlowHistory:
@@ -767,42 +786,31 @@ _SUPER_SHARE = 0.02
 
 
 def _super_step(state, dt):
-    """One _rkl2 super-step of n steps dt from an unrescaled state, with a
-    rebuilt halo and _filter_w after every stage, or None where n < 2.
+    """One _graph_step of n steps dt from an unrescaled state, or None
+    where n < 2.
 
     n = floor(_SUPER_SHARE T / dt) with T = W_max/|W_t| at the node of
     W_max; |W_t| is read from the super-step's first stage and taken as 2
     at least, the rate at which the maximum of W falls where the body is
-    flat, so T never exceeds the body's lifetime.  s is the fewest stages
-    with 0.9 (s^2 + s - 2)/4 >= n, the stretched bound with a 0.9 margin.
-    The end time is the start plus dt added n times, so the new state lies
-    on the time grid of a march at dt.  Returns (state, n); a rejected
-    super-step raises step's StepSizeError."""
-    g = state.v.grid
-    W0 = signed_square(state.v)
-    k, rhs = _graph_rhs(state, W0)
-    live = W0[:k]
-    f0 = rhs(live)
-    core = np.argmax(live)
-    n = int(_SUPER_SHARE * live.flat[core] / max(-f0.flat[core], 2.0) / dt)
-    if n < 2:
+    flat, so T never exceeds the body's lifetime.  s = _rkl2_stages(n / 0.9),
+    the stretched bound with a 0.9 margin.  Like step's, every stage gets
+    the halo and every stage but the first the filter.  The end time is
+    the start plus dt added n times, so the new state lies on the time
+    grid of a march at dt.  Returns (state, n); a rejected super-step
+    raises step's StepSizeError."""
+    def pace(W, f):
+        core = np.argmax(W)
+        n = int(_SUPER_SHARE * W.flat[core] / max(-f.flat[core], 2.0) / dt)
+        return (n, _rkl2_stages(n / 0.9)) if n >= 2 else None
+
+    out = _graph_step(state, dt, pace)
+    if out is None:
         return None
-    s = 3
-    while 0.9 * (s * s + s - 2) / 4.0 < n:
-        s += 1
-
-    def after_stage(Y):
-        _filter_w(rebuild_halo(Y, g))
-        return Y
-
-    W = W0.copy()
-    # the first stage's rate is f0, already read for T
-    W[:k] = _rkl2(live, n * dt, s, lambda Y: f0 if Y is live else rhs(Y), after_stage)
-    _check_graph_step(W0, W, n * dt)
+    v, n = out
     t = state.time
     for _ in range(n):
         t += dt
-    return replace(state, time=t, v=ScalarField.from_square(g, W)), n
+    return replace(state, time=t, v=v), n
 
 
 def _super_march(state):

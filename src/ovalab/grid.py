@@ -359,15 +359,6 @@ def norm_H(f):
     return math.sqrt(max(inner_product_H(f, f), 0.0))
 
 
-def diff(f, order=1):
-    """Radial derivative of a field by radial_stencil: centred 3-point
-    and second order, one-sided 4-point at the outer edge, and through
-    the reflection f(-y, phi) = f(y, phi+pi) at the pole.  Angular
-    derivatives are spectral (see diff_phi_fft).
-    """
-    return ScalarField(f.grid, f.grid.radial_derivative(f.values, order), copy=False)
-
-
 def _circulant(symbol, n):
     """Real (n, n) matrix R with F @ R = irfft(symbol * rfft(F)) on rings
     of n samples, symbol given on the rfft bins m = 0..n/2.  Row i of R

@@ -83,9 +83,6 @@ class EigenBasis:
         self.eigenvalues = EIGENVALUES
         self.normsq = tuple(grid.pair(f, f) for f in self.functions)
 
-    def mode(self, k):
-        return ScalarField(self.grid, self.functions[k], copy=False)
-
     def gram(self):
         """Full 6x6 Gram matrix under the Gaussian quadrature."""
         return np.array([pairings(f, self) for f in self.functions])

@@ -10,6 +10,7 @@ marching the two time gauges against each other around a measured
 extinction time.
 """
 
+import functools
 import json
 import math
 import os
@@ -49,6 +50,7 @@ from ovalab.grid import (
     build_grid,
     diff_phi_fft,
     norm_H,
+    rebuild_halo,
     rim_index,
     signed_square,
     tip_nodes,
@@ -460,9 +462,10 @@ def _benchmark_oval(n_r, n_phi):
 
 
 def _counting_rhs(monkeypatch, first=None, name="rhs_renormalized_Y"):
-    """Wrap the right-hand side evolve.<name> with a call counter: by
-    default the tip's, the name perfbench's tracer wraps, or the graph's
-    _w_rhs.  first, if given, replaces the first call."""
+    """Wrap evolve.<name> with a call counter: by default the tip's
+    right-hand side, the name perfbench's tracer wraps, or else the
+    graph's _w_rhs or _filter_w.  first, if given, replaces the first
+    call."""
     calls = []
     inner = getattr(evolve, name)
 
@@ -666,7 +669,7 @@ class TestWholeTableTip:
         why the rows that follow the graph can end on its table."""
         Y = np.linspace(1.0, 2.0, 7)
         c = np.linspace(-0.3, 0.5, 7)
-        out = evolve._rkl2(Y, 0.01, s, lambda _: c, lambda Y: Y)
+        out = evolve._rkl2(Y, 0.01, s, lambda _: c, lambda Y, j: Y)
         assert np.abs(out - (Y + 0.01 * c)).max() <= 1.0e-15
 
     @pytest.mark.parametrize("columns, expected", [
@@ -727,7 +730,7 @@ class TestOneWaySeam:
         for cfl in cfls:
             monkeypatch.setattr(evolve, "CFL", cfl)
             st = _benchmark_oval(n_r, n_phi)
-            rims.append(run(st, st.time + span, snapshot_every=1.0).states[-1].tip_radius())
+            rims.append(run(st, st.time + span, snapshot_every=1.0).states[-1].tip.tip_radius())
         diffs = [np.abs(a - b).max() for a, b in zip(rims, rims[1:])]
         return [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
 
@@ -1067,6 +1070,91 @@ class TestStep:
         assert np.abs(fast.v.w_signed - rows.v.w_signed).max() < 1.0e-12
         assert np.abs(fast.tip.values - rows.tip.values).max() < 1.0e-12
         assert fast_bracket == rows_bracket
+
+    @staticmethod
+    def _step_before_sharing(state, dtau):
+        """step as written before it shared its graph body with the
+        super-step: the two-stage _rkl2 with the halo rebuilt after each
+        stage and one _filter_w at the end, then the tip.  The oracle that
+        step must reproduce bit for bit."""
+        g = state.v.grid
+        W0 = signed_square(state.v)
+        k = min(max(int(rim_index(W0).max()) + 3, 4), g.n_r + 1)
+        rhs = functools.partial(evolve._w_rhs, grid=g, renormalized=state.renormalized,
+                                mask=W0[:k] > 0.0)
+        W = W0.copy()
+        W[:k] = evolve._rkl2(W0[:k], dtau, 2, rhs, lambda Y, j: rebuild_halo(Y, g))
+        evolve._filter_w(W[:k])
+        tip = state.tip
+        if tip is not None:
+            outer = tip.v_nodes >= THETA - 1.0e-12
+            tip = evolve._substep_tip(tip, dtau, evolve._invert_w(W, g, tip.v_nodes[outer]))
+        return replace(state, time=state.time + dtau, v=ScalarField.from_square(g, W), tip=tip)
+
+    @pytest.mark.parametrize("body", ["oval", "ellipsoid"])
+    def test_step_matches_the_step_before_sharing(self, body):
+        """10 coupled steps of the 48x16 benchmark oval, and 10 unrescaled
+        steps of the 48x16 reference ellipsoid, give W, the tip table and
+        the time of the oracle, bit for bit."""
+        if body == "oval":
+            state = _benchmark_oval(48, 16)
+        else:
+            f, t0 = _small_ellipsoid()
+            state = FlowState(time=t0, v=f, renormalized=False)
+        got = want = state
+        for _ in range(10):
+            got = step(got, cfl_dt(state.v.grid))
+            want = self._step_before_sharing(want, cfl_dt(state.v.grid))
+        assert got.time == want.time
+        assert np.array_equal(got.v.w_signed, want.v.w_signed)
+        assert (got.tip is None) == (body == "ellipsoid")
+        assert got.tip is None or np.array_equal(got.tip.values, want.tip.values)
+
+    def test_filter_runs_after_every_stage_but_the_first(self, monkeypatch):
+        """One step filters once, at its end; one super-step of s stages
+        filters s - 1 times, and reads the graph's rate s times, the
+        first stage's rate being the one it paced itself by."""
+        calls = _counting_rhs(monkeypatch, name="_filter_w")
+        rates = _counting_rhs(monkeypatch, name="_w_rhs")
+        f, t0 = _small_ellipsoid()
+        state = FlowState(time=t0, v=f, renormalized=False)
+        step(state, cfl_dt(f.grid))
+        assert (len(calls), len(rates)) == (1, 2)
+        del calls[:], rates[:]
+        _, n = evolve._super_step(state, cfl_dt(f.grid))
+        s = evolve._rkl2_stages(n / 0.9)
+        assert s >= 3
+        assert (len(calls), len(rates)) == (s - 1, s)
+
+    def test_rkl2_stages_match_the_loops_they_replace(self):
+        """_rkl2_stages gives the stage counts of the two loops it
+        replaced.  The super-step's, s = 3 raised while 0.9 (s^2 + s - 2)/4
+        < n, is run incrementally over n, which finds the same s since it
+        grows with n.  Both counts grow with n, so agreeing at the two ends
+        of every run of one count of the old loop, they agree at every n in
+        2..1e5.  The tip's, s = 2 raised while (s^2 + s - 2)/4 < ratio / m,
+        is checked on a grid of the tip's ratios, and just past the
+        stretches 1 and 2.5 where it changes s."""
+        old, s = {}, 3
+        for n in range(2, 100_001):
+            while 0.9 * (s * s + s - 2) / 4.0 < n:
+                s += 1
+            old[n] = s
+        ends = [n for n in old if old.get(n - 1) != old[n] or old.get(n + 1) != old[n]]
+        assert len(ends) > 600
+        assert [evolve._rkl2_stages(n / 0.9) for n in ends] == [old[n] for n in ends]
+
+        def tip_loop(x):
+            s = 2
+            while (s * s + s - 2) / 4.0 < x:
+                s += 1
+            return s
+
+        ratios = np.concatenate([np.linspace(0.0, 25.0, 2001), [1.0, 2.5, 5.0, 7.5]])
+        stretches = [r / max(1, math.ceil(r / evolve._TIP_STRETCH)) for r in ratios]
+        stretches += [np.nextafter(1.0, 2.0), np.nextafter(2.5, 3.0)]
+        assert {tip_loop(x) for x in stretches} == {2, 3, 4}
+        assert [evolve._rkl2_stages(x) for x in stretches] == [tip_loop(x) for x in stretches]
 
 
 # ---------------------------------------------------------------------------
@@ -1429,7 +1517,8 @@ class TestExtinction:
         assert res.steps == 2250
 
     def test_super_steps_keep_the_sphere_exact_on_the_time_grid(self):
-        """Under the per-stage halo and filter, the sphere W = 6 - |y|^2
+        """Under the halo after every stage and the filter after every
+        stage but the first, the sphere W = 6 - |y|^2
         stays the exact state W0 - 6 (t - t0) through every super-step,
         and the state where super-stepping stops is at t0 plus cfl_dt
         added once per step it spans, as the plain march would reach it."""
@@ -1707,7 +1796,7 @@ class TestZoomedTip:
         st = renormalized_state(last.v, last.time, res.t_extinct)
         assert st.renormalized and st.tip is not None
         assert st.tau == pytest.approx(-math.log(res.t_extinct - last.time))
-        assert st.tip_radius().min() > 0.0
+        assert st.tip.tip_radius().min() > 0.0
         rho, Z = zoomed_tip(st)
         assert np.all(Z[0, :] == 0.0)
         assert Z.shape == st.tip.values.shape == (len(rho), g.n_phi)

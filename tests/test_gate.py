@@ -149,7 +149,6 @@ GATE = {
     "grid.signed_square": {"field": OBJECT},
     "grid.inner_product_H": {"f": OBJECT, "g": OBJECT},
     "grid.norm_H": {"f": OBJECT},
-    "grid.diff": {"f": OBJECT, "order": INT},
     "grid.diff_phi_fft": {"values": ARRAY, "order": INT},
     "grid.angular_derivs": {"F": ARRAY, "Fr": ARRAY},
     "grid.polar_jet": {"grid": OBJECT, "F": ARRAY},
@@ -253,7 +252,6 @@ GATE = {
     "spectral.cutoff_profile": {"values": ARRAY},
     "spectral.truncate": {"field": OBJECT},
     "spectral.EigenBasis": {"grid": OBJECT},
-    "spectral.EigenBasis.mode": {"k": INT},
     "spectral.get_basis": {"grid": OBJECT},
     "spectral.truncated_deviation": {"field": OBJECT},
     "spectral.pairings": {"u": ARRAY, "basis": OBJECT},

@@ -63,8 +63,8 @@ def test_ou_eigenmode_residuals():
     g = build_grid(256, 64, 16.0)
     basis = EigenBasis(g)
     for k in range(6):
-        f = basis.mode(k)
-        resid = apply_ou(f).values - basis.eigenvalues[k] * f.values
+        f = basis.functions[k]
+        resid = apply_ou(ScalarField(g, f)).values - basis.eigenvalues[k] * f
         assert np.max(np.abs(resid[1:, :])) < 1.0e-6, basis.names[k]
 
 
