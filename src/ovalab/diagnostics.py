@@ -27,7 +27,6 @@ pollute the stencils.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .grid import (
 # nothing here calls it, but perfbench/tracer.py wraps diagnostics.diff_phi_fft
 # and tests/test_tracer_targets.py asks for the name
 from .grid import diff_phi_fft  # noqa: F401
-from .shrinkers import normal_form_profile, solve_bowl
+from .shrinkers import normal_form_profile
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,10 +52,6 @@ SQRT2 = math.sqrt(2.0)
 # line x sphere; closed forms sqrt(2 pi / e) and 4 / e.
 DENSITY_SHEET = math.sqrt(2.0 * math.pi / math.e)
 DENSITY_NECK = 4.0 / math.e
-
-@lru_cache(maxsize=1)
-def _reference_bowl():
-    return solve_bowl()
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +71,14 @@ class AsymptoticsReport:
     epsilon: float
 
 
-def asymptotics_report(state, epsilon, bowl=None):
+def asymptotics_report(state, epsilon, bowl):
     """Measure a renormalized snapshot against its three model regions.
 
     (i) |tau| * sup_{y <= 1/eps} |v - sqrt(2) + (y^2-4)/(sqrt(8)|tau|)|,
     (ii) sup_{z <= sqrt(2)-eps} |v(sqrt(|tau|) z) - sqrt(2 - z^2)|,
-    (iii) sup_{rho <= 1/eps} |Z - Z_bowl| for the zoomed tip.
+    (iii) sup_{rho <= 1/eps} |Z - Z_bowl| for the zoomed tip, against
+    bowl, the BowlProfile of shrinkers.solve_bowl; a state without a
+    tip patch never reads bowl.
 
     Takes a FlowState only and never asks what kind of object it was
     given; to measure a history, pass the snapshot wanted, e.g. its
@@ -117,7 +114,6 @@ def asymptotics_report(state, epsilon, bowl=None):
         tip_err = float("nan")
     else:
         rho, Z = zoomed_tip(state)
-        bowl = bowl if bowl is not None else _reference_bowl()
         sel = rho <= cap
         tip_err = float(np.abs(Z[sel, :] - bowl(rho[sel])[:, None]).max())
 

@@ -55,7 +55,8 @@ class DegeneracyError(OvalabError, RuntimeError):
 
 
 class AccuracyError(OvalabError, RuntimeError):
-    """A discretization parameter is too coarse for the requested computation."""
+    """A discretization too coarse for the requested computation; the
+    package raises it only as StepSizeError, a rejected explicit step."""
 
     exit_code = 4
 

@@ -165,25 +165,22 @@ class TipField:
         return v.reshape(y.shape)[()]
 
     @classmethod
-    def from_profile(cls, field, n_nodes=None):
+    def from_profile(cls, field):
         """Build the table by monotone inversion of v near the rim: the
         squared profile read by signed_square, inverted at the tip nodes
         by _invert_w, which raises DegeneracyError where that fails.
-        grid.tip_nodes raises ParameterError for an n_nodes it cannot lay
-        out.
 
-        Without n_nodes the spacing follows the graph's: the table takes
-        the most nodes whose spacing dv keeps the tip's step ratio
-        (dy/dv)^2 within _TIP_STRETCH, with THETA on a node.  So n - 1 is
-        the largest even integer <= 2 THETA sqrt(_TIP_STRETCH) / dy, and 4
-        at least, and the tip crosses each cfl_dt graph step in one
-        three-stage super-step.  Half the peak takes THETA's place if it
-        is lower, so a body too small for the tip lays out few nodes."""
+        The spacing follows the graph's: the table takes the most nodes
+        whose spacing dv keeps the tip's step ratio (dy/dv)^2 within
+        _TIP_STRETCH, with THETA on a node.  So n - 1 is the largest even
+        integer <= 2 THETA sqrt(_TIP_STRETCH) / dy, and 4 at least, and the
+        tip crosses each cfl_dt graph step in one three-stage super-step.
+        Half the peak takes THETA's place if it is lower, so a body too
+        small for the tip lays out few nodes."""
         W = signed_square(field)
-        if n_nodes is None:
-            reach = min(THETA, 0.5 * math.sqrt(max(float(W.max()), 0.0)))
-            n_nodes = 1 + 2 * max(2, int(reach * math.sqrt(_TIP_STRETCH) / field.grid.dy))
-        return cls(_invert_w(W, field.grid, tip_nodes(n_nodes)))
+        reach = min(THETA, 0.5 * math.sqrt(max(float(W.max()), 0.0)))
+        n = 1 + 2 * max(2, int(reach * math.sqrt(_TIP_STRETCH) / field.grid.dy))
+        return cls(_invert_w(W, field.grid, tip_nodes(n)))
 
     def save(self, path):
         _write_table(
@@ -586,14 +583,13 @@ class FlowHistory:
         return ScalarField(v0.grid, (1.0 - lam) * v0.values + lam * v1.values, copy=False)
 
     def state_at(self, t):
-        """State at time t: a stored snapshot at its own time, else the
-        linear blend of the two around t, whose profile is at(t)."""
+        """State at time t: the snapshot that t hits, a single one
+        included, stamped with time t; else the linear blend of the two
+        around t, whose profile is at(t)."""
         k, lam = self._bracket(t)
-        if len(self._times) == 1:
-            return self._states[0]
-        s0, s1 = self._states[k], self._states[k + 1]
         if lam in (0.0, 1.0):
-            return replace(s1 if lam else s0, time=float(t))
+            return replace(self._states[k + 1 if lam else k], time=float(t))
+        s0, s1 = self._states[k], self._states[k + 1]
         v = self._blend(t, k, lam)
         tip = None
         if s0.tip is not None and s1.tip is not None:
@@ -917,8 +913,7 @@ def renormalize(field, t, t_e, grid_out=None):
 
 
 def renormalized_state(field, t, t_e, grid_out=None):
-    """Renormalize and attach a freshly inverted tip patch, with
-    from_profile's default node count."""
+    """Renormalize and attach a tip patch freshly inverted by from_profile."""
     v, tau = renormalize(field, t, t_e, grid_out=grid_out)
     return FlowState(time=tau, v=v, tip=TipField.from_profile(v), renormalized=True)
 

@@ -396,7 +396,7 @@ def _ring_deviation(values):
     return values - values[..., :1]
 
 
-def diff_phi_fft(values, order=1):
+def diff_phi_fft(values, order):
     """Spectral (Fourier) angular derivative of a (..., n_phi) array of
     ring samples, one product with the cached differentiation matrix;
     order is 1 or 2."""

@@ -53,8 +53,10 @@ from .spectral import get_basis, pairings, quadratic_distance, truncated_deviati
 SQRT2 = math.sqrt(2.0)
 SQRT8 = math.sqrt(8.0)
 
-# residual norm at which the Newton search of solve_psi stops
+# residual norm at which the Newton search of solve_psi stops, and the
+# iterations it may take to get there
 PSI_TOL = 1.0e-10
+_MAX_ITER = 50
 
 TWO_PARAM = "two-param"
 FOUR_PARAM = "four-param+rotation"
@@ -318,11 +320,12 @@ def _fd_jacobian(F, x, steps):
     return np.column_stack(cols)
 
 
-def _newton(F, x, steps, mode, tau0, radius_sq, max_iter):
+def _newton(F, x, steps, mode, tau0, radius_sq):
     """The damped Newton loop of solve_psi from x: returns the point where
-    |F| < PSI_TOL, every iterate inside the box of squared radius radius_sq."""
+    |F| < PSI_TOL within _MAX_ITER iterations, every iterate inside the box
+    of squared radius radius_sq."""
     res = F(x)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if float(np.linalg.norm(res)) < PSI_TOL:
             break
         J = _fd_jacobian(F, x, steps)
@@ -353,41 +356,33 @@ def _newton(F, x, steps, mode, tau0, radius_sq, max_iter):
         res = trial
     if float(np.linalg.norm(res)) >= PSI_TOL:
         raise BudgetError(
-            f"no convergence in {max_iter} Newton iterations "
+            f"no convergence in {_MAX_ITER} Newton iterations "
             f"(|psi| = {float(np.linalg.norm(res)):.3g})"
         )
     return x
 
 
-def solve_psi(history, tau0, mode=TWO_PARAM, start=None, max_iter=50):
+def solve_psi(history, tau0, mode=TWO_PARAM):
     """Damped Newton search for the canonical zero of the pairing map.
 
     Two-param mode solves psi2 over (b, Gamma); four-param mode solves
     psi4 over (a1, a2, b, Gamma) and then fixes the rotation by the
-    closed-form half-angle.  Newton stops once |psi| < PSI_TOL.
-    Iterates are confined to the box
-    |tau0|^2 b^2 + Gamma^2 <= 100 kappa^2 with kappa measured from the
-    history.  A nonpositive psi2 Jacobian determinant inside the box,
-    or a singular Jacobian in either mode, is a degeneracy; running
-    past max_iter exhausts the budget.  A trial point whose time
-    (1 + Gamma) tau0 the history does not hold raises the history's
-    CoverageError, which names the time asked for and the span held.
-    Each of these errors keeps its type, and its text goes on to name
-    kappa and the box radius.
+    closed-form half-angle.  Newton starts at zero, the untransformed
+    history, and stops once |psi| < PSI_TOL.  Iterates are confined to
+    the box |tau0|^2 b^2 + Gamma^2 <= 100 kappa^2 with kappa measured
+    from the history.  A nonpositive psi2 Jacobian determinant inside
+    the box, or a singular Jacobian in either mode, is a degeneracy;
+    running past _MAX_ITER iterations exhausts the budget.  A trial
+    point whose time (1 + Gamma) tau0 the history does not hold raises
+    the history's CoverageError, which names the time asked for and the
+    span held.  Each of these errors keeps its type, and its text goes
+    on to name kappa and the box radius.
     """
     F, steps = _pairing_map(history, tau0, mode)
     kappa = max(measure_kappa(history, tau0), 1.0e-8)
     radius_sq = 100.0 * kappa**2
-
-    dim = len(steps)
-    x = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
-    if x.shape != (dim,):
-        raise ParameterError(f"start must have {dim} components")
-    if not _in_box(x, tau0, radius_sq):
-        raise ParameterError("start lies outside the search box")
-
     try:
-        x = _newton(F, x, steps, mode, tau0, radius_sq, max_iter)
+        x = _newton(F, np.zeros(len(steps)), steps, mode, tau0, radius_sq)
     except (BudgetError, CoverageError, DegeneracyError) as err:
         raise type(err)(
             f"{err}; at tau0={tau0:g}, kappa = {kappa:.3g} and the search box "

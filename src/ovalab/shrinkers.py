@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError, gate
+from .errors import ParameterError, gate
 from .grid import ScalarField
 
 SQRT2 = math.sqrt(2.0)
@@ -147,22 +147,21 @@ def _bowl_rhs(rho, z, p):
     return p, -(1.0 + p * p) * (p / rho + 1.0 / SQRT2)
 
 
-def solve_bowl(rho_max=12.0, drho=5.0e-3):
-    """Integrate the bowl ODE from the axis out to rho_max.
+# reach and RK4 step of the bowl table, read when solve_bowl is called
+_RHO_MAX = 12.0
+_DRHO = 5.0e-3
+
+
+def solve_bowl():
+    """Integrate the bowl ODE from the axis out to _RHO_MAX in steps of
+    _DRHO.
 
     The axis is a regular singular point; the first few steps use the
     quartic jet Z = -sqrt(2)/8 rho^2 + c rho^4, with c fixed by one
     Newton correction of the interior residual, and classical RK4
     carries the solution outward from there.
     """
-    gate("rho_max", rho_max, "[1, inf)", ParameterError)
-    gate("drho", drho, "(0, inf)", ParameterError)
-    if drho > 1.0e-2:
-        raise AccuracyError(
-            f"bowl step {drho} too coarse for the tabulated profile; "
-            "use drho <= 1e-2"
-        )
-
+    rho_max, drho = _RHO_MAX, _DRHO
     a2 = -SQRT2 / 8.0
     rho_jet = 10.0 * drho
 

@@ -81,7 +81,7 @@ def test_normal_form_field_rejects_forward_time():
 def test_parabolic_distance_vanishes_on_the_quadratic_bulge():
     g = build_grid(192, 48, 12.0)
     st = plain_state(normal_form_field(g, -100.0), -100.0)
-    rep = asymptotics_report(st, 0.25)
+    rep = asymptotics_report(st, 0.25, None)
     assert rep.parabolic == 0.0
     assert math.isnan(rep.tip)
     assert rep.epsilon == 0.25
@@ -92,7 +92,7 @@ def test_intermediate_distance_vanishes_on_the_sqrt_profile():
     g = build_grid(256, 32, 15.0)
     w = 2.0 - (g.y[:, None] / math.sqrt(-tau)) ** 2 * np.ones((1, 32))
     f = ScalarField(g, np.sqrt(np.maximum(w, 0.0)), w_signed=w)
-    rep = asymptotics_report(plain_state(f, tau), 0.25)
+    rep = asymptotics_report(plain_state(f, tau), 0.25, None)
     assert rep.intermediate == 0.0
     # the same field is far from the quadratic bulge, so the report
     # separates the two regimes
@@ -114,7 +114,7 @@ def test_tip_distance_vanishes_against_the_generating_bowl():
         renormalized=True,
         L=10.0,
     )
-    rep = asymptotics_report(st, 0.25, bowl=bowl)
+    rep = asymptotics_report(st, 0.25, bowl)
     assert rep.tip < 1.0e-12
 
 
@@ -122,7 +122,7 @@ def test_asymptotics_takes_final_history_state():
     g = build_grid(96, 16, 12.0)
     hist = FlowHistory()
     hist.append(plain_state(normal_form_field(g, -80.0), -80.0))
-    rep = asymptotics_report(hist.states[-1], 0.25)
+    rep = asymptotics_report(hist.states[-1], 0.25, None)
     assert rep.parabolic == 0.0
 
 
@@ -130,14 +130,19 @@ def test_asymptotics_guard_rails():
     g = build_grid(96, 16, 12.0)
     st = plain_state(normal_form_field(g, -80.0), -80.0)
     with pytest.raises(ParameterError):
-        asymptotics_report(st, 1.5)
-    with pytest.raises(CoverageError):
-        asymptotics_report(st, 0.05)  # needs y_max >= 20
+        asymptotics_report(st, 1.5, None)
+    with pytest.raises(CoverageError, match="plane window"):
+        asymptotics_report(st, 0.05, None)  # needs y_max >= 20
+    # the plane window y <= 4 fits in y_max = 8, the intermediate one,
+    # y <= sqrt(80) (sqrt(2) - 1/4) = 10.4, does not
+    short = plain_state(normal_form_field(build_grid(48, 16, 8.0), -80.0), -80.0)
+    with pytest.raises(CoverageError, match="intermediate window"):
+        asymptotics_report(short, 0.25, None)
     fwd = FlowState(
         time=1.0, v=st.v, tip=None, renormalized=True, L=10.0
     )
     with pytest.raises(ParameterError):
-        asymptotics_report(fwd, 0.25)
+        asymptotics_report(fwd, 0.25, None)
 
 
 # ---------------------------------------------------------------------------

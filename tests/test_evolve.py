@@ -84,6 +84,12 @@ def _wobble_sphere(grid, eps=0.12):
     return _signed_field(grid, w)
 
 
+def _tip(field, n):
+    """The tip table of field at the n nodes grid.tip_nodes(n), inverted
+    as TipField.from_profile inverts at its own count."""
+    return TipField(evolve._invert_w(signed_square(field), field.grid, tip_nodes(n)))
+
+
 def _saved_nodes(path, v_nodes, theta=THETA):
     """Write a positive table on the given nodes under a header of the
     given theta and read it back."""
@@ -99,14 +105,14 @@ def _saved_nodes(path, v_nodes, theta=THETA):
 class TestTipField:
     def test_from_profile_matches_exact_sphere(self):
         g = build_grid(192, 48, 3.2)
-        tip = TipField.from_profile(sphere_field(g), n_nodes=17)
+        tip = _tip(sphere_field(g), 17)
         exact = np.sqrt(6.0 - tip.v_nodes[:, None] ** 2)
         assert np.abs(tip.values - exact).max() < 1.0e-4
         assert tip.monotone()
 
     def test_profile_at_inverts_columns(self):
         g = build_grid(192, 48, 3.2)
-        tip = TipField.from_profile(sphere_field(g), n_nodes=17)
+        tip = _tip(sphere_field(g), 17)
         for j in (0, 11):
             ys = tip.values[2:-2, j]
             back = tip.profile_at(ys, j)
@@ -114,7 +120,7 @@ class TestTipField:
 
     def test_save_load_roundtrip(self, tmp_path):
         g = build_grid(160, 32, 3.2)
-        tip = TipField.from_profile(_wobble_sphere(g), n_nodes=17)
+        tip = _tip(_wobble_sphere(g), 17)
         path = os.path.join(tmp_path, "tip.csv")
         tip.save(path)
         back = TipField.load(path)
@@ -123,7 +129,7 @@ class TestTipField:
 
     def test_truncated_table_rejected(self, tmp_path):
         g = build_grid(160, 32, 3.2)
-        tip = TipField.from_profile(_wobble_sphere(g), n_nodes=17)
+        tip = _tip(_wobble_sphere(g), 17)
         path = os.path.join(tmp_path, "tip.csv")
         tip.save(path)
         with open(path) as fh:
@@ -142,7 +148,7 @@ class TestTipField:
     ], ids=["no-theta", "phi-nodes-four", "four-fields", "non-numeric", "nan"])
     def test_malformed_table_is_a_parameter_error(self, tmp_path, line, edit):
         g = build_grid(160, 32, 3.2)
-        tip = TipField.from_profile(_wobble_sphere(g), n_nodes=17)
+        tip = _tip(_wobble_sphere(g), 17)
         path = os.path.join(tmp_path, "tip.csv")
         tip.save(path)
         with open(path) as fh:
@@ -162,7 +168,7 @@ class TestTipField:
         order; a table with two rows swapped would put radii at the wrong
         nodes."""
         g = build_grid(160, 32, 3.2)
-        tip = TipField.from_profile(_wobble_sphere(g), n_nodes=17)
+        tip = _tip(_wobble_sphere(g), 17)
         path = os.path.join(tmp_path, "tip.csv")
         tip.save(path)
         with open(path) as fh:
@@ -179,10 +185,8 @@ class TestTipField:
         lambda path: _saved_nodes(path, -np.linspace(0.0, 0.4, 17)),
         lambda path: _saved_nodes(path, 0.4 * np.linspace(0.0, 1.0, 17) ** 2),
         lambda path: _saved_nodes(path, np.linspace(0.0, 0.4, 3)),
-        lambda path: TipField.from_profile(sphere_field(build_grid(64, 8, 3.2)),
-                                           n_nodes=3),
-        lambda path: TipField.from_profile(sphere_field(build_grid(64, 8, 3.2)),
-                                           n_nodes=16.5),
+        lambda path: tip_nodes(3),
+        lambda path: tip_nodes(16.5),
         lambda path: TipField(np.ones((3, 8))),
         *[lambda path, theta=theta: _saved_nodes(path, tip_nodes(17), theta)
           for theta in (0.0, -0.2, math.inf, math.nan, 0.25)],
@@ -224,6 +228,10 @@ class TestTipField:
         with pytest.raises(DegeneracyError):
             TipField.from_profile(_signed_field(g, w))
         assert counts == [15]
+
+    def test_table_must_be_2d(self):
+        with pytest.raises(ParameterError, match="2-d"):
+            TipField(np.ones(9))
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -0.1],
                              ids=["nan", "inf", "negative"])
@@ -626,7 +634,7 @@ class TestWholeTableTip:
             + eps * yy**3 * np.cos(3.0 * (pp - phase))
         )
         f = _signed_field(g, w) if signed else ScalarField(g, np.sqrt(np.maximum(w, 0.0)))
-        tip = TipField.from_profile(f, n_nodes=n_nodes)
+        tip = _tip(f, n_nodes)
         assert np.array_equal(tip.values, _from_profile_loop(f, n_nodes))
 
         rng = np.random.default_rng(seed)
@@ -839,7 +847,7 @@ class TestStep:
     def test_two_patch_sphere_drift(self):
         g = build_grid(192, 48, 3.2)
         f = sphere_field(g)
-        tip = TipField.from_profile(f, n_nodes=17)
+        tip = _tip(f, 17)
         st = FlowState(time=0.0, v=f, tip=tip, renormalized=True)
         dt = cfl_dt(g)
         for _ in range(300):
@@ -880,7 +888,7 @@ class TestStep:
     def test_z2_square_symmetry_preserved(self):
         g = build_grid(160, 48, 3.4)
         f = _wobble_sphere(g)
-        tip = TipField.from_profile(f, n_nodes=17)
+        tip = _tip(f, 17)
         st = FlowState(time=0.0, v=f, tip=tip, renormalized=True)
         dt = cfl_dt(g)
         for _ in range(100):
@@ -926,12 +934,12 @@ class TestStep:
     def test_overlap_round_trip_within_cells(self):
         g = build_grid(160, 48, 3.4)
         f = _wobble_sphere(g)
-        tip = TipField.from_profile(f, n_nodes=17)
+        tip = _tip(f, 17)
         st = FlowState(time=0.0, v=f, tip=tip, renormalized=True)
         dt = cfl_dt(g)
         for _ in range(100):
             st = step(st, dt)
-        again = TipField.from_profile(st.v, n_nodes=17)
+        again = _tip(st.v, 17)
         on = st.tip.v_nodes >= THETA - 1.0e-12
         gap = np.abs(st.tip.values[on] - again.values[on]).max()
         assert gap < 2.0 * (g.y[1] - g.y[0])
@@ -956,7 +964,7 @@ class TestStep:
         a tip with the unrescaled gauge is refused when it is built."""
         g = build_grid(160, 32, 3.2)
         f = sphere_field(g)
-        tip = TipField.from_profile(f, n_nodes=17)
+        tip = _tip(f, 17)
         with pytest.raises(ParameterError, match="renormalized"):
             FlowState(time=0.0, v=f, tip=tip, renormalized=False)
 
@@ -1005,6 +1013,37 @@ class TestStep:
         assert len(calls) == 4
         assert out.time == st.time + 0.5 * dt
         assert np.all(np.isfinite(out.v.w_signed))
+
+    def test_march_step_gives_up_after_thirteen_tries(self, monkeypatch):
+        """A step rejected at every size is tried 13 times, halved after
+        each.  Off the resolution floor the last rejection is raised
+        again; a body whose peak is below 6 dy counts as extinct, and
+        the march step returns None."""
+        tried = []
+
+        def reject(state, dtau):
+            tried.append(dtau)
+            raise StepSizeError(f"rejected {dtau!r}")
+
+        monkeypatch.setattr(evolve, "step", reject)
+        g = build_grid(64, 8, 3.2)
+        alive = FlowState(time=0.0, v=sphere_field(g), renormalized=False)
+        with pytest.raises(StepSizeError) as err:
+            evolve._march_step(alive, 1.0e-3)
+        assert tried == [1.0e-3 * 0.5**k for k in range(13)]
+        assert str(err.value) == f"rejected {tried[-1]!r}"
+        tried.clear()
+        tiny = FlowState(time=0.0, v=_signed_field(g, _sphere_w(g, 1.0e-3)),
+                         renormalized=False)
+        assert float(tiny.v.values.max()) < 6.0 * g.dy
+        assert evolve._march_step(tiny, 1.0e-3) is None
+        assert len(tried) == 13
+
+    def test_tau_needs_the_renormalized_gauge(self):
+        state = FlowState(time=0.0, v=sphere_field(build_grid(16, 8, 3.0)),
+                          renormalized=False)
+        with pytest.raises(ParameterError, match="unrescaled"):
+            state.tau
 
     def test_tip_theta_must_match_state(self):
         """Every tip table hands over at grid.THETA; a state that names
@@ -1207,6 +1246,8 @@ class TestRunHistory:
             hist.at(-0.01)
         with pytest.raises(CoverageError):
             FlowHistory().grid
+        with pytest.raises(CoverageError, match="empty history"):
+            FlowHistory().at(0.0)
 
     def test_nan_time_is_outside_the_history(self):
         """Every comparison with NaN is False, so a range check written
@@ -1228,6 +1269,39 @@ class TestRunHistory:
             hist.append(FlowState(time=math.nan, v=sphere_field(g), renormalized=False))
         hist.append(FlowState(time=1.0, v=sphere_field(g), renormalized=False))
         assert hist.times.tolist() == [1.0]
+
+    def test_append_refuses_a_time_that_does_not_increase(self):
+        g = build_grid(16, 8, 3.0)
+        hist = FlowHistory()
+        hist.append(FlowState(time=1.0, v=sphere_field(g), renormalized=False))
+        for t in (1.0, 0.5):
+            with pytest.raises(ParameterError, match="not increasing"):
+                hist.append(FlowState(time=t, v=sphere_field(g), renormalized=False))
+        assert hist.times.tolist() == [1.0]
+
+    def test_a_single_snapshot_is_stamped_with_the_time_asked(self):
+        """A history of one snapshot answers a time within 1e-9 of its
+        own as any snapshot hit is answered: that state, at the time
+        asked."""
+        g = build_grid(16, 8, 3.0)
+        hist = FlowHistory()
+        hist.append(FlowState(time=1.0, v=sphere_field(g), renormalized=False))
+        got = hist.state_at(1.0 + 5.0e-10)
+        assert got.time == 1.0 + 5.0e-10
+        assert got.v is hist.states[0].v and not got.renormalized
+
+    def test_state_at_blends_the_tip_tables_linearly(self):
+        """Between two snapshots that both carry a tip, the tip table is
+        the linear blend of the two; without a tip on both sides there
+        is none."""
+        g = build_grid(16, 16, 3.0)
+        f = bubble_sheet_field(g)
+        hist = FlowHistory()
+        hist.append(FlowState(time=0.0, v=f, tip=TipField(np.ones((9, 16)))))
+        hist.append(FlowState(time=1.0, v=f, tip=TipField(np.full((9, 16), 3.0))))
+        hist.append(FlowState(time=2.0, v=f))
+        assert np.array_equal(hist.state_at(0.25).tip.values, np.full((9, 16), 1.5))
+        assert hist.state_at(1.5).tip is None
 
     @pytest.mark.parametrize("signed", [True, False], ids=["w_signed", "values"])
     def test_at_is_the_profile_of_state_at(self, signed):
@@ -1265,7 +1339,7 @@ class TestRunHistory:
     def test_save_load_roundtrip(self, tmp_path):
         g = build_grid(128, 32, 3.2)
         f = sphere_field(g)
-        tip = TipField.from_profile(f, n_nodes=17)
+        tip = _tip(f, 17)
         st = FlowState(time=0.0, v=f, tip=tip, renormalized=True)
         hist = run(st, 0.01, snapshot_every=0.005)
         out = os.path.join(tmp_path, "hist")
@@ -1775,7 +1849,7 @@ class TestZoomedTip:
             zoomed_tip(st)
 
     def test_bowl_table_round_trips_exactly(self):
-        bowl = solve_bowl(4.0)
+        bowl = solve_bowl()
         tau0 = -6.0
         s = math.sqrt(abs(tau0))
         v_nodes = np.linspace(0.0, 0.4, 17)

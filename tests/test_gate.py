@@ -68,7 +68,7 @@ GATE = {
     "diagnostics.AsymptoticsReport": _record("parabolic", "intermediate", "tip", "epsilon"),
     "diagnostics.asymptotics_report": {
         "state": OBJECT, "bowl": OBJECT,
-        "epsilon": Float(lambda x: diagnostics.asymptotics_report(NF_STATE, x))},
+        "epsilon": Float(lambda x: diagnostics.asymptotics_report(NF_STATE, x, None))},
     "diagnostics.ConcavityReport": _record("margins", "worst", "worst_y", "worst_phi", "delta"),
     "diagnostics.concavity_margin": {
         "field": OBJECT,
@@ -87,7 +87,7 @@ GATE = {
     # evolve
     "evolve.TipField": {"values": ARRAY},
     "evolve.TipField.profile_at": {"y": QUERY, "j": INT},
-    "evolve.TipField.from_profile": {"field": OBJECT, "n_nodes": INT},
+    "evolve.TipField.from_profile": {"field": OBJECT},
     "evolve.TipField.save": {"path": PATH},
     "evolve.TipField.load": {"path": PATH},
     "evolve.rhs_renormalized_Y": {"Y": ARRAY},
@@ -227,9 +227,8 @@ GATE = {
         "b": Float(lambda x: recenter.jacobian_det(SYNTH, -100.0, x, 0.0)),
         "Gamma": Float(lambda x: recenter.jacobian_det(SYNTH, -100.0, 0.0, x))},
     "recenter.solve_psi": {
-        "history": OBJECT, "mode": STR, "max_iter": INT,
-        "tau0": Float(lambda x: recenter.solve_psi(SYNTH, x)),
-        "start": Float(lambda x: recenter.solve_psi(SYNTH, -100.0, start=(x, 0.0)))},
+        "history": OBJECT, "mode": STR,
+        "tau0": Float(lambda x: recenter.solve_psi(SYNTH, x))},
     # shrinkers
     "shrinkers.bubble_sheet_field": {"grid": OBJECT},
     "shrinkers.sphere_field": {"grid": OBJECT},
@@ -244,9 +243,6 @@ GATE = {
     "shrinkers.ellipsoid_initial": {"grid": OBJECT, "spec": OBJECT},
     "shrinkers.BowlProfile": {"rho": ARRAY, "height": ARRAY, "slope": ARRAY},
     "shrinkers.BowlProfile.dZ": {"rho": QUERY},
-    "shrinkers.solve_bowl": {
-        "rho_max": Float(lambda x: shrinkers.solve_bowl(x)),
-        "drho": Float(lambda x: shrinkers.solve_bowl(2.0, x))},
     # spectral
     "spectral.smoothstep_quintic": {"x": ARRAY},
     "spectral.cutoff_profile": {"values": ARRAY},

@@ -385,6 +385,20 @@ def test_load_field_rejects_stretched_nodes(tmp_path):
         load_field(path)
 
 
+def test_load_field_rejects_rows_of_four_fields(tmp_path):
+    """Rows that all lost their value parse as numbers; the field count
+    refuses them."""
+    g = build_grid(8, 4, 2.0)
+    path = tmp_path / "field.csv"
+    save_field(ScalarField(g, np.ones(g.shape)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1:] = [line.rsplit(",", 1)[0] + "\n" for line in lines[1:]]
+    path.write_text("".join(lines))
+    with pytest.raises(ParameterError, match="rows need 5 fields") as exc:
+        load_field(path)
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("row,other", [(2, 3), (5, 9)], ids=["same-ring", "two-rings"])
 def test_load_field_rejects_swapped_rows(tmp_path, row, other):
     """Every row must be its header's (k, j, node, phi) in row-major
@@ -424,6 +438,8 @@ def test_grid_mismatch_is_shape_error():
         inner_product_H(fa, fb)
     with pytest.raises(ShapeError):
         ScalarField(a, np.ones((3, 3)))
+    with pytest.raises(ShapeError, match="w_signed"):
+        ScalarField(a, np.ones(a.shape), w_signed=np.ones((3, 3)))
 
 
 def test_field_immutable():

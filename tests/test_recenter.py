@@ -333,17 +333,22 @@ def test_solver_round_trip(grid):
 
 
 def test_solver_multistart_uniqueness(grid):
+    """solve_psi's Newton loop, on its pairing map and in its box, finds
+    the zero that solve_psi finds from zero from every start in the box."""
     H = shifted_history(grid, 8.0e-4, 3.0e-2)
     ref = solve_psi(H, TAU0)
-    rb, rG = ref.b(TAU0), ref.Gamma(TAU0)
+    F, steps = recenter._pairing_map(H, TAU0, TWO_PARAM)
+    radius_sq = 100.0 * max(measure_kappa(H, TAU0), 1.0e-8) ** 2
     rng = np.random.default_rng(11)
     for _ in range(20):
         start = np.array(
             [rng.uniform(-0.02, 0.02), rng.uniform(-0.15, 0.15)]
         )
-        sol = solve_psi(H, TAU0, start=start)
-        assert abs(sol.b(TAU0) - rb) < 1.0e-8
-        assert abs(sol.Gamma(TAU0) - rG) < 1.0e-8
+        assert recenter._in_box(start, TAU0, radius_sq)
+        b, Gamma = recenter._newton(F, start, steps, TWO_PARAM, TAU0, radius_sq)
+        sol = TransformParams.from_renormalized(TAU0, b=b, Gamma=Gamma)
+        assert abs(sol.b(TAU0) - ref.b(TAU0)) < 1.0e-8
+        assert abs(sol.Gamma(TAU0) - ref.Gamma(TAU0)) < 1.0e-8
 
 
 def test_solver_four_param_round_trip(grid):
@@ -406,16 +411,14 @@ def test_solver_evaluates_the_module_maps(mode, name, grid, monkeypatch):
     assert calls[({"psi2", "psi4"} - {name}).pop()] == 0
 
 
-def test_solver_budget_and_guards(grid, base):
-    H = shifted_history(grid, 8.0e-4, 3.0e-2)
-    with pytest.raises(BudgetError):
-        solve_psi(H, TAU0, max_iter=0)
+def test_solver_budget_and_guards(grid, base, monkeypatch):
     with pytest.raises(ParameterError):
         solve_psi(base, TAU0, mode="five-param")
     with pytest.raises(ParameterError):
         solve_psi(base, 100.0)
-    with pytest.raises(ParameterError):
-        solve_psi(base, TAU0, start=np.array([10.0, 10.0]))
+    monkeypatch.setattr(recenter, "_MAX_ITER", 0)
+    with pytest.raises(BudgetError):
+        solve_psi(shifted_history(grid, 8.0e-4, 3.0e-2), TAU0)
 
 
 def _short_history(grid):
@@ -454,13 +457,15 @@ def test_solver_reports_the_time_its_first_step_leaves(grid, monkeypatch):
     (DegeneracyError, _outward_history, 50, r"psi2 Jacobian determinant \S+ <= 0"),
     (BudgetError, lambda g: shifted_history(g, 8.0e-4, 3.0e-2), 0, r"no convergence in 0"),
 ], ids=["coverage", "degeneracy", "budget"])
-def test_solver_errors_name_kappa_and_the_box(grid, error, history, max_iter, first):
+def test_solver_errors_name_kappa_and_the_box(grid, error, history, max_iter, first,
+                                              monkeypatch):
     """A refusal of solve_psi keeps its type and its own text first, then
     names kappa and the radius 10 kappa of the search box."""
     H = history(grid)
     kappa = max(measure_kappa(H, TAU0), 1.0e-8)
+    monkeypatch.setattr(recenter, "_MAX_ITER", max_iter)
     with pytest.raises(error) as info:
-        solve_psi(H, TAU0, max_iter=max_iter)
+        solve_psi(H, TAU0)
     assert type(info.value) is error
     assert re.match(first, str(info.value))
     assert (f"; at tau0=-100, kappa = {kappa:.3g} and the search box tau0^2 b^2 + "
@@ -488,6 +493,50 @@ def test_transform_refuses_a_nan_dilation(base):
         hist.append(FlowState(time=tau, v=base.at(tau), renormalized=True))
     with pytest.raises(ParameterError, match="Gamma must be finite, got nan"):
         transform_profile(hist, 0.0, math.nan, TAU0)
+
+
+def _recording(F):
+    """F, and the list of the points it is evaluated at."""
+    points = []
+
+    def wrapped(x):
+        points.append(x.copy())
+        return F(x)
+
+    return wrapped, points
+
+
+def test_newton_halves_a_step_that_leaves_the_box():
+    """From b = 0.1 the Newton step on b^3 = 1/8 lands at b = 4.2, outside
+    the unit box (tau0 = -1); it is halved back in, no point outside the
+    box is evaluated, and the loop still finds b = 1/2."""
+    F, points = _recording(lambda x: np.array([x[0] ** 3 - 0.125, x[1]]))
+    x = recenter._newton(F, np.array([0.1, 0.0]), (1.0e-7, 1.0e-6), TWO_PARAM, -1.0, 1.0)
+    assert np.abs(x - [0.5, 0.0]).max() < 1.0e-9
+    assert all(recenter._in_box(p, -1.0, 1.0) for p in points)
+    assert max(p[0] for p in points) < 1.0
+
+
+def test_newton_pinned_to_the_box_boundary_is_a_budget_error():
+    """The zero of x - (2, 0) lies outside the unit box: the first step is
+    halved onto the boundary, and the next points out of the box at
+    every length."""
+    with pytest.raises(BudgetError, match="pinned to the box boundary"):
+        recenter._newton(lambda x: x - np.array([2.0, 0.0]), np.zeros(2),
+                         (1.0e-7, 1.0e-6), TWO_PARAM, -1.0, 1.0)
+
+
+def test_newton_damping_gives_up_after_30_halvings():
+    """(1 + b^2, Gamma) has no zero.  At b = 1e-6 its Jacobian is 2e-6,
+    so the Newton step shoots to b = -5e5, and a point nearer the minimum
+    at b = 0 needs lam < 4e-12: every one of the 30 halvings from 1 (the
+    box does not bind) raises the residual."""
+    F, points = _recording(lambda x: np.array([1.0 + x[0] ** 2, x[1]]))
+    with pytest.raises(BudgetError, match="damping failed to reduce the residual"):
+        recenter._newton(F, np.array([1.0e-6, 0.0]), (1.0e-7, 1.0e-6), TWO_PARAM,
+                         -1.0, 1.0e12)
+    # the start, two points per Jacobian column and the 30 trials
+    assert len(points) == 1 + 4 + 30
 
 
 def test_fd_jacobian_makes_two_calls_per_parameter():
