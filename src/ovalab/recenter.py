@@ -4,8 +4,10 @@ A renormalized flow can be translated, time-shifted, dilated and
 rotated; at the profile level all of these act by rescaling the graph
 function and its arguments.  This module implements that action, the
 Gaussian pairing maps whose zeros single out a canonical member of each
-orbit, and a damped Newton solver that finds those zeros with a
-finite-difference Jacobian.
+orbit, and a damped Newton solver that finds those zeros.  Its
+Jacobian columns are one-sided differences from the residual the loop
+already holds, one pullback each; jacobian_det, which measures the
+derivative itself, stays central.
 
 Raw parameters (alpha, beta, gamma, phi_rot) live at the unrescaled
 level; at a renormalized time tau they induce the working triple
@@ -298,9 +300,11 @@ def _pairing_map(history, tau0, mode):
 
 def jacobian_det(history, tau0, b, Gamma):
     """Determinant of the central finite-difference Jacobian of psi2
-    in the (b, Gamma) plane, with step 1e-6 in both."""
+    in the (b, Gamma) plane, with step 1e-6 in both.  Central, not the
+    one-sided Jacobian of solve_psi: this is a measurement of the
+    derivative, and its O(h^2) error keeps it a sharp one."""
     F, _ = _pairing_map(history, tau0, TWO_PARAM)
-    J = _fd_jacobian(F, np.array([b, Gamma], dtype=float), (1.0e-6, 1.0e-6))
+    J = _fd_jacobian(F, np.array([b, Gamma], dtype=float), (1.0e-6, 1.0e-6), None)
     return float(_det2(J))
 
 
@@ -308,27 +312,43 @@ def _det2(J):
     return J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
 
 
-def _fd_jacobian(F, x, steps):
-    """Central-difference Jacobian of F at x: two calls of F per column."""
+def _fd_jacobian(F, x, steps, fx):
+    """Finite-difference Jacobian of F at x, column k with step steps[k].
+
+    Given fx = F(x), the columns are one-sided, (F(x + h e_k) - fx)/h:
+    one call of F per column, error O(h).  Given None, they are central,
+    (F(x + h e_k) - F(x - h e_k))/(2h): two calls per column, error
+    O(h^2).  _newton passes the residual it holds, since a Newton step
+    needs a Jacobian only good enough to contract; jacobian_det and other
+    measurements of the derivative itself pass None.
+    """
     cols = []
     for k, h in enumerate(steps):
         xp = x.copy()
-        xm = x.copy()
         xp[k] += h
-        xm[k] -= h
-        cols.append((F(xp) - F(xm)) / (2.0 * h))
+        if fx is None:
+            xm = x.copy()
+            xm[k] -= h
+            cols.append((F(xp) - F(xm)) / (2.0 * h))
+        else:
+            cols.append((F(xp) - fx) / h)
     return np.column_stack(cols)
 
 
 def _newton(F, x, steps, mode, tau0, radius_sq):
     """The damped Newton loop of solve_psi from x: returns the point where
     |F| < PSI_TOL within _MAX_ITER iterations, every iterate inside the box
-    of squared radius radius_sq."""
+    of squared radius radius_sq.  Each iteration calls F once per Jacobian
+    column, one-sided from the residual it holds (_fd_jacobian), plus once
+    per damped trial.  The step is halved from the largest power of 1/2
+    that stays in the box, up to 30 times, and the first trial that lowers
+    |F| is taken; if none does, the damping has failed."""
     res = F(x)
     for _ in range(_MAX_ITER):
-        if float(np.linalg.norm(res)) < PSI_TOL:
+        base = float(np.linalg.norm(res))
+        if base < PSI_TOL:
             break
-        J = _fd_jacobian(F, x, steps)
+        J = _fd_jacobian(F, x, steps, res)
         if mode == TWO_PARAM and (det := _det2(J)) <= 0.0:
             raise DegeneracyError(
                 f"psi2 Jacobian determinant {det:g} <= 0 inside the box"
@@ -344,10 +364,9 @@ def _newton(F, x, steps, mode, tau0, radius_sq):
                 raise BudgetError(
                     "Newton direction pinned to the box boundary"
                 )
-        base = float(np.linalg.norm(res))
         for _ in range(30):
             trial = F(x + lam * d)
-            if float(np.linalg.norm(trial)) < base or lam < 1.0e-10:
+            if float(np.linalg.norm(trial)) < base:
                 break
             lam *= 0.5
         else:
@@ -368,7 +387,11 @@ def solve_psi(history, tau0, mode=TWO_PARAM):
     Two-param mode solves psi2 over (b, Gamma); four-param mode solves
     psi4 over (a1, a2, b, Gamma) and then fixes the rotation by the
     closed-form half-angle.  Newton starts at zero, the untransformed
-    history, and stops once |psi| < PSI_TOL.  Iterates are confined to
+    history, and stops once |psi| < PSI_TOL.  Its Jacobian columns are
+    one-sided differences from the residual it holds, n + 1 pullbacks per
+    iteration for n parameters.  The Jacobian only steers the iteration,
+    which contracts with its O(h) error too, so the result moves only
+    within |psi| < PSI_TOL.  Iterates are confined to
     the box |tau0|^2 b^2 + Gamma^2 <= 100 kappa^2 with kappa measured
     from the history.  A nonpositive psi2 Jacobian determinant inside
     the box, or a singular Jacobian in either mode, is a degeneracy;

@@ -312,7 +312,7 @@ class TestWRHS:
                 return fold(evolve._w_rhs(unfold(x), g, True, np.ones(g.shape, bool)))
 
             x0 = np.full(1 + 16 * n_r, 2.0)
-            J = _fd_jacobian(F, x0, (1.0e-6,) * len(x0))
+            J = _fd_jacobian(F, x0, (1.0e-6,) * len(x0), None)
             ev = np.linalg.eigvals(J)
             ev = ev[np.argsort(-ev.real)]
             assert np.abs(ev[:6] - [1.0, 0.5, 0.5, 0.0, 0.0, 0.0]).max() < 1.0e-7

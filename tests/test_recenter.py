@@ -406,8 +406,9 @@ def test_solver_evaluates_the_module_maps(mode, name, grid, monkeypatch):
         monkeypatch.setattr(recenter, key, counting(key, getattr(recenter, key)))
     dim = 2 if mode == TWO_PARAM else 4
     solve_psi(shifted_history(grid, 8.0e-4, 3.0e-2), TAU0, mode=mode)
-    # the start residual, one Jacobian and one damped trial at least
-    assert calls[name] >= 2 + 2 * dim
+    # the start residual, then two iterations at least of dim one-sided
+    # Jacobian columns and one damped trial each
+    assert calls[name] >= 1 + 2 * (dim + 1)
     assert calls[({"psi2", "psi4"} - {name}).pop()] == 0
 
 
@@ -447,8 +448,8 @@ def test_solver_reports_the_time_its_first_step_leaves(grid, monkeypatch):
     # the step toward Gamma = 0.03 asks for tau near 1.03 TAU0
     with pytest.raises(CoverageError, match=r"outside history \[-100\.5, -99\.5\]"):
         solve_psi(hist, TAU0)
-    # the start residual, two calls per Jacobian column and one trial
-    assert len(calls) == 6
+    # the start residual, one call per Jacobian column and one trial
+    assert len(calls) == 4
 
 
 @pytest.mark.filterwarnings("ignore:.*clamped to the boundary ring")
@@ -527,19 +528,67 @@ def test_newton_pinned_to_the_box_boundary_is_a_budget_error():
 
 
 def test_newton_damping_gives_up_after_30_halvings():
-    """(1 + b^2, Gamma) has no zero.  At b = 1e-6 its Jacobian is 2e-6,
-    so the Newton step shoots to b = -5e5, and a point nearer the minimum
-    at b = 0 needs lam < 4e-12: every one of the 30 halvings from 1 (the
-    box does not bind) raises the residual."""
+    """(1 + b^2, Gamma) has no zero.  At b = 1e-6 its one-sided Jacobian
+    is 2b + h = 2.1e-6, so the Newton step shoots to b = -4.8e5, and a
+    point nearer the minimum at b = 0 needs lam < 4.2e-12: every one of
+    the 30 halvings raises the residual, whether they start from lam = 1
+    (box radius 1e6, which does not bind) or from the lam = 2^-6 that a
+    box of radius 1e4 leaves, and so pass lam = 1e-10 on the way."""
+    for radius, lam in ((1.0e6, 1.0), (1.0e4, 2.0**-6)):
+        F, points = _recording(lambda x: np.array([1.0 + x[0] ** 2, x[1]]))
+        with pytest.raises(BudgetError, match="damping failed to reduce the residual"):
+            recenter._newton(F, np.array([1.0e-6, 0.0]), (1.0e-7, 1.0e-6), TWO_PARAM,
+                             -1.0, radius**2)
+        # the start, one point per Jacobian column and the 30 trials
+        assert len(points) == 1 + 2 + 30
+        assert points[3][0] == pytest.approx(1.0e-6 - lam / 2.1e-6, rel=1.0e-3)
+
+
+def test_newton_never_accepts_a_step_that_raises_the_residual():
+    """(1 + b^2, Gamma) from b = 1e-6 in the unit box (tau0 = -1): the box
+    cuts the first step to lam = 2^-19, and the trials must pass
+    lam = 1e-10 before one lowers |F|.  Every iterate the loop moves to
+    has a lower |F| than the one before; the loop then stops at b < 0,
+    where the one-sided psi2 determinant 2b + h is negative."""
     F, points = _recording(lambda x: np.array([1.0 + x[0] ** 2, x[1]]))
-    with pytest.raises(BudgetError, match="damping failed to reduce the residual"):
+    with pytest.raises(DegeneracyError, match="psi2 Jacobian determinant"):
         recenter._newton(F, np.array([1.0e-6, 0.0]), (1.0e-7, 1.0e-6), TWO_PARAM,
-                         -1.0, 1.0e12)
-    # the start, two points per Jacobian column and the 30 trials
-    assert len(points) == 1 + 4 + 30
+                         -1.0, 1.0)
+    # each iterate's Gamma column is the only point with Gamma != 0
+    iterates = [p[0] for p in points if p[1] != 0.0]
+    assert len(iterates) == 2
+    assert abs(iterates[1]) < abs(iterates[0])
 
 
-def test_fd_jacobian_makes_two_calls_per_parameter():
+@pytest.mark.parametrize("mode", [TWO_PARAM, FOUR_PARAM])
+def test_newton_calls_the_map_n_plus_1_times_per_iteration(mode):
+    """On x_k + x_k^3 = c_k with its zero at x = (0.5, -0.25, ...), every
+    full step lowers |F|: the loop calls F at the start, then at
+    x + h_k e_k for each of the n columns and at one trial per
+    iteration, which becomes the next iterate.  No column is central."""
+    n = 2 if mode == TWO_PARAM else 4
+    zero = np.array([0.5, -0.25, 0.375, -0.125])[:n]
+    steps = (1.0e-7, 1.0e-6, 1.0e-7, 1.0e-6)[:n]
+    F, points = _recording(lambda x: x + x**3 - (zero + zero**3))
+    x = recenter._newton(F, np.zeros(n), steps, mode, -1.0, 1.0e6)
+    assert np.abs(x - zero).max() < 1.0e-10
+    iterations, rest = divmod(len(points) - 1, n + 1)
+    assert rest == 0 and iterations >= 3
+    base = points[0]
+    for i in range(iterations):
+        chunk = points[1 + i * (n + 1):1 + (i + 1) * (n + 1)]
+        for k in range(n):
+            assert np.array_equal(chunk[k], base + steps[k] * np.eye(n)[k])
+        base = chunk[n]
+    assert np.array_equal(base, x)
+
+
+@pytest.mark.parametrize("one_sided", [False, True], ids=["central", "one-sided"])
+def test_fd_jacobian_calls_per_parameter(one_sided):
+    """Central columns take two calls each and are O(h^2) accurate;
+    given F(x), one-sided columns take one call each, and column k is
+    off by at most h_k max|d^2F/dx_k^2| / 2 plus roundoff, here
+    (1.5e-7, 1e-6, 0) from sin'' = -sin 0.3 and (x_1^2)'' = 2."""
     calls = []
 
     def F(x):
@@ -547,8 +596,17 @@ def test_fd_jacobian_makes_two_calls_per_parameter():
         return np.array([x[0] * x[1], x[1] ** 2 + x[2], math.sin(x[0])])
 
     x = np.array([0.3, -1.2, 2.0])
-    J = _fd_jacobian(F, x, np.array([1.0e-6, 1.0e-6, 1.0e-7]))
-    assert len(calls) == 2 * x.size
+    steps = np.array([1.0e-6, 1.0e-6, 1.0e-7])
+    fx = np.array([x[0] * x[1], x[1] ** 2 + x[2], math.sin(x[0])]) if one_sided else None
+    J = _fd_jacobian(F, x, steps, fx)
     exact = np.array([[x[1], x[0], 0.0], [0.0, 2.0 * x[1], 1.0],
                       [math.cos(x[0]), 0.0, 0.0]])
-    np.testing.assert_allclose(J, exact, atol=1.0e-8)
+    if not one_sided:
+        assert len(calls) == 2 * x.size
+        np.testing.assert_allclose(J, exact, atol=1.0e-8)
+        return
+    assert len(calls) == x.size
+    curvature = np.array([math.sin(x[0]), 2.0, 0.0])
+    assert np.all(np.abs(J - exact) <= steps * curvature / 2.0 + 1.0e-8)
+    # the bound is attained to first order: the error is O(h), not O(h^2)
+    assert abs(J[1, 1] - exact[1, 1]) == pytest.approx(steps[1], rel=1.0e-2)
