@@ -640,27 +640,30 @@ class FlowHistory:
         """Read a history written by save_dir.  An index that is not JSON
         or not a list of entries, or an entry without its field name, with
         a field or tip name that is not a string, a missing or non-boolean
-        renormalized flag, a missing or non-numeric time or L or a
-        non-finite time, raises ParameterError naming the index file.  An
+        renormalized flag, a missing time or L or one that is no JSON
+        number (true and "0.25" are none), or a non-finite time, raises
+        ParameterError naming the index file.  An
         entry that FlowState or the time order refuses keeps its
         ParameterError or ShapeError, with the index file and the
         snapshot's field name in front of the message."""
         where = os.path.join(path, "history.json")
         with open(where) as fh:
             try:
-                index = json.load(fh)
+                # every JSON number a float, so an int past float range reads inf
+                index = json.load(fh, parse_int=float)
             except json.JSONDecodeError as err:
                 raise ParameterError(f"{where}: index is not JSON ({err})") from None
         if not isinstance(index, list):
             raise ParameterError(f"{where}: index must be a list of snapshots")
         try:
-            entries = [(float(e["time"]), e["field"], e.get("tip"),
-                        e["renormalized"], float(e["L"]))
+            entries = [(e["time"], e["field"], e.get("tip"), e["renormalized"], e["L"])
                        for e in index]
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError) as err:
             raise ParameterError(
                 f"{where}: bad snapshot entry ({type(err).__name__}: {err})"
             ) from None
+        if not all(type(e[0]) is float and type(e[4]) is float for e in entries):
+            raise ParameterError(f"{where}: time and L must be numbers")
         if not all(isinstance(e[3], bool) for e in entries):
             raise ParameterError(f"{where}: renormalized must be true or false")
         if not all(isinstance(e[1], str) and isinstance(e[2], (str, type(None)))

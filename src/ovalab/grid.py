@@ -44,6 +44,12 @@ which pairs a field with one array or with a stack of them in one
 product, and the squared profile W = v^2, read with its outside
 continuation by signed_square and written as a field by
 ScalarField.from_square.
+
+Node tables, a field's (save_field) or a tip table's, are one CSV codec:
+_write_table formats each angle once per table and each node once per
+node row, so a value is the only float formatted per entry, in `.17g`,
+which round-trips; _read_table splits off the blank and `#` lines in one
+pass and np.loadtxt parses the rest.
 """
 
 import functools
@@ -506,33 +512,50 @@ def angular_lowpass(values, m_max):
     return out
 
 
+# a blank or `#` line of a node table, from the newline before it, and
+# the key=value pairs of the `#` lines
+_SKIP = re.compile(r"\n\s*(?:#(.*))?(?=\n|$)")
+_META = re.compile(r"([^\s=]*)=(\S*)")
+
+
 def _write_table(path, header, nodes, phi, values):
     """Write a node table as CSV: the comment line `# header`, then one
     row `k, j, nodes[k], phi[j], values[k, j]` per entry in row-major
-    order."""
+    order, every float in `.17g`, which round-trips.
+
+    The angles go once per table into a template of one node row, its
+    n_phi lines; each node row fills it with k and the node, formatted
+    once, and the row's values, and is one write."""
+    row = "".join(f"{{0}}, {j}, {{1}}, {pj:.17g}, {{{j + 2}:.17g}}\n"
+                  for j, pj in enumerate(phi))
     with open(path, "w") as fh:
         fh.write(f"# {header}\n")
         for k, node in enumerate(nodes):
-            for j, pj in enumerate(phi):
-                fh.write(f"{k}, {j}, {node:.17g}, {pj:.17g}, {values[k, j]:.17g}\n")
+            fh.write(row.format(str(k), f"{node:.17g}", *values[k].tolist()))
 
 
 def _read_table(path, what, header):
     """Read a _write_table file of `what` nodes into (info, values).
 
-    np.loadtxt parses the rows; header(meta) parses the key=value pairs of
-    the `#` lines into (nodes, info), nodes being the column the table must
-    hold.  A table of other than len(nodes) * phi_nodes rows raises
-    ShapeError.  A non-numeric value or ragged row, a bad header entry, a
-    row without five fields, a non-finite value or a row whose (k, j,
-    node, phi) is not the header's, row-major with node and phi to 1e-9
-    of their step, raises ParameterError naming the file.
+    One pass over the text splits off its blank and `#` lines, anywhere
+    in the file; a `#` after data on a row is no comment.  np.loadtxt
+    parses the other lines, the rows; header(meta) parses the key=value
+    pairs of the `#` lines into (nodes, info), nodes being the column the
+    table must hold.  A table of other than len(nodes) * phi_nodes rows
+    raises ShapeError.  A non-numeric value or ragged row, a bad header
+    entry, a row without five fields, a non-finite value or a row whose
+    (k, j, node, phi) is not the header's, row-major with node and phi to
+    1e-9 of their step, raises ParameterError naming the file.
     """
     with open(path) as fh:
         text = "\n" + fh.read()
-    skip = r"\n\s*(?:#(.*))?(?=\n|$)"  # a blank or `#` line, from the newline before it
-    meta = dict(re.findall(r"([^\s=]*)=(\S*)", " ".join(re.findall(skip, text))))
-    rows = re.sub(skip, "", text)
+    notes, rows, at = [], [], 0
+    for line in _SKIP.finditer(text):
+        notes.append(line[1] or "")
+        rows.append(text[at:line.start()])
+        at = line.end()
+    rows = "".join(rows) + text[at:]
+    meta = dict(_META.findall(" ".join(notes)))
     try:
         # a header-only table is the ShapeError below, not numpy's no-data warning
         data = (np.loadtxt(rows.splitlines(), delimiter=",", comments=None, ndmin=2)

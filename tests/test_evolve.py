@@ -125,7 +125,7 @@ class TestTipField:
         tip.save(path)
         back = TipField.load(path)
         assert np.array_equal(back.v_nodes, tip.v_nodes)
-        assert np.abs(back.values - tip.values).max() < 1.0e-14
+        assert np.array_equal(back.values, tip.values)
 
     def test_truncated_table_rejected(self, tmp_path):
         g = build_grid(160, 32, 3.2)
@@ -1347,9 +1347,9 @@ class TestRunHistory:
         back = FlowHistory.load_dir(out)
         assert len(back.states) == len(hist.states)
         for a, b in zip(hist.states, back.states):
-            assert a.time == pytest.approx(b.time)
-            assert np.abs(a.v.values - b.v.values).max() < 1.0e-14
-            assert np.abs(a.tip.values - b.tip.values).max() < 1.0e-14
+            assert a.time == b.time
+            assert np.array_equal(a.v.values, b.v.values)
+            assert np.array_equal(a.tip.values, b.tip.values)
 
     def test_load_keeps_each_snapshot_grid(self, tmp_path):
         """Snapshots on grids with equal node counts but different nodes
@@ -1405,7 +1405,8 @@ class TestRunHistory:
 
     @pytest.mark.parametrize("case", ["no-L", "no-time", "not-a-list", "time-soon",
                                       "renormalized-no", "field-5", "tip-7",
-                                      "field-list", "not-json"])
+                                      "field-list", "not-json", "time-true",
+                                      "time-text", "L-true", "L-text", "L-huge"])
     def test_bad_index_is_a_parameter_error(self, tmp_path, case):
         g = build_grid(8, 4, 3.0)
         hist = FlowHistory()
@@ -1433,6 +1434,16 @@ class TestRunHistory:
             index[1]["field"] = ["a"]
         elif case == "renormalized-no":
             index[1]["renormalized"] = "no"
+        elif case == "time-true":
+            index[1]["time"] = True
+        elif case == "time-text":
+            index[1]["time"] = "0.25"
+        elif case == "L-true":
+            index[0]["L"] = True
+        elif case == "L-text":
+            index[0]["L"] = "3"
+        elif case == "L-huge":
+            index[0]["L"] = 10**400  # an int past float range
         with open(where, "w") as fh:
             if case == "not-json":
                 fh.write("[{")

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovalab.errors import ParameterError, ShapeError
+from ovalab.evolve import TipField
 from ovalab.grid import (
     ScalarField,
     _write_table,
@@ -413,6 +414,83 @@ def test_load_field_rejects_swapped_rows(tmp_path, row, other):
     with pytest.raises(ParameterError, match="by 4 angles") as exc:
         load_field(path)
     assert str(path) in str(exc.value)
+
+
+def table_by_entries(path, header, nodes, phi, values):
+    """_write_table as one write per entry, each formatting its node, angle
+    and value: the oracle whose bytes the row-block writer must match."""
+    with open(path, "w") as fh:
+        fh.write(f"# {header}\n")
+        for k, node in enumerate(nodes):
+            for j, pj in enumerate(phi):
+                fh.write(f"{k}, {j}, {node:.17g}, {pj:.17g}, {values[k, j]:.17g}\n")
+
+
+def _hard_values(shape, seed):
+    """Random values with the formats' edge cases in the first row: the
+    least subnormal, a huge value and 0.1 + 0.2, which needs all 17
+    digits."""
+    values = np.random.default_rng(seed).normal(size=shape)
+    values[0, :3] = 5.0e-324, 1.0e300, 0.1 + 0.2
+    return values
+
+
+@pytest.mark.parametrize("n_phi", [6, 32])
+def test_saved_tables_are_the_entry_writers_bytes(tmp_path, n_phi):
+    """save_field and TipField.save write, after their own header line,
+    exactly the bytes of one `.17g` row per entry."""
+    g = build_grid(24, n_phi, 5.0)
+    values = _hard_values(g.shape, n_phi)
+    values[1, 0] = -0.0
+    tip = TipField(np.abs(_hard_values((9, n_phi), n_phi + 1)))
+    tables = [
+        (lambda path: save_field(ScalarField(g, values), path), g.y, g.phi, values),
+        (tip.save, tip.v_nodes, 2.0 * math.pi * np.arange(n_phi) / n_phi, tip.values),
+    ]
+    for save, nodes, phi, vals in tables:
+        path, oracle = tmp_path / "table.csv", tmp_path / "oracle.csv"
+        save(path)
+        text = path.read_bytes()
+        header = text.split(b"\n", 1)[0][2:].decode()
+        table_by_entries(oracle, header, nodes, phi, vals)
+        assert text == oracle.read_bytes()
+
+
+def test_data_row_with_a_trailing_note_is_malformed(tmp_path):
+    """A `#` after the data of a row starts no comment: the row does not
+    parse."""
+    g = build_grid(8, 4, 2.0)
+    path = tmp_path / "field.csv"
+    save_field(ScalarField(g, np.ones(g.shape)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].rstrip("\n") + " # note\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParameterError, match="malformed radial table row") as exc:
+        load_field(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:5] + [" \t \n"] + lines[5:],
+    lambda lines: lines[:5] + ["\n"] + lines[5:],
+    lambda lines: lines[:5] + ["# between rows\n"] + lines[5:],
+    lambda lines: ["# y_nodes=8 phi_nodes=4\n", "#y_max=2\n"] + lines[1:],
+    lambda lines: [line.replace("\n", "\r\n") for line in lines],
+    lambda lines: lines + ["\n", "  \n", "\n"],
+], ids=["whitespace-line", "empty-line", "note-between-rows", "split-header", "crlf",
+        "trailing-blanks"])
+def test_blank_and_note_lines_read_as_the_clean_table(tmp_path, edit):
+    """Blank lines, `#` lines anywhere, a header over two `#` lines and
+    CRLF line endings leave the values of the table."""
+    g = build_grid(8, 4, 2.0)
+    values = _hard_values(g.shape, 5)
+    path = tmp_path / "field.csv"
+    save_field(ScalarField(g, values), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_bytes("".join(edit(lines)).encode())
+    back = load_field(path)
+    assert back.grid == g
+    assert np.array_equal(back.values, values)
 
 
 def test_parameter_errors():
