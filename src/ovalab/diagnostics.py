@@ -225,7 +225,7 @@ def collar_deviation(field, tau, L):
             f"collar band {L / s:.3g} <= v <= {2.0 * THETA:.3g} is empty"
         )
     W = signed_square(field)
-    wy = field.grid.radial_derivative(W, 1)
+    wy = field.grid.radial_derivative(W)[0]
     dev = np.abs(field.grid.y[:, None] * wy + 4.0)
     dev = np.where(band, dev, -np.inf)
     flat = np.argmax(dev)
@@ -304,7 +304,7 @@ def huisken_density(field, r, tail=None):
     W1, W2 = frame_jet(grid, W)[:2]
     grad2 = W1**2 + W2**2
     # the rim slope is read along each column, the pole row included
-    wy = grid.radial_derivative(W, 1)
+    wy = grid.radial_derivative(W)[0]
     body = W > 0.0
     dens = np.where(
         body,

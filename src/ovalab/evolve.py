@@ -208,7 +208,7 @@ def rhs_renormalized_Y(Y):
     """Right-hand side of the inverse-profile equation on the tip table
     values Y, whose n rows sit at grid.tip_nodes(n); Y <= 0 is a DomainError.
 
-    Y_v and Y_vv are grid.radial_stencil's, with the even reflection
+    Y_v and Y_vv are one pass of grid.radial_stencil, with the even reflection
     Y(-v) = Y(v) as the row below the tip.  The (1/v) Y_v factor is
     regular at the tip: by that reflection Y_v / v -> Y_vv at v = 0.
     """
@@ -216,8 +216,7 @@ def rhs_renormalized_Y(Y):
         raise DomainError("tip radius must stay positive")
     v = tip_nodes(Y.shape[0])[:, None]
     dv = v[1, 0]
-    Yv = radial_stencil(Y, dv, Y[1], 1)
-    Yvv = radial_stencil(Y, dv, Y[1], 2)
+    Yv, Yvv = radial_stencil(Y, dv, Y[1])
     Yp, Ypp, Yvp = angular_derivs(Y, Yv)
 
     den = Y**2 * (1.0 + Yv**2) + Yp**2
@@ -241,22 +240,36 @@ def _w_rhs(W, grid, renormalized, mask):
     still get a genuine update instead of freezing at a positive remnant.
     Every term is frame-invariant, so one expression over the frame jet
     covers every row of W, the grid's first rows from the pole out; at
-    the pole the radial drift vanishes with y.  step passes the rows up
-    to the outermost rim + 2, so rows past them are never evaluated.
+    the pole the radial drift vanishes with y.  _graph_step, for step and
+    the extinction super-step alike, passes the rows up to the outermost
+    rim + 2, so rows past them are never evaluated.
     """
     W1, W2, W11, W12, W22 = frame_jet(grid, W)
-    g2 = W1**2 + W2**2
-    hess = W11 * W1**2 + 2.0 * W12 * W1 * W2 + W22 * W2**2
+    sq1, sq2 = W1**2, W2**2
+    g2 = sq1 + sq2
+    # in place in the jet's own arrays, in the formula's order of
+    # operations; a cross term added first is the same, as a + b == b + a
+    hess = 2.0 * W12
+    hess *= W1
+    hess *= W2
+    hess += np.multiply(sq1, W11, out=sq1)
+    hess += np.multiply(sq2, W22, out=sq2)
+    den = np.multiply(W, 4.0, out=sq1)
+    den += g2
+    hess += np.multiply(g2, 2.0, out=g2)
     # the quotient denominator vanishes only at rim cusps (W ~ 0 with
     # flat gradient, e.g. the saddle between two dying lobes); there
     # the graph quotient is pure noise, so freeze it rather than
     # divide.  Healthy rim columns have |DW| = O(1) and never trip.
-    den = 4.0 * W + g2
-    rat = np.where(den > 1.0e-4, (hess + 2.0 * g2) / np.where(den > 1.0e-4, den, 1.0), 0.0)
-    out = W11 + W22 - rat - 2.0
+    rat = np.divide(hess, den, out=np.zeros(den.shape), where=den > 1.0e-4)
+    out = np.add(W11, W22, out=W11)
+    out -= rat
+    out -= 2.0
     if renormalized:
-        out += -0.5 * grid.y[:W.shape[0], None] * W1 + W
-    return np.where(mask, out, 0.0)
+        drift = np.multiply(W1, -0.5 * grid.y[:W.shape[0], None], out=W1)
+        out += np.add(drift, W, out=drift)
+    np.copyto(out, 0.0, where=~mask)
+    return out
 
 
 @functools.cache
@@ -277,7 +290,7 @@ def _filter_w(W):
     once at the end of a two-stage step."""
     caps = _ring_caps(*W.shape)
     W[:len(caps)] = angular_lowpass(W[:len(caps)], caps)
-    W[0, :] = W[0, :].mean()
+    W[0, :] = W[0].sum() / W.shape[1]  # the pole row's mean, bitwise np.mean's
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +362,21 @@ def _rkl2_stages(stretch):
 def _rkl2(Y, h, s, rhs, after_stage):
     """One s-stage RKL2 super-step of length h from Y.  rhs gives a
     stage's time derivative; after_stage(Y, j) maps stage j = 1..s to the
-    one later stages read.  At s = 2 the stability polynomial is the
-    midpoint's, 1 + z + z^2/2.  A non-finite end raises StepSizeError."""
+    one later stages read, and is only handed arrays _rkl2 made: Y and
+    what rhs returns are never written, so rhs may hand one array out
+    again.  At s = 2 the stability polynomial is the midpoint's,
+    1 + z + z^2/2.  A non-finite end raises StepSizeError."""
     mu1, stages = _rkl2_coefficients(s)
     k0 = h * rhs(Y)
     prev, cur = Y, after_stage(Y + mu1 * k0, 1)
+    term = np.empty_like(k0)
     for j, (mu, nu, mu_t, gamma_t) in enumerate(stages, 2):
         k = rhs(cur)
-        prev, cur = cur, after_stage(mu * cur + nu * prev + (1.0 - mu - nu) * Y
-                                     + (mu_t * h) * k + gamma_t * k0, j)
+        # mu cur + nu prev + (1 - mu - nu) Y + mu~ h k + gamma~ k0, left to right
+        nxt = mu * cur
+        for c, a in ((nu, prev), (1.0 - mu - nu, Y), (mu_t * h, k), (gamma_t, k0)):
+            nxt += np.multiply(c, a, out=term)
+        prev, cur = cur, after_stage(nxt, j)
     if not np.all(np.isfinite(cur)):
         raise StepSizeError(f"{s}-stage super-step not finite at dt={h:.3e}")
     return cur

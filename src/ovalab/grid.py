@@ -18,12 +18,15 @@ Nodes are laid out here alone, uniform from 0: a PolarGrid from
 (n_r, n_phi, y_max), a tip table of evolve by tip_nodes(n) on [0, 2 THETA].
 radial_stencil is the one radial finite-difference stencil: centred
 three-point differences with a caller's mirror row at -h, and one-sided
-four-point ones at the outer row.  The graph mirrors through the pole,
-f(-y, phi) = f(y, phi + pi); the tip patch mirrors evenly through its tip.
+four-point ones at the outer row.  One pass over one mirror-extended
+array gives both the first and the second derivative.  The graph mirrors
+through the pole, f(-y, phi) = f(y, phi + pi); the tip patch mirrors
+evenly through its tip.
 
-polar_jet gives a field's derivatives in (y, phi); frame_jet, the one
-owner of the pole row, turns them into gradient and Hessian in an
-orthonormal frame at every node, so no plane operator has a pole case.
+polar_jet gives a field's derivatives in (y, phi), both radial orders
+from that one pass; frame_jet, the one owner of the pole row, turns them
+into gradient and Hessian in an orthonormal frame at every node, so no
+plane operator has a pole case.
 resample, bilinear in (y, phi), is the one reader between the nodes;
 the inverse reading, of where a monotone tip or W column crosses a
 level, is evolve._interp_columns.
@@ -100,31 +103,36 @@ def tip_nodes(n):
     return nodes
 
 
-# one-sided four-point weights at the outer row, exact on cubics
-_EDGE = {1: np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]),
-         2: np.array([-1.0, 4.0, -5.0, 2.0])}
+@functools.lru_cache(maxsize=16)
+def _edge_weights(h):
+    """The outer row's one-sided four-point weights of both orders at
+    spacing h, exact on cubics: one pair per spacing in use."""
+    return (np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / h,
+            np.array([-1.0, 4.0, -5.0, 2.0]) / h**2)
 
 
-def radial_stencil(values, h, mirror, order):
-    """Radial derivative of the given order (1 or 2) of values, rows h
-    apart down the first axis.
+def radial_stencil(values, h, mirror):
+    """First and second radial derivatives of values, rows h apart down
+    the first axis, both from one mirror-extended array.
 
-    Every row but the last takes the centred three-point difference,
+    Every row but the last takes the centred three-point differences,
     with mirror standing for the row at -h; the outer row takes the
-    one-sided four-point stencil.  Both are second order, and the outer
+    one-sided four-point stencils.  Both are second order, and the outer
     row is exact on cubics.
     """
-    if order not in _EDGE:
-        raise ParameterError("order must be 1 or 2")
     gate("h", h, "(0, inf)", ParameterError)
     ext = np.concatenate((mirror[None], values))
-    out = np.empty_like(values)
-    if order == 1:
-        out[:-1] = (ext[2:] - ext[:-2]) / (2.0 * h)
-    else:
-        out[:-1] = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / h**2
-    out[-1] = (_EDGE[order] / h**order) @ values[-4:]
-    return out
+    first, second = np.empty_like(values), np.empty_like(values)
+    np.divide(ext[2:] - ext[:-2], 2.0 * h, out=first[:-1])
+    # (ext[2:] - 2 ext[1:-1] + ext[:-2]) / h^2, left to right in place
+    d2 = np.multiply(ext[1:-1], 2.0, out=second[:-1])
+    np.subtract(ext[2:], d2, out=d2)
+    d2 += ext[:-2]
+    d2 /= h**2
+    w1, w2 = _edge_weights(h)
+    first[-1] = w1 @ values[-4:]
+    second[-1] = w2 @ values[-4:]
+    return first, second
 
 
 class PolarGrid:
@@ -153,6 +161,8 @@ class PolarGrid:
 
         self.y = nodes
         self.y.setflags(write=False)
+        self._y2 = nodes**2  # frame_jet's y^2, squared once per grid
+        self._y2.setflags(write=False)
         self.n_r, self.n_phi, self.y_max = int(n_r), int(n_phi), float(y_max)
         self._key = (self.n_r, self.n_phi, self.y_max)
         self.dphi = 2.0 * math.pi / n_phi
@@ -186,11 +196,11 @@ class PolarGrid:
             return float(np.sum(self.weights * F * G))
         return G.reshape(len(G), -1) @ (self.weights * F).ravel()
 
-    def radial_derivative(self, values, order):
+    def radial_derivative(self, values):
         """radial_stencil of the grid's first rows, four or more, from the
-        pole out: a (rows, n_phi) array, the first ring reflected through
-        the pole standing for the row at -dy."""
-        return radial_stencil(values, self.dy, values[1, self._antipode], order)
+        pole out: a (rows, n_phi) array's F_y and F_yy, the first ring
+        reflected through the pole standing for the row at -dy."""
+        return radial_stencil(values, self.dy, values[1, self._antipode])
 
     def __eq__(self, other):
         return isinstance(other, PolarGrid) and self._key == other._key
@@ -269,13 +279,18 @@ def resample(F, grid, r, phi):
             + flat[k1] * sy * tphi + flat[k1 + n] * ty * tphi)
 
 
+@functools.cache
+def _arange(n):
+    """The read-only np.arange(n): row numbers and column indices."""
+    out = np.arange(n)
+    out.setflags(write=False)
+    return out
+
+
 def rim_index(W):
-    """Per-column first row past the last strictly positive node."""
-    pos = W > 0.0
-    n = W.shape[0]
-    last = n - 1 - np.argmax(pos[::-1, :], axis=0)
-    last = np.where(pos.any(axis=0), last, -1)
-    return last + 1
+    """Per-column first row past the last strictly positive node: the
+    largest row number 1..n of a positive node, 0 for none."""
+    return ((W > 0.0) * _arange(W.shape[0] + 1)[1:, None]).max(axis=0)
 
 
 # the rows s-3, s-2 and s-1 that a column's quadratic from row s is anchored on
@@ -305,8 +320,9 @@ def rebuild_halo(W, grid):
 
     Rows are rebuilt out to two past the outermost rim, which is as far
     as any stencil or ring transform containing interior nodes can
-    reach.  Rows beyond are not touched: evolve.step hands this only the
-    rows up to the outermost rim + 2, and carries the rest over unchanged.
+    reach.  Rows beyond are not touched: evolve._graph_step, which both
+    step and the extinction super-step run, hands this only the rows up to
+    the outermost rim + 2 and carries the rest over unchanged.
     """
     i0 = rim_index(W)
     lo = int(i0.min())
@@ -319,8 +335,8 @@ def rebuild_halo(W, grid):
     if top >= hi:
         return W
     block = W[top:hi]
-    rows = np.arange(top, hi)[:, None]
-    cols = np.arange(W.shape[1])
+    rows = _arange(hi)[top:, None]
+    cols = _arange(W.shape[1])
     s = np.maximum(i0, 3)
     while True:
         a0, a1, a2 = W[s - _ANCHORS, cols]
@@ -422,11 +438,11 @@ def angular_derivs(F, Fr):
 
 def polar_jet(grid, F):
     """Polar first and second derivatives (F_y, F_yy, F_phi, F_phiphi,
-    F_yphi) of a (rows, n_phi) array, radial by radial_derivative and
-    angular spectrally; also returns the angular spectrum of the first
-    ring, F[1, :], which is what pole_jet reads."""
-    Fy = grid.radial_derivative(F, 1)
-    Fyy = grid.radial_derivative(F, 2)
+    F_yphi) of a (rows, n_phi) array, both radial ones from one pass of
+    radial_derivative and the angular ones spectrally; also returns the
+    angular spectrum of the first ring, F[1, :], which is what pole_jet
+    reads.  Every array returned is new."""
+    Fy, Fyy = grid.radial_derivative(F)
     Fp, Fpp, Fyp = angular_derivs(F, Fy)
     return (Fy, Fyy, Fp, Fpp, Fyp), np.fft.rfft(F[1])
 
@@ -436,14 +452,17 @@ def pole_jet(F0, ring_spec, grid):
 
     F0 is the pole value and ring_spec the rfft of the first ring; the
     Fourier coefficients m = 0, 1, 2 of the ring give gradient and
-    Hessian to O(dy^2).  Returns (F_1, F_2, F_11, F_12, F_22).
+    Hessian to O(dy^2).  Returns (F_1, F_2, F_11, F_12, F_22) as floats.
+    On 4 angles m = 2 is the Nyquist bin, whose coefficient counts once:
+    cos 2phi is resolved there but sin 2phi, zero at every node, is not,
+    so F_12 reads 0.
     """
-    y1 = grid.y[1]
-    spec = ring_spec[:3] / grid.n_phi
-    c0 = spec[0].real
-    c1c, c1s = 2.0 * spec[1].real, -2.0 * spec[1].imag
-    c2c, c2s = 2.0 * spec[2].real, -2.0 * spec[2].imag
-    tr = 4.0 * (c0 - F0) / y1**2
+    y1 = float(grid.y[1])
+    c0, c1, c2 = (ring_spec[:3] / grid.n_phi).tolist()
+    w2 = 1.0 if grid.n_phi == 4 else 2.0
+    c1c, c1s = 2.0 * c1.real, -2.0 * c1.imag
+    c2c, c2s = w2 * c2.real, -w2 * c2.imag
+    tr = 4.0 * (c0.real - float(F0)) / y1**2
     d = 4.0 * c2c / y1**2
     return (c1c / y1, c1s / y1, 0.5 * (tr + d), 2.0 * c2s / y1**2,
             0.5 * (tr - d))
@@ -457,13 +476,15 @@ def frame_jet(grid, F):
     pole_jet.  A frame-invariant combination (F_11 + F_22, |DF|^2,
     Hess(DF, DF)) is thus one expression over all rows.  F holds the
     grid's first rows from the pole out, four or more; the last takes
-    the one-sided stencil of radial_stencil."""
-    (F1, F11, Fp, Fpp, Fyp), ring_spec = polar_jet(grid, F)
-    y = grid.y[1:F.shape[0], None]
-    F2, F12, F22 = np.empty_like(F1), np.empty_like(F1), np.empty_like(F1)
-    F2[1:] = Fp[1:] / y
-    F12[1:] = (Fyp[1:] - F2[1:]) / y
-    F22[1:] = Fpp[1:] / y**2 + F1[1:] / y
+    the one-sided stencil of radial_stencil.  The arrays are polar_jet's
+    own, so a caller may write into them."""
+    (F1, F11, F2, F22, F12), ring_spec = polar_jet(grid, F)
+    y, y2 = grid.y[1:F.shape[0], None], grid._y2[1:F.shape[0], None]
+    F2[1:] /= y
+    F12[1:] -= F2[1:]
+    F12[1:] /= y
+    F22[1:] /= y2
+    F22[1:] += F1[1:] / y
     jet = (F1, F2, F11, F12, F22)
     for a, pole in zip(jet, pole_jet(F[0, 0], ring_spec, grid)):
         a[0] = pole

@@ -386,7 +386,7 @@ def _density_loop(field, r, tail=None):
     content of the first ring over its radius, summed by hand."""
     grid, y = field.grid, field.grid.y
     W = signed_square(field)
-    wy = grid.radial_derivative(W, 1)
+    wy = grid.radial_derivative(W)[0]
     grad2 = np.empty_like(W)
     grad2[1:] = wy[1:] ** 2 + (diff_phi_fft(W[1:], order=1) / y[1:, None]) ** 2
     m1 = [2.0 / grid.n_phi * float(np.sum(W[1] * trig(grid.phi))) / y[1]

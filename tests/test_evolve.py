@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovalab import evolve
+from ovalab import grid as grid_module
 from ovalab.errors import (
     CoverageError,
     DegeneracyError,
@@ -47,8 +48,10 @@ from ovalab.grid import (
     THETA,
     ScalarField,
     _write_table,
+    angular_derivs,
     build_grid,
     diff_phi_fft,
+    frame_jet,
     norm_H,
     rebuild_halo,
     rim_index,
@@ -270,8 +273,7 @@ class TestWRHS:
         yy = g.y[:, None]
         W = (2.0 + 0.3 * np.exp(-(yy**2) / 4.0)) * np.ones((1, 32))
         r = evolve._w_rhs(W, g, True, W > 0.0)
-        Wy = g.radial_derivative(W, 1)
-        Wyy = g.radial_derivative(W, 2)
+        Wy, Wyy = g.radial_derivative(W)
         with np.errstate(divide="ignore", invalid="ignore"):
             radial = (
                 Wyy
@@ -289,7 +291,7 @@ class TestWRHS:
         live = W > 0.0
         a = evolve._w_rhs(W, g, True, live)
         b = evolve._w_rhs(W, g, False, live)
-        gauge = -0.5 * g.y[:, None] * g.radial_derivative(W, 1) + W
+        gauge = -0.5 * g.y[:, None] * g.radial_derivative(W)[0] + W
         assert np.abs(a - b - gauge)[live].max() < 1.0e-12
 
     def test_linearization_at_the_sheet_has_the_ou_spectrum(self):
@@ -322,6 +324,211 @@ class TestWRHS:
                                       for e in np.eye(len(x0))])
                 assert np.abs(J - ou).max() < 1.0e-7
         assert abs(math.log2(block[32] / block[64]) - 2.0) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# the graph stage as written before its arithmetic ran in place: one
+# radial stencil call per order, out-of-place frame jet, right-hand side
+# and stage sum, and rim_index by argmax.  The oracles that the in-place
+# kernel must reproduce bit for bit.
+
+
+# the outer row's one-sided four-point weights, exact on cubics
+_EDGE = {1: np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]),
+         2: np.array([-1.0, 4.0, -5.0, 2.0])}
+
+
+def stencil_by_order(values, h, mirror):
+    """grid.radial_stencil as one call per order, each building its own
+    mirror-extended array."""
+    out = []
+    for order in (1, 2):
+        ext = np.concatenate((mirror[None], values))
+        d = np.empty_like(values)
+        if order == 1:
+            d[:-1] = (ext[2:] - ext[:-2]) / (2.0 * h)
+        else:
+            d[:-1] = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / h**2
+        d[-1] = (_EDGE[order] / h**order) @ values[-4:]
+        out.append(d)
+    return tuple(out)
+
+
+def frame_jet_by_copies(g, F):
+    """grid.frame_jet with numpy-scalar pole arithmetic and new arrays for
+    F_2, F_12 and F_22 (the grids here have 16 angles or more, where the
+    4-angle Nyquist weight of pole_jet does not arise)."""
+    F1, F11 = stencil_by_order(F, g.dy, F[1, (np.arange(g.n_phi) + g.n_phi // 2) % g.n_phi])
+    Fp, Fpp, Fyp = angular_derivs(F, F1)
+    y = g.y[1:F.shape[0], None]
+    F2, F12, F22 = np.empty_like(F1), np.empty_like(F1), np.empty_like(F1)
+    F2[1:] = Fp[1:] / y
+    F12[1:] = (Fyp[1:] - F2[1:]) / y
+    F22[1:] = Fpp[1:] / y**2 + F1[1:] / y
+    y1 = g.y[1]
+    spec = np.fft.rfft(F[1])[:3] / g.n_phi
+    c1c, c1s = 2.0 * spec[1].real, -2.0 * spec[1].imag
+    c2c, c2s = 2.0 * spec[2].real, -2.0 * spec[2].imag
+    tr = 4.0 * (spec[0].real - F[0, 0]) / y1**2
+    d = 4.0 * c2c / y1**2
+    pole = (c1c / y1, c1s / y1, 0.5 * (tr + d), 2.0 * c2s / y1**2, 0.5 * (tr - d))
+    jet = (F1, F2, F11, F12, F22)
+    for a, p in zip(jet, pole):
+        a[0] = p
+    return jet
+
+
+def w_rhs_by_copies(W, grid, renormalized, mask):
+    """evolve._w_rhs with every term a new array."""
+    W1, W2, W11, W12, W22 = frame_jet_by_copies(grid, W)
+    g2 = W1**2 + W2**2
+    hess = W11 * W1**2 + 2.0 * W12 * W1 * W2 + W22 * W2**2
+    den = 4.0 * W + g2
+    rat = np.where(den > 1.0e-4, (hess + 2.0 * g2) / np.where(den > 1.0e-4, den, 1.0), 0.0)
+    out = W11 + W22 - rat - 2.0
+    if renormalized:
+        out += -0.5 * grid.y[:W.shape[0], None] * W1 + W
+    return np.where(mask, out, 0.0)
+
+
+def rim_by_argmax(W):
+    """grid.rim_index from the last positive row found by argmax."""
+    pos = W > 0.0
+    last = W.shape[0] - 1 - np.argmax(pos[::-1, :], axis=0)
+    return np.where(pos.any(axis=0), last, -1) + 1
+
+
+def rkl2_by_copies(Y, h, s, rhs, after_stage):
+    """evolve._rkl2 with each stage sum one expression."""
+    mu1, stages = evolve._rkl2_coefficients(s)
+    k0 = h * rhs(Y)
+    prev, cur = Y, after_stage(Y + mu1 * k0, 1)
+    for j, (mu, nu, mu_t, gamma_t) in enumerate(stages, 2):
+        k = rhs(cur)
+        prev, cur = cur, after_stage(mu * cur + nu * prev + (1.0 - mu - nu) * Y
+                                     + (mu_t * h) * k + gamma_t * k0, j)
+    if not np.all(np.isfinite(cur)):
+        raise StepSizeError(f"{s}-stage super-step not finite at dt={h:.3e}")
+    return cur
+
+
+def _kernel_window(body):
+    """(W, grid, renormalized) of a graph step's window, the rows up to
+    the outermost rim + 2: the sphere on 64x16, the reference ellipsoid
+    on 96x32, that ellipsoid with two endgame columns whose rims sit at
+    rows 1 and 2, and the renormalized benchmark oval on 128x32."""
+    if body == "oval":
+        state = _benchmark_oval(128, 32)
+        g, W, renormalized = state.v.grid, signed_square(state.v), True
+    elif body == "sphere":
+        g = build_grid(64, 16, 3.0)
+        W, renormalized = _sphere_w(g), False
+    else:
+        g = build_grid(96, 32, 10.0)
+        spec = EllipsoidSpec(a=0.5, ell=2.0, radius=2.0, t_start=-5.0)
+        W, renormalized = signed_square(ellipsoid_initial(g, spec)), False
+        if body == "endgame":
+            W[1:, 5] = -1.0
+            W[2:, 6] = -1.0
+            rebuild_halo(W, g)
+            assert list(rim_index(W)[5:7]) == [1, 2]
+    k = int(rim_index(W).max()) + 3
+    return W[:k].copy(), g, renormalized
+
+
+class TestKernelOracles:
+    """The in-place graph stage against its oracles above, bit for bit."""
+
+    @pytest.mark.parametrize("body", ["sphere", "ellipsoid", "endgame", "oval"])
+    def test_stage_matches_the_oracles(self, body):
+        W, g, renormalized = _kernel_window(body)
+        before = W.copy()
+        mask = W > 0.0
+        mirror = W[1, (np.arange(g.n_phi) + g.n_phi // 2) % g.n_phi]
+        for got, want in zip(g.radial_derivative(W), stencil_by_order(W, g.dy, mirror)):
+            assert np.array_equal(got, want)
+        for got, want in zip(frame_jet(g, W), frame_jet_by_copies(g, W)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(evolve._w_rhs(W, g, renormalized, mask),
+                              w_rhs_by_copies(W, g, renormalized, mask))
+        assert np.array_equal(rim_index(W), rim_by_argmax(W))
+        assert rim_index(W).dtype == rim_by_argmax(W).dtype
+        assert np.array_equal(W, before)
+
+    def test_rim_index_matches_the_oracle_on_ragged_tables(self):
+        """Columns with no positive node, one at row 0 only, a positive
+        node past a gap, and NaN, which is not positive."""
+        W = -np.ones((6, 5))
+        W[0, 1] = 1.0
+        W[[1, 4], 2] = 1.0
+        W[:, 3] = 2.0
+        W[:3, 4] = [1.0, np.nan, 1.0]
+        assert np.array_equal(rim_index(W), rim_by_argmax(W))
+        assert list(rim_index(W)) == [0, 1, 5, 6, 3]
+
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_rkl2_matches_the_oracle(self, s):
+        """The in-place stage sum, on a nonlinear rate whose stages are
+        mapped in place as the graph's halo and filter map them."""
+        def after_stage(Y, j):
+            Y[0] = Y[0].mean() + 0.01 * j
+            return Y
+
+        Y = np.random.default_rng(s).uniform(1.0, 2.0, (7, 8))
+        rhs = lambda X: np.sin(3.0 * X) - 0.5 * X  # noqa: E731
+        assert np.array_equal(evolve._rkl2(Y, 0.03, s, rhs, after_stage),
+                              rkl2_by_copies(Y, 0.03, s, rhs, after_stage))
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_rkl2_writes_only_into_its_own_arrays(self, s, shared):
+        """Y, the first stage's rate k0 and every array rhs returns come
+        back as they were handed over, also when rhs returns one array
+        for every stage (as _graph_step returns its f0 for the start);
+        after_stage, which writes in place, only ever gets _rkl2's own."""
+        Y = np.random.default_rng(s).uniform(1.0, 2.0, (6, 8))
+        start = Y.copy()
+        rate = np.linspace(-0.3, 0.5, 8) * np.ones((6, 1))
+        returned = []
+
+        def rhs(X):
+            out = rate if shared else np.cos(X)
+            returned.append((out, out.copy()))
+            return out
+
+        def after_stage(X, j):
+            assert X is not Y and all(X is not out for out, _ in returned)
+            X *= 1.0 + 1.0e-3 * j
+            return X
+
+        evolve._rkl2(Y, 0.01, s, rhs, after_stage)
+        assert np.array_equal(Y, start)
+        assert len(returned) == s
+        for out, copy in returned:
+            assert np.array_equal(out, copy)
+
+    def test_march_matches_the_oracle_kernel(self, monkeypatch):
+        """10 coupled steps of the 64x16 benchmark oval (graph and tip)
+        and find_extinction on the 48x16 reference ellipsoid, whose
+        super-steps take up to s > 2 stages, give W, the tip table and
+        the bracket bit for bit with every kernel swapped for its oracle."""
+        def march():
+            st = _benchmark_oval(64, 16)
+            for _ in range(10):
+                st = step(st, cfl_dt(st.v.grid))
+            res = find_extinction(*_small_ellipsoid())
+            return st, (res.t_last_alive, res.t_first_dead, res.t_extinct, res.steps)
+
+        fast, fast_res = march()
+        monkeypatch.setattr(evolve, "_w_rhs", w_rhs_by_copies)
+        monkeypatch.setattr(evolve, "_rkl2", rkl2_by_copies)
+        monkeypatch.setattr(evolve, "radial_stencil", stencil_by_order)
+        monkeypatch.setattr(evolve, "rim_index", rim_by_argmax)
+        monkeypatch.setattr(grid_module, "rim_index", rim_by_argmax)
+        slow, slow_res = march()
+        assert np.array_equal(fast.v.w_signed, slow.v.w_signed)
+        assert np.array_equal(fast.tip.values, slow.tip.values)
+        assert fast.time == slow.time and fast_res == slow_res
 
 
 class TestTipRHS:
@@ -378,7 +585,7 @@ class TestTipRHS:
             Y = tip.values
             Yv = np.gradient(Y, dv, axis=0)
             Yp = diff_phi_fft(Y, order=1)
-            wy = g.radial_derivative(w, 1)
+            wy = g.radial_derivative(w)[0]
             wp = diff_phi_fft(w, order=1)
             out = np.zeros(6)
             rows = [k for k, v in enumerate(tip.v_nodes)
@@ -827,11 +1034,9 @@ class TestStep:
             - (yy * np.sin(pp) - y0) ** 2
             + eps * yy**3 * np.cos(3.0 * (pp - phase))
         )
-        for order in (1, 2):
-            assert np.array_equal(
-                g.radial_derivative(np.roll(w, k, axis=1), order),
-                np.roll(g.radial_derivative(w, order), k, axis=1),
-            )
+        for rolled, d in zip(g.radial_derivative(np.roll(w, k, axis=1)),
+                             g.radial_derivative(w)):
+            assert np.array_equal(rolled, np.roll(d, k, axis=1))
         dt = cfl_dt(g)
 
         def stepped(w0):

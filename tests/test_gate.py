@@ -130,12 +130,12 @@ GATE = {
     # grid
     "grid.tip_nodes": {"n": INT},
     "grid.radial_stencil": {
-        "values": ARRAY, "mirror": ARRAY, "order": INT,
-        "h": Float(lambda x: grid.radial_stencil(np.ones((5, 8)), x, np.ones(8), 1))},
+        "values": ARRAY, "mirror": ARRAY,
+        "h": Float(lambda x: grid.radial_stencil(np.ones((5, 8)), x, np.ones(8)))},
     "grid.PolarGrid": {"n_r": INT, "n_phi": INT,
                        "y_max": Float(lambda x: grid.PolarGrid(16, 8, x))},
     "grid.PolarGrid.pair": {"F": ARRAY, "G": ARRAY},
-    "grid.PolarGrid.radial_derivative": {"values": ARRAY, "order": INT},
+    "grid.PolarGrid.radial_derivative": {"values": ARRAY},
     "grid.ScalarField": {"grid": OBJECT, "values": ARRAY, "w_signed": ARRAY, "copy": BOOL},
     "grid.ScalarField.from_square": {"grid": OBJECT, "W": ARRAY},
     "grid.ScalarField.with_values": {"values": ARRAY, "w_signed": ARRAY},

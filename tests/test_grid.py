@@ -159,7 +159,7 @@ def _fd_error(g, order):
             - 2.0 * y * y / 3.0 * np.cos(2 * p)
             + np.cos(2 * p)
         )
-    got = g.radial_derivative(f * np.ones(g.shape), order)
+    got = g.radial_derivative(f * np.ones(g.shape))[order - 1]
     return np.max(np.abs(got - exact * np.ones(g.shape)))
 
 
@@ -180,27 +180,19 @@ def test_outer_row_exact_on_cubics(order):
     y = g.y[:, None] * np.ones(g.shape)
     f = ScalarField(g, 1.0 - 2.0 * y + 0.5 * y**2 + y**3)
     exact = -2.0 + y + 3.0 * y**2 if order == 1 else 1.0 + 6.0 * y
-    got = g.radial_derivative(f.values, order)
+    got = g.radial_derivative(f.values)[order - 1]
     assert np.abs(got[-1] - exact[-1]).max() <= 1.0e-12 * np.abs(exact[-1]).max()
 
 
-@pytest.mark.parametrize("order", [0, 3, -1, 1.5])
-def test_radial_derivative_rejects_other_orders(order):
-    g = build_grid(16, 8, 4.0)
-    with pytest.raises(ParameterError, match="order must be 1 or 2"):
-        g.radial_derivative(np.ones(g.shape), order)
-
-
 def test_radial_derivative_is_the_shared_stencil():
-    """The graph's radial derivative is radial_stencil on the grid
-    spacing, with the first ring reflected through the pole as the row
-    at -dy."""
+    """The graph's radial derivatives, both orders from one call, are
+    radial_stencil's on the grid spacing, with the first ring reflected
+    through the pole as the row at -dy."""
     g = build_grid(24, 8, 3.0)
     F = np.random.default_rng(3).standard_normal(g.shape)
     mirror = np.roll(F[1], -(g.n_phi // 2))
-    for order in (1, 2):
-        assert np.array_equal(g.radial_derivative(F, order),
-                              radial_stencil(F, g.dy, mirror, order))
+    for got, want in zip(g.radial_derivative(F), radial_stencil(F, g.dy, mirror)):
+        assert np.array_equal(got, want)
 
 
 def _stretched_nodes(n_r, y_max):
@@ -266,14 +258,13 @@ def test_pole_reflection_exact_on_linear():
     # pole must come out as cos(phi) exactly
     g = build_grid(16, 8, 4.0)
     f = ScalarField(g, g.y[:, None] * np.cos(g.phi)[None, :] * np.ones(g.shape))
-    d = g.radial_derivative(f.values, 1)
+    d, d2 = g.radial_derivative(f.values)
     assert np.allclose(d[0], np.cos(g.phi), atol=1e-13)
-    d2 = g.radial_derivative(f.values, 2)
     assert np.allclose(d2[0], 0.0, atol=1e-13)
     # cos(pi - phi) = cos(phi + pi), so x1 cannot tell the antipode from
     # the mirror image phi -> pi - phi; x2 = y sin(phi) can
     x2 = g.y[:, None] * np.sin(g.phi)[None, :]
-    assert np.allclose(g.radial_derivative(x2, 1)[0], np.sin(g.phi), atol=1e-13)
+    assert np.allclose(g.radial_derivative(x2)[0][0], np.sin(g.phi), atol=1e-13)
 
 
 def test_frame_jet_invariants_exact_on_quadratic():
@@ -296,14 +287,31 @@ def test_frame_jet_invariants_exact_on_quadratic():
         assert np.abs(got - want).max() <= 1.0e-10 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n_phi", [4, 6, 8])
+def test_pole_hessian_exact_on_quadratics(n_phi):
+    """The pole row of frame_jet is exact on y1^2 and y2^2 at every even
+    n_phi, 4 included, where m = 2 is the Nyquist bin and counts once;
+    y1 y2 = y^2 sin(2 phi)/2 is exact from 6 angles on and reads F_12 = 0
+    on 4, where sin 2phi vanishes at every node."""
+    g = build_grid(16, n_phi, 2.0)
+    x1 = g.y[:, None] * np.cos(g.phi)[None, :]
+    x2 = g.y[:, None] * np.sin(g.phi)[None, :]
+    cases = [(x1**2, (2.0, 0.0, 0.0)), (x2**2, (0.0, 0.0, 2.0)),
+             (x1 * x2, (0.0, 1.0 if n_phi >= 6 else 0.0, 0.0))]
+    for F, hessian in cases:
+        F1, F2, F11, F12, F22 = frame_jet(g, F)
+        pole = np.array([F1[0], F2[0], F11[0], F12[0], F22[0]])
+        assert np.abs(pole - np.array([0.0, 0.0, *hessian])[:, None]).max() <= 1.0e-12
+
+
 def test_smooth_pole_second_derivative():
     errs = []
     for n_r in (64, 128):
         g = build_grid(n_r, 32, 8.0)
-        d2 = g.radial_derivative(_smooth_field(g), 2)
+        d2 = g.radial_derivative(_smooth_field(g))[1]
         # reference from a much finer radial grid at the same angles
         gref = build_grid(1024, 32, 8.0)
-        ref = gref.radial_derivative(_smooth_field(gref), 2)
+        ref = gref.radial_derivative(_smooth_field(gref))[1]
         errs.append(np.max(np.abs(d2[0] - ref[0])))
     assert errs[1] < errs[0]
 
@@ -502,9 +510,6 @@ def test_parameter_errors():
         build_grid(4, 48, 18.0)
     with pytest.raises(ParameterError):
         build_grid(192, 48, 0.0)
-    f = ScalarField(build_grid(16, 8, 5.0), np.ones((17, 8)))
-    with pytest.raises(ParameterError):
-        f.grid.radial_derivative(f.values, 3)
 
 
 def test_grid_mismatch_is_shape_error():
