@@ -54,16 +54,15 @@ and the low-pass are products with ring matrices cached per n_phi, and
 radial ones come from grid.radial_stencil, so the tip table, which has
 no PolarGrid, shares both with the graph.
 
-run marches through _march, which steps at cfl_dt, retries a rejected
-step at half the step and stops at t_end, at death or at the resolution
-floor.  find_extinction first takes the resolved part of a body's life
-in _super_march's longer graph super-steps, _graph_step's under step's
-stage rule: each spans a whole number n of cfl_dt steps, a small share
-of the body's own time scale, in as many stages as its stretched bound
-needs, and ends at the start plus cfl_dt added n times.  So the
-state where they stop lies on _march's own time grid, and _march takes
-the endgame from there: the death bracket, every rejection and the
-bisection are its.
+run and find_extinction share one march, _march.  A state without tip
+takes _super_step's longer graph super-steps, _graph_step's under step's
+stage rule: each spans n cfl_dt steps, a small share of the body's own
+time scale cut to the steps left before the next record time or t_end,
+in as many stages as its stretched bound needs, and ends at the start
+plus cfl_dt added n times, on the time grid of a plain march at cfl_dt.
+Below two steps, or after a rejected super-step or one ending dead, the
+march hands over to plain steps at cfl_dt, which retry a rejected step at
+half the step and stop at t_end, at death or at the resolution floor.
 """
 
 import functools
@@ -241,7 +240,7 @@ def _w_rhs(W, grid, renormalized, mask):
     Every term is frame-invariant, so one expression over the frame jet
     covers every row of W, the grid's first rows from the pole out; at
     the pole the radial drift vanishes with y.  _graph_step, for step and
-    the extinction super-step alike, passes the rows up to the outermost
+    _super_step alike, passes the rows up to the outermost
     rim + 2, so rows past them are never evaluated.
     """
     W1, W2, W11, W12, W22 = frame_jet(grid, W)
@@ -512,9 +511,6 @@ def step(state, dtau):
     """Advance the graph by one two-stage _graph_step, unsplit at any
     dtau, then the tip by its super-steps.
 
-    The graph step and its filter see only the rows up to the outermost
-    rim + 2 (four at least); rows past them are carried over unchanged.
-
     The tip rows with v >= THETA follow the graph over the step: the new
     graph is inverted there once by _invert_w, and _substep_tip carries
     those rows to that table at a constant rate and ends them on it, so
@@ -746,53 +742,8 @@ def _march_step(state, dtau):
     raise rejection
 
 
-def _march(state, t_end):
-    """Step state at cfl_dt, the last step cut to end at t_end, and yield
-    each new state.  Stops at t_end, after yielding the first dead state,
-    or without yielding when _march_step gives up at the floor."""
-    dt = cfl_dt(state.v.grid)
-    steps = 0
-    while state.time < t_end - 1.0e-12:
-        if steps == 5_000_000:
-            raise BudgetError(f"5e6-step budget spent at t={state.time:.6g}")
-        state = _march_step(state, min(dt, t_end - state.time))
-        if state is None:
-            return
-        steps += 1
-        yield state
-        if not _alive(state.v):
-            return
-
-
-def run(state, t_end, snapshot_every=0.05):
-    """March to t_end, recording snapshots every snapshot_every.
-
-    Returns the history; the final recorded state is at the last time
-    reached (t_end, or earlier if the body became extinct or the march
-    stopped at the resolution floor).
-    """
-    gate(f"t_end - t = {t_end} - {state.time}", t_end - state.time, "[0, inf]", ParameterError)
-    gate("snapshot_every", snapshot_every, "(0, inf]", ParameterError)
-    hist = FlowHistory()
-    hist.append(state)
-    next_snap = state.time + snapshot_every
-    cur = state
-    for cur in _march(state, t_end):
-        if cur.time >= next_snap - 1.0e-12:
-            hist.append(cur)
-            while next_snap <= cur.time + 1.0e-12:
-                next_snap += snapshot_every
-    if cur.time > hist.times[-1]:  # the last state, unless a snapshot took it
-        hist.append(cur)
-    return hist
-
-
-# ---------------------------------------------------------------------------
-# extinction and renormalization
-
-
 # share of the body's own time scale T = W_max/|W_t|, read at its core,
-# that one find_extinction super-step spans.  RKL2 is second order, so the
+# that one super-step of _march spans.  RKL2 is second order, so the
 # shift of the death instant (bisected to rel_tol 1e-9) from the plain
 # march's grows as the square of the share: on the 96x32 reference
 # ellipsoid, in units of its lifetime, 1.1e-6 at 0.01, 1.07e-5 at 0.02 and
@@ -803,23 +754,23 @@ def run(state, t_end, snapshot_every=0.05):
 _SUPER_SHARE = 0.02
 
 
-def _super_step(state, dt):
-    """One _graph_step of n steps dt from an unrescaled state, or None
-    where n < 2.
+def _super_step(state, dt, n_max):
+    """One _graph_step of n steps dt from a state without tip, or None
+    where the pace's n < 2.
 
-    n = floor(_SUPER_SHARE T / dt) with T = W_max/|W_t| at the node of
-    W_max; |W_t| is read from the super-step's first stage and taken as 2
-    at least, the rate at which the maximum of W falls where the body is
-    flat, so T never exceeds the body's lifetime.  s = _rkl2_stages(n / 0.9),
-    the stretched bound with a 0.9 margin.  Like step's, every stage gets
-    the halo and every stage but the first the filter.  The end time is
-    the start plus dt added n times, so the new state lies on the time
-    grid of a march at dt.  Returns (state, n); a rejected super-step
-    raises step's StepSizeError."""
+    The pace is floor(_SUPER_SHARE T / dt), T = W_max/|W_t| at the node of
+    W_max, with |W_t| from the first stage and 2 at least: the rate at
+    which the maximum of W falls where an unrescaled body is flat, so T
+    never exceeds the body's lifetime, and a core growing in the
+    renormalized gauge does not lengthen it.  n is the pace cut to n_max,
+    in s = _rkl2_stages(n / 0.9) stages, a 0.9 margin on the stretched
+    bound, under step's stage rule.  Returns (state, n), the end time the
+    start plus dt added n times, on the time grid of a march at dt; a
+    rejected super-step raises step's StepSizeError."""
     def pace(W, f):
         core = np.argmax(W)
-        n = int(_SUPER_SHARE * W.flat[core] / max(-f.flat[core], 2.0) / dt)
-        return (n, _rkl2_stages(n / 0.9)) if n >= 2 else None
+        n = int(_SUPER_SHARE * W.flat[core] / max(abs(f.flat[core]), 2.0) / dt)
+        return (min(n, n_max), _rkl2_stages(min(n, n_max) / 0.9)) if n >= 2 else None
 
     out = _graph_step(state, dt, pace)
     if out is None:
@@ -831,21 +782,82 @@ def _super_step(state, dt):
     return replace(state, time=t, v=v), n
 
 
-def _super_march(state):
-    """The resolved life of find_extinction: _super_step from state at
-    cfl_dt until the step count n falls below 2, a super-step is rejected
-    or would end dead.  Returns the last state it reached, which lies on
-    the march's time grid, and the cfl_dt steps it spans."""
+def _march(state, t_end, every):
+    """Step state towards t_end and yield (state, n, due) per new state: n
+    the cfl_dt steps it spans, due whether it is the first at or past the
+    next record time, the start plus every, moved on by every (or past the
+    state, for an every below the step) at each due state.  Stops at t_end,
+    after yielding the first dead state, or when _march_step gives up.
+    Without a tip, a step is a _super_step of n = min(pace, the full
+    cfl_dt steps to the next record time, that one included, and before a
+    step cut to t_end) where n >= 2, else a _march_step at cfl_dt cut to
+    t_end.  The hand-over: a pace below 2, a rejected super-step or one
+    ending dead makes every later step plain; a cap does not.  The 5e6-step
+    budget counts the steps a super-step spans."""
     dt = cfl_dt(state.v.grid)
     steps = 0
-    while True:
-        try:
-            out = _super_step(state, dt)
-        except StepSizeError:
-            out = None
-        if out is None or not _alive(out[0].v):
-            return state, steps
-        state, steps = out[0], steps + out[1]
+    due = state.time + every
+    paced = state.tip is None
+    while state.time < t_end - 1.0e-12:
+        if steps >= 5_000_000:
+            raise BudgetError(f"5e6-step budget spent at t={state.time:.6g}")
+        out = None
+        if paced:
+            # the pace at |W_t| = 2, its floor, so never below it
+            limit = int(_SUPER_SHARE * float(signed_square(state.v).max()) / 2.0 / dt)
+            paced, n_max, t = limit >= 2, 0, state.time
+            while n_max < limit and dt <= t_end - t and t < due - 1.0e-12:
+                t += dt
+                n_max += 1
+            if n_max >= 2:
+                try:
+                    out = _super_step(state, dt, n_max)
+                except StepSizeError:
+                    pass
+                if out is None or not _alive(out[0].v):
+                    paced, out = False, None
+        if out is None:
+            out = _march_step(state, min(dt, t_end - state.time)), 1
+            if out[0] is None:
+                return
+        state, n = out
+        steps += n
+        is_due = state.time >= due - 1.0e-12
+        if is_due:  # on by every, or past the state for an every below the step
+            due = due + every if due + every > state.time + 1.0e-12 else state.time + every
+        yield state, n, is_due
+        if not _alive(state.v):
+            return
+
+
+def run(state, t_end, snapshot_every=0.05):
+    """March to t_end, recording snapshots every snapshot_every.
+
+    Returns the history; the final recorded state is at the last time
+    reached (t_end, or earlier if the body became extinct or the march
+    stopped at the resolution floor).  The snapshots are _march's due
+    states: without a tip it super-steps, cut at each record time, until
+    the hand-over, at the plain march's times bit for bit.  On the 128x32
+    reference ellipsoid, t = -5 to -4.3 every 0.02, that moves xi after
+    renormalize by 1.0e-6, huisken_density by 2.0e-7, concavity_margin by
+    5.2e-7 and W in the body by 1.0e-3, against 4.0e-5, 8.5e-7, 1.1e-6 and
+    8.2e-4 from 128 to 256 rings.  With a tip, _march is a step loop.
+    """
+    gate(f"t_end - t = {t_end} - {state.time}", t_end - state.time, "[0, inf]", ParameterError)
+    gate("snapshot_every", snapshot_every, "(0, inf]", ParameterError)
+    hist = FlowHistory()
+    hist.append(state)
+    cur = state
+    for cur, _, due in _march(state, t_end, snapshot_every):
+        if due:
+            hist.append(cur)
+    if cur.time > hist.times[-1]:  # the last state, unless a snapshot took it
+        hist.append(cur)
+    return hist
+
+
+# ---------------------------------------------------------------------------
+# extinction and renormalization
 
 
 @dataclass(frozen=True)
@@ -868,15 +880,15 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
     """Locate the collapse time of a compact convex body by bisection on
     the predicate "the body survives until t".
 
-    The resolved part of the life is taken in _super_march's RKL2
-    super-steps, each of a whole number of cfl_dt steps and a small share
-    of the body's own time scale.  They end on the time grid of a march at
-    cfl_dt, and from there _march steps at cfl_dt and brackets the death
-    step between the last alive state and the first dead one.  Each
-    bisection probe takes one partial step from that last alive state,
-    which is where a re-run of the march would stand.  The bracket is
-    narrowed until it is below rel_tol of the elapsed lifetime (a CFL-step
-    march usually starts below that already).
+    _march takes the resolved part of the life in RKL2 super-steps of a
+    whole number of cfl_dt steps, a small share of the body's own time
+    scale, uncapped, on the time grid of a march at cfl_dt; after its
+    hand-over, plain steps at cfl_dt bracket the death step between the
+    last alive state and the first dead one.  Each bisection probe takes
+    one partial step from that last alive state, which is where a re-run
+    of the march would stand.  The bracket is narrowed until it is below
+    rel_tol of the elapsed lifetime (a CFL-step march usually starts below
+    that already).
     """
     gate("rel_tol", rel_tol, "(0, inf)", ParameterError)
     gate("t_start", t_start, "(-inf, inf)", ParameterError)
@@ -885,12 +897,11 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
     if not _alive(initial):
         raise DomainError("initial body is already extinct")
 
-    cur, steps = _super_march(FlowState(time=t_start, v=initial, tip=None,
-                                        renormalized=False))
-    prev = cur
-    for nxt in _march(cur, math.inf):
+    prev = cur = FlowState(time=t_start, v=initial, tip=None, renormalized=False)
+    steps = 0
+    for nxt, n, _ in _march(cur, math.inf, math.inf):
         prev, cur = cur, nxt
-        steps += 1
+        steps += n
     if _alive(cur.v):  # stopped at the floor: one more step counts as death
         prev, cur = cur, replace(cur, time=cur.time + cfl_dt(initial.grid))
     lo, hi = prev.time, cur.time

@@ -321,7 +321,7 @@ def rebuild_halo(W, grid):
     Rows are rebuilt out to two past the outermost rim, which is as far
     as any stencil or ring transform containing interior nodes can
     reach.  Rows beyond are not touched: evolve._graph_step, which both
-    step and the extinction super-step run, hands this only the rows up to
+    step and _march's super-steps run, hands this only the rows up to
     the outermost rim + 2 and carries the rest over unchanged.
     """
     i0 = rim_index(W)

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -67,7 +68,7 @@ from ovalab.shrinkers import (
     sphere_field,
 )
 from ovalab.recenter import _fd_jacobian
-from ovalab.spectral import apply_ou
+from ovalab.spectral import apply_ou, spectral_report
 from test_grid import halo_by_rows
 
 SQRT2 = math.sqrt(2.0)
@@ -1365,7 +1366,7 @@ class TestStep:
         step(state, cfl_dt(f.grid))
         assert (len(calls), len(rates)) == (1, 2)
         del calls[:], rates[:]
-        _, n = evolve._super_step(state, cfl_dt(f.grid))
+        _, n = evolve._super_step(state, cfl_dt(f.grid), 10**9)
         s = evolve._rkl2_stages(n / 0.9)
         assert s >= 3
         assert (len(calls), len(rates)) == (s - 1, s)
@@ -1434,6 +1435,30 @@ class TestRunHistory:
         st = FlowState(time=1.0, v=bubble_sheet_field(g), tip=None)
         with pytest.raises(ParameterError):
             run(st, t_end, snapshot_every=every)
+
+    @pytest.mark.parametrize("every", [1.0e-20, 1.0e-9])
+    def test_cadence_below_the_step_records_every_state(self, every):
+        """A cadence far below the step records every state.  The record
+        cursor used to add the cadence until it passed the state: 1e-9
+        took about 1e6 turns a step, and 1e-20, which time + cadence does
+        not move, never returned.  A deadline fails the test in its place."""
+        def expire(signum, frame):
+            raise TimeoutError("run did not return within 1 s")
+
+        st = FlowState(time=-5.0, v=bubble_sheet_field(build_grid(16, 8, 4.0)), tip=None)
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            hist = run(st, -4.95, snapshot_every=every)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, old)
+        want, t = [-5.0], -5.0
+        while t < -4.95 - 1.0e-12:
+            t += min(cfl_dt(st.v.grid), -4.95 - t)
+            want.append(t)
+        assert len(want) == 5
+        assert list(hist.times) == want
 
     def test_interpolation_and_coverage(self):
         g = build_grid(96, 16, 6.0)
@@ -1749,14 +1774,27 @@ class TestRunHistory:
 
 def _plain_march(field, t0):
     """(t_last_alive, t_first_dead, steps) of the plain march at cfl_dt
-    from an unrescaled body at t0, which must die, not stop at the floor."""
+    from an unrescaled body at t0, which must die, not stop at the floor:
+    a _march_step loop, with no super-step."""
     prev = cur = FlowState(time=t0, v=field, renormalized=False)
+    dt = cfl_dt(field.grid)
     steps = 0
-    for nxt in evolve._march(cur, math.inf):
-        prev, cur = cur, nxt
+    while evolve._alive(cur.v):
+        prev, cur = cur, evolve._march_step(cur, dt)
+        assert cur is not None
         steps += 1
-    assert not evolve._alive(cur.v)
     return prev.time, cur.time, steps
+
+
+def _super_stretch(state):
+    """The state where _march's super-steps from state hand over to plain
+    steps, and the cfl_dt steps they span."""
+    steps = 0
+    for nxt, n, _ in evolve._march(state, math.inf, math.inf):
+        if n == 1:
+            return state, steps
+        state, steps = nxt, steps + n
+    return state, steps
 
 
 def _small_ellipsoid():
@@ -1815,7 +1853,7 @@ class TestExtinction:
         g = build_grid(64, 16, 4.0)
         w0 = _sphere_w(g)
         t0 = -1.0
-        end, steps = evolve._super_march(
+        end, steps = _super_stretch(
             FlowState(time=t0, v=_signed_field(g, w0), renormalized=False))
         dt, t = cfl_dt(g), t0
         for _ in range(steps):
@@ -1830,7 +1868,7 @@ class TestExtinction:
         """find_extinction's death bracket and step count are bitwise the
         plain march's from t_start."""
         f, t0 = _small_ellipsoid()
-        _, handed_over = evolve._super_march(FlowState(time=t0, v=f, renormalized=False))
+        _, handed_over = _super_stretch(FlowState(time=t0, v=f, renormalized=False))
         assert handed_over > 0
         res = find_extinction(f, t0, rel_tol=1.0)
         assert (res.t_last_alive, res.t_first_dead, res.steps) == _plain_march(f, t0)
@@ -1843,11 +1881,11 @@ class TestExtinction:
         want = _plain_march(f, t0)
         inner, calls = evolve._super_step, []
 
-        def rejecting(state, dt):
+        def rejecting(state, dt, n_max):
             calls.append(state.time)
             if len(calls) == rejected:
                 raise StepSizeError("forced")
-            return inner(state, dt)
+            return inner(state, dt, n_max)
 
         monkeypatch.setattr(evolve, "_super_step", rejecting)
         res = find_extinction(f, t0, rel_tol=1.0)
@@ -1872,7 +1910,7 @@ class TestExtinction:
                 raise
 
         # the super-steps call no step: only the march after them does
-        _, super_steps = evolve._super_march(FlowState(time=t0, v=f, renormalized=False))
+        _, super_steps = _super_stretch(FlowState(time=t0, v=f, renormalized=False))
         monkeypatch.setattr(evolve, "step", counting_step)
         res = find_extinction(f, t0, rel_tol=1.0e-5)
         dt = cfl_dt(g)
@@ -1932,6 +1970,117 @@ class TestExtinction:
         f = _signed_field(g, -np.ones(g.shape))
         with pytest.raises(DomainError):
             find_extinction(f, 0.0)
+
+
+def _plain_run(state, t_end, every):
+    """run's snapshots over the plain march, a _march_step loop at cfl_dt
+    with the last step cut to end at t_end: the start, the first state at
+    or past each record time, and the last state.  The body must not die."""
+    dt = cfl_dt(state.v.grid)
+    states, due = [state], state.time + every
+    while state.time < t_end - 1.0e-12:
+        state = evolve._march_step(state, min(dt, t_end - state.time))
+        if state.time >= due - 1.0e-12:
+            states.append(state)
+            while due <= state.time + 1.0e-12:
+                due += every
+    if state.time > states[-1].time:
+        states.append(state)
+    return states
+
+
+def _w_quadric(n_r, n_phi, tau0=-50.0, dc=10.0):
+    """The renormalized W-quadric that matches the normal form, with its
+    two directions at tau-shifts (0, dc), on a grid of y_max 16:
+    W = 2 - (y1^2 - 2)/|tau0| - (y2^2 - 2)/(|tau0| + dc)."""
+    g = build_grid(n_r, n_phi, 16.0)
+    y1 = g.y[:, None] * np.cos(g.phi)[None, :]
+    y2 = g.y[:, None] * np.sin(g.phi)[None, :]
+    w = 2.0 - (y1**2 - 2.0) / abs(tau0) - (y2**2 - 2.0) / (abs(tau0) + dc)
+    return FlowState(time=tau0, v=_signed_field(g, w), tip=None)
+
+
+class TestSuperSteppedRun:
+    """A graph-only run takes _march's super-steps and records the plain
+    march's times; a run with a tip is the plain march."""
+
+    @pytest.mark.parametrize("every", [0.05, math.inf])
+    @pytest.mark.parametrize("body", ["ellipsoid", "w_quadric"])
+    def test_snapshot_times_are_the_plain_march(self, body, every):
+        """Unrescaled and renormalized, to a t_end off the time grid: the
+        same snapshot times, bit for bit, from other states."""
+        if body == "ellipsoid":
+            f, t0 = _small_ellipsoid()
+            state = FlowState(time=t0, v=f, renormalized=False)
+        else:
+            state = _w_quadric(96, 16)
+        t_end = state.time + 0.4321
+        hist = run(state, t_end, snapshot_every=every)
+        want = _plain_run(state, t_end, every)
+        assert len(want) == (2 if every == math.inf else 10)
+        assert list(hist.times) == [s.time for s in want]
+        assert (t_end - state.time) / cfl_dt(state.v.grid) % 1.0 > 0.1  # a cut last step
+        assert not np.array_equal(hist.states[-1].v.w_signed, want[-1].v.w_signed)
+
+    def test_sphere_stays_exact_at_every_snapshot(self, monkeypatch):
+        """The sphere W = 6 - |y|^2 is W0 - 6 (t - t0) at every snapshot
+        of a super-stepped run."""
+        g = build_grid(64, 16, 4.0)
+        w0, t0 = _sphere_w(g), -1.0
+        rates = _counting_rhs(monkeypatch, name="_w_rhs")
+        hist = run(FlowState(time=t0, v=_signed_field(g, w0), renormalized=False), -0.5,
+                   snapshot_every=0.05)
+        assert len(hist.states) == 11
+        assert len(rates) < 0.5 / cfl_dt(g)  # under one rate per cfl_dt step
+        for st in hist.states:
+            W = signed_square(st.v)
+            body = W > 0.0
+            assert np.abs(W - (w0 - 6.0 * (st.time - t0)))[body].max() < 1.0e-12
+
+    def test_run_with_a_tip_is_the_plain_march(self):
+        """The coupled oval takes no super-step: its snapshots are those
+        of a step loop, graph and tip bit for bit."""
+        state = _benchmark_oval(48, 16)
+        t_end = state.time + 0.1
+        hist = run(state, t_end, snapshot_every=0.03)
+        want = _plain_run(state, t_end, 0.03)
+        assert len(want) == 5
+        assert len(hist.states) == len(want)
+        for got, ref in zip(hist.states, want):
+            assert got.time == ref.time
+            assert np.array_equal(got.v.w_signed, ref.v.w_signed)
+            assert np.array_equal(got.tip.values, ref.tip.values)
+
+    def test_super_steps_are_inside_the_spatial_error(self):
+        """Over one unit of tau on the 96x16 W-quadric, xi of the
+        super-stepped run is within a twentieth of the plain march's
+        difference between 48x16 and 96x16."""
+        def xi(st):
+            return np.array(spectral_report(st.v, st.time).xi)
+
+        fine = _w_quadric(96, 16)
+        t_end = fine.time + 1.0
+        hist = run(fine, t_end, snapshot_every=0.25)
+        want = _plain_run(fine, t_end, 0.25)
+        assert len(want) == 5
+        err = max(np.abs(xi(a) - xi(b)).max() for a, b in zip(hist.states, want))
+        spatial = np.abs(xi(want[-1]) - xi(_plain_run(_w_quadric(48, 16), t_end, math.inf)[-1]))
+        assert 0.0 < err <= spatial.max() / 20.0
+
+    def test_graph_only_run_cuts_the_rhs_calls(self, monkeypatch):
+        """A guard on the fast path: on the 48x16 reference ellipsoid a
+        run reads the graph's rate at most 2/3 as often as the plain
+        march, which reads it twice a step (0.61 measured).  The pace is
+        3 to 4 steps here, which take 4 stages, so the ratio is above the
+        1/2 of finer grids; a march without super-steps reads 1."""
+        f, t0 = _small_ellipsoid()
+        state = FlowState(time=t0, v=f, renormalized=False)
+        rates = _counting_rhs(monkeypatch, name="_w_rhs")
+        run(state, t0 + 1.0, snapshot_every=0.05)
+        fast = len(rates)
+        del rates[:]
+        _plain_run(state, t0 + 1.0, 0.05)
+        assert fast <= len(rates) * 2 / 3
 
 
 class TestRenormalize:
