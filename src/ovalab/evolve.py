@@ -54,15 +54,16 @@ and the low-pass are products with ring matrices cached per n_phi, and
 radial ones come from grid.radial_stencil, so the tip table, which has
 no PolarGrid, shares both with the graph.
 
-run and find_extinction share one march, _march.  A state without tip
-takes _super_step's longer graph super-steps, _graph_step's under step's
-stage rule: each spans n cfl_dt steps, a small share of the body's own
-time scale cut to the steps left before the next record time or t_end,
-in as many stages as its stretched bound needs, and ends at the start
-plus cfl_dt added n times, on the time grid of a plain march at cfl_dt.
-Below two steps, or after a rejected super-step or one ending dead, the
-march hands over to plain steps at cfl_dt, which retry a rejected step at
-half the step and stop at t_end, at death or at the resolution floor.
+run and find_extinction share one loop, _march, the one place that
+paces the longer graph super-steps of a state without tip.  Each is a
+_graph_step under step's stage rule spanning n cfl_dt steps: a small
+share of the body's own time scale, read from its first stage, cut to
+the steps left before the next record time or t_end, and ending on the
+last of them, the start plus cfl_dt added n times, as a plain march at
+cfl_dt does.  Below two steps, or after a rejected super-step or one
+ending dead, the march hands over to plain steps at cfl_dt, which retry a
+rejected step at half the step and stop at t_end, at death or at the
+resolution floor.
 """
 
 import functools
@@ -240,7 +241,7 @@ def _w_rhs(W, grid, renormalized, mask):
     Every term is frame-invariant, so one expression over the frame jet
     covers every row of W, the grid's first rows from the pole out; at
     the pole the radial drift vanishes with y.  _graph_step, for step and
-    _super_step alike, passes the rows up to the outermost
+    _march's super-steps alike, passes the rows up to the outermost
     rim + 2, so rows past them are never evaluated.
     """
     W1, W2, W11, W12, W22 = frame_jet(grid, W)
@@ -466,17 +467,18 @@ def _invert_w(W, grid, v_levels):
 
 
 def _graph_step(state, dt, pace):
-    """One _rkl2 super-step of the graph from state: (field, n), or None.
+    """One _rkl2 super-step of the graph from state: (state, n), or None.
 
     The step sees only the rows up to the outermost rim + 2 of the start's
     signed square W (four at least), and _w_rhs there keeps the body mask
     of W; rows past them are carried over unchanged.  pace(W, f) is handed
     those rows and their rate f, and gives the number n of steps dt the
-    super-step spans and its stage count s, or None for no step.  The
-    first stage reuses f.  Every stage gets a rebuilt halo, and every
-    stage but the first _filter_w, so at s = 2 the filter runs once, at
-    the end.  A step that turns the core negative or inflates the body
-    raises StepSizeError."""
+    super-step spans, its stage count s and the time it ends at, or None
+    for no step.  The first stage reuses f.  Every stage gets a rebuilt
+    halo, and every stage but the first _filter_w, so at s = 2 the filter
+    runs once, at the end.  The tip is carried over untouched.  A step
+    that turns the core negative or inflates the body raises
+    StepSizeError."""
     g = state.v.grid
     W0 = signed_square(state.v)
     k = min(max(int(rim_index(W0).max()) + 3, 4), g.n_r + 1)
@@ -486,7 +488,7 @@ def _graph_step(state, dt, pace):
     plan = pace(live, f0)
     if plan is None:
         return None
-    n, s = plan
+    n, s, t = plan
     h = n * dt
 
     def after_stage(Y, j):
@@ -504,7 +506,7 @@ def _graph_step(state, dt, pace):
     # in the renormalized gauge), so any faster inflation is a blown step
     if float(W.max()) > w_max * (1.0 + 4.0 * h) + 1.0e-14:
         raise StepSizeError(f"maximum principle violation at dt={h:.3e}")
-    return ScalarField.from_square(g, W), n
+    return replace(state, time=t, v=ScalarField.from_square(g, W)), n
 
 
 def step(state, dtau):
@@ -519,12 +521,13 @@ def step(state, dtau):
     point receiving interpolated values is never read to give values back
     (Chesshire & Henshaw, J. Comput. Phys. 90, 1990)."""
     gate("time step", dtau, "(0, inf)", ParameterError)
-    v, _ = _graph_step(state, dtau, lambda W, f: (1, 2))
+    moved, _ = _graph_step(state, dtau, lambda W, f: (1, 2, state.time + dtau))
     tip = state.tip
     if tip is not None:
         outer = tip.v_nodes >= THETA - 1.0e-12
+        v = moved.v
         tip = _substep_tip(tip, dtau, _invert_w(v.w_signed, v.grid, tip.v_nodes[outer]))
-    return replace(state, time=state.time + dtau, v=v, tip=tip)
+    return replace(moved, tip=tip)
 
 
 class FlowHistory:
@@ -743,9 +746,9 @@ def _march_step(state, dtau):
 
 
 # share of the body's own time scale T = W_max/|W_t|, read at its core,
-# that one super-step of _march spans.  RKL2 is second order, so the
-# shift of the death instant (bisected to rel_tol 1e-9) from the plain
-# march's grows as the square of the share: on the 96x32 reference
+# that one super-step spans, read by _march's pace alone.  RKL2 is second
+# order, so the shift of the death instant (bisected to rel_tol 1e-9) from
+# the plain march's grows as the square of the share: on the 96x32 reference
 # ellipsoid, in units of its lifetime, 1.1e-6 at 0.01, 1.07e-5 at 0.02 and
 # 5.8e-5 at 0.05.  The march itself moves that instant by 2.6e-4 between
 # CFL 0.2 and 0.1, and its margin to the edge of the death bracket is
@@ -754,68 +757,58 @@ def _march_step(state, dtau):
 _SUPER_SHARE = 0.02
 
 
-def _super_step(state, dt, n_max):
-    """One _graph_step of n steps dt from a state without tip, or None
-    where the pace's n < 2.
-
-    The pace is floor(_SUPER_SHARE T / dt), T = W_max/|W_t| at the node of
-    W_max, with |W_t| from the first stage and 2 at least: the rate at
-    which the maximum of W falls where an unrescaled body is flat, so T
-    never exceeds the body's lifetime, and a core growing in the
-    renormalized gauge does not lengthen it.  n is the pace cut to n_max,
-    in s = _rkl2_stages(n / 0.9) stages, a 0.9 margin on the stretched
-    bound, under step's stage rule.  Returns (state, n), the end time the
-    start plus dt added n times, on the time grid of a march at dt; a
-    rejected super-step raises step's StepSizeError."""
-    def pace(W, f):
-        core = np.argmax(W)
-        n = int(_SUPER_SHARE * W.flat[core] / max(abs(f.flat[core]), 2.0) / dt)
-        return (min(n, n_max), _rkl2_stages(min(n, n_max) / 0.9)) if n >= 2 else None
-
-    out = _graph_step(state, dt, pace)
-    if out is None:
-        return None
-    v, n = out
-    t = state.time
-    for _ in range(n):
-        t += dt
-    return replace(state, time=t, v=v), n
-
-
 def _march(state, t_end, every):
     """Step state towards t_end and yield (state, n, due) per new state: n
     the cfl_dt steps it spans, due whether it is the first at or past the
     next record time, the start plus every, moved on by every (or past the
     state, for an every below the step) at each due state.  Stops at t_end,
-    after yielding the first dead state, or when _march_step gives up.
-    Without a tip, a step is a _super_step of n = min(pace, the full
-    cfl_dt steps to the next record time, that one included, and before a
-    step cut to t_end) where n >= 2, else a _march_step at cfl_dt cut to
-    t_end.  The hand-over: a pace below 2, a rejected super-step or one
-    ending dead makes every later step plain; a cap does not.  The 5e6-step
-    budget counts the steps a super-step spans."""
+    after yielding the first dead state, or when _march_step gives up; a
+    field that is not finite raises ParameterError before the first step.
+
+    A full cfl_dt step fits when it starts before the next record time and
+    ends by t_end.  Without a tip, where two fit, a step is one _graph_step
+    at the pace n = floor(_SUPER_SHARE T / cfl_dt), T = W_max/|W_t| at the
+    node of W_max with |W_t| from the first stage and 2 at least (so T
+    never exceeds an unrescaled body's lifetime, and a growing renormalized
+    core does not lengthen it), cut to the steps that fit.  It ends on the
+    last of them, the start plus cfl_dt added n times, in
+    _rkl2_stages(n / 0.9) stages.  Every other step is a _march_step at
+    cfl_dt cut to t_end.  A pace below 2, a rejected super-step or one
+    ending dead hands the rest of the march to plain steps; a cut does
+    not.  The 5e6-step budget counts the steps a super-step spans."""
+    arrays = (state.v.values, state.v.w_signed)
+    if not all(np.isfinite(a).all() for a in arrays if a is not None):
+        raise ParameterError(f"march from t={state.time:.6g}: the field is not finite")
     dt = cfl_dt(state.v.grid)
     steps = 0
     due = state.time + every
     paced = state.tip is None
+
+    def ahead(n):  # (k, t): the first k <= n steps that fit, and where the last ends
+        k, t = 0, state.time
+        while k < n and dt <= t_end - t and t < due - 1.0e-12:
+            k, t = k + 1, t + dt
+        return k, t
+
+    def pace(W, f):
+        core = np.argmax(W)
+        n = int(_SUPER_SHARE * W.flat[core] / max(abs(f.flat[core]), 2.0) / dt)
+        if n < 2:
+            return None
+        n, t = ahead(n)
+        return n, _rkl2_stages(n / 0.9), t
+
     while state.time < t_end - 1.0e-12:
         if steps >= 5_000_000:
             raise BudgetError(f"5e6-step budget spent at t={state.time:.6g}")
         out = None
-        if paced:
-            # the pace at |W_t| = 2, its floor, so never below it
-            limit = int(_SUPER_SHARE * float(signed_square(state.v).max()) / 2.0 / dt)
-            paced, n_max, t = limit >= 2, 0, state.time
-            while n_max < limit and dt <= t_end - t and t < due - 1.0e-12:
-                t += dt
-                n_max += 1
-            if n_max >= 2:
-                try:
-                    out = _super_step(state, dt, n_max)
-                except StepSizeError:
-                    pass
-                if out is None or not _alive(out[0].v):
-                    paced, out = False, None
+        if paced and ahead(2)[0] == 2:
+            try:
+                out = _graph_step(state, dt, pace)
+            except StepSizeError:
+                pass
+            if out is None or not _alive(out[0].v):
+                paced, out = False, None
         if out is None:
             out = _march_step(state, min(dt, t_end - state.time)), 1
             if out[0] is None:
@@ -836,12 +829,13 @@ def run(state, t_end, snapshot_every=0.05):
     Returns the history; the final recorded state is at the last time
     reached (t_end, or earlier if the body became extinct or the march
     stopped at the resolution floor).  The snapshots are _march's due
-    states: without a tip it super-steps, cut at each record time, until
-    the hand-over, at the plain march's times bit for bit.  On the 128x32
+    states, at the plain march's times bit for bit; without a tip they
+    come from its super-steps until the hand-over.  On the 128x32
     reference ellipsoid, t = -5 to -4.3 every 0.02, that moves xi after
     renormalize by 1.0e-6, huisken_density by 2.0e-7, concavity_margin by
     5.2e-7 and W in the body by 1.0e-3, against 4.0e-5, 8.5e-7, 1.1e-6 and
     8.2e-4 from 128 to 256 rings.  With a tip, _march is a step loop.
+    A field that is not finite raises ParameterError.
     """
     gate(f"t_end - t = {t_end} - {state.time}", t_end - state.time, "[0, inf]", ParameterError)
     gate("snapshot_every", snapshot_every, "(0, inf]", ParameterError)
@@ -880,15 +874,14 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
     """Locate the collapse time of a compact convex body by bisection on
     the predicate "the body survives until t".
 
-    _march takes the resolved part of the life in RKL2 super-steps of a
-    whole number of cfl_dt steps, a small share of the body's own time
-    scale, uncapped, on the time grid of a march at cfl_dt; after its
-    hand-over, plain steps at cfl_dt bracket the death step between the
-    last alive state and the first dead one.  Each bisection probe takes
-    one partial step from that last alive state, which is where a re-run
-    of the march would stand.  The bracket is narrowed until it is below
+    _march takes the resolved part of the life in super-steps at its pace,
+    which no record time or end cuts here; after its hand-over, plain
+    steps at cfl_dt bracket the death step between the last alive state
+    and the first dead one.  Each bisection probe takes one partial step
+    from that last alive state, which is where a re-run of the march
+    would stand.  The bracket is narrowed until it is below
     rel_tol of the elapsed lifetime (a CFL-step march usually starts below
-    that already).
+    that already).  A field that is not finite raises ParameterError.
     """
     gate("rel_tol", rel_tol, "(0, inf)", ParameterError)
     gate("t_start", t_start, "(-inf, inf)", ParameterError)

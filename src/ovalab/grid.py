@@ -320,9 +320,9 @@ def rebuild_halo(W, grid):
 
     Rows are rebuilt out to two past the outermost rim, which is as far
     as any stencil or ring transform containing interior nodes can
-    reach.  Rows beyond are not touched: evolve._graph_step, which both
-    step and _march's super-steps run, hands this only the rows up to
-    the outermost rim + 2 and carries the rest over unchanged.
+    reach.  Rows beyond are not touched: evolve._graph_step, the one
+    body of step and of _march's super-steps, hands this only the rows up
+    to the outermost rim + 2 and carries the rest over unchanged.
     """
     i0 = rim_index(W)
     lo = int(i0.min())

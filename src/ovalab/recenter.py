@@ -72,8 +72,9 @@ FOUR_PARAM = "four-param+rotation"
 class TransformParams:
     """Centering parameters of one flow, stored at the unrescaled level.
 
-    alpha is the spatial translation in the symmetry plane, beta the
-    time shift, gamma the log dilation, phi_rot the rotation angle.
+    alpha is the spatial translation in the symmetry plane (two
+    components, or ParameterError), beta the time shift, gamma the log
+    dilation, phi_rot the rotation angle.
     The renormalized working parameters depend on the time at which the
     transformation is read off and are exposed as methods.  Parameters
     and the times handed to the methods are finite, so every derived value is.
@@ -85,6 +86,8 @@ class TransformParams:
     phi_rot: float = 0.0
 
     def __post_init__(self):
+        if np.shape(self.alpha) != (2,):
+            raise ParameterError(f"translation alpha={self.alpha!r} is not a plane vector")
         for name, x in (*(("alpha", a) for a in self.alpha), ("beta", self.beta),
                         ("gamma", self.gamma), ("phi_rot", self.phi_rot)):
             gate(name, x, "(-inf, inf)", ParameterError)

@@ -1366,7 +1366,7 @@ class TestStep:
         step(state, cfl_dt(f.grid))
         assert (len(calls), len(rates)) == (1, 2)
         del calls[:], rates[:]
-        _, n = evolve._super_step(state, cfl_dt(f.grid), 10**9)
+        _, n, _ = next(evolve._march(state, math.inf, math.inf))
         s = evolve._rkl2_stages(n / 0.9)
         assert s >= 3
         assert (len(calls), len(rates)) == (s - 1, s)
@@ -1459,6 +1459,29 @@ class TestRunHistory:
             want.append(t)
         assert len(want) == 5
         assert list(hist.times) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("march", ["run", "run_with_tip", "find_extinction"])
+    def test_non_finite_field_is_refused_before_a_step(self, monkeypatch, march, bad):
+        """A field holding NaN or +-inf at an interior node raises
+        ParameterError before the graph's rate is read once.  The pace's
+        int() used to raise ValueError or OverflowError, and a state whose
+        pace stayed finite halved its step 13 times to a StepSizeError."""
+        if march == "run_with_tip":
+            state = _benchmark_oval(48, 16)
+        else:
+            g = build_grid(32, 8, 4.0)
+            state = FlowState(time=-1.0, v=_signed_field(g, _sphere_w(g)), renormalized=False)
+        W = signed_square(state.v)
+        W[3, 2] = bad
+        state = replace(state, v=_signed_field(state.v.grid, W))
+        rates = _counting_rhs(monkeypatch, name="_w_rhs")
+        with pytest.raises(ParameterError, match="not finite"):
+            if march == "find_extinction":
+                find_extinction(state.v, state.time)
+            else:
+                run(state, state.time + 0.1)
+        assert rates == []
 
     def test_interpolation_and_coverage(self):
         g = build_grid(96, 16, 6.0)
@@ -1879,15 +1902,16 @@ class TestExtinction:
         life to the plain march from its start state."""
         f, t0 = _small_ellipsoid()
         want = _plain_march(f, t0)
-        inner, calls = evolve._super_step, []
+        inner, calls = evolve._graph_step, []
 
-        def rejecting(state, dt, n_max):
-            calls.append(state.time)
-            if len(calls) == rejected:
-                raise StepSizeError("forced")
-            return inner(state, dt, n_max)
+        def rejecting(state, dt, pace):
+            if pace.__qualname__ == "_march.<locals>.pace":  # a super-step, not a step
+                calls.append(state.time)
+                if len(calls) == rejected:
+                    raise StepSizeError("forced")
+            return inner(state, dt, pace)
 
-        monkeypatch.setattr(evolve, "_super_step", rejecting)
+        monkeypatch.setattr(evolve, "_graph_step", rejecting)
         res = find_extinction(f, t0, rel_tol=1.0)
         assert len(calls) == rejected
         assert (res.t_last_alive, res.t_first_dead, res.steps) == want
@@ -2066,6 +2090,32 @@ class TestSuperSteppedRun:
         err = max(np.abs(xi(a) - xi(b)).max() for a, b in zip(hist.states, want))
         spatial = np.abs(xi(want[-1]) - xi(_plain_run(_w_quadric(48, 16), t_end, math.inf)[-1]))
         assert 0.0 < err <= spatial.max() / 20.0
+
+    def test_a_cut_step_is_plain_and_a_slow_pace_hands_over(self, monkeypatch):
+        """The n that _march yields from the 48x16 reference ellipsoid, whose
+        pace is 3 or 4, with a record time every 1.5 cfl_dt: two steps fit
+        before the first, one before the second, and so on.  A record time
+        one step ahead takes one plain step, which reads no pace, so a share
+        whose pace is below 2 there hands nothing over and the march
+        super-steps again after it; the same share where two steps fit
+        makes every later step plain.  Rates per step: 3 for a two-step
+        super-step, 2 for a plain step, 1 more where a pace is read and
+        refused."""
+        f, t0 = _small_ellipsoid()
+        march = evolve._march(FlowState(time=t0, v=f, renormalized=False), math.inf,
+                              1.5 * cfl_dt(f.grid))
+        rates = _counting_rhs(monkeypatch, name="_w_rhs")
+
+        def take(share):
+            monkeypatch.setattr(evolve, "_SUPER_SHARE", share)
+            del rates[:]
+            return next(march)[1], len(rates)
+
+        assert [take(0.02) for _ in range(3)] == [(2, 3), (1, 2), (2, 3)]
+        assert take(1.0e-6) == (1, 2)  # cut to one step: the share is not read
+        assert [take(0.02) for _ in range(2)] == [(2, 3), (1, 2)]
+        assert take(1.0e-6) == (1, 3)  # two steps fit: the pace is below 2
+        assert [take(0.02) for _ in range(4)] == [(1, 2)] * 4
 
     def test_graph_only_run_cuts_the_rhs_calls(self, monkeypatch):
         """A guard on the fast path: on the 48x16 reference ellipsoid a

@@ -422,6 +422,17 @@ def test_profile_writer_has_one_owner():
     assert callers == ["grid.py"]
 
 
+def test_super_step_pace_has_one_owner():
+    """Only _march reads _SUPER_SHARE: the super-step pace, and the cut of
+    n to the time grid, are stated once, so a second pace rule cannot sit
+    beside the first as a floor bound or a wrapper of its own."""
+    readers = sorted({node.name for node in ast.parse((PACKAGE / "evolve.py").read_text()).body
+                      if isinstance(node, ast.FunctionDef)
+                      and any(isinstance(n, ast.Name) and n.id == "_SUPER_SHARE"
+                              for n in ast.walk(node))})
+    assert readers == ["_march"]
+
+
 def _keyword_defaults(path):
     """Number of parameters with a default value in the module at path,
     positional or keyword-only, over every def and lambda."""

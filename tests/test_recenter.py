@@ -96,6 +96,20 @@ def test_parameter_guards():
         tp.b(0.0)  # 1 + beta e^0 < 0
 
 
+def test_translation_is_a_plane_vector(base):
+    """alpha lives in the symmetry plane, as transform_full's a does: a
+    translation of 0, 1 or 3 components is refused, from the constructor
+    and from from_renormalized, and solve_psi's plane vectors pass."""
+    for alpha in [(), (1.0,), (1.0, 2.0, 3.0)]:
+        with pytest.raises(ParameterError, match="plane vector"):
+            TransformParams(alpha=alpha, beta=0.0, gamma=0.0)
+        with pytest.raises(ParameterError, match="plane vector"):
+            TransformParams.from_renormalized(TAU0, a=alpha)
+    for mode in (TWO_PARAM, FOUR_PARAM):
+        sol = solve_psi(base, TAU0, mode=mode)
+        assert len(sol.alpha) == 2 and sol.a(TAU0).shape == (2,)
+
+
 # ---------------------------------------------------------------------------
 # the transformation
 
