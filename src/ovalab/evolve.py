@@ -745,6 +745,14 @@ def _march_step(state, dtau):
     raise rejection
 
 
+def _refuse_non_finite(state):
+    """ParameterError unless the field of state, and its signed square if
+    it keeps one, is finite at every node."""
+    arrays = (state.v.values, state.v.w_signed)
+    if not all(np.isfinite(a).all() for a in arrays if a is not None):
+        raise ParameterError(f"march from t={state.time:.6g}: the field is not finite")
+
+
 # share of the body's own time scale T = W_max/|W_t|, read at its core,
 # that one super-step spans, read by _march's pace alone.  RKL2 is second
 # order, so the shift of the death instant (bisected to rel_tol 1e-9) from
@@ -776,9 +784,7 @@ def _march(state, t_end, every):
     cfl_dt cut to t_end.  A pace below 2, a rejected super-step or one
     ending dead hands the rest of the march to plain steps; a cut does
     not.  The 5e6-step budget counts the steps a super-step spans."""
-    arrays = (state.v.values, state.v.w_signed)
-    if not all(np.isfinite(a).all() for a in arrays if a is not None):
-        raise ParameterError(f"march from t={state.time:.6g}: the field is not finite")
+    _refuse_non_finite(state)
     dt = cfl_dt(state.v.grid)
     steps = 0
     due = state.time + every
@@ -881,16 +887,18 @@ def find_extinction(initial, t_start, rel_tol=1.0e-3):
     from that last alive state, which is where a re-run of the march
     would stand.  The bracket is narrowed until it is below
     rel_tol of the elapsed lifetime (a CFL-step march usually starts below
-    that already).  A field that is not finite raises ParameterError.
+    that already).  A field that is not finite raises _march's
+    ParameterError before the body is checked for compactness and life.
     """
     gate("rel_tol", rel_tol, "(0, inf)", ParameterError)
     gate("t_start", t_start, "(-inf, inf)", ParameterError)
+    prev = cur = FlowState(time=t_start, v=initial, tip=None, renormalized=False)
+    _refuse_non_finite(cur)
     if float(initial.values[-1, :].max()) > V_FLOOR:
         raise DomainError("initial body touches the grid boundary; not compact")
     if not _alive(initial):
         raise DomainError("initial body is already extinct")
 
-    prev = cur = FlowState(time=t_start, v=initial, tip=None, renormalized=False)
     steps = 0
     for nxt, n, _ in _march(cur, math.inf, math.inf):
         prev, cur = cur, nxt

@@ -6,7 +6,8 @@ function and its arguments.  This module implements that action, the
 Gaussian pairing maps whose zeros single out a canonical member of each
 orbit, and a damped Newton solver that finds those zeros.  Its
 Jacobian columns are one-sided differences from the residual the loop
-already holds, one pullback each; jacobian_det, which measures the
+already holds, one pullback each, and between fresh Jacobians Broyden's
+update carries it at no pullback; jacobian_det, which measures the
 derivative itself, stays central.
 
 Raw parameters (alpha, beta, gamma, phi_rot) live at the unrescaled
@@ -322,8 +323,9 @@ def _fd_jacobian(F, x, steps, fx):
     one call of F per column, error O(h).  Given None, they are central,
     (F(x + h e_k) - F(x - h e_k))/(2h): two calls per column, error
     O(h^2).  _newton passes the residual it holds, since a Newton step
-    needs a Jacobian only good enough to contract; jacobian_det and other
-    measurements of the derivative itself pass None.
+    needs a Jacobian only good enough to contract, and calls this only for
+    its fresh Jacobians; jacobian_det and other measurements of the
+    derivative itself pass None.
     """
     cols = []
     for k, h in enumerate(steps):
@@ -338,43 +340,73 @@ def _fd_jacobian(F, x, steps, fx):
     return np.column_stack(cols)
 
 
+def _step(F, x, J, res, mode, tau0, radius_sq, halvings):
+    """The Newton step from x along J, with res = F(x): (lam, s, F(x + s))
+    for s = lam J^-1 (-res).  lam starts at the largest power of 1/2 that
+    stays in the box of squared radius radius_sq and is halved until F(x + s)
+    has a lower norm than res, `halvings` trials at most.  A nonpositive
+    psi2 determinant or a singular J is a DegeneracyError; a direction that
+    leaves the box at every length, or no lower trial, is a BudgetError; a
+    trial time the history does not hold is its CoverageError."""
+    if mode == TWO_PARAM and (det := _det2(J)) <= 0.0:
+        raise DegeneracyError(
+            f"psi2 Jacobian determinant {det:g} <= 0 inside the box"
+        )
+    try:
+        d = np.linalg.solve(J, -res)
+    except np.linalg.LinAlgError as err:
+        raise DegeneracyError(f"Jacobian solve failed: {err}") from err
+    lam = 1.0
+    while not _in_box(x + lam * d, tau0, radius_sq):
+        lam *= 0.5
+        if lam < 1.0e-12:
+            raise BudgetError(
+                "Newton direction pinned to the box boundary"
+            )
+    base = float(np.linalg.norm(res))
+    for _ in range(halvings):
+        s = lam * d
+        trial = F(x + s)
+        if float(np.linalg.norm(trial)) < base:
+            return lam, s, trial
+        lam *= 0.5
+    raise BudgetError("damping failed to reduce the residual")
+
+
 def _newton(F, x, steps, mode, tau0, radius_sq):
     """The damped Newton loop of solve_psi from x: returns the point where
     |F| < PSI_TOL within _MAX_ITER iterations, every iterate inside the box
-    of squared radius radius_sq.  Each iteration calls F once per Jacobian
-    column, one-sided from the residual it holds (_fd_jacobian), plus once
-    per damped trial.  The step is halved from the largest power of 1/2
-    that stays in the box, up to 30 times, and the first trial that lowers
-    |F| is taken; if none does, the damping has failed."""
+    of squared radius radius_sq.
+
+    The first iteration forms the one-sided Jacobian (_fd_jacobian, one
+    call of F per column from the residual it holds) and takes _step with
+    30 halvings.  After a full step (lam = 1) the Jacobian is carried by
+    Broyden's good update, J += (dF - J s) s^T / s^T s, from the step s and
+    residual change dF already paid for, and the next iteration first tries
+    one full step from it, cut only by the box: one call of F.  If that
+    step does not lower |F|, or is refused for any reason (a nonpositive
+    psi2 determinant, a singular J, the box, or the history's
+    CoverageError), the same iterate is redone from a fresh one-sided
+    Jacobian.  So every refusal comes from a fresh Jacobian, as in full
+    Newton.  A step with lam < 1, cut by the box or the damping, is
+    followed by a fresh Jacobian."""
     res = F(x)
+    J = None
     for _ in range(_MAX_ITER):
-        base = float(np.linalg.norm(res))
-        if base < PSI_TOL:
+        if float(np.linalg.norm(res)) < PSI_TOL:
             break
-        J = _fd_jacobian(F, x, steps, res)
-        if mode == TWO_PARAM and (det := _det2(J)) <= 0.0:
-            raise DegeneracyError(
-                f"psi2 Jacobian determinant {det:g} <= 0 inside the box"
-            )
-        try:
-            d = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError as err:
-            raise DegeneracyError(f"Jacobian solve failed: {err}") from err
-        lam = 1.0
-        while not _in_box(x + lam * d, tau0, radius_sq):
-            lam *= 0.5
-            if lam < 1.0e-12:
-                raise BudgetError(
-                    "Newton direction pinned to the box boundary"
-                )
-        for _ in range(30):
-            trial = F(x + lam * d)
-            if float(np.linalg.norm(trial)) < base:
-                break
-            lam *= 0.5
-        else:
-            raise BudgetError("damping failed to reduce the residual")
-        x = x + lam * d
+        taken = None
+        if J is not None:
+            try:
+                taken = _step(F, x, J, res, mode, tau0, radius_sq, 1)
+            except (BudgetError, CoverageError, DegeneracyError):
+                pass
+        if taken is None:
+            J = _fd_jacobian(F, x, steps, res)
+            taken = _step(F, x, J, res, mode, tau0, radius_sq, 30)
+        lam, s, trial = taken
+        J = J + np.outer(trial - res - J @ s, s) / (s @ s) if lam == 1.0 else None
+        x = x + s
         res = trial
     if float(np.linalg.norm(res)) >= PSI_TOL:
         raise BudgetError(
@@ -390,19 +422,22 @@ def solve_psi(history, tau0, mode=TWO_PARAM):
     Two-param mode solves psi2 over (b, Gamma); four-param mode solves
     psi4 over (a1, a2, b, Gamma) and then fixes the rotation by the
     closed-form half-angle.  Newton starts at zero, the untransformed
-    history, and stops once |psi| < PSI_TOL.  Its Jacobian columns are
-    one-sided differences from the residual it holds, n + 1 pullbacks per
-    iteration for n parameters.  The Jacobian only steers the iteration,
-    which contracts with its O(h) error too, so the result moves only
-    within |psi| < PSI_TOL.  Iterates are confined to
+    history, and stops once |psi| < PSI_TOL.  Its first Jacobian has
+    one-sided columns from the residual it holds, n pullbacks for n
+    parameters; after each full step Broyden's update carries it, and each
+    iteration costs one pullback while those steps lower |psi| (7 pullbacks
+    for a psi2 solve and 9 for psi4 on the shifted normal form at tau0 =
+    -100).  An updated step that fails is redone from a fresh Jacobian.  The
+    Jacobian only steers the iteration, which contracts with its error too,
+    so the result moves only within |psi| < PSI_TOL.  Iterates are confined to
     the box |tau0|^2 b^2 + Gamma^2 <= 100 kappa^2 with kappa measured
     from the history.  A nonpositive psi2 Jacobian determinant inside
     the box, or a singular Jacobian in either mode, is a degeneracy;
     running past _MAX_ITER iterations exhausts the budget.  A trial
     point whose time (1 + Gamma) tau0 the history does not hold raises
     the history's CoverageError, which names the time asked for and the
-    span held.  Each of these errors keeps its type, and its text goes
-    on to name kappa and the box radius.
+    span held.  Each of these errors is raised from a fresh Jacobian only,
+    keeps its type, and its text goes on to name kappa and the box radius.
     """
     F, steps = _pairing_map(history, tau0, mode)
     kappa = max(measure_kappa(history, tau0), 1.0e-8)

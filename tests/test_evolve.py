@@ -1483,6 +1483,25 @@ class TestRunHistory:
                 run(state, state.time + 0.1)
         assert rates == []
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [0, -1], ids=["pole", "boundary"])
+    @pytest.mark.parametrize("march", ["run", "find_extinction"])
+    def test_non_finite_pole_or_boundary_row_is_refused_as_not_finite(self, march, row, bad):
+        """NaN or +-inf on the pole row or the boundary row of a 32x8 sphere
+        is _march's ParameterError from run and find_extinction alike.
+        find_extinction's own checks read those rows, and used to call a
+        NaN pole an extinct body and an infinite boundary a body that is
+        not compact."""
+        g = build_grid(32, 8, 4.0)
+        W = _sphere_w(g)
+        W[row, :] = bad
+        state = FlowState(time=-1.0, v=_signed_field(g, W), renormalized=False)
+        with pytest.raises(ParameterError, match="the field is not finite"):
+            if march == "find_extinction":
+                find_extinction(state.v, state.time)
+            else:
+                run(state, state.time + 0.1)
+
     def test_interpolation_and_coverage(self):
         g = build_grid(96, 16, 6.0)
         yy = g.y[:, None]

@@ -433,6 +433,22 @@ def test_super_step_pace_has_one_owner():
     assert readers == ["_march"]
 
 
+def test_newton_jacobian_has_one_owner():
+    """Only _newton and jacobian_det call _fd_jacobian in the package, and
+    in recenter.py only _newton takes a rank-one update (np.outer): the
+    solver's rule of when its Jacobian is fresh and when Broyden's update
+    carries it is stated once."""
+    def callers(name, paths):
+        return sorted({f.name for path in paths
+                       for f in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(f, ast.FunctionDef)
+                       and any(isinstance(n, ast.Call) and ast.unparse(n.func) == name
+                               for n in ast.walk(f))})
+
+    assert callers("_fd_jacobian", PACKAGE.glob("*.py")) == ["_newton", "jacobian_det"]
+    assert callers("np.outer", [PACKAGE / "recenter.py"]) == ["_newton"]
+
+
 def _keyword_defaults(path):
     """Number of parameters with a default value in the module at path,
     positional or keyword-only, over every def and lambda."""

@@ -56,8 +56,9 @@ def base(grid):
     return normal_form_history(grid, TAU0)
 
 
-def shifted_history(grid, b, Gamma):
-    """Closed-form normal form with (b, Gamma) already applied."""
+def shifted_history(grid, b, Gamma, tau0=TAU0):
+    """Closed-form normal form with (b, Gamma) already applied, on
+    [1.25 tau0, 0.75 tau0]."""
 
     def fn(y, phi, tau):
         scaled = (y / (1.0 + b)) ** 2 - 4.0
@@ -65,7 +66,7 @@ def shifted_history(grid, b, Gamma):
             SQRT2 - scaled / (SQRT8 * (1.0 + Gamma) * abs(tau))
         ) + 0.0 * phi
 
-    return SyntheticHistory(fn, grid, (TAU0 * 1.25, TAU0 * 0.75))
+    return SyntheticHistory(fn, grid, (tau0 * 1.25, tau0 * 0.75))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +421,10 @@ def test_solver_evaluates_the_module_maps(mode, name, grid, monkeypatch):
         monkeypatch.setattr(recenter, key, counting(key, getattr(recenter, key)))
     dim = 2 if mode == TWO_PARAM else 4
     solve_psi(shifted_history(grid, 8.0e-4, 3.0e-2), TAU0, mode=mode)
-    # the start residual, then two iterations at least of dim one-sided
-    # Jacobian columns and one damped trial each
-    assert calls[name] >= 1 + 2 * (dim + 1)
+    # the start residual and dim one-sided Jacobian columns, then one trial
+    # per iteration: two at least, and four as measured (7 psi2 calls, 9
+    # psi4), every step after the first from the Broyden-updated Jacobian
+    assert 1 + dim + 2 <= calls[name] <= 1 + dim + 4
     assert calls[({"psi2", "psi4"} - {name}).pop()] == 0
 
 
@@ -462,7 +464,8 @@ def test_solver_reports_the_time_its_first_step_leaves(grid, monkeypatch):
     # the step toward Gamma = 0.03 asks for tau near 1.03 TAU0
     with pytest.raises(CoverageError, match=r"outside history \[-100\.5, -99\.5\]"):
         solve_psi(hist, TAU0)
-    # the start residual, one call per Jacobian column and one trial
+    # the start residual, one call per column of the fresh one-sided
+    # Jacobian and its first trial
     assert len(calls) == 4
 
 
@@ -522,14 +525,19 @@ def _recording(F):
 
 
 def test_newton_halves_a_step_that_leaves_the_box():
-    """From b = 0.1 the Newton step on b^3 = 1/8 lands at b = 4.2, outside
+    """From b = 0.1 the Newton step on b^3 = 1/8 lands at b = 4.23, outside
     the unit box (tau0 = -1); it is halved back in, no point outside the
-    box is evaluated, and the loop still finds b = 1/2."""
+    box is evaluated, and the loop still finds b = 1/2.  A halved step is
+    not carried by Broyden's update: the next Jacobian is fresh."""
+    steps = (1.0e-7, 1.0e-6)
     F, points = _recording(lambda x: np.array([x[0] ** 3 - 0.125, x[1]]))
-    x = recenter._newton(F, np.array([0.1, 0.0]), (1.0e-7, 1.0e-6), TWO_PARAM, -1.0, 1.0)
+    x = recenter._newton(F, np.array([0.1, 0.0]), steps, TWO_PARAM, -1.0, 1.0)
     assert np.abs(x - [0.5, 0.0]).max() < 1.0e-9
     assert all(recenter._in_box(p, -1.0, 1.0) for p in points)
     assert max(p[0] for p in points) < 1.0
+    # the step 0.124/0.03 halved three times, then fresh columns there
+    assert points[3][0] == pytest.approx(0.1 + 0.124 / 0.03 / 8.0, rel=1.0e-6)
+    assert _columns_at(points, 4, points[3], steps)
 
 
 def test_newton_pinned_to_the_box_boundary_is_a_budget_error():
@@ -575,26 +583,171 @@ def test_newton_never_accepts_a_step_that_raises_the_residual():
 
 
 @pytest.mark.parametrize("mode", [TWO_PARAM, FOUR_PARAM])
-def test_newton_calls_the_map_n_plus_1_times_per_iteration(mode):
+def test_newton_calls_the_map_n_plus_1_times_then_once_per_iteration(mode):
     """On x_k + x_k^3 = c_k with its zero at x = (0.5, -0.25, ...), every
-    full step lowers |F|: the loop calls F at the start, then at
-    x + h_k e_k for each of the n columns and at one trial per
-    iteration, which becomes the next iterate.  No column is central."""
+    full step lowers |F|: the loop calls F at the start and at x + h_k e_k
+    for each of the n one-sided columns, then once per iteration, at the
+    full step from the Jacobian that Broyden's good update carries, which
+    becomes the next iterate.  No column is central and none is redone."""
     n = 2 if mode == TWO_PARAM else 4
     zero = np.array([0.5, -0.25, 0.375, -0.125])[:n]
     steps = (1.0e-7, 1.0e-6, 1.0e-7, 1.0e-6)[:n]
-    F, points = _recording(lambda x: x + x**3 - (zero + zero**3))
+    G = lambda x: x + x**3 - (zero + zero**3)
+    F, points = _recording(G)
     x = recenter._newton(F, np.zeros(n), steps, mode, -1.0, 1.0e6)
     assert np.abs(x - zero).max() < 1.0e-10
-    iterations, rest = divmod(len(points) - 1, n + 1)
-    assert rest == 0 and iterations >= 3
-    base = points[0]
-    for i in range(iterations):
-        chunk = points[1 + i * (n + 1):1 + (i + 1) * (n + 1)]
-        for k in range(n):
-            assert np.array_equal(chunk[k], base + steps[k] * np.eye(n)[k])
-        base = chunk[n]
-    assert np.array_equal(base, x)
+    start, columns, iterates = points[0], points[1:n + 1], points[n + 1:]
+    assert _columns_at(points, 1, start, steps)
+    assert len(iterates) >= 5
+    res = G(start)
+    J = np.column_stack([(G(c) - res) / h for c, h in zip(columns, steps)])
+    prev = start
+    for nxt in iterates:
+        s = nxt - prev
+        np.testing.assert_allclose(s, np.linalg.solve(J, -res), rtol=1.0e-9, atol=1.0e-15)
+        new = G(nxt)
+        assert np.linalg.norm(new) < np.linalg.norm(res)
+        J = J + np.outer(new - res - J @ s, s) / (s @ s)
+        prev, res = nxt, new
+    assert np.array_equal(prev, x)
+
+
+def _in_four(g):
+    """The map (a1, a2, g(b, Gamma)) of the psi4 vector (a1, a2, b, Gamma):
+    from a = 0 every step keeps a = 0, so the loop runs g's iterates with
+    four one-sided columns per fresh Jacobian."""
+    return lambda x: np.array([x[0], x[1], *g(x[2], x[3])])
+
+
+def _columns_at(points, at, x, steps):
+    """Whether points[at:] opens with the one-sided Jacobian columns at x,
+    x + h_k e_k for each step h_k."""
+    n = len(steps)
+    return len(points) >= at + n and all(
+        np.array_equal(points[at + k], x + steps[k] * np.eye(n)[k]) for k in range(n))
+
+
+def _steep(b, Gamma):
+    """(b - 1, (Gamma - 1)/100 - b^2/10): from 0 the first full step lands
+    at b = 1 with |F| = 0.1, and the Broyden update there swaps the sign of
+    the Jacobian's determinant, det J1 = (1 - 5) det J0.  The fresh
+    Jacobian at b = 1 has determinant 1/100 and reaches the zero
+    (1, 11) in one step."""
+    return np.array([b - 1.0, 0.01 * (Gamma - 1.0) - 0.1 * b * b])
+
+
+@pytest.mark.parametrize("refusal", ["uphill", "coverage"])
+def test_newton_redoes_a_failed_updated_step_from_fresh_columns(refusal):
+    """On _steep in the psi4 vector the updated step from b = 1 goes to
+    Gamma = -1.5 and raises |F| from 0.1 to 0.125.  That trial is not
+    damped: the iterate is redone from four fresh one-sided columns, whose
+    step reaches the zero.  A history that holds only Gamma >= -1.2 refuses
+    the same trial with its CoverageError, and the loop redoes it the same
+    way: the refusal is raised only from a fresh Jacobian."""
+    steps = (1.0e-6, 1.0e-6, 1.0e-7, 1.0e-6)
+    G = _in_four(_steep)
+
+    def covered(x):
+        if refusal == "coverage" and x[3] < -1.2:
+            raise CoverageError(f"time of Gamma = {x[3]:g} outside the history")
+        return G(x)
+
+    F, points = _recording(covered)
+    x = recenter._newton(F, np.zeros(4), steps, FOUR_PARAM, -1.0, 1.0e6)
+    assert np.abs(x - [0.0, 0.0, 1.0, 11.0]).max() < 1.0e-6
+    # start, 4 columns, the full first step, the failed updated trial,
+    # 4 fresh columns at the first step, and the step to the zero
+    assert len(points) == 12
+    assert points[6][3] == pytest.approx(-1.5, rel=1.0e-5)
+    assert np.linalg.norm(G(points[6])) > np.linalg.norm(G(points[5]))
+    assert _columns_at(points, 7, points[5], steps)
+    assert np.array_equal(points[-1], x)
+
+
+def test_newton_refuses_only_a_fresh_nonpositive_determinant():
+    """On _steep the updated psi2 Jacobian at b = 1 has a negative
+    determinant, so the loop takes no trial from it and forms a fresh one
+    there, whose determinant is positive: no DegeneracyError, and the zero
+    is found.  With the Gamma slope 1/100 - b/50 the fresh determinant at
+    the first step is negative too, after an updated trial that raised
+    |F|; that one raises, after the fresh columns."""
+    steps = (1.0e-7, 1.0e-6)
+    F, points = _recording(lambda x: _steep(*x))
+    x = recenter._newton(F, np.zeros(2), steps, TWO_PARAM, -1.0, 1.0e6)
+    assert np.abs(x - [1.0, 11.0]).max() < 1.0e-6
+    # start, 2 columns, the first step, 2 fresh columns there, the zero
+    assert len(points) == 7
+    assert _columns_at(points, 4, points[3], steps)
+
+    F, points = _recording(lambda x: _steep(*x) - [0.0, 0.02 * x[0] * (x[1] - 1.0)])
+    with pytest.raises(DegeneracyError, match=r"psi2 Jacobian determinant -0\.01 <= 0"):
+        recenter._newton(F, np.zeros(2), steps, TWO_PARAM, -1.0, 1.0e6)
+    # start, 2 columns, the first step, the uphill updated trial, and the
+    # 2 fresh columns whose determinant is refused
+    assert len(points) == 7
+    assert _columns_at(points, 5, points[3], steps)
+
+
+def test_newton_damping_budget_comes_only_from_a_fresh_jacobian():
+    """(1 + (b - 1)^2, Gamma) in the psi4 vector: the first full step
+    lands on the minimum b = 1 of |F|, where no step lowers |F|.  The
+    updated step (to b = 2) fails in its one trial and is not halved; the
+    fresh Jacobian at b = 1 then spends its 30 halvings and raises the
+    damping BudgetError."""
+    steps = (1.0e-6, 1.0e-6, 1.0e-7, 1.0e-6)
+    F, points = _recording(_in_four(lambda b, Gamma: (1.0 + (b - 1.0) ** 2, Gamma)))
+    with pytest.raises(BudgetError, match="damping failed to reduce the residual"):
+        recenter._newton(F, np.zeros(4), steps, FOUR_PARAM, -1.0, 1.0e6)
+    # start, 4 columns, the first step, the one updated trial, 4 fresh
+    # columns and 30 damped trials
+    assert len(points) == 1 + 4 + 1 + 1 + 4 + 30
+    assert points[6][2] == pytest.approx(2.0, rel=1.0e-6)
+    assert _columns_at(points, 7, points[5], steps)
+
+
+def _full_newton(F, x, steps, mode, tau0, radius_sq):
+    """Newton with a fresh one-sided Jacobian at every iteration, the box
+    and 30 halvings: the loop solve_psi ran before Broyden's update, kept
+    as the oracle of the updated one."""
+    res = F(x)
+    for _ in range(recenter._MAX_ITER):
+        base = float(np.linalg.norm(res))
+        if base < recenter.PSI_TOL:
+            return x
+        J = _fd_jacobian(F, x, steps, res)
+        assert mode == FOUR_PARAM or recenter._det2(J) > 0.0
+        d = np.linalg.solve(J, -res)
+        lam = 1.0
+        while not recenter._in_box(x + lam * d, tau0, radius_sq):
+            lam *= 0.5
+        for _ in range(30):
+            trial = F(x + lam * d)
+            if float(np.linalg.norm(trial)) < base:
+                break
+            lam *= 0.5
+        else:
+            raise AssertionError("oracle damping failed")
+        x = x + lam * d
+        res = trial
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.mark.parametrize("mode", [TWO_PARAM, FOUR_PARAM])
+@pytest.mark.parametrize("tau0", [-100.0, -80.0, -60.0])
+def test_updated_newton_agrees_with_full_newton(grid, tau0, mode):
+    """On the shifted normal form solve_psi's (a, b, Gamma) agree with the
+    full-Newton oracle to 1e-9, and the pairing map at the returned point
+    is below PSI_TOL."""
+    H = shifted_history(grid, 8.0e-4, 3.0e-2, tau0)
+    sol = solve_psi(H, tau0, mode=mode)
+    got = np.array([*sol.a(tau0), sol.b(tau0), sol.Gamma(tau0)])
+    F, steps = recenter._pairing_map(H, tau0, mode)
+    radius_sq = 100.0 * max(measure_kappa(H, tau0), 1.0e-8) ** 2
+    want = _full_newton(F, np.zeros(len(steps)), steps, mode, tau0, radius_sq)
+    if mode == TWO_PARAM:
+        want = np.concatenate([[0.0, 0.0], want])
+    assert np.abs(got - want).max() < 1.0e-9
+    assert np.linalg.norm(F(got if mode == FOUR_PARAM else got[2:])) < recenter.PSI_TOL
 
 
 @pytest.mark.parametrize("one_sided", [False, True], ids=["central", "one-sided"])
