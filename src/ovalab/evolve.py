@@ -126,8 +126,9 @@ _TIP_STRETCH = 2.5
 
 class TipField:
     """Per-angle inverse profile Y(v, phi), a 2-d table of values whose n
-    rows sit at v_nodes = grid.tip_nodes(n) in [0, 2 THETA].  An entry
-    that is not finite and positive raises DomainError.
+    rows sit at v_nodes = grid.tip_nodes(n) in [0, 2 THETA].  The table
+    is a read-only copy of the values given, so no later write reaches
+    it.  An entry that is not finite and positive raises DomainError.
 
     The smooth-tip boundary condition Y_v(0, phi) = 0 is built into the
     reflection stencils rather than stored.  Y decreasing in v holds for
@@ -135,7 +136,8 @@ class TipField:
     """
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.array(values, dtype=float)
+        self.values.setflags(write=False)
         if self.values.ndim != 2:
             raise ParameterError("tip value table must be 2-d")
         self.v_nodes = tip_nodes(self.values.shape[0])
@@ -183,25 +185,20 @@ class TipField:
         return cls(_invert_w(W, field.grid, tip_nodes(n)))
 
     def save(self, path):
-        _write_table(
-            path,
-            f"v_nodes={len(self.v_nodes)} phi_nodes={self.n_phi} "
-            f"theta={THETA:.17g}",
-            self.v_nodes,
-            2.0 * math.pi * np.arange(self.n_phi) / self.n_phi,
-            self.values,
-        )
+        """Write the table as one npz archive at path: theta and values."""
+        _write_table(path, theta=THETA, values=self.values)
 
     @classmethod
     def load(cls, path):
-        """Read a table written by save.  A header theta other than THETA
-        or stored nodes that are not the header's tip_nodes(v_nodes) raise
-        ParameterError naming the file."""
-        def header(m):
-            if float(m["theta"]) != THETA:
-                raise ParameterError(f"theta={m['theta']} is not THETA: rows off the tip nodes")
-            return tip_nodes(int(m["v_nodes"])), None
-        return cls(_read_table(path, "tip", header)[1])
+        """Read a table written by save.  A stored theta other than THETA
+        puts the rows off the tip nodes and raises ParameterError naming
+        the file, as _read_table's refusals and TipField's do."""
+        def build(a):
+            if a["theta"].tolist() != THETA:
+                raise ParameterError(f"theta={a['theta'].tolist()} is not THETA: "
+                                     "rows off the tip nodes")
+            return cls(a["values"])
+        return _read_table(path, "tip", ({"theta", "values"},), build)
 
 
 def rhs_renormalized_Y(Y):
@@ -635,35 +632,41 @@ class FlowHistory:
         return resample(src.values, g, r, phi)
 
     def save_dir(self, path):
+        """Write the history to the directory path: each snapshot's field
+        by save_field as snap_00000.npz, its tip table, if any, by
+        TipField.save as snap_00000_tip.npz (both npz archives, so every
+        bit round-trips, W included), and the index history.json."""
         os.makedirs(path, exist_ok=True)
         index = []
         for k, (t, st) in enumerate(zip(self._times, self._states)):
             name = f"snap_{k:05d}"
-            save_field(st.v, os.path.join(path, name + ".csv"))
+            save_field(st.v, os.path.join(path, name + ".npz"))
             entry = {
                 "time": t,
-                "field": name + ".csv",
+                "field": name + ".npz",
                 "renormalized": st.renormalized,
                 "L": st.L,
             }
             if st.tip is not None:
-                st.tip.save(os.path.join(path, name + "_tip.csv"))
-                entry["tip"] = name + "_tip.csv"
+                st.tip.save(os.path.join(path, name + "_tip.npz"))
+                entry["tip"] = name + "_tip.npz"
             index.append(entry)
         with open(os.path.join(path, "history.json"), "w") as fh:
             json.dump(index, fh, indent=1)
 
     @classmethod
     def load_dir(cls, path):
-        """Read a history written by save_dir.  An index that is not JSON
-        or not a list of entries, or an entry without its field name, with
-        a field or tip name that is not a string, a missing or non-boolean
-        renormalized flag, a missing time or L or one that is no JSON
-        number (true and "0.25" are none), or a non-finite time, raises
-        ParameterError naming the index file.  An
-        entry that FlowState or the time order refuses keeps its
-        ParameterError or ShapeError, with the index file and the
-        snapshot's field name in front of the message."""
+        """Read a history written by save_dir, bitwise the one written.
+        An index that is not JSON or not a list of entries, or an entry
+        without its field name, with a field or tip name that is not a
+        bare file name in the directory (a path, "." or ".."), a missing
+        or non-boolean renormalized flag, a missing time or L or one that
+        is no JSON number (true and "0.25" are none), or a non-finite
+        time, raises ParameterError naming the index file.  A table that
+        load_field or TipField.load refuses raises its error naming the
+        table's file.  An entry that FlowState or the time order refuses
+        keeps its ParameterError or ShapeError, with the index file and
+        the snapshot's field name in front of the message."""
         where = os.path.join(path, "history.json")
         with open(where) as fh:
             try:
@@ -684,9 +687,10 @@ class FlowHistory:
             raise ParameterError(f"{where}: time and L must be numbers")
         if not all(isinstance(e[3], bool) for e in entries):
             raise ParameterError(f"{where}: renormalized must be true or false")
-        if not all(isinstance(e[1], str) and isinstance(e[2], (str, type(None)))
-                   for e in entries):
-            raise ParameterError(f"{where}: field and tip must be file names")
+        names = [e[1] for e in entries] + [e[2] for e in entries if e[2] is not None]
+        if not all(isinstance(name, str) and os.path.basename(name) == name
+                   and name not in ("", ".", "..") for name in names):
+            raise ParameterError(f"{where}: field and tip must be file names in its directory")
         for e in entries:
             gate(f"{where}: snapshot time", e[0], "(-inf, inf)", ParameterError)
         hist = cls()

@@ -48,21 +48,21 @@ product, and the squared profile W = v^2, read with its outside
 continuation by signed_square and written as a field by
 ScalarField.from_square.
 
-Node tables, a field's (save_field) or a tip table's, are one CSV codec:
-_write_table formats each angle once per table and each node once per
-node row, so a value is the only float formatted per entry, in `.17g`,
-which round-trips; _read_table splits off the blank and `#` lines in one
-pass and np.loadtxt parses the rest.
+Node tables, a field's (save_field) or a tip table's, are one codec:
+an uncompressed npz archive of float64 arrays, which round-trips every
+bit.  No node is stored, since PolarGrid and tip_nodes lay the nodes out
+from the counts; _read_table reads an archive without pickles and
+refuses one that is not such a table, naming the file.
 """
 
 import functools
 import math
-import re
+import zipfile
 from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, gate
+from .errors import DomainError, ParameterError, ShapeError, gate
 
 _erf = np.vectorize(math.erf, otypes=[float])
 
@@ -359,8 +359,8 @@ def rebuild_halo(W, grid):
 def signed_square(field):
     """Writable signed squared profile W of a field: its stored
     w_signed, or else the clamped values squared with the outside
-    continuation rebuilt, so a field read back from disk gives the same
-    W as the one written.  ScalarField.from_square writes W back."""
+    continuation rebuilt.  A field read back from disk keeps the W that
+    was written.  ScalarField.from_square writes W back."""
     if field.w_signed is not None:
         return np.array(field.w_signed)
     return rebuild_halo(field.values**2, field.grid)
@@ -533,93 +533,69 @@ def angular_lowpass(values, m_max):
     return out
 
 
-# a blank or `#` line of a node table, from the newline before it, and
-# the key=value pairs of the `#` lines
-_SKIP = re.compile(r"\n\s*(?:#(.*))?(?=\n|$)")
-_META = re.compile(r"([^\s=]*)=(\S*)")
+def _write_table(path, **arrays):
+    """Write a node table: its named arrays as one uncompressed npz
+    archive, at path itself (np.savez appends .npz to a str path, not to
+    an open file)."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
-def _write_table(path, header, nodes, phi, values):
-    """Write a node table as CSV: the comment line `# header`, then one
-    row `k, j, nodes[k], phi[j], values[k, j]` per entry in row-major
-    order, every float in `.17g`, which round-trips.
-
-    The angles go once per table into a template of one node row, its
-    n_phi lines; each node row fills it with k and the node, formatted
-    once, and the row's values, and is one write."""
-    row = "".join(f"{{0}}, {j}, {{1}}, {pj:.17g}, {{{j + 2}:.17g}}\n"
-                  for j, pj in enumerate(phi))
-    with open(path, "w") as fh:
-        fh.write(f"# {header}\n")
-        for k, node in enumerate(nodes):
-            fh.write(row.format(str(k), f"{node:.17g}", *values[k].tolist()))
-
-
-def _read_table(path, what, header):
-    """Read a _write_table file of `what` nodes into (info, values).
-
-    One pass over the text splits off its blank and `#` lines, anywhere
-    in the file; a `#` after data on a row is no comment.  np.loadtxt
-    parses the other lines, the rows; header(meta) parses the key=value
-    pairs of the `#` lines into (nodes, info), nodes being the column the
-    table must hold.  A table of other than len(nodes) * phi_nodes rows
-    raises ShapeError.  A non-numeric value or ragged row, a bad header
-    entry, a row without five fields, a non-finite value or a row whose
-    (k, j, node, phi) is not the header's, row-major with node and phi to
-    1e-9 of their step, raises ParameterError naming the file.
-    """
-    with open(path) as fh:
-        text = "\n" + fh.read()
-    notes, rows, at = [], [], 0
-    for line in _SKIP.finditer(text):
-        notes.append(line[1] or "")
-        rows.append(text[at:line.start()])
-        at = line.end()
-    rows = "".join(rows) + text[at:]
-    meta = dict(_META.findall(" ".join(notes)))
+def _read_table(path, what, keys, build):
+    """build(arrays) of the arrays of a _write_table archive of `what`
+    nodes, read without pickles.  A file that is no npz archive (text, a
+    bare .npy, a pickle, a truncated archive), key names that are none of
+    the sets in keys, an array that is not float64 or holds a non-finite
+    value raise ParameterError naming the file; so does a refusal of
+    build, with its type kept (ShapeError, DomainError)."""
     try:
-        # a header-only table is the ShapeError below, not numpy's no-data warning
-        data = (np.loadtxt(rows.splitlines(), delimiter=",", comments=None, ndmin=2)
-                if rows.strip() else np.empty((0, 5)))
-    except ValueError as err:
-        raise ParameterError(f"{path}: malformed {what} table row ({err})") from None
-    try:
-        (nodes, info), n_phi = header(meta), int(meta["phi_nodes"])
-    except (KeyError, ValueError) as err:  # ParameterError is a ValueError
-        raise ParameterError(f"{path}: bad {what} table header ({err})") from None
-    n = len(nodes)
-    if data.shape[0] != n * n_phi:
-        raise ShapeError(f"{path}: expected {n * n_phi} rows, got {data.shape[0]}")
-    if data.shape[1:] != (5,):
-        raise ParameterError(f"{path}: {what} table rows need 5 fields")
-    if not np.all(np.isfinite(data)):
+        # an open file: np.load leaks the one it opens when an archive is refused
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":  # np.load would try a bare .npy or a pickle
+                raise ValueError("not a zip file")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as data:
+                arrays = {key: data[key] for key in data.files}
+    except (ValueError, zipfile.BadZipFile) as err:
+        raise ParameterError(f"{path}: not a {what} table archive ({err})") from None
+    if set(arrays) not in keys:
+        raise ParameterError(f"{path}: {what} table holds {sorted(arrays)}, "
+                             f"not {' or '.join(str(sorted(k)) for k in keys)}")
+    if not all(type(a) is np.ndarray and a.dtype == np.float64 for a in arrays.values()):
+        raise ParameterError(f"{path}: {what} table arrays must be float64")
+    if not all(np.isfinite(a).all() for a in arrays.values()):
         raise ParameterError(f"{path}: {what} table holds a non-finite value")
-    data = data.reshape(n, n_phi, -1)
-    k, j = np.indices((n, n_phi))
-    want = np.stack((k, j, nodes[k], 2.0 * math.pi * j / n_phi), axis=-1)
-    tol = 1.0e-9 * np.array([0.0, 0.0, nodes[1], 2.0 * math.pi / n_phi])
-    if not np.all(np.abs(data[..., :4] - want) <= tol):
-        raise ParameterError(f"{path}: rows are not the header's {n} uniform {what} "
-                             f"nodes up to {nodes[-1]:.17g} by {n_phi} angles")
-    return info, np.ascontiguousarray(data[:, :, 4])
+    try:
+        return build(arrays)
+    except (ParameterError, DomainError) as err:  # ShapeError included, and kept
+        raise type(err)(f"{path}: {err}") from None
 
 
 def save_field(f, path):
-    """Write a field as CSV: a comment header with the grid metadata, then
-    one row `i, j, y_i, phi_j, value` per node in row-major order."""
-    g = f.grid
-    _write_table(path, f"y_nodes={g.n_r} phi_nodes={g.n_phi} y_max={g.y_max:.17g}",
-                 g.y, g.phi, f.values)
+    """Write a field as one npz archive at path: grid = [n_r, n_phi,
+    y_max], values and, when the field keeps one, w_signed."""
+    arrays = {"grid": np.array(f.grid._key, dtype=float), "values": f.values}
+    if f.w_signed is not None:
+        arrays["w_signed"] = f.w_signed
+    _write_table(path, **arrays)
 
 
 def load_field(path, grid=None):
-    """Read a field written by save_field onto the PolarGrid of its header
-    (y_nodes, phi_nodes, y_max): the given grid when it is that one, a new
-    grid otherwise.  Stored nodes that are not its raise ParameterError."""
-    def header(meta):
-        key = (int(meta["y_nodes"]), int(meta["phi_nodes"]), float(meta["y_max"]))
+    """Read a field written by save_field, w_signed included when stored,
+    onto the PolarGrid of its grid entry: the given grid when it is that
+    one, a new grid otherwise.  A grid entry that is not three numbers
+    with integer counts, or one that PolarGrid refuses, raises
+    ParameterError, and values or w_signed off its shape ShapeError,
+    naming the file."""
+    def build(a):
+        entry = a["grid"].tolist()
+        if not (a["grid"].shape == (3,) and entry[0].is_integer() and entry[1].is_integer()):
+            raise ParameterError(f"bad grid entry {entry}: not [n_r, n_phi, y_max]")
+        key = (int(entry[0]), int(entry[1]), entry[2])
+        if a["values"].shape != (key[0] + 1, key[1]):  # checked before any node is laid out
+            raise ShapeError(f"values of shape {a['values'].shape} are not on grid {key}")
         stored = grid if grid is not None and grid._key == key else PolarGrid(*key)
-        return stored.y, stored
+        return ScalarField(stored, a["values"], a.get("w_signed"), copy=False)
 
-    stored, values = _read_table(path, "radial", header)
-    return ScalarField(stored, values)
+    return _read_table(path, "radial", ({"grid", "values"}, {"grid", "values", "w_signed"}),
+                       build)

@@ -267,7 +267,7 @@ def test_collar_deviation_flags_the_sphere(tmp_path):
     assert rep.deviation > 7.0
     # the band reaches the rim row, so a field read back from disk has
     # to see the same continuation of W there
-    path = os.path.join(tmp_path, "sphere.csv")
+    path = os.path.join(tmp_path, "sphere.npz")
     save_field(f, path)
     back = collar_deviation(load_field(path), -3000.0, 10.0)
     assert abs(back.deviation - rep.deviation) < 1.0e-12

@@ -48,7 +48,6 @@ from ovalab.evolve import (
 from ovalab.grid import (
     THETA,
     ScalarField,
-    _write_table,
     angular_derivs,
     build_grid,
     diff_phi_fft,
@@ -94,14 +93,6 @@ def _tip(field, n):
     return TipField(evolve._invert_w(signed_square(field), field.grid, tip_nodes(n)))
 
 
-def _saved_nodes(path, v_nodes, theta=THETA):
-    """Write a positive table on the given nodes under a header of the
-    given theta and read it back."""
-    _write_table(path, f"v_nodes={len(v_nodes)} phi_nodes=8 theta={theta}", v_nodes,
-                 2.0 * math.pi * np.arange(8) / 8, np.ones((len(v_nodes), 8)))
-    return TipField.load(path)
-
-
 # ---------------------------------------------------------------------------
 # tip patch
 
@@ -125,89 +116,35 @@ class TestTipField:
     def test_save_load_roundtrip(self, tmp_path):
         g = build_grid(160, 32, 3.2)
         tip = _tip(_wobble_sphere(g), 17)
-        path = os.path.join(tmp_path, "tip.csv")
+        path = os.path.join(tmp_path, "tip.npz")
         tip.save(path)
         back = TipField.load(path)
         assert np.array_equal(back.v_nodes, tip.v_nodes)
-        assert np.array_equal(back.values, tip.values)
-
-    def test_truncated_table_rejected(self, tmp_path):
-        g = build_grid(160, 32, 3.2)
-        tip = _tip(_wobble_sphere(g), 17)
-        path = os.path.join(tmp_path, "tip.csv")
-        tip.save(path)
-        with open(path) as fh:
-            lines = fh.readlines()
-        with open(path, "w") as fh:
-            fh.writelines(lines[:-1])
-        with pytest.raises(ShapeError):
-            TipField.load(path)
-
-    @pytest.mark.parametrize("line,edit", [
-        (0, lambda text: text.replace("theta=", "angle=")),
-        (0, lambda text: text.replace("phi_nodes=32", "phi_nodes=four")),
-        (5, lambda text: text.rsplit(",", 1)[0] + "\n"),
-        (5, lambda text: text.rsplit(",", 1)[0] + ", one\n"),
-        (5, lambda text: text.rsplit(",", 1)[0] + ", nan\n"),
-    ], ids=["no-theta", "phi-nodes-four", "four-fields", "non-numeric", "nan"])
-    def test_malformed_table_is_a_parameter_error(self, tmp_path, line, edit):
-        g = build_grid(160, 32, 3.2)
-        tip = _tip(_wobble_sphere(g), 17)
-        path = os.path.join(tmp_path, "tip.csv")
-        tip.save(path)
-        with open(path) as fh:
-            lines = fh.readlines()
-        changed = edit(lines[line])
-        assert changed != lines[line]
-        lines[line] = changed
-        with open(path, "w") as fh:
-            fh.writelines(lines)
-        with pytest.raises(ParameterError) as exc:
-            TipField.load(path)
-        assert path in str(exc.value)
-
-    @pytest.mark.parametrize("row,other", [(2, 3), (5, 40)], ids=["same-ring", "two-rings"])
-    def test_swapped_rows_are_a_parameter_error(self, tmp_path, row, other):
-        """Every row must be its header's (k, j, node, phi) in row-major
-        order; a table with two rows swapped would put radii at the wrong
-        nodes."""
-        g = build_grid(160, 32, 3.2)
-        tip = _tip(_wobble_sphere(g), 17)
-        path = os.path.join(tmp_path, "tip.csv")
-        tip.save(path)
-        with open(path) as fh:
-            lines = fh.readlines()
-        lines[row + 1], lines[other + 1] = lines[other + 1], lines[row + 1]
-        with open(path, "w") as fh:
-            fh.writelines(lines)
-        with pytest.raises(ParameterError, match="by 32 angles") as exc:
-            TipField.load(path)
-        assert path in str(exc.value)
+        assert back.values.tobytes() == tip.values.tobytes()
 
     @pytest.mark.parametrize("make", [
-        lambda path: _saved_nodes(path, np.linspace(0.05, 0.45, 17)),
-        lambda path: _saved_nodes(path, -np.linspace(0.0, 0.4, 17)),
-        lambda path: _saved_nodes(path, 0.4 * np.linspace(0.0, 1.0, 17) ** 2),
-        lambda path: _saved_nodes(path, np.linspace(0.0, 0.4, 3)),
-        lambda path: tip_nodes(3),
-        lambda path: tip_nodes(16.5),
-        lambda path: TipField(np.ones((3, 8))),
-        *[lambda path, theta=theta: _saved_nodes(path, tip_nodes(17), theta)
-          for theta in (0.0, -0.2, math.inf, math.nan, 0.25)],
-    ], ids=["offset", "decreasing", "stretched", "three-stored", "three-inverted",
-            "fractional-count", "three-built", "theta-0", "theta-negative",
-            "theta-inf", "theta-nan", "theta-other"])
-    def test_bad_nodes_are_a_parameter_error(self, tmp_path, make):
+        lambda: tip_nodes(3),
+        lambda: tip_nodes(16.5),
+        lambda: TipField(np.ones((3, 8))),
+    ], ids=["three-inverted", "fractional-count", "three-built"])
+    def test_bad_nodes_are_a_parameter_error(self, make):
         """The tip stencils need 4 or more uniform nodes up from v = 0: a
         table takes grid.tip_nodes(n), which refuses a count below 4 or
-        not an integer, and a stored node column must be those nodes.  A
-        stored header whose theta is not THETA names other nodes than the
-        table's, so it is refused whatever the rows hold."""
-        path = os.path.join(tmp_path, "tip.csv")
-        with pytest.raises(ParameterError, match="tip nodes") as exc:
-            make(path)
-        if os.path.exists(path):  # a stored table names its file
-            assert path in str(exc.value)
+        not an integer.  A stored table's refusals, theta included, are
+        test_grid's node table refusals."""
+        with pytest.raises(ParameterError, match="tip nodes"):
+            make()
+
+    def test_table_is_a_frozen_copy(self):
+        """A write to the caller's array does not reach the table, so no
+        later write puts a negative radius past the DomainError check, and
+        the table refuses writes of its own."""
+        a = np.ones((9, 8))
+        tip = TipField(a)
+        a[3, 2] = -1.0
+        assert np.all(tip.values == 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            tip.values[3, 2] = -1.0
 
     def test_rim_must_be_contained(self):
         g = build_grid(96, 32, 3.0)
@@ -245,18 +182,6 @@ class TestTipField:
         with pytest.raises(DomainError):
             TipField(bad)
 
-    def test_saved_table_format(self, tmp_path):
-        path = os.path.join(tmp_path, "tip.csv")
-        TipField(np.full((4, 4), 1.5)).save(path)
-        with open(path) as fh:
-            assert fh.readlines()[:6] == [
-                "# v_nodes=4 phi_nodes=4 theta=0.20000000000000001\n",
-                "0, 0, 0, 0, 1.5\n",
-                "0, 1, 0, 1.5707963267948966, 1.5\n",
-                "0, 2, 0, 3.1415926535897931, 1.5\n",
-                "0, 3, 0, 4.7123889803846897, 1.5\n",
-                "1, 0, 0.13333333333333333, 0, 1.5\n",
-            ]
 
 
 # ---------------------------------------------------------------------------
@@ -1678,7 +1603,8 @@ class TestRunHistory:
     @pytest.mark.parametrize("case", ["no-L", "no-time", "not-a-list", "time-soon",
                                       "renormalized-no", "field-5", "tip-7",
                                       "field-list", "not-json", "time-true",
-                                      "time-text", "L-true", "L-text", "L-huge"])
+                                      "time-text", "L-true", "L-text", "L-huge",
+                                      "field-absolute", "tip-parent-dir"])
     def test_bad_index_is_a_parameter_error(self, tmp_path, case):
         g = build_grid(8, 4, 3.0)
         hist = FlowHistory()
@@ -1716,6 +1642,10 @@ class TestRunHistory:
             index[0]["L"] = "3"
         elif case == "L-huge":
             index[0]["L"] = 10**400  # an int past float range
+        elif case == "field-absolute":  # the snapshot's own file, by a path
+            index[0]["field"] = os.path.join(out, index[0]["field"])
+        elif case == "tip-parent-dir":
+            index[1]["tip"] = "../a/snap_00000_tip.npz"
         with open(where, "w") as fh:
             if case == "not-json":
                 fh.write("[{")
@@ -1759,7 +1689,7 @@ class TestRunHistory:
             json.dump(index, fh)
         with pytest.raises(ParameterError, match="renormalized gauge") as info:
             FlowHistory.load_dir(out)
-        assert f"{where}: snapshot snap_00000.csv: " in str(info.value)
+        assert f"{where}: snapshot snap_00000.npz: " in str(info.value)
 
     def test_load_keeps_a_shape_refusal_and_names_the_snapshot(self, tmp_path):
         """A tip table on other angles than its graph is refused as a
@@ -1770,21 +1700,23 @@ class TestRunHistory:
         out = os.path.join(tmp_path, "hist")
         hist.save_dir(out)
         TipField.from_profile(sphere_field(build_grid(64, 16, 3.2))).save(
-            os.path.join(out, "wide_tip.csv"))
+            os.path.join(out, "wide_tip.npz"))
         where = os.path.join(out, "history.json")
         with open(where) as fh:
             index = json.load(fh)
-        index[0]["tip"] = "wide_tip.csv"
+        index[0]["tip"] = "wide_tip.npz"
         with open(where, "w") as fh:
             json.dump(index, fh)
         with pytest.raises(ShapeError, match="16 angles on a graph of 8") as info:
             FlowHistory.load_dir(out)
-        assert str(info.value).startswith(f"{where}: snapshot snap_00000.csv: ")
+        assert str(info.value).startswith(f"{where}: snapshot snap_00000.npz: ")
 
     def test_loaded_fields_read_the_written_squared_profile(self, tmp_path):
-        """A field read back from disk has no stored continuation; the tip
-        inversion of a stepped oval snapshot and the gauge change of the
-        reference ellipsoid must still see the W that was written."""
+        """A history read back by load_dir is bitwise the one written: its
+        times and each snapshot's values, W (or none) and tip table, and so
+        at, state_at and sample between two snapshots.  Histories: a
+        stepped oval with tip, the unrescaled reference ellipsoid and a
+        field of values alone."""
         e, tau0 = 0.3, -20.0
         rim = math.sqrt((2.0 * abs(tau0) + 4.0) / (1.0 - e))
         g = build_grid(64, 16, 1.15 * rim)
@@ -1793,21 +1725,32 @@ class TestRunHistory:
         oval = run(FlowState(time=tau0, v=f, tip=TipField.from_profile(f)),
                    tau0 + 0.01, snapshot_every=0.01)
         spec = EllipsoidSpec(a=0.5, ell=2.0, radius=2.0, t_start=-5.0)
-        ell = FlowHistory()
-        ell.append(FlowState(time=spec.t_start, renormalized=False,
-                             v=ellipsoid_initial(build_grid(64, 16, 10.0), spec)))
-        loaded = []
-        for name, hist in (("oval", oval), ("ellipsoid", ell)):
+        ell = run(FlowState(time=spec.t_start, renormalized=False,
+                            v=ellipsoid_initial(build_grid(64, 16, 10.0), spec)),
+                  spec.t_start + 0.01, snapshot_every=0.005)
+        bare = FlowHistory()
+        for t, c in ((0.0, 1.0), (0.5, 0.8)):
+            bare.append(FlowState(time=t, v=ScalarField(g, c * f.values), renormalized=False))
+
+        def bits(v, tip=None):
+            return (v.grid, v.values.tobytes(),
+                    None if v.w_signed is None else v.w_signed.tobytes(),
+                    None if tip is None else tip.values.tobytes())
+
+        for name, hist in (("oval", oval), ("ellipsoid", ell), ("bare", bare)):
+            assert (hist.states[0].v.w_signed is None) == (name == "bare")
             out = os.path.join(tmp_path, name)
             hist.save_dir(out)
-            loaded.append(FlowHistory.load_dir(out).states[-1].v)
-        snap, back = oval.states[-1].v, loaded[0]
-        assert snap.w_signed is not None and back.w_signed is None
-        want, got = TipField.from_profile(snap), TipField.from_profile(back)
-        assert np.abs(got.values - want.values).max() < 1.0e-12
-        want, _ = renormalize(ell.states[0].v, spec.t_start, -3.2426)
-        got, _ = renormalize(loaded[1], spec.t_start, -3.2426)
-        assert np.abs(got.values - want.values).max() < 1.0e-12
+            back = FlowHistory.load_dir(out)
+            assert back.times.tobytes() == hist.times.tobytes()
+            assert [bits(st.v, st.tip) for st in back.states] == [
+                bits(st.v, st.tip) for st in hist.states]
+            mid = 0.5 * (hist.times[0] + hist.times[1])
+            got, want = back.state_at(mid), hist.state_at(mid)
+            assert bits(got.v, got.tip) == bits(want.v, want.tip)
+            assert bits(back.at(mid)) == bits(hist.at(mid))
+            r, phi = np.meshgrid(np.linspace(0.0, 0.95 * g.y_max, 41), g.phi[:5] + 0.1)
+            assert back.sample(r, phi, mid).tobytes() == hist.sample(r, phi, mid).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ file can rely on the frozen numbers.
 """
 
 import math
+import os
+import pickle
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from ovalab.errors import ParameterError, ShapeError
 from ovalab.evolve import TipField
 from ovalab.grid import (
+    THETA,
     ScalarField,
     _write_table,
     angular_derivs,
@@ -195,37 +198,6 @@ def test_radial_derivative_is_the_shared_stencil():
         assert np.array_equal(got, want)
 
 
-def _stretched_nodes(n_r, y_max):
-    """Radial nodes from 0 to y_max, clustered towards the origin."""
-    return y_max * np.linspace(0.0, 1.0, n_r + 1) ** 2
-
-
-def _last_step_off(n_r, y_max):
-    y = np.array(build_grid(n_r, 6, y_max).y)
-    y[-1] += 1.0e-6
-    return y
-
-
-@pytest.mark.parametrize("nodes", [
-    _stretched_nodes(12, 5.0),
-    np.linspace(0.5, 5.0, 13),
-    np.linspace(0.0, 5.0, 3),
-    -np.linspace(0.0, 5.0, 13),
-    _last_step_off(12, 5.0),
-], ids=["stretched", "offset", "three", "decreasing", "last-step-off"])
-def test_polar_grid_rejects_nonuniform_nodes(tmp_path, nodes):
-    """A PolarGrid lays out its own nodes from (n_r, n_phi, y_max), so
-    other nodes could reach one only from a stored table; load_field
-    refuses a table whose header names no grid or whose node column is
-    not that grid's."""
-    path = tmp_path / "field.csv"
-    _write_table(path, f"y_nodes={len(nodes) - 1} phi_nodes=6 y_max=5.0", nodes,
-                 np.arange(6) * math.pi / 3.0, np.ones((len(nodes), 6)))
-    with pytest.raises(ParameterError) as exc:
-        load_field(path)
-    assert str(path) in str(exc.value)
-
-
 @pytest.mark.parametrize("y_max", [math.inf, math.nan, 0.0, -1.0, 1.0e-320])
 def test_y_max_must_be_positive_and_finite(y_max):
     with pytest.raises(ParameterError, match="y_max"):
@@ -316,60 +288,35 @@ def test_smooth_pole_second_derivative():
     assert errs[1] < errs[0]
 
 
-def test_csv_roundtrip(tmp_path):
+def test_field_round_trips_every_bit(tmp_path):
+    """save_field writes one archive at exactly the path it is given, and
+    load_field reads back its grid, values and w_signed (or None) bit for
+    bit: -0.0, the least subnormal, a huge value and 0.1 + 0.2 included.
+    A tip table round-trips its positive cases the same way."""
     g = build_grid(12, 6, 5.0)
-    rng = np.random.default_rng(7)
-    f = ScalarField(g, rng.normal(size=g.shape))
-    path = tmp_path / "field.csv"
-    save_field(f, path)
-    back = load_field(path)
-    assert np.array_equal(back.values, f.values)
-    assert np.array_equal(back.grid.y, g.y)
-    assert back.grid.n_phi == g.n_phi
-    first = path.read_text().splitlines()[0]
-    assert first.startswith("# y_nodes=12 phi_nodes=6 y_max=5")
-
-
-def test_saved_field_format(tmp_path):
-    g = build_grid(8, 4, 2.0)
-    path = tmp_path / "field.csv"
-    save_field(ScalarField(g, np.arange(36.0).reshape(g.shape) / 4), path)
-    assert path.read_text().splitlines(keepends=True)[:6] == [
-        "# y_nodes=8 phi_nodes=4 y_max=2\n",
-        "0, 0, 0, 0, 0\n",
-        "0, 1, 0, 1.5707963267948966, 0.25\n",
-        "0, 2, 0, 3.1415926535897931, 0.5\n",
-        "0, 3, 0, 4.7123889803846897, 0.75\n",
-        "1, 0, 0.25, 0, 1\n",
-    ]
-
-
-def test_header_only_table_is_a_shape_error(tmp_path):
-    path = tmp_path / "field.csv"
-    path.write_text("# y_nodes=8 phi_nodes=4 y_max=2\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ShapeError):
-            load_field(path)
-
-
-def test_load_field_rejects_non_finite_values(tmp_path):
-    g = build_grid(12, 6, 5.0)
-    path = tmp_path / "field.csv"
-    save_field(ScalarField(g, np.ones(g.shape)), path)
-    lines = path.read_text().splitlines(keepends=True)
-    lines[20] = lines[20].rsplit(",", 1)[0] + ", nan\n"
-    path.write_text("".join(lines))
-    with pytest.raises(ParameterError, match="non-finite") as exc:
-        load_field(path)
-    assert str(path) in str(exc.value)
+    values = np.random.default_rng(7).normal(size=g.shape)
+    values[0, :4] = -0.0, 5.0e-324, 1.0e300, 0.1 + 0.2
+    path = str(tmp_path / "field")
+    for w in (None, values[::-1]):
+        f = ScalarField(g, values, w_signed=w)
+        save_field(f, path)
+        assert os.listdir(tmp_path) == ["field"]
+        back = load_field(path)
+        assert back.grid == g
+        assert back.values.tobytes() == f.values.tobytes()
+        assert back.w_signed is None if w is None else back.w_signed.tobytes() == w.tobytes()
+    radii = np.abs(values[:5])
+    radii[0, :4] = 1.0, 5.0e-324, 1.0e300, 0.1 + 0.2
+    tip = TipField(radii)
+    tip.save(path)
+    assert TipField.load(path).values.tobytes() == tip.values.tobytes()
 
 
 def test_load_field_checks_the_stored_nodes(tmp_path):
-    """A given grid is reused when it is the header's; any other one
-    gives way to the header's grid."""
+    """The nodes are the stored grid entry's: a given grid is reused when
+    it is that one; any other one gives way to the stored grid."""
     g = build_grid(12, 6, 5.0)
-    path = tmp_path / "field.csv"
+    path = tmp_path / "field.npz"
     save_field(ScalarField(g, np.ones(g.shape)), path)
     assert load_field(path, grid=g).grid is g
     other = build_grid(12, 6, 5.5)
@@ -378,127 +325,85 @@ def test_load_field_checks_the_stored_nodes(tmp_path):
     assert np.array_equal(back.grid.y, g.y)
 
 
-def test_load_field_rejects_stretched_nodes(tmp_path):
-    """A table whose stored nodes are not uniform from the origin does
-    not read back as a grid."""
-    g = build_grid(12, 6, 5.0)
-    path = tmp_path / "field.csv"
-    save_field(ScalarField(g, np.ones(g.shape)), path)
-    lines = path.read_text().splitlines(keepends=True)
-    stretched = _stretched_nodes(12, 5.0)
-    for k, line in enumerate(lines[1:], start=1):
-        i, j, _, phi, value = line.split(", ")
-        lines[k] = f"{i}, {j}, {stretched[int(i)]:.17g}, {phi}, {value}"
-    path.write_text("".join(lines))
-    with pytest.raises(ParameterError, match="radial nodes"):
-        load_field(path)
+# a good table of each kind, as _write_table's arrays, and its reader
+_TABLES = {
+    "field": (load_field, {"grid": np.array([8.0, 4.0, 2.0]), "values": np.ones((9, 4))}),
+    "tip": (TipField.load, {"theta": np.array(THETA), "values": np.ones((5, 4))}),
+}
 
 
-def test_load_field_rejects_rows_of_four_fields(tmp_path):
-    """Rows that all lost their value parse as numbers; the field count
-    refuses them."""
-    g = build_grid(8, 4, 2.0)
-    path = tmp_path / "field.csv"
-    save_field(ScalarField(g, np.ones(g.shape)), path)
-    lines = path.read_text().splitlines(keepends=True)
-    lines[1:] = [line.rsplit(",", 1)[0] + "\n" for line in lines[1:]]
-    path.write_text("".join(lines))
-    with pytest.raises(ParameterError, match="rows need 5 fields") as exc:
-        load_field(path)
+def _parent_csv(path, a):
+    """The table in the CSV format of the earlier codec: a `#` header,
+    then rows k, j, node, phi, value."""
+    values = a["values"]
+    head = ("y_nodes=8 phi_nodes=4 y_max=2" if "grid" in a
+            else f"v_nodes={len(values)} phi_nodes=4 theta={THETA!r}")
+    nodes = np.linspace(0.0, 2.0 if "grid" in a else 2.0 * THETA, len(values))
+    rows = "".join(f"{k}, {j}, {nodes[k]!r}, {j * math.pi / 2!r}, {x!r}\n"
+                   for (k, j), x in np.ndenumerate(values))
+    path.write_text(f"# {head}\n{rows}")
+
+
+def _bare_npy(path, a):
+    with open(path, "wb") as fh:
+        np.save(fh, a["values"])
+
+
+def _truncated(path, a):
+    _write_table(path, **a)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _edited(**changes):
+    """A writer of the table with each change applied: a key set to an
+    array, or to a function of the table's values."""
+    def make(path, a):
+        out = dict(a)
+        for key, change in changes.items():
+            out[key] = change(a["values"]) if callable(change) else change
+        _write_table(path, **out)
+    return make
+
+
+def _nan_at(values):
+    out = np.array(values)
+    out[1, 2] = math.nan
+    return out
+
+
+_COMMON = [("parent-csv", _parent_csv), ("bare-npy", _bare_npy),
+           ("pickle", lambda path, a: path.write_bytes(pickle.dumps(a))),
+           ("truncated", _truncated),
+           ("missing-key", lambda path, a: _write_table(path, values=a["values"])),
+           ("extra-key", _edited(nodes=np.arange(4.0))),
+           ("int-array", _edited(values=lambda v: v.astype(int))),
+           ("nan", _edited(values=_nan_at)), ("off-shape", _edited(values=np.ravel))]
+_REFUSALS = [
+    *[(kind, case, make) for kind in _TABLES for case, make in _COMMON],
+    ("field", "grid-two-numbers", _edited(grid=np.array([8.0, 4.0]))),
+    ("field", "grid-fractional-n_r", _edited(grid=np.array([8.5, 4.0, 2.0]))),
+    *[("tip", f"theta-{theta}", _edited(theta=np.array(theta)))
+      for theta in (0.0, -0.2, math.inf, math.nan, 0.25)],
+    ("tip", "three-rows", _edited(values=np.ones((3, 4)))),
+]
+
+
+@pytest.mark.parametrize("kind,case,make", _REFUSALS,
+                         ids=[f"{kind}-{case}" for kind, case, _ in _REFUSALS])
+def test_node_table_refusals(tmp_path, kind, case, make):
+    """load_field and TipField.load refuse every file that is not a table
+    of their own with a typed error naming the file: ShapeError for field
+    values off their grid's shape, ParameterError for the rest.  A stored
+    theta other than THETA puts a tip table's rows off the tip nodes."""
+    load, good = _TABLES[kind]
+    path = tmp_path / "table.npz"
+    make(path, good)
+    want = ShapeError if (kind, case) == ("field", "off-shape") else ParameterError
+    with pytest.raises(want) as exc:
+        load(path)
+    assert type(exc.value) is want
     assert str(path) in str(exc.value)
-
-
-@pytest.mark.parametrize("row,other", [(2, 3), (5, 9)], ids=["same-ring", "two-rings"])
-def test_load_field_rejects_swapped_rows(tmp_path, row, other):
-    """Every row must be its header's (k, j, node, phi) in row-major
-    order; a table with two rows swapped would put values at the wrong
-    nodes."""
-    g = build_grid(8, 4, 2.0)
-    path = tmp_path / "field.csv"
-    save_field(ScalarField(g, np.arange(36.0).reshape(g.shape) / 4), path)
-    lines = path.read_text().splitlines(keepends=True)
-    lines[row + 1], lines[other + 1] = lines[other + 1], lines[row + 1]
-    path.write_text("".join(lines))
-    with pytest.raises(ParameterError, match="by 4 angles") as exc:
-        load_field(path)
-    assert str(path) in str(exc.value)
-
-
-def table_by_entries(path, header, nodes, phi, values):
-    """_write_table as one write per entry, each formatting its node, angle
-    and value: the oracle whose bytes the row-block writer must match."""
-    with open(path, "w") as fh:
-        fh.write(f"# {header}\n")
-        for k, node in enumerate(nodes):
-            for j, pj in enumerate(phi):
-                fh.write(f"{k}, {j}, {node:.17g}, {pj:.17g}, {values[k, j]:.17g}\n")
-
-
-def _hard_values(shape, seed):
-    """Random values with the formats' edge cases in the first row: the
-    least subnormal, a huge value and 0.1 + 0.2, which needs all 17
-    digits."""
-    values = np.random.default_rng(seed).normal(size=shape)
-    values[0, :3] = 5.0e-324, 1.0e300, 0.1 + 0.2
-    return values
-
-
-@pytest.mark.parametrize("n_phi", [6, 32])
-def test_saved_tables_are_the_entry_writers_bytes(tmp_path, n_phi):
-    """save_field and TipField.save write, after their own header line,
-    exactly the bytes of one `.17g` row per entry."""
-    g = build_grid(24, n_phi, 5.0)
-    values = _hard_values(g.shape, n_phi)
-    values[1, 0] = -0.0
-    tip = TipField(np.abs(_hard_values((9, n_phi), n_phi + 1)))
-    tables = [
-        (lambda path: save_field(ScalarField(g, values), path), g.y, g.phi, values),
-        (tip.save, tip.v_nodes, 2.0 * math.pi * np.arange(n_phi) / n_phi, tip.values),
-    ]
-    for save, nodes, phi, vals in tables:
-        path, oracle = tmp_path / "table.csv", tmp_path / "oracle.csv"
-        save(path)
-        text = path.read_bytes()
-        header = text.split(b"\n", 1)[0][2:].decode()
-        table_by_entries(oracle, header, nodes, phi, vals)
-        assert text == oracle.read_bytes()
-
-
-def test_data_row_with_a_trailing_note_is_malformed(tmp_path):
-    """A `#` after the data of a row starts no comment: the row does not
-    parse."""
-    g = build_grid(8, 4, 2.0)
-    path = tmp_path / "field.csv"
-    save_field(ScalarField(g, np.ones(g.shape)), path)
-    lines = path.read_text().splitlines(keepends=True)
-    lines[3] = lines[3].rstrip("\n") + " # note\n"
-    path.write_text("".join(lines))
-    with pytest.raises(ParameterError, match="malformed radial table row") as exc:
-        load_field(path)
-    assert str(path) in str(exc.value)
-
-
-@pytest.mark.parametrize("edit", [
-    lambda lines: lines[:5] + [" \t \n"] + lines[5:],
-    lambda lines: lines[:5] + ["\n"] + lines[5:],
-    lambda lines: lines[:5] + ["# between rows\n"] + lines[5:],
-    lambda lines: ["# y_nodes=8 phi_nodes=4\n", "#y_max=2\n"] + lines[1:],
-    lambda lines: [line.replace("\n", "\r\n") for line in lines],
-    lambda lines: lines + ["\n", "  \n", "\n"],
-], ids=["whitespace-line", "empty-line", "note-between-rows", "split-header", "crlf",
-        "trailing-blanks"])
-def test_blank_and_note_lines_read_as_the_clean_table(tmp_path, edit):
-    """Blank lines, `#` lines anywhere, a header over two `#` lines and
-    CRLF line endings leave the values of the table."""
-    g = build_grid(8, 4, 2.0)
-    values = _hard_values(g.shape, 5)
-    path = tmp_path / "field.csv"
-    save_field(ScalarField(g, values), path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_bytes("".join(edit(lines)).encode())
-    back = load_field(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, values)
 
 
 def test_parameter_errors():

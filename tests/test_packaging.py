@@ -396,6 +396,19 @@ def test_node_layout_has_one_owner():
     assert callers == ["grid.py"]
 
 
+def test_node_table_codec_has_one_owner():
+    """Only grid.py calls np.savez or np.load, or another numpy file
+    codec: a field and a tip table are both written by grid._write_table
+    and read by grid._read_table, so the format and its checks are
+    stated once."""
+    codecs = {"np.load", "np.save", "np.savez", "np.savez_compressed", "np.loadtxt",
+              "np.savetxt", "np.genfromtxt", "np.fromfile"}
+    callers = sorted({path.name for path in PACKAGE.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call) and ast.unparse(node.func) in codecs})
+    assert callers == ["grid.py"]
+
+
 def test_quadrature_weights_have_one_reader():
     """Only grid.py reads .weights: every Gaussian pairing is
     PolarGrid.pair, so the quadrature is spelled once."""
