@@ -265,7 +265,7 @@ def _w_rhs(W, grid, renormalized, mask):
     if renormalized:
         drift = np.multiply(W1, -0.5 * grid.y[:W.shape[0], None], out=W1)
         out += np.add(drift, W, out=drift)
-    np.copyto(out, 0.0, where=~mask)
+    np.putmask(out, ~mask, 0.0)
     return out
 
 
@@ -819,6 +819,7 @@ def _march(state, t_end, every):
                 pass
             if out is None or not _alive(out[0].v):
                 paced, out = False, None
+        alive = out is not None  # a super-stepped state is kept only alive
         if out is None:
             out = _march_step(state, min(dt, t_end - state.time)), 1
             if out[0] is None:
@@ -829,7 +830,7 @@ def _march(state, t_end, every):
         if is_due:  # on by every, or past the state for an every below the step
             due = due + every if due + every > state.time + 1.0e-12 else state.time + every
         yield state, n, is_due
-        if not _alive(state.v):
+        if not (alive or _alive(state.v)):
             return
 
 

@@ -161,8 +161,6 @@ class PolarGrid:
 
         self.y = nodes
         self.y.setflags(write=False)
-        self._y2 = nodes**2  # frame_jet's y^2, squared once per grid
-        self._y2.setflags(write=False)
         self.n_r, self.n_phi, self.y_max = int(n_r), int(n_phi), float(y_max)
         self._key = (self.n_r, self.n_phi, self.y_max)
         self.dphi = 2.0 * math.pi / n_phi
@@ -184,6 +182,18 @@ class PolarGrid:
     @property
     def shape(self):
         return (self.n_r + 1, self.n_phi)
+
+    @functools.cached_property
+    def _frame_divisors(self):
+        """frame_jet's divisors y and y^2 on rows 1..n_r as read-only
+        (n_r, n_phi) tables, built on first use and kept on the grid: a
+        division by a full-shape table takes about half the time of one
+        broadcast down a (rows, 1) column, with the same quotients."""
+        y = np.repeat(self.y[1:, None], self.n_phi, axis=1)
+        y2 = y**2
+        y.setflags(write=False)
+        y2.setflags(write=False)
+        return y, y2
 
     def pair(self, F, G):
         """Gaussian pairing sum(weights F G) of two arrays on the grid.
@@ -260,13 +270,21 @@ def _check_points(r, phi):
         raise ParameterError("a polar point needs every r a number and every phi finite")
 
 
+# |phi| from which resample reads an angle at its value mod 2 pi: 1024 turns
+_FAR_PHI = 2048.0 * math.pi
+
+
 def resample(F, grid, r, phi):
     """A (n_r+1, n_phi) array F on grid read at the polar points (r, phi),
     which broadcast together: bilinear in (y, phi), periodic in phi, r
     clamped to [0, y_max].  Fractions are measured between a cell's own
     nodes, so a point on a node reads that node's value exactly.  Points
-    are checked by _check_points."""
+    are checked by _check_points.  An angle of 1024 turns or more is read
+    at its value mod 2 pi: far out, the cell edges j dphi and (j + 1) dphi
+    round together, and j overflows an integer."""
     _check_points(r, phi)
+    if np.abs(phi).max() >= _FAR_PHI:
+        phi = np.where(np.abs(phi) < _FAR_PHI, phi, np.mod(phi, 2.0 * math.pi))
     r = np.clip(r, 0.0, grid.y_max)
     i = np.minimum((r / grid.dy).astype(int), grid.n_r - 1)  # uniform nodes: no search
     ty = (r - grid.y[i]) / (grid.y[i + 1] - grid.y[i])
@@ -330,21 +348,23 @@ def rebuild_halo(W, grid):
     for i in range(max(lo, 1), min(hi, 3)):
         # sub-cell endgame: a round cap on row 1, a line on row 2
         ext = W[0] - grid.y[1] ** 2 if i == 1 else 2.0 * W[1] - W[0]
-        np.copyto(W[i], np.minimum(ext, 0.0), where=i0 <= i)
+        np.putmask(W[i], i0 <= i, np.minimum(ext, 0.0))
     top = max(lo, 3)
     if top >= hi:
         return W
     block = W[top:hi]
-    rows = _arange(hi)[top:, None]
+    # float row numbers: m = row - (s - 1) is exact, so the same bits as
+    # integer ones, without a cast in every product of the closed form
+    rows = np.arange(top, hi, dtype=float)[:, None]
     cols = _arange(W.shape[1])
     s = np.maximum(i0, 3)
     while True:
         a0, a1, a2 = W[s - _ANCHORS, cols]
         d1 = a2 - a1
-        m = rows - (s - 1)
-        ext = a2 + m * (d1 + (0.5 * (m + 1)) * (d1 - (a1 - a0)))
-        live = rows >= s
-        np.copyto(block, ext, where=live)
+        m = rows - (s - 1.0)
+        ext = a2 + m * (d1 + (0.5 * (m + 1.0)) * (d1 - (a1 - a0)))
+        live = m >= 1.0  # row >= s
+        np.putmask(block, live, ext)
         pos = live & (ext > 0.0)
         if not pos.any():
             return W
@@ -479,7 +499,7 @@ def frame_jet(grid, F):
     the one-sided stencil of radial_stencil.  The arrays are polar_jet's
     own, so a caller may write into them."""
     (F1, F11, F2, F22, F12), ring_spec = polar_jet(grid, F)
-    y, y2 = grid.y[1:F.shape[0], None], grid._y2[1:F.shape[0], None]
+    y, y2 = (t[:F.shape[0] - 1] for t in grid._frame_divisors)
     F2[1:] /= y
     F12[1:] -= F2[1:]
     F12[1:] /= y
@@ -503,17 +523,21 @@ def sqrt_jet(W1, W2, W11, W12, W22, v):
 @functools.cache
 def _lowpass_plan(m_max, shape):
     """The set-up of angular_lowpass on an array of the given shape: the
-    rings m_max cuts and the high-pass matrices of their caps, gathered
-    from _highpass_stack.  Cached per (m_max, shape), so a caller that
-    filters the same rings every step gathers them once."""
+    rings m_max cuts, as a slice when they are the leading run that
+    evolve._filter_w always hands over, else as their indices, and the
+    high-pass matrices of their caps, gathered from _highpass_stack.
+    Cached per (m_max, shape), so a caller that filters the same rings
+    every step gathers them once."""
     n = shape[-1]
     caps = np.broadcast_to(m_max, shape[:-1]).ravel()
     if np.any(caps < 0):
         raise ParameterError("m_max must be nonnegative")
     cut = np.flatnonzero(caps < n // 2)
     high = _highpass_stack(n)[caps[cut].astype(int)]
-    cut.setflags(write=False)
     high.setflags(write=False)
+    if np.array_equal(cut, _arange(len(cut))):  # a leading run: a view, not a gather
+        return slice(len(cut)), high
+    cut.setflags(write=False)
     return cut, high
 
 

@@ -233,12 +233,11 @@ def transform_full(history, a, b, Gamma, phi_rot, tau0):
 # pairing maps
 
 
-def _locked_pairings(history, tau0, modes, transform, *args):
-    """Pairings of transform(history, *args, tau0) with the basis modes
-    the slice modes picks, and with no others; a slice keeps their stack
-    a view.  The last is y^2 - 4 (mode 3), measured against the locked
-    inward slope -1/(sqrt(8)|tau0|)."""
-    field = transform(history, *args, tau0)
+def _locked_pairings(field, tau0, modes):
+    """Pairings of field with the basis modes the slice modes picks, and
+    with no others; a slice keeps their stack a view.  The last is
+    y^2 - 4 (mode 3), measured against the locked inward slope
+    -1/(sqrt(8)|tau0|)."""
     basis = get_basis(field.grid)
     p = field.grid.pair(truncated_deviation(field), basis.functions[modes])
     p[-1] += basis.normsq[3] / (SQRT8 * abs(tau0))
@@ -248,14 +247,16 @@ def _locked_pairings(history, tau0, modes, transform, *args):
 def psi2(history, tau0, b, Gamma):
     """Two centering conditions: the constant pairing of the deviation
     and the locked quadratic pairing, modes 0 and 3 alone."""
-    return _locked_pairings(history, tau0, slice(0, 4, 3), transform_profile, b, Gamma)
+    return _locked_pairings(transform_profile(history, b, Gamma, tau0), tau0, slice(0, 4, 3))
 
 
 def psi4(history, tau0, a, b, Gamma):
     """Four centering conditions: the two of psi2 plus the translation
-    pairings against y cos phi and y sin phi, all at phi_rot = 0."""
-    return _locked_pairings(history, tau0, slice(0, 4), transform_full,
-                            a, b, Gamma, 0.0)
+    pairings against y cos phi and y sin phi, all at phi_rot = 0.
+    Returns them with the field they pair, transform_full's at phi_rot =
+    0, from which solve_psi reads its closing rotation."""
+    field = transform_full(history, a, b, Gamma, 0.0, tau0)
+    return _locked_pairings(field, tau0, slice(0, 4)), field
 
 
 def rotation_angle(field):
@@ -290,13 +291,19 @@ def _in_box(x, tau0, radius_sq):
 
 def _pairing_map(history, tau0, mode):
     """The pairing map of mode as a function of the Newton vector,
-    x = (b, Gamma) for psi2 or (a1, a2, b, Gamma) for psi4, and the
-    finite-difference step of each component."""
+    x = (b, Gamma) for psi2 or (a1, a2, b, Gamma) for psi4, the
+    finite-difference step of each component, and a list that holds the
+    last x the map was evaluated at and the field psi4 paired there (it
+    stays empty for psi2)."""
+    last = []
     if mode == TWO_PARAM:
-        return (lambda x: psi2(history, tau0, x[0], x[1])), (1.0e-7, 1.0e-6)
+        return (lambda x: psi2(history, tau0, x[0], x[1])), (1.0e-7, 1.0e-6), last
     if mode == FOUR_PARAM:
-        return ((lambda x: psi4(history, tau0, x[:2], x[2], x[3])),
-                (1.0e-6, 1.0e-6, 1.0e-7, 1.0e-6))
+        def F(x):
+            p, field = psi4(history, tau0, x[:2], x[2], x[3])
+            last[:] = x.copy(), field
+            return p
+        return F, (1.0e-6, 1.0e-6, 1.0e-7, 1.0e-6), last
     raise ParameterError(
         f"mode must be {TWO_PARAM!r} or {FOUR_PARAM!r}, got {mode!r}"
     )
@@ -307,7 +314,7 @@ def jacobian_det(history, tau0, b, Gamma):
     in the (b, Gamma) plane, with step 1e-6 in both.  Central, not the
     one-sided Jacobian of solve_psi: this is a measurement of the
     derivative, and its O(h^2) error keeps it a sharp one."""
-    F, _ = _pairing_map(history, tau0, TWO_PARAM)
+    F = _pairing_map(history, tau0, TWO_PARAM)[0]
     J = _fd_jacobian(F, np.array([b, Gamma], dtype=float), (1.0e-6, 1.0e-6), None)
     return float(_det2(J))
 
@@ -421,8 +428,9 @@ def solve_psi(history, tau0, mode=TWO_PARAM):
 
     Two-param mode solves psi2 over (b, Gamma); four-param mode solves
     psi4 over (a1, a2, b, Gamma) and then fixes the rotation by the
-    closed-form half-angle.  Newton starts at zero, the untransformed
-    history, and stops once |psi| < PSI_TOL.  Its first Jacobian has
+    closed-form half-angle of the field psi4 paired at the root, at no
+    further pullback.  Newton starts at zero, the untransformed history,
+    and stops once |psi| < PSI_TOL.  Its first Jacobian has
     one-sided columns from the residual it holds, n pullbacks for n
     parameters; after each full step Broyden's update carries it, and each
     iteration costs one pullback while those steps lower |psi| (7 pullbacks
@@ -439,7 +447,7 @@ def solve_psi(history, tau0, mode=TWO_PARAM):
     span held.  Each of these errors is raised from a fresh Jacobian only,
     keeps its type, and its text goes on to name kappa and the box radius.
     """
-    F, steps = _pairing_map(history, tau0, mode)
+    F, steps, last = _pairing_map(history, tau0, mode)
     kappa = max(measure_kappa(history, tau0), 1.0e-8)
     radius_sq = 100.0 * kappa**2
     try:
@@ -452,7 +460,11 @@ def solve_psi(history, tau0, mode=TWO_PARAM):
 
     if mode == TWO_PARAM:
         return TransformParams.from_renormalized(tau0, b=x[0], Gamma=x[1])
-    field = transform_full(history, x[:2], x[2], x[3], 0.0, tau0)
+    # the last pairing is always at the root Newton returns; the rotation
+    # reads that field, and a field for any other point is built afresh
+    point, field = last
+    if point.tobytes() != x.tobytes():
+        field = transform_full(history, x[:2], x[2], x[3], 0.0, tau0)
     return TransformParams.from_renormalized(
         tau0, a=x[:2], b=x[2], Gamma=x[3], phi_rot=rotation_angle(field)
     )

@@ -69,8 +69,12 @@ def normal_form_field(grid, tau):
     v = normal_form_profile(y, tau), clamped at zero far out.  This is
     the state the recentring and spectral layers treat as their origin;
     it is not an exact solution, so only the inner region is meaningful.
-    The signed square keeps the analytic continuation past the zero
-    crossing, so derivative stencils and the stepper see no cliff there.
+    The signed square sign(v) v^2 continues past the zero crossing, but v
+    falls through zero linearly, so W has a double zero there: the rim,
+    at |y| = sqrt(4 + 4|tau|), is a corner, where a smooth body's W
+    crosses zero with nonzero slope.  The W-quadric of the same inner
+    expansion, W = 2 - (|y|^2 - 4)/|tau|, has a transversal rim at
+    sqrt(4 + 2|tau|); it, not this field, is a start to step.
     """
     v = normal_form_profile(grid.y[:, None], tau) * np.ones((1, grid.n_phi))
     return ScalarField(grid, np.maximum(v, 0.0), w_signed=np.sign(v) * v**2)

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from ovalab.errors import ParameterError, ShapeError
 from ovalab.evolve import TipField
+from ovalab import grid as grid_module
 from ovalab.grid import (
     THETA,
     ScalarField,
@@ -517,6 +518,34 @@ def test_angular_lowpass_matches_fft_oracle(n):
         assert _close_by_row(angular_lowpass(F, cap), _fft_oracle(F, (m <= cap) * 1.0))
 
 
+def lowpass_by_rings(values, m_max):
+    """angular_lowpass one ring at a time: each ring its cap cuts less the
+    product of its deviation from its first sample with the cap's
+    high-pass matrix.  The bitwise oracle of the stacked product."""
+    out = np.array(values, dtype=float)
+    rings = out.reshape(-1, out.shape[-1])
+    n = rings.shape[-1]
+    for ring, cap in zip(rings, np.broadcast_to(m_max, rings.shape[:-1])):
+        if cap < n // 2:
+            ring -= (ring - ring[0]) @ grid_module._highpass_stack(n)[cap]
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("leading", [True, False], ids=["leading-run", "scattered"])
+def test_angular_lowpass_matches_the_ring_loop(n, leading):
+    """Bit for bit the ring loop, on a cap table whose cut rings are a
+    leading run (taken as a slice, as evolve._filter_w's always are) and
+    on one whose cut rings are not (taken by index)."""
+    rng = np.random.default_rng(n + leading)
+    caps = np.minimum(2 * np.arange(12), n) if leading else rng.permutation(
+        np.minimum(2 * np.arange(12), n))
+    F = 2.0 + rng.standard_normal((12, n))
+    cut = grid_module._lowpass_plan(tuple(caps), F.shape)[0]
+    assert isinstance(cut, slice) == leading
+    assert np.array_equal(angular_lowpass(F, caps), lowpass_by_rings(F, caps))
+
+
 @pytest.mark.parametrize("n", RING_SIZES)
 def test_ring_operators_commute_with_rolls(n):
     rng = np.random.default_rng(200 + n)
@@ -567,6 +596,22 @@ def test_resample_is_periodic_in_phi():
         assert np.abs(resample(F, g, r, shifted) - base).max() < 1.0e-13
     # a negative angle one cell back from 0 is the last column
     assert np.array_equal(resample(F, g, g.y, -g.dphi), F[:, -1])
+
+
+@pytest.mark.parametrize("phi", [3.0e15, 1.0e16, -1.0e16, 1.0e17, -1.0e17, 1.0e300,
+                                 -1.0e300, 2048.0 * math.pi, -1.0e4])
+def test_resample_reads_a_far_angle_mod_two_pi(phi):
+    """An angle of 1024 turns or more is read at its value mod 2 pi, with
+    no warning: a constant field reads its constant (it read NaN from
+    1e16 on), and a field that varies in angle reads what the reduced
+    angle reads, bit for bit."""
+    g = build_grid(16, 8, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resample(np.full(g.shape, 3.0), g, 1.0, phi) == 3.0
+        F = _random_field(g)
+        r = np.linspace(0.0, 2.0, 7)
+        assert np.array_equal(resample(F, g, r, phi), resample(F, g, r, phi % (2.0 * math.pi)))
 
 
 def test_resample_past_y_max_reads_the_boundary_ring():
@@ -628,6 +673,36 @@ def halo_by_rows(W, grid):
     return W
 
 
+def halo_by_columns(W, grid):
+    """rebuild_halo one column and one node at a time: the sub-cell rows
+    as halo_by_rows writes them, then from s = max(rim, 3) row s - 1 + m
+    gets the closed form a2 + m (d1 + (m + 1)/2 (d1 - (a1 - a0))) of the
+    column's rows s-3, s-2 and s-1, until a node it makes positive is set
+    to 0 and the quadratic restarts from the next row.  The same
+    arithmetic as the block, so the bitwise oracle of its masks, block
+    writes and restart rounds, where halo_by_rows's recursion is equal to
+    roundoff only."""
+    i0 = rim_index(W)
+    hi = min(int(i0.max()) + 3, W.shape[0])
+    for col, rim in zip(W.T, i0.tolist()):
+        for i in range(max(rim, 1), min(hi, 3)):
+            col[i] = min(col[0] - grid.y[1] ** 2 if i == 1 else 2.0 * col[1] - col[0], 0.0)
+        s = max(rim, 3)
+        while s < hi:
+            a0, a1, a2 = col[s - 3], col[s - 2], col[s - 1]
+            d1 = a2 - a1
+            for row in range(s, hi):
+                m = row - (s - 1.0)
+                ext = a2 + m * (d1 + (0.5 * (m + 1.0)) * (d1 - (a1 - a0)))
+                if ext > 0.0:
+                    col[row], s = 0.0, row + 1
+                    break
+                col[row] = ext
+            else:
+                break
+    return W
+
+
 HALO_GRID = build_grid(48, 16, 6.0)
 
 
@@ -645,12 +720,14 @@ def _ragged_table(seed, rows, n_phi, noise):
 
 
 def _check_against_rows(W):
-    """rebuild_halo on W matches the row recursion to 1e-12 max|W| with
-    the same nodes at 0, leaves every body row and every row past the
-    outermost rim + 2 bitwise as it was, and returns the array it got."""
+    """rebuild_halo on W is halo_by_columns bit for bit, matches the row
+    recursion to 1e-12 max|W| with the same nodes at 0, leaves every body
+    row and every row past the outermost rim + 2 bitwise as it was, and
+    returns the array it got."""
     want = halo_by_rows(W.copy(), HALO_GRID)
     got = W.copy()
     assert rebuild_halo(got, HALO_GRID) is got
+    assert np.array_equal(got, halo_by_columns(W.copy(), HALO_GRID))
     scale = np.abs(want).max()
     assert np.abs(got - want).max() <= 1.0e-12 * scale
     assert np.array_equal(got == 0.0, want == 0.0)

@@ -178,7 +178,7 @@ def test_translation_shifts_the_constant_mode(grid):
         (-130.0, -70.0),
     )
     h = 1.0e-3
-    p = psi4(H, TAU0, (h, 0.0), 0.0, 0.0)
+    p, _ = psi4(H, TAU0, (h, 0.0), 0.0, 0.0)
     assert p[0] / (4.0 * math.pi) == pytest.approx(-0.01 * h, rel=1.0e-5)
 
 
@@ -246,7 +246,7 @@ def test_psi2_linear_response(base):
 
 
 def test_psi4_parity_and_reduction(base):
-    p4 = psi4(base, TAU0, (0.0, 0.0), 1.0e-3, 1.0e-2)
+    p4, _ = psi4(base, TAU0, (0.0, 0.0), 1.0e-3, 1.0e-2)
     assert abs(p4[1]) < 1.0e-14
     assert abs(p4[2]) < 1.0e-14
     p2 = psi2(base, TAU0, 1.0e-3, 1.0e-2)
@@ -261,7 +261,7 @@ def test_psi4_at_zero_translation_is_psi2(grid, b, Gamma):
     pairings do not vanish."""
     H = shifted_history(grid, 8.0e-4, 3.0e-2)
     p2 = psi2(H, TAU0, b, Gamma)
-    p4 = psi4(H, TAU0, (0.0, 0.0), b, Gamma)
+    p4, _ = psi4(H, TAU0, (0.0, 0.0), b, Gamma)
     assert p2.shape == (2,) and p4.shape == (4,)
     assert np.abs(p4[[0, 3]] - p2).max() <= 1.0e-10
 
@@ -271,7 +271,7 @@ def test_psi4_expansion_structure(base):
     (1+Gamma)) up to O(b/|tau|) corrections."""
     a = (0.3, 0.2)
     b, G = 1.0e-3, 5.0e-3
-    p = psi4(base, TAU0, a, b, G)
+    p, _ = psi4(base, TAU0, a, b, G)
     pred = SQRT2 * b - (a[0] ** 2 + a[1] ** 2) / (
         SQRT8 * abs(TAU0) * (1.0 + G)
     )
@@ -352,7 +352,7 @@ def test_solver_multistart_uniqueness(grid):
     the zero that solve_psi finds from zero from every start in the box."""
     H = shifted_history(grid, 8.0e-4, 3.0e-2)
     ref = solve_psi(H, TAU0)
-    F, steps = recenter._pairing_map(H, TAU0, TWO_PARAM)
+    F, steps, _ = recenter._pairing_map(H, TAU0, TWO_PARAM)
     radius_sq = 100.0 * max(measure_kappa(H, TAU0), 1.0e-8) ** 2
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -382,7 +382,7 @@ def test_solver_four_param_round_trip(grid):
     sol = solve_psi(H, TAU0, mode=FOUR_PARAM)
     assert sol.b(TAU0) == pytest.approx(-bs / (1.0 + bs), abs=1.0e-8)
     assert sol.Gamma(TAU0) == pytest.approx(-Gs / (1.0 + Gs), abs=1.0e-8)
-    res = psi4(H, TAU0, sol.a(TAU0), sol.b(TAU0), sol.Gamma(TAU0))
+    res, _ = psi4(H, TAU0, sol.a(TAU0), sol.b(TAU0), sol.Gamma(TAU0))
     assert np.linalg.norm(res) < 1.0e-10
     assert sol.phi_rot == 0.0
 
@@ -426,6 +426,48 @@ def test_solver_evaluates_the_module_maps(mode, name, grid, monkeypatch):
     # psi4), every step after the first from the Broyden-updated Jacobian
     assert 1 + dim + 2 <= calls[name] <= 1 + dim + 4
     assert calls[({"psi2", "psi4"} - {name}).pop()] == 0
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["at-root", "moved"])
+def test_rotation_reads_the_field_paired_at_the_root(grid, monkeypatch, moved):
+    """In psi4 mode the closing rotation reads the field that psi4 paired
+    at the Newton root: phi_rot is bitwise the angle of transform_full
+    rebuilt there, and the solve builds no field beyond psi4's own.  When
+    the map's last evaluation is not the root (a wrapped _newton calls it
+    once more, off the root), the field is built afresh at the root."""
+    def fn(y, phi, tau):
+        scaled = (y / (1.0 + 8.0e-4)) ** 2 - 4.0
+        bump = 1.0e-3 * y**2 * np.exp(-(y**2) / 8.0) * np.cos(2.0 * (phi - 0.3))
+        return (1.0 + 8.0e-4) * (SQRT2 - scaled / (SQRT8 * 1.03 * abs(tau))) + bump
+
+    H = SyntheticHistory(fn, grid, (TAU0 * 1.25, TAU0 * 0.75))
+    newton, transform, pairings = recenter._newton, recenter.transform_full, recenter.psi4
+    roots, builds, evals = [], [], []
+
+    def newton_spy(F, *args):
+        x = newton(F, *args)
+        roots.append(x)
+        if moved:
+            F(x + 1.0e-9)
+        return x
+
+    def transform_spy(*args):
+        builds.append(args)
+        return transform(*args)
+
+    def psi4_spy(*args):
+        evals.append(args)
+        return pairings(*args)
+
+    monkeypatch.setattr(recenter, "_newton", newton_spy)
+    monkeypatch.setattr(recenter, "transform_full", transform_spy)
+    monkeypatch.setattr(recenter, "psi4", psi4_spy)
+    sol = solve_psi(H, TAU0, mode=FOUR_PARAM)
+    (x,) = roots
+    want = rotation_angle(transform(H, x[:2], x[2], x[3], 0.0, TAU0))
+    assert sol.phi_rot == TransformParams.from_renormalized(TAU0, phi_rot=want).phi_rot
+    assert sol.phi_rot == pytest.approx(2.0 * math.pi - 0.3, abs=1.0e-3)
+    assert len(builds) == len(evals) + moved
 
 
 def test_solver_budget_and_guards(grid, base, monkeypatch):
@@ -741,7 +783,7 @@ def test_updated_newton_agrees_with_full_newton(grid, tau0, mode):
     H = shifted_history(grid, 8.0e-4, 3.0e-2, tau0)
     sol = solve_psi(H, tau0, mode=mode)
     got = np.array([*sol.a(tau0), sol.b(tau0), sol.Gamma(tau0)])
-    F, steps = recenter._pairing_map(H, tau0, mode)
+    F, steps, _ = recenter._pairing_map(H, tau0, mode)
     radius_sq = 100.0 * max(measure_kappa(H, tau0), 1.0e-8) ** 2
     want = _full_newton(F, np.zeros(len(steps)), steps, mode, tau0, radius_sq)
     if mode == TWO_PARAM:
